@@ -805,29 +805,23 @@ let geolocate_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"HOSTNAME" ~doc:"Hostnames to locate.")
   in
   let run config seed input model min_conf hostnames =
-    match model with
-    | Some path ->
-        let serve = Hoiho_serve.Serve.create (load_model_or_die path) in
-        List.iter
-          (fun hostname ->
-            print_answer ?min_conf hostname
-              (Hoiho_serve.Serve.geolocate_conf serve hostname))
-          hostnames
-    | None ->
-        Printf.eprintf
-          "hoiho: note: geolocate re-learns conventions on every call; use \
-           `hoiho save-model` once and `hoiho apply --model FILE` (or \
-           `geolocate --model FILE`) to serve from the saved model\n";
-        let ds, db = dataset_of config seed input in
-        let pipeline = Hoiho.Pipeline.run ~db ds in
-        List.iter
-          (fun hostname ->
-            let city, confidence =
-              Hoiho.Pipeline.geolocate_conf pipeline hostname
-            in
-            print_answer ?min_conf hostname
-              { Hoiho_serve.Serve.city; confidence })
-          hostnames
+    let model =
+      match model with
+      | Some path -> load_model_or_die path
+      | None ->
+          Printf.eprintf
+            "hoiho: note: geolocate re-learns conventions on every call; use \
+             `hoiho save-model` once and `hoiho apply --model FILE` (or \
+             `geolocate --model FILE`) to serve from the saved model\n";
+          let ds, db = dataset_of config seed input in
+          Hoiho.Learned_io.of_pipeline (Hoiho.Pipeline.run ~db ds)
+    in
+    let serve = Hoiho_serve.Serve.create model in
+    List.iter
+      (fun hostname ->
+        print_answer ?min_conf hostname
+          (Hoiho_serve.Serve.geolocate_conf serve hostname))
+      hostnames
   in
   Cmd.v
     (Cmd.info "geolocate" ~doc:"Apply learned conventions to hostnames.")

@@ -78,9 +78,9 @@ val of_resolution :
     {!Evalx.resolve_explained} returned for it. 0 when the city list is
     empty (no answer ⇒ no confidence) — the same convention gives
     negative cache entries and unanswerable hostnames a uniform 0.
-    Both {!Pipeline.geolocate_conf} and the serving path call this with
-    identical inputs; that shared call site is the byte-identity
-    argument. *)
+    Its one caller is {!Apply.apply}, which both
+    {!Pipeline.geolocate_conf} and the serving path run; that single
+    call site is the byte-identity argument. *)
 
 val none : float
 (** 0., the confidence of an absent answer. *)

@@ -381,15 +381,7 @@ let relearn ?learn_geohints ?min_samples ?jobs ~(prior : Pipeline.t) events =
         }
       in
       bump_counters stats;
-      Ok
-        ( {
-            Pipeline.dataset = ds;
-            consist;
-            db;
-            results;
-            metrics = Obs.snapshot ();
-          },
-          stats )
+      Ok (Pipeline.make ds consist db results, stats)
 
 let relearn_model ?jobs ~(model : Learned_io.t) ~(corpus : Dataset.t) events =
   match apply corpus events with
@@ -400,13 +392,14 @@ let relearn_model ?jobs ~(model : Learned_io.t) ~(corpus : Dataset.t) events =
       let groups = Dataset.by_suffix ds in
       let dirty_set = Hashtbl.create 16 in
       List.iter (fun s -> Hashtbl.replace dirty_set s ()) dirty;
-      let prior_by_suffix =
-        Hashtbl.create (List.length model.Learned_io.suffixes + 1)
+      let prior =
+        match Apply.index model.Learned_io.suffixes with
+        | Ok index -> index
+        | Error (_, suffix) ->
+            invalid_arg
+              (Printf.sprintf "Delta.relearn_model: duplicate suffix model %S"
+                 suffix)
       in
-      List.iter
-        (fun (sm : Learned_io.suffix_model) ->
-          Hashtbl.replace prior_by_suffix sm.Learned_io.suffix sm)
-        model.Learned_io.suffixes;
       let todo = List.filter (fun (s, _) -> Hashtbl.mem dirty_set s) groups in
       let fresh_by_suffix = index_results (recompute consist db ?jobs todo) in
       (* assemble in by_suffix order — the order of_pipeline would emit
@@ -417,8 +410,8 @@ let relearn_model ?jobs ~(model : Learned_io.t) ~(corpus : Dataset.t) events =
         List.filter_map
           (fun (s, _) ->
             if Hashtbl.mem dirty_set s then
-              Learned_io.suffix_model_of_result (Hashtbl.find fresh_by_suffix s)
-            else Hashtbl.find_opt prior_by_suffix s)
+              Pipeline.suffix_model_of_result (Hashtbl.find fresh_by_suffix s)
+            else Apply.find prior s)
           groups
       in
       let model' =

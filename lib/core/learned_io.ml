@@ -10,9 +10,9 @@ module Engine = Hoiho_rx.Engine
 let format_version = 3
 let oldest_readable_version = 1
 
-type cand = { source : string; plan : Plan.t; regex : Engine.t }
+type cand = Apply.cand = { source : string; plan : Plan.t; regex : Engine.t }
 
-type suffix_model = {
+type suffix_model = Apply.suffix_model = {
   suffix : string;
   classification : Ncsel.classification;
   cands : cand list;
@@ -414,21 +414,13 @@ let of_json json =
        by suffix would silently drop one model's regexes and learned
        hints, and which half survives would depend on load order *)
     let* () =
-      let seen = Hashtbl.create 16 in
-      let rec unique i = function
-        | [] -> Ok ()
-        | sm :: rest ->
-            if Hashtbl.mem seen sm.suffix then
-              schema
-                (Printf.sprintf "$.suffixes[%d].suffix" i)
-                "unique suffix"
-                (Printf.sprintf "duplicate %S" sm.suffix)
-            else begin
-              Hashtbl.add seen sm.suffix ();
-              unique (i + 1) rest
-            end
-      in
-      unique 0 suffixes
+      match Apply.index suffixes with
+      | Ok _ -> Ok ()
+      | Error (i, suffix) ->
+          schema
+            (Printf.sprintf "$.suffixes[%d].suffix" i)
+            "unique suffix"
+            (Printf.sprintf "duplicate %S" suffix)
     in
     (* v3 added the expected calibration profile; below v3 (or absent —
        the field is optional even in v3) drift monitoring is simply
@@ -469,30 +461,10 @@ let decode s =
 
 (* --- pipeline extraction / files --- *)
 
-let suffix_model_of_result (r : Pipeline.suffix_result) =
-  match (r.Pipeline.nc, r.Pipeline.classification) with
-  | Some nc, Some classification ->
-      Some
-        {
-          suffix = r.Pipeline.suffix;
-          classification;
-          cands =
-            List.map
-              (fun (c : Cand.t) ->
-                {
-                  source = c.Cand.source;
-                  plan = c.Cand.plan;
-                  regex = c.Cand.regex;
-                })
-              nc.Ncsel.cands;
-          learned = r.Pipeline.learned;
-          stats =
-            Option.value r.Pipeline.stats ~default:Confidence.no_stats;
-        }
-  | _ -> None
-
 let of_pipeline (p : Pipeline.t) =
-  let suffixes = List.filter_map suffix_model_of_result p.Pipeline.results in
+  let suffixes =
+    List.filter_map Pipeline.suffix_model_of_result p.Pipeline.results
+  in
   let dictionary =
     (* Db.default is memoized, so physical equality identifies it *)
     if p.Pipeline.db == Db.default () then Default
@@ -513,11 +485,9 @@ let db t =
   | Default -> Db.default ()
   | Embedded cities -> Db.of_cities cities
 
-let save path t =
-  let oc = open_out path in
-  output_string oc (encode t);
-  output_char oc '\n';
-  close_out oc
+(* tmp + rename: a reload racing the write reads the old snapshot or
+   the new one, never a truncated one *)
+let save path t = Hoiho_obs.Obs.write_file_atomic path (encode t ^ "\n")
 
 let load path =
   match

@@ -12,22 +12,21 @@
     unknown format version, wrong field type, uncompilable regex —
     yields a typed {!error}, never an exception. *)
 
-type cand = {
-  source : string;  (** concrete regex syntax, the serialized form *)
+(** The per-suffix records are {!Apply}'s, re-exported so their field
+    labels work through this module too. *)
+
+type cand = Apply.cand = {
+  source : string;
   plan : Plan.t;
   regex : Hoiho_rx.Engine.t;
-      (** compiled from [source]; on decode the compilation is
-          re-validated, so a loaded model is ready to serve *)
 }
 
-type suffix_model = {
+type suffix_model = Apply.suffix_model = {
   suffix : string;
   classification : Ncsel.classification;
-  cands : cand list;  (** in application order, first match wins *)
-  learned : Learned.t;  (** operator-geohint overlay (stage 4) *)
+  cands : cand list;
+  learned : Learned.t;
   stats : Confidence.suffix_stats;
-      (** the suffix's confidence signals at learn time (format v2);
-          {!Confidence.no_stats} when decoded from a v1 snapshot *)
 }
 
 type dictionary =
@@ -82,19 +81,13 @@ val sorted_entries : Learned.t -> Learned.entry list
 (** Entries in (hint_type, hint) order — the stable order {!encode}
     emits, exposed for deterministic diffing. *)
 
-val suffix_model_of_result : Pipeline.suffix_result -> suffix_model option
-(** The servable extract of one suffix result: [Some _] exactly when
-    the group selected an NC and was classified (the same filter
-    {!of_pipeline} applies per result). Exposed so incremental relearn
-    ({!Delta.relearn_model}) can rebuild snapshot entries for dirty
-    suffixes one at a time. *)
-
 val of_pipeline : Pipeline.t -> t
 (** Extract the servable model of a finished run: every suffix that
-    selected an NC (with its classification, so apply can honor the
-    usable-only contract), the learned overlays, the dictionary (by
-    reference when it is physically {!Hoiho_geodb.Db.default}, embedded
-    otherwise), and the run's metrics snapshot. *)
+    selected an NC ({!Pipeline.suffix_model_of_result} of its
+    [results], so a record-updated [results] is honored), the learned
+    overlays, the dictionary (by reference when it is physically
+    {!Hoiho_geodb.Db.default}, embedded otherwise), and the run's
+    metrics snapshot. *)
 
 val db : t -> Hoiho_geodb.Db.t
 (** Resolve {!dictionary} to a database. Rebuilding an [Embedded]
@@ -107,10 +100,16 @@ val encode : t -> string
     are emitted in sorted order; Hashtbl iteration order never leaks). *)
 
 val decode : string -> (t, error) result
+(** Strict, total decode. Two suffix models sharing a suffix are a
+    [Schema] error at [$.suffixes[i].suffix], the second occurrence —
+    the same check {!Apply.index} applies. *)
 
 val save : string -> t -> unit
-(** [save path model] writes [encode model] to [path] atomically enough
-    for our purposes (single [open_out]/[output_string]/[close_out]). *)
+(** [save path model] writes [encode model] to [path] atomically: to a
+    pid-unique tmp sibling, then renamed over [path]
+    ({!Hoiho_obs.Obs.write_file_atomic}). A concurrent {!load} — a
+    daemon reload racing [save-model] — sees the old snapshot or the
+    new one, never a truncated file. *)
 
 val load : string -> (t, error) result
 (** [decode] of the file contents; unreadable files are [Syntax]. *)

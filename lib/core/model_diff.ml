@@ -129,12 +129,11 @@ let suffix_model_equal (a : Learned_io.suffix_model)
 
 let diff (before : Learned_io.t) (after : Learned_io.t) =
   let index (m : Learned_io.t) =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (sm : Learned_io.suffix_model) ->
-        Hashtbl.replace tbl sm.Learned_io.suffix sm)
-      m.Learned_io.suffixes;
-    tbl
+    match Apply.index m.Learned_io.suffixes with
+    | Ok index -> index
+    | Error (_, suffix) ->
+        invalid_arg
+          (Printf.sprintf "Model_diff.diff: duplicate suffix model %S" suffix)
   in
   let tb = index before and ta = index after in
   let suffixes =
@@ -147,7 +146,7 @@ let diff (before : Learned_io.t) (after : Learned_io.t) =
   let diffs =
     List.filter_map
       (fun s ->
-        match (Hashtbl.find_opt tb s, Hashtbl.find_opt ta s) with
+        match (Apply.find tb s, Apply.find ta s) with
         | Some b, Some a when suffix_model_equal b a ->
             incr unchanged;
             None

@@ -1,5 +1,4 @@
 module Db = Hoiho_geodb.Db
-module City = Hoiho_geodb.City
 module Pool = Hoiho_util.Pool
 module Dataset = Hoiho_itdk.Dataset
 module Router = Hoiho_itdk.Router
@@ -53,8 +52,39 @@ type t = {
   consist : Consist.t;
   db : Db.t;
   results : suffix_result list;
+  index : Apply.index;
   metrics : Obs.snapshot;
 }
+
+let suffix_model_of_result r =
+  match (r.nc, r.classification) with
+  | Some nc, Some classification ->
+      Some
+        {
+          Apply.suffix = r.suffix;
+          classification;
+          cands =
+            List.map
+              (fun (c : Cand.t) ->
+                {
+                  Apply.source = c.Cand.source;
+                  plan = c.Cand.plan;
+                  regex = c.Cand.regex;
+                })
+              nc.Ncsel.cands;
+          learned = r.learned;
+          stats = Option.value r.stats ~default:Confidence.no_stats;
+        }
+  | _ -> None
+
+let make dataset consist db results =
+  let index =
+    match Apply.index (List.filter_map suffix_model_of_result results) with
+    | Ok index -> index
+    | Error (_, suffix) ->
+        invalid_arg (Printf.sprintf "Pipeline.make: duplicate suffix %S" suffix)
+  in
+  { dataset; consist; db; results; index; metrics = Obs.snapshot () }
 
 let run_suffix_exn consist db ~learn_geohints ?jobs ~suffix routers =
   let samples =
@@ -216,7 +246,7 @@ let run ?db ?(learn_geohints = true) ?(min_samples = 1) ?jobs dataset =
     Obs.time h_run (fun () ->
         run_groups consist db ~learn_geohints ~min_samples ~jobs groups)
   in
-  { dataset; consist; db; results; metrics = Obs.snapshot () }
+  make dataset consist db results
 
 let usable r =
   match r.classification with
@@ -225,106 +255,14 @@ let usable r =
 
 let find t suffix = List.find_opt (fun r -> r.suffix = suffix) t.results
 
-(* decision-trace vocabulary shared with Serve.apply_norm (the serving
-   mirror of this function): span "geolocate" wraps the whole decision,
-   "geolocate.psl" the suffix split, one "geolocate.cand" per regex
-   tried, and "geolocate.resolve" the dictionary consultation — the
-   attrs together are exactly what [hoiho explain] pretty-prints *)
-
-let trace_groups groups =
-  String.concat ","
-    (List.map
-       (function Some g -> g | None -> "-")
-       (Array.to_list groups))
-
-let trace_resolve_result cities provenance confidence =
-  Trace.add_attr "provenance" (Evalx.provenance_name provenance);
-  (match cities with
-  | [] -> Trace.add_attr "resolved" "none"
-  | best :: losers ->
-      Trace.add_attr "resolved" (City.describe best);
-      if losers <> [] then
-        Trace.add_attr "collision_losers"
-          (String.concat " | "
-             (List.map (Confidence.describe_loser ~best) losers)));
-  Trace.add_attr "confidence" (Printf.sprintf "%.3f" confidence)
-
 let geolocate_conf t hostname =
   (* the learned regexes speak normalized hostnames (lowercase, no
      whitespace, no root dot): the PSL lookup normalizes internally, so
      the very same normalized string must be what [Engine.exec] sees *)
-  let hostname = Hoiho_util.Strutil.normalize_hostname hostname in
-  (* lookup is part of the never-raise surface: whatever bytes a PTR
-     record serves up, the answer is a location or [None] — never an
-     exception *)
-  try
-    Trace.with_span "geolocate" ~attrs:[ ("hostname", hostname) ]
-    @@ fun () ->
-    let answer =
-      match
-        Trace.with_span "geolocate.psl" (fun () ->
-            let s = Hoiho_psl.Psl.registered_suffix hostname in
-            Trace.add_attr "suffix" (Option.value s ~default:"-");
-            s)
-      with
-      | None -> (None, Confidence.none)
-      | Some suffix -> (
-          match find t suffix with
-          | Some ({ nc = Some nc; learned; stats; _ } as r) when usable r ->
-              let stats =
-                Option.value stats ~default:Confidence.no_stats
-              in
-              (* spans for successive candidates must be siblings, so
-                 the recursion steps OUTSIDE the current span before
-                 trying the next regex *)
-              let try_cand (cand : Cand.t) =
-                Trace.with_span "geolocate.cand"
-                  ~attrs:[ ("regex", cand.Cand.source) ]
-                @@ fun () ->
-                match Hoiho_rx.Engine.exec cand.Cand.regex hostname with
-                | None ->
-                    Trace.add_attr "matched" "false";
-                    `Next
-                | Some groups -> (
-                    Trace.add_attr "matched" "true";
-                    Trace.add_attr "groups" (trace_groups groups);
-                    match Plan.decode cand.Cand.plan groups with
-                    | None ->
-                        Trace.add_attr "decoded" "false";
-                        `Next
-                    | Some ex ->
-                        Trace.add_attr "hint" ex.Plan.hint;
-                        Trace.add_attr "hint_type"
-                          (Plan.hint_type_name ex.Plan.hint_type);
-                        Trace.with_span "geolocate.resolve"
-                        @@ fun () ->
-                        let cities, provenance =
-                          Evalx.resolve_explained t.db ~learned ex
-                        in
-                        let confidence =
-                          Confidence.of_resolution ~stats ~learned ex
-                            (cities, provenance)
-                        in
-                        trace_resolve_result cities provenance confidence;
-                        `Done
-                          (match cities with
-                          | best :: _ -> (Some best, confidence)
-                          | [] -> (None, Confidence.none)))
-              in
-              let rec first = function
-                | [] -> (None, Confidence.none)
-                | cand :: rest -> (
-                    match try_cand cand with
-                    | `Done answer -> answer
-                    | `Next -> first rest)
-              in
-              first nc.Ncsel.cands
-          | _ -> (None, Confidence.none))
-    in
-    Trace.add_attr "answer"
-      (match fst answer with Some c -> City.describe c | None -> "none");
-    answer
-  with _ -> (None, Confidence.none)
+  let a =
+    Apply.apply t.db t.index (Hoiho_util.Strutil.normalize_hostname hostname)
+  in
+  (a.Apply.city, a.Apply.confidence)
 
 let geolocate t hostname = fst (geolocate_conf t hostname)
 

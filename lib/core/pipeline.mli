@@ -37,6 +37,11 @@ type t = {
   consist : Consist.t;
   db : Hoiho_geodb.Db.t;
   results : suffix_result list;
+  index : Apply.index;
+      (** the servable projection of [results]
+          ({!suffix_model_of_result}), indexed once for
+          {!geolocate_conf}. Built by {!make}; a record update of
+          [results] leaves it describing the old results. *)
   metrics : Hoiho_obs.Obs.snapshot;
       (** observability snapshot taken when the run finished: per-stage
           durations, rx/ncsel/pool counters (see DESIGN.md §7). The
@@ -44,6 +49,24 @@ type t = {
           {!Hoiho_obs.Obs.reset} before [run] to scope the snapshot to
           this run alone. *)
 }
+
+val suffix_model_of_result : suffix_result -> Apply.suffix_model option
+(** The servable extract of one suffix result: [Some _] exactly when
+    the group selected an NC and was classified, with stats defaulting
+    to {!Confidence.no_stats}. The one projection behind {!t.index},
+    {!Learned_io.of_pipeline} and {!Delta.relearn_model}, so in-process
+    and served answers come from the same models. *)
+
+val make :
+  Hoiho_itdk.Dataset.t ->
+  Consist.t ->
+  Hoiho_geodb.Db.t ->
+  suffix_result list ->
+  t
+(** Assemble a run from its results: index the servable suffixes and
+    take the {!Hoiho_obs.Obs} snapshot now. The constructor behind
+    {!run} and {!Delta.relearn}. Raises [Invalid_argument] if two
+    results share a suffix. *)
 
 val run :
   ?db:Hoiho_geodb.Db.t ->
@@ -93,22 +116,17 @@ val usable : suffix_result -> bool
 val find : t -> string -> suffix_result option
 
 val geolocate : t -> string -> Hoiho_geodb.City.t option
-(** Apply the learned conventions to one hostname: locate its suffix's
-    usable NC, run its regexes, and decode the extraction through the
-    learned overlay and reference dictionary. The hostname is
-    normalized once at entry
-    ({!Hoiho_util.Strutil.normalize_hostname}), so mixed-case, a
-    trailing root dot, and stray whitespace geolocate the same as the
-    canonical lowercase form — and the function never raises, whatever
-    bytes the hostname contains. The result is the
-    convention's *claim*; no RTT check is applied (regexes are usable
-    offline — the paper's motivation for learning regexes at all). *)
+(** [fst] of {!geolocate_conf}. *)
 
 val geolocate_conf : t -> string -> Hoiho_geodb.City.t option * float
-(** {!geolocate} plus the answer's {!Confidence} score in [0,1]
-    (0 exactly when the answer is [None]). Same never-raise contract;
-    the score is deterministic across [jobs] settings and byte-identical
-    to what {!Hoiho_serve} computes from this run's snapshot. *)
+(** Apply the learned conventions to one hostname: normalize it once
+    ({!Hoiho_util.Strutil.normalize_hostname}, so mixed case, a trailing
+    root dot, and stray whitespace geolocate the same as the canonical
+    form), then {!Apply.apply} it against {!t.index}. Returns the
+    answer's city and its {!Confidence} score in [0,1] (0 exactly when
+    the city is [None]). Never raises; deterministic across [jobs]
+    settings, and byte-identical — answer and decision trace — to
+    {!Hoiho_serve} on this run's snapshot. *)
 
 val geolocated_routers : t -> suffix_result -> int
 (** Routers of a suffix with at least one TP hostname under the NC. *)

@@ -336,11 +336,11 @@ let handle_explain t ctx fd req =
                 in
                 Trace.set_enabled was;
                 let spans = Trace.spans () in
-                (* keep the serve.apply root for [key] and its subtree *)
+                (* keep the apply root for [key] and its subtree *)
                 let root =
                   List.find_opt
                     (fun (s : Trace.span) ->
-                      s.Trace.name = "serve.apply"
+                      s.Trace.name = "apply"
                       && s.Trace.parent = None
                       && List.assoc_opt "hostname" s.Trace.attrs = Some key)
                     spans

@@ -17,7 +17,8 @@
       [hostname<TAB>answer] line per input line, in order (["!invalid"]
       for names rejected at the boundary).
     - [GET /explain?h=HOSTNAME] — the answer plus the rendered
-      decision trace of this one application (uncached).
+      decision trace of this one application (uncached): the [apply]
+      span subtree {!Hoiho.Apply.apply} records.
     - [GET /metrics] — OpenMetrics exposition of the process registry
       ([text/plain; version=0.0.4; charset=utf-8]).
     - [GET /healthz] — the evaluated health state (DESIGN.md §14):

@@ -116,6 +116,13 @@ val json_escape : string -> string
 
 (** {1 Periodic exposition} *)
 
+val write_file_atomic : string -> string -> unit
+(** [write_file_atomic path contents] writes [contents] to a
+    pid-unique tmp sibling ([path.tmp.PID]) and renames it over
+    [path]: readers see the old file or the new one, never a torn
+    write, and two processes writing one path cannot tear each other's
+    tmp file. Model snapshots are saved through it too. *)
+
 val write_openmetrics : string -> unit
 (** Write {!to_openmetrics} of a fresh {!snapshot} to a file,
     atomically (pid-unique tmp + rename). The one writer both the

@@ -1,9 +1,5 @@
 module Learned_io = Hoiho.Learned_io
-module Ncsel = Hoiho.Ncsel
-module Plan = Hoiho.Plan
-module Evalx = Hoiho.Evalx
-module Confidence = Hoiho.Confidence
-module Engine = Hoiho_rx.Engine
+module Apply = Hoiho.Apply
 module Pool = Hoiho_util.Pool
 module Obs = Hoiho_obs.Obs
 module Trace = Hoiho_obs.Trace
@@ -14,43 +10,30 @@ let c_applied = Obs.counter "serve.applied"
 let c_invalidated = Obs.counter "serve.cache_invalidated"
 let h_batch = Obs.histogram "serve.batch_ms"
 
-type answer = { city : Hoiho_geodb.City.t option; confidence : float }
+type answer = Apply.answer = {
+  city : Hoiho_geodb.City.t option;
+  confidence : float;
+}
 
 type t = {
   model : Learned_io.t;
   db : Hoiho_geodb.Db.t;
-  by_suffix : (string, Learned_io.suffix_model) Hashtbl.t;
+  index : Apply.index;
   cache : answer Lru.t;
 }
 
-(* negative answers carry an explicit confidence of 0.0 — cached
-   entries, batch rows, and cold-path answers all share one shape *)
-let no_answer = { city = None; confidence = Confidence.none }
-
-let index_model model =
-  let by_suffix = Hashtbl.create 64 in
-  List.iter
-    (fun (sm : Learned_io.suffix_model) ->
-      (* duplicate suffixes are a corrupt model: silently keeping the
-         first (the old behavior) served answers from an arbitrary half
-         of the snapshot. Learned_io.decode now rejects them with a
-         typed Schema error; a hand-assembled model gets the same
-         refusal here. *)
-      if Hashtbl.mem by_suffix sm.Learned_io.suffix then
-        invalid_arg
-          (Printf.sprintf "Serve.create: duplicate suffix model %S"
-             sm.Learned_io.suffix);
-      Hashtbl.add by_suffix sm.Learned_io.suffix sm)
-    model.Learned_io.suffixes;
-  by_suffix
+(* the one constructor: resolve the dictionary and index the suffixes
+   once per model. Duplicate suffixes are a corrupt model that
+   Learned_io.decode rejects; a hand-assembled one is refused here. *)
+let with_cache cache model =
+  match Apply.index model.Learned_io.suffixes with
+  | Ok index -> { model; db = Learned_io.db model; index; cache }
+  | Error (_, suffix) ->
+      invalid_arg
+        (Printf.sprintf "Serve.create: duplicate suffix model %S" suffix)
 
 let create ?(cache_capacity = 65536) ?(cache_shards = 8) model =
-  {
-    model;
-    db = Learned_io.db model;
-    by_suffix = index_model model;
-    cache = Lru.create ~shards:cache_shards ~capacity:cache_capacity ();
-  }
+  with_cache (Lru.create ~shards:cache_shards ~capacity:cache_capacity ()) model
 
 (* Incremental swap: reuse the warm cache, evicting only the entries an
    incremental relearn could have changed. Cached answers — negative
@@ -72,119 +55,13 @@ let rebuild ?(dirty = []) t model =
     in
     Obs.add c_invalidated (Lru.remove_matching t.cache stale)
   end;
-  { model; db = Learned_io.db model; by_suffix = index_model model; cache = t.cache }
+  with_cache t.cache model
 
 let model t = t.model
 
-let usable = function
-  | Ncsel.Good | Ncsel.Promising -> true
-  | Ncsel.Poor -> false
-
-(* decision-trace attrs, same vocabulary as Pipeline.geolocate *)
-let trace_groups groups =
-  String.concat ","
-    (List.map (function Some g -> g | None -> "-") (Array.to_list groups))
-
-let trace_resolve_result cities provenance confidence =
-  Trace.add_attr "provenance" (Evalx.provenance_name provenance);
-  (match cities with
-  | [] -> Trace.add_attr "resolved" "none"
-  | best :: losers ->
-      Trace.add_attr "resolved" (Hoiho_geodb.City.describe best);
-      if losers <> [] then
-        Trace.add_attr "collision_losers"
-          (String.concat " | "
-             (List.map (Confidence.describe_loser ~best) losers)));
-  Trace.add_attr "confidence" (Printf.sprintf "%.3f" confidence)
-
-(* the apply path, on an already-normalized hostname: a step-for-step
-   mirror of Pipeline.geolocate, so a served answer is byte-identical to
-   the in-process one on the run the model was saved from. The spans it
-   emits are the serving half of the decision trace: "serve.apply" wraps
-   the call; "serve.psl", one "serve.cand" per regex tried, and
-   "serve.resolve" record the split, captures, and dictionary
-   consultation that [hoiho explain] pretty-prints. *)
-let apply_norm ?parent t hostname =
-  try
-    Trace.with_span ?parent "serve.apply" ~attrs:[ ("hostname", hostname) ]
-    @@ fun () ->
-    let answer =
-      match
-        Trace.with_span "serve.psl" (fun () ->
-            let s = Hoiho_psl.Psl.registered_suffix hostname in
-            Trace.add_attr "suffix" (Option.value s ~default:"-");
-            s)
-      with
-      | None -> no_answer
-      | Some suffix -> (
-          match Hashtbl.find_opt t.by_suffix suffix with
-          | Some sm when usable sm.Learned_io.classification ->
-              (* spans for successive candidates must be siblings, so
-                 the recursion steps OUTSIDE the current span before
-                 trying the next regex *)
-              let try_cand (c : Learned_io.cand) =
-                Trace.with_span "serve.cand"
-                  ~attrs:[ ("regex", c.Learned_io.source) ]
-                @@ fun () ->
-                match Engine.exec c.Learned_io.regex hostname with
-                | None ->
-                    Trace.add_attr "matched" "false";
-                    `Next
-                | Some groups -> (
-                    Trace.add_attr "matched" "true";
-                    Trace.add_attr "groups" (trace_groups groups);
-                    match Plan.decode c.Learned_io.plan groups with
-                    | None ->
-                        Trace.add_attr "decoded" "false";
-                        `Next
-                    | Some ex ->
-                        Trace.add_attr "hint" ex.Plan.hint;
-                        Trace.add_attr "hint_type"
-                          (Plan.hint_type_name ex.Plan.hint_type);
-                        Trace.with_span "serve.resolve"
-                        @@ fun () ->
-                        let cities, provenance =
-                          Evalx.resolve_explained t.db
-                            ~learned:sm.Learned_io.learned ex
-                        in
-                        (* the same Confidence.of_resolution call, on
-                           the same inputs, as Pipeline.geolocate_conf:
-                           served scores are byte-identical to
-                           in-process ones *)
-                        let confidence =
-                          Confidence.of_resolution
-                            ~stats:sm.Learned_io.stats
-                            ~learned:sm.Learned_io.learned ex
-                            (cities, provenance)
-                        in
-                        trace_resolve_result cities provenance confidence;
-                        `Done
-                          (match cities with
-                          | best :: _ -> { city = Some best; confidence }
-                          | [] -> no_answer))
-              in
-              let rec first = function
-                | [] -> no_answer
-                | c :: rest -> (
-                    match try_cand c with
-                    | `Done answer -> answer
-                    | `Next -> first rest)
-              in
-              first sm.Learned_io.cands
-          | _ -> no_answer)
-    in
-    Trace.add_attr "answer"
-      (match answer.city with
-      | Some c -> Hoiho_geodb.City.describe c
-      | None -> "none");
-    answer
-  with _ -> no_answer
-
 let geolocate_uncached_conf t hostname =
   Obs.incr c_applied;
-  apply_norm t (Hoiho_util.Strutil.normalize_hostname hostname)
-
-let geolocate_uncached t hostname = (geolocate_uncached_conf t hostname).city
+  Apply.apply t.db t.index (Hoiho_util.Strutil.normalize_hostname hostname)
 
 let geolocate_conf t hostname =
   Obs.incr c_applied;
@@ -203,11 +80,9 @@ let geolocate_conf t hostname =
       answer
   | None ->
       Obs.incr c_misses;
-      let answer = apply_norm t key in
+      let answer = Apply.apply t.db t.index key in
       Lru.add t.cache key answer;
       answer
-
-let geolocate t hostname = (geolocate_conf t hostname).city
 
 let apply_batch ?jobs ?(normalized = false) t hostnames =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
@@ -223,7 +98,7 @@ let apply_batch ?jobs ?(normalized = false) t hostnames =
   @@ fun () ->
   Obs.time h_batch
   @@ fun () ->
-  (* per-miss serve.apply spans run on pool domains; the explicit parent
+  (* per-miss apply spans run on pool domains; the explicit parent
      keeps them under this batch at every jobs setting *)
   let parent = Trace.fanout_parent () in
   Obs.add c_applied (List.length keys);
@@ -243,7 +118,7 @@ let apply_batch ?jobs ?(normalized = false) t hostnames =
             Hashtbl.replace answers key answer
         | None ->
             Obs.incr c_misses;
-            Hashtbl.replace answers key no_answer;
+            Hashtbl.replace answers key Apply.no_answer;
             misses := key :: !misses)
     keys;
   let misses = Array.of_list (List.rev !misses) in
@@ -259,7 +134,7 @@ let apply_batch ?jobs ?(normalized = false) t hostnames =
   let computed = Array.make n_misses None in
   let compute i =
     let key = misses.(i) in
-    computed.(i) <- Some (apply_norm ~parent t key)
+    computed.(i) <- Some (Apply.apply ~parent t.db t.index key)
   in
   if jobs <= 1 || n_misses <= min_chunk then
     for i = 0 to n_misses - 1 do compute i done

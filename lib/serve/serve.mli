@@ -2,9 +2,12 @@
     {!Hoiho.Learned_io} snapshot to hostnames, without re-learning.
 
     A server resolves the snapshot's dictionary once, indexes its
-    suffix models, and memoizes answers — positive and negative — in a
-    sharded {!Lru} cache in front of the pure apply path. Batches fan
-    uncached hostnames out over the shared domain pool.
+    suffix models ({!Hoiho.Apply.index}), and memoizes answers —
+    positive and negative — in a sharded {!Lru} cache in front of the
+    pure apply path, {!Hoiho.Apply.apply}. Batches fan uncached
+    hostnames out over the shared domain pool. The apply logic itself
+    lives in {!Hoiho.Apply}; this layer adds only the cache and
+    batching.
 
     Counters: [serve.cache_hits], [serve.cache_misses] (one per distinct
     probe), [serve.cache_evictions] (from {!Lru}), and [serve.applied]
@@ -13,30 +16,26 @@
 
     When {!Hoiho_obs.Trace} is enabled the serving path emits decision
     traces: [serve.geolocate]/[serve.cache] around the cached path,
-    [serve.batch] around a batch, and per-application [serve.apply]
-    with [serve.psl], [serve.cand] (regex, capture groups, decoded
-    hint), and [serve.resolve] (dictionary entries consulted, collision
-    losers, provenance) children — the tree [hoiho explain] renders.
+    [serve.batch] around a batch, and per application the [apply]
+    subtree {!Hoiho.Apply.apply} records — the tree [hoiho explain]
+    renders.
 
     Determinism: {!apply_batch} produces results — and cache-work
     counters — identical at any [jobs] setting: the cache is probed
     sequentially once per distinct normalized hostname, only the pure
     per-miss computation is parallelized, and insertions happen in
     first-appearance order. The answers are byte-identical to
-    {!Hoiho.Pipeline.geolocate} on the run the model was saved from. *)
+    {!Hoiho.Pipeline.geolocate_conf} on the run the model was saved
+    from: both call {!Hoiho.Apply.apply} on the same projection. *)
 
 type t
 
-type answer = {
+type answer = Hoiho.Apply.answer = {
   city : Hoiho_geodb.City.t option;
   confidence : float;
-      (** the {!Hoiho.Confidence} score of this answer, in [0,1].
-          Exactly 0 when [city] is [None] — negative answers (cached
-          ones included) carry an explicit 0 rather than omitting the
-          field, so batch rows have a uniform shape. Byte-identical to
-          {!Hoiho.Pipeline.geolocate_conf} on the run the model was
-          saved from, warm or cold cache, at any [jobs] setting. *)
 }
+(** Cached entries, negative ones included, batch rows and cold-path
+    answers all share this one shape. *)
 
 val create : ?cache_capacity:int -> ?cache_shards:int -> Hoiho.Learned_io.t -> t
 (** Build a server: resolve the dictionary ({!Hoiho.Learned_io.db}),
@@ -60,19 +59,12 @@ val rebuild : ?dirty:string list -> t -> Hoiho.Learned_io.t -> t
 
 val model : t -> Hoiho.Learned_io.t
 
-val geolocate : t -> string -> Hoiho_geodb.City.t option
-(** Apply the model to one hostname, through the cache. Never raises;
-    normalization matches {!Hoiho.Pipeline.geolocate} exactly. *)
-
 val geolocate_conf : t -> string -> answer
-(** {!geolocate} with the answer's confidence — the full cached
-    {!answer} record. *)
-
-val geolocate_uncached : t -> string -> Hoiho_geodb.City.t option
-(** The pure apply path, bypassing the cache (still never raises). *)
+(** Apply the model to one hostname, through the cache. Never raises;
+    normalization matches {!Hoiho.Pipeline.geolocate_conf} exactly. *)
 
 val geolocate_uncached_conf : t -> string -> answer
-(** {!geolocate_uncached} with the answer's confidence. *)
+(** The pure apply path, bypassing the cache (still never raises). *)
 
 val apply_batch :
   ?jobs:int ->

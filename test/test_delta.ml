@@ -406,8 +406,8 @@ let test_serve_negative_cache_invalidation () =
   let t1 = Serve.create m1 in
   (* prime the cache: the epoch-2 name is cached as a miss *)
   Alcotest.(check bool) "epoch-2 hostname unknown under epoch-1 model" true
-    (Serve.geolocate t1 newcorp_host = None);
-  let known_answer = Serve.geolocate t1 known in
+    ((Serve.geolocate_conf t1 newcorp_host).Serve.city = None);
+  let known_answer = (Serve.geolocate_conf t1 known).Serve.city in
   Alcotest.(check bool) "epoch-1 hostname answers" true (known_answer <> None);
   let m2, _corpus2, stats =
     ok_or_fail (Delta.relearn_model ~jobs:1 ~model:m1 ~corpus:ds1 events)
@@ -421,11 +421,12 @@ let test_serve_negative_cache_invalidation () =
     | Some n -> n >= 1
     | None -> false);
   (* the regression: without invalidation this served the cached None *)
-  let served = Serve.geolocate t2 newcorp_host in
+  let served = (Serve.geolocate_conf t2 newcorp_host).Serve.city in
   Alcotest.(check bool) "epoch-2 hostname now answers through the cache" true
-    (served <> None && served = Serve.geolocate_uncached t2 newcorp_host);
+    (served <> None
+    && served = (Serve.geolocate_uncached_conf t2 newcorp_host).Serve.city);
   Alcotest.(check bool) "clean suffix still answers identically" true
-    (Serve.geolocate t2 known = known_answer)
+    ((Serve.geolocate_conf t2 known).Serve.city = known_answer)
 
 let suites =
   [

@@ -18,7 +18,8 @@
    The suite also pins the model lifecycle: the snapshot of the same
    run, pushed through encode/decode and served via Hoiho_serve, must
    answer byte-identically to in-process Pipeline.geolocate on every
-   corpus hostname, at jobs=1 and jobs=4. *)
+   corpus hostname, at jobs=1 and jobs=4, and record the same decision
+   trace. *)
 
 module Pipeline = Hoiho.Pipeline
 module Learned_io = Hoiho.Learned_io
@@ -33,6 +34,7 @@ module Psl = Hoiho_psl.Psl
 module Evolve = Hoiho_netsim.Evolve
 module Truth = Hoiho_netsim.Truth
 module Calibration = Hoiho_validate.Calibration
+module Trace = Hoiho_obs.Trace
 
 let corpus_path = "golden/corpus.tsv"
 let max_per_suffix = 2
@@ -185,6 +187,13 @@ let test_snapshot_serves_identically () =
   in
   let seq = serve 1 and par = serve 4 in
   Alcotest.(check bool) "jobs=1 and jobs=4 identical" true (seq = par);
+  let uncached = Serve.create model in
+  let traced f =
+    Trace.clear ();
+    Trace.set_enabled true;
+    Fun.protect ~finally:(fun () -> Trace.set_enabled false) (fun () -> ignore (f ()));
+    Trace.canonical (Trace.spans ())
+  in
   List.iter
     (fun (h, (answer : Serve.answer)) ->
       let expect_city, expect_conf = Pipeline.geolocate_conf p h in
@@ -195,7 +204,13 @@ let test_snapshot_serves_identically () =
          path recomputes the same formula from snapshot-carried stats *)
       if answer.Serve.confidence <> expect_conf then
         Alcotest.failf "served confidence diverges on %s: served %.17g, in-process %.17g"
-          h answer.Serve.confidence expect_conf)
+          h answer.Serve.confidence expect_conf;
+      (* one apply path: the same decision trace, span for span *)
+      let in_process = traced (fun () -> Pipeline.geolocate_conf p h) in
+      let served = traced (fun () -> Serve.geolocate_uncached_conf uncached h) in
+      if in_process <> served then
+        Alcotest.failf "decision trace diverges on %s:\nin-process %s\nserved %s" h
+          in_process served)
     seq
 
 (* --- the drift corpus: one Evolve epoch over the golden fixture ---

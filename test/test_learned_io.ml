@@ -430,6 +430,25 @@ let save_load_roundtrip () =
       | Ok m' -> Alcotest.(check bool) "equal" true (Learned_io.equal m m')
       | Error e -> Alcotest.failf "load failed: %s" (Learned_io.error_to_string e))
 
+(* save goes through tmp + rename: overwriting a snapshot a daemon may
+   be reloading leaves only the complete new file behind *)
+let save_over_existing_is_atomic () =
+  let m = sample_model () in
+  let path = Filename.temp_file "hoiho_model" ".hoiho.json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Learned_io.save path { m with Learned_io.suffixes = [] };
+      Learned_io.save path m;
+      let tmp_prefix = Filename.basename path ^ ".tmp." in
+      Alcotest.(check (list string)) "no tmp sibling left" []
+        (List.filter
+           (String.starts_with ~prefix:tmp_prefix)
+           (Array.to_list (Sys.readdir (Filename.dirname path))));
+      match Learned_io.load path with
+      | Ok m' -> Alcotest.(check bool) "equal to the second save" true (Learned_io.equal m m')
+      | Error e -> Alcotest.failf "load failed: %s" (Learned_io.error_to_string e))
+
 (* --- json primitive round-trip (the codec's foundation) --- *)
 
 let gen_json =
@@ -480,6 +499,8 @@ let suites =
           v2_requires_stats;
         Alcotest.test_case "load of missing file" `Quick load_missing;
         Alcotest.test_case "save/load round-trip" `Quick save_load_roundtrip;
+        Alcotest.test_case "save over an existing snapshot is atomic" `Quick
+          save_over_existing_is_atomic;
         roundtrip;
         encode_stable;
         json_roundtrip;

@@ -660,7 +660,7 @@ let test_metrics_and_explain () =
          String.length body >= String.length prefix
          && String.sub body 0 (String.length prefix) = prefix);
       Alcotest.(check bool) "explain carries the decision trace" true
-        (let needle = "serve.apply" in
+        (let needle = "apply" in
          let rec contains i =
            i + String.length needle <= String.length body
            && (String.sub body i (String.length needle) = needle

@@ -157,22 +157,23 @@ let test_matches_pipeline () =
       Alcotest.(check bool)
         (Printf.sprintf "%s served = in-process" h)
         true
-        (Serve.geolocate s h = expect && Serve.geolocate_uncached s h = expect))
+        ((Serve.geolocate_conf s h).Serve.city = expect
+        && (Serve.geolocate_uncached_conf s h).Serve.city = expect))
     batch;
   (* at least one fixture hostname must actually geolocate, or this
      test would vacuously compare None with None *)
   Alcotest.(check bool) "fixture geolocates" true
-    (List.exists (fun h -> Serve.geolocate s h <> None) known_hostnames)
+    (List.exists (fun h -> (Serve.geolocate_conf s h).Serve.city <> None) known_hostnames)
 
 let test_negative_entry_cached () =
   Obs.reset ();
   let _, model = Lazy.force fixture in
   let s = Serve.create model in
   Alcotest.(check bool) "no answer" true
-    (Serve.geolocate s "nosuch.hostname.invalid" = None);
+    ((Serve.geolocate_conf s "nosuch.hostname.invalid").Serve.city = None);
   let hits_before = Obs.count (Obs.counter "serve.cache_hits") in
   Alcotest.(check bool) "still no answer" true
-    (Serve.geolocate s "nosuch.hostname.invalid" = None);
+    ((Serve.geolocate_conf s "nosuch.hostname.invalid").Serve.city = None);
   Alcotest.(check int) "second probe hit the negative entry"
     (hits_before + 1)
     (Obs.count (Obs.counter "serve.cache_hits"));

@@ -210,7 +210,7 @@ let explain_fixture =
 let prop_explain_never_raises h =
   let serve = Lazy.force explain_fixture in
   with_tracing (fun () ->
-      match Serve.geolocate serve h with
+      match (Serve.geolocate_conf serve h).Serve.city with
       | Some _ | None ->
           (* the full explain path: geolocate, then render the trace *)
           Trace.set_enabled false;
