@@ -92,9 +92,23 @@ let apply_seed config = function
   | None -> config
   | Some seed -> { config with Hoiho_netsim.Generate.seed }
 
+(* the reader's errors already name the line; drop its own prefix *)
+let load_corpus_or_die path =
+  match Hoiho_itdk.Io.load path with
+  | ds -> ds
+  | exception (Failure msg | Sys_error msg) ->
+      let prefix = "Itdk.Io.read: " in
+      let msg =
+        if Hoiho_util.Strutil.has_prefix ~prefix msg then
+          String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+        else msg
+      in
+      Printf.eprintf "hoiho: cannot load corpus %s: %s\n" path msg;
+      exit 1
+
 let dataset_of config seed input =
   match input with
-  | Some path -> (Hoiho_itdk.Io.load path, Hoiho_geodb.Db.default ())
+  | Some path -> (load_corpus_or_die path, Hoiho_geodb.Db.default ())
   | None ->
       let ds, truth = Hoiho_netsim.Generate.generate (apply_seed config seed) in
       (ds, Hoiho_netsim.Truth.db truth)
@@ -605,7 +619,6 @@ let serve_cmd =
         max_pending = max 1 max_pending;
         request_timeout_s = Float.max 0.05 timeout;
         model_path = Some model_path;
-        corpus_path = corpus;
         objectives = Option.map (fun s -> s.Hoiho_net.Slo.objectives) slo;
         health_bucket_ms =
           (match slo with
@@ -618,7 +631,8 @@ let serve_cmd =
         access_log;
       }
     in
-    let server = Hoiho_net.Server.start ~config model in
+    let corpus = Option.map load_corpus_or_die corpus in
+    let server = Hoiho_net.Server.start ~config ?corpus model in
     let stop = Atomic.make false in
     let handle = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
     Sys.set_signal Sys.sigterm handle;

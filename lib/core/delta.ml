@@ -53,10 +53,11 @@ let apply (ds : Dataset.t) events =
   let tbl = Hashtbl.create (Array.length ds.Dataset.routers) in
   Array.iter (fun (r : Router.t) -> Hashtbl.replace tbl r.Router.id r)
     ds.Dataset.routers;
-  let order =
-    ref (List.map (fun (r : Router.t) -> r.Router.id)
-           (Array.to_list ds.Dataset.routers))
-  in
+  (* the order is built once, after the last event: the original ids
+     never removed, in place, then the new ones by their last append. A
+     removed id that comes back is new again. *)
+  let removed = Hashtbl.create 16 and appended = Hashtbl.create 16 in
+  let n_appended = ref 0 in
   let dirty = Hashtbl.create 16 in
   let mark (r : Router.t) =
     List.iter (fun s -> Hashtbl.replace dirty s ()) (Router.suffixes r)
@@ -82,12 +83,14 @@ let apply (ds : Dataset.t) events =
         | None ->
             mark r;
             Hashtbl.replace tbl r.Router.id r;
-            order := !order @ [ r.Router.id ])
+            Hashtbl.replace appended r.Router.id !n_appended;
+            incr n_appended)
     | Remove id ->
         let old = get i id in
         mark old;
         Hashtbl.remove tbl id;
-        order := List.filter (fun x -> x <> id) !order
+        Hashtbl.replace removed id ();
+        Hashtbl.remove appended id
     | Add_hostname { router; hostname } ->
         let old = get i router in
         if not (List.mem hostname old.Router.hostnames) then
@@ -111,7 +114,19 @@ let apply (ds : Dataset.t) events =
   in
   match List.iteri step events with
   | () ->
-      let routers = Array.of_list (List.map (Hashtbl.find tbl) !order) in
+      let kept =
+        List.filter_map
+          (fun (r : Router.t) ->
+            if Hashtbl.mem removed r.Router.id then None
+            else Some (Hashtbl.find tbl r.Router.id))
+          (Array.to_list ds.Dataset.routers)
+      in
+      let added =
+        Hashtbl.fold (fun id k acc -> (k, id) :: acc) appended []
+        |> List.sort compare
+        |> List.map (fun (_, id) -> Hashtbl.find tbl id)
+      in
+      let routers = Array.of_list (kept @ added) in
       let links =
         Array.of_list
           (List.filter

@@ -56,34 +56,50 @@ let to_string ds =
   emit (Buffer.add_string buf) ds;
   Buffer.contents buf
 
-(* The reader makes one pass over each line's fields, cut in place from
-   a buffer, and each record goes straight into the router being built.
-   RTT samples land in two packed builders reused from router to
-   router, so no sample exists as a list cell, tuple and boxed float on
-   its way into the dataset, and no line exists as a string. *)
+(* The reader makes one pass over the input, cut in place from a
+   buffer: a field's end is found by the scan that parses it, and each
+   record goes straight into the router being built. RTT samples land
+   in two packed builders reused from router to router, so no sample
+   exists as a list cell, tuple and boxed float on its way into the
+   dataset, and no line, nor any number spelled as the writer spells
+   it, exists as a string. *)
 
 exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 
-(* The unread input is [buf] from [pos] to [len]. The current line ends
-   at [stop], and [pos] walks its fields: it is past [stop] once the
-   last one has been taken. A channel refills [buf] as lines are taken;
-   a string is one buffer with nothing more to read. *)
+(* The unread input is [buf] from [pos] to [len]; the lines before
+   [lines_end] are whole, each ending in '\n'. [pos] walks the current
+   line's fields, each ending at a space or the newline; [stop] is the
+   newline once a field has reached it ([max_int] before), so [pos] is
+   past [stop] once the last field has been taken. A channel refills
+   [buf] as lines are taken; a string is one buffer with nothing more
+   to read. At the end of the input a last line without its newline
+   gets one. *)
 type source = {
   mutable buf : Bytes.t;
   mutable pos : int;
   mutable len : int;
+  mutable lines_end : int;
   mutable stop : int;
   ic : in_channel option;
   mutable more : bool;
 }
 
-let rec newline buf i len =
-  if i >= len then -1 else if Bytes.get buf i = '\n' then i else newline buf (i + 1) len
+let terminate src =
+  if src.len > src.pos && Bytes.get src.buf (src.len - 1) <> '\n' then begin
+    if src.len = Bytes.length src.buf then src.buf <- Bytes.extend src.buf 0 1;
+    Bytes.set src.buf src.len '\n';
+    src.len <- src.len + 1
+  end;
+  src.lines_end <- src.len
 
-(* keep the unread bytes, at the front of a buffer doubled if they fill
-   it, and append what the channel has next *)
+let rec last_newline buf i lo =
+  if i < lo then -1 else if Bytes.get buf i = '\n' then i else last_newline buf (i - 1) lo
+
+(* keep the unread bytes, which hold no newline, at the front of a
+   buffer doubled if they fill it, and append what the channel has
+   next *)
 let refill src ic =
   let rem = src.len - src.pos in
   let buf =
@@ -94,13 +110,19 @@ let refill src ic =
   src.pos <- 0;
   src.len <- rem;
   let n = input ic buf rem (Bytes.length buf - rem) in
-  if n = 0 then src.more <- false else src.len <- rem + n
+  if n = 0 then begin
+    src.more <- false;
+    terminate src
+  end
+  else begin
+    src.len <- rem + n;
+    src.lines_end <- last_newline buf (src.len - 1) rem + 1
+  end
 
 (* moves to the next line; false at the end of the input *)
 let rec next_line src =
-  let nl = newline src.buf src.pos src.len in
-  if nl >= 0 then begin
-    src.stop <- nl;
+  if src.pos < src.lines_end then begin
+    src.stop <- max_int;
     true
   end
   else
@@ -108,33 +130,92 @@ let rec next_line src =
     | Some ic when src.more ->
         refill src ic;
         next_line src
-    | _ ->
-        src.stop <- src.len;
-        src.pos < src.len
+    | _ -> false
+
+(* moves [pos] past the field that ends at [j] on [c] *)
+let past src j c =
+  if c = '\n' then src.stop <- j;
+  src.pos <- j + 1
+
+let rec field_end src j =
+  match Bytes.get src.buf j with ' ' | '\n' -> j | _ -> field_end src (j + 1)
 
 let field src =
   if src.pos > src.stop then malformed "missing field";
-  let i = ref src.pos in
-  while !i < src.stop && Bytes.get src.buf !i <> ' ' do
-    incr i
-  done;
-  let f = Bytes.sub_string src.buf src.pos (!i - src.pos) in
-  src.pos <- !i + 1;
-  f
+  let i = src.pos in
+  let e = field_end src i in
+  past src e (Bytes.get src.buf e);
+  Bytes.sub_string src.buf i (e - i)
 
 (* the rest of the line, spaces and all *)
 let rest src =
-  let r = if src.pos >= src.stop then "" else Bytes.sub_string src.buf src.pos (src.stop - src.pos) in
-  src.pos <- src.stop + 1;
-  r
+  if src.pos > src.stop then ""
+  else
+    let i = src.pos in
+    let e = Bytes.index_from src.buf i '\n' in
+    past src e '\n';
+    Bytes.sub_string src.buf i (e - i)
+
+(* Numbers are parsed in place, by the scan that finds the field's end.
+   The two fast paths take the spellings the writer emits and compute
+   exactly what the stdlib would; any other spelling (a sign [+], [_],
+   a base prefix, an exponent, [nan], [.5], [5.], more digits) goes to
+   [int_of_string_opt]/[float_of_string_opt] on a copy, so the accepted
+   input, every value and every error stay theirs. A fast path scans
+   from [j] to the field's end and, if the field is its spelling,
+   moves past it and returns the value of the digits from [d]; if not,
+   it returns a sentinel no fast value can be. *)
+
+(* digits only: [n] is the value of those from [d] to [j]; 18 of them
+   cannot overflow *)
+let rec fast_int src d j n =
+  match Bytes.get src.buf j with
+  | '0' .. '9' as c -> fast_int src d (j + 1) ((n * 10) + Char.code c - 48)
+  | (' ' | '\n') as c when j > d && j - d <= 18 ->
+      past src j c;
+      n
+  | _ -> -1
+
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15 |]
+
+(* digits[.digits], at most 15 digits: [m] is the value of the digits
+   from [d] to [j], [p] the index of the point or -1. The value is
+   [m /. 10^k] with [m < 10^15]; both are exact doubles, so the one
+   division rounds correctly, to the double strtod returns (Clinger's
+   fast path). *)
+let rec fast_float src d j m p =
+  match Bytes.get src.buf j with
+  | '0' .. '9' as c -> fast_float src d (j + 1) ((m * 10) + Char.code c - 48) p
+  | '.' when p < 0 && j > d -> fast_float src d (j + 1) m j
+  | (' ' | '\n') as c
+    when j > d && p <> j - 1 && j - d <= (if p < 0 then 15 else 16) ->
+      past src j c;
+      float_of_int m /. pow10.(if p < 0 then 0 else j - p - 1)
+  | _ -> nan
+
+(* where the field's digits start: past a leading '-' *)
+let digits_start src =
+  if src.pos > src.stop then malformed "missing field";
+  if Bytes.get src.buf src.pos = '-' then src.pos + 1 else src.pos
 
 let int_field src what =
-  let f = field src in
-  match int_of_string_opt f with Some i -> i | None -> malformed "bad %s %S" what f
+  let i = src.pos in
+  let d = digits_start src in
+  let n = fast_int src d d 0 in
+  if n >= 0 then if d > i then -n else n
+  else
+    let f = field src in
+    match int_of_string_opt f with Some n -> n | None -> malformed "bad %s %S" what f
 
 let float_field src what =
-  let f = field src in
-  match float_of_string_opt f with Some x -> x | None -> malformed "bad %s %S" what f
+  let i = src.pos in
+  let d = digits_start src in
+  let x = fast_float src d d 0 (-1) in
+  if not (Float.is_nan x) then if d > i then -.x else x
+  else
+    let f = field src in
+    match float_of_string_opt f with Some x -> x | None -> malformed "bad %s %S" what f
 
 let coord_fields src =
   let lat = float_field src "latitude" in
@@ -231,11 +312,11 @@ let read_source src =
   (try
      while next_line src do
        incr lineno;
-       if src.stop > src.pos then begin
+       if Bytes.get src.buf src.pos = '\n' then src.pos <- src.pos + 1
+       else begin
          record ();
          if src.pos <= src.stop then malformed "extra field"
-       end;
-       src.pos <- src.stop + 1
+       end
      done
    with Malformed msg | Invalid_argument msg ->
      failwith (Printf.sprintf "Itdk.Io.read: line %d: %s" !lineno msg));
@@ -248,20 +329,16 @@ let read_source src =
 
 let read ic =
   read_source
-    { buf = Bytes.create 65536; pos = 0; len = 0; stop = 0; ic = Some ic; more = true }
+    { buf = Bytes.create 65536; pos = 0; len = 0; lines_end = 0; stop = 0; ic = Some ic;
+      more = true }
 
 let of_string s =
-  read_source
-    { buf = Bytes.of_string s; pos = 0; len = String.length s; stop = 0; ic = None;
-      more = false }
+  let src =
+    { buf = Bytes.of_string s; pos = 0; len = String.length s; lines_end = 0; stop = 0;
+      ic = None; more = false }
+  in
+  terminate src;
+  read_source src
 
-let save path ds =
-  let oc = open_out path in
-  write oc ds;
-  close_out oc
-
-let load path =
-  let ic = open_in path in
-  let ds = read ic in
-  close_in ic;
-  ds
+let save path ds = Out_channel.with_open_text path (fun oc -> write oc ds)
+let load path = In_channel.with_open_text path read

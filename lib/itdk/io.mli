@@ -8,9 +8,16 @@ val write : out_channel -> Dataset.t -> unit
 val to_string : Dataset.t -> string
 
 val read : in_channel -> Dataset.t
-(** One pass over each line's fields, cut in place from a 64 KiB read
-    buffer (grown for a longer line): each record lands in the router
-    being built, its RTT samples packed as they are read ({!Rtts}).
+(** One pass over the input, cut in place from a 64 KiB read buffer
+    (grown for a longer line): the scan that finds a field's end also
+    parses it, and each record lands in the router being built, its RTT
+    samples packed as they are read ({!Rtts}). A plain decimal is
+    parsed in the buffer: an int of at most 18 digits directly, a
+    [\[-\]digits\[.digits\]] float of at most 15 digits as one exact
+    division, which gives the double [float_of_string] does. Any other
+    spelling goes to [int_of_string_opt]/[float_of_string_opt] on a
+    copy, so a field reads as the stdlib reads it, or fails where the
+    stdlib does.
     Raises [Failure "Itdk.Io.read: line N: ..."] on malformed input: an
     unknown or misplaced record, a missing or extra field, a number that
     does not parse, a coordinate out of range, or a VP id beyond 32
@@ -24,3 +31,4 @@ val save : string -> Dataset.t -> unit
 (** Write to a file path. *)
 
 val load : string -> Dataset.t
+(** {!read} from a file path; the file is closed on failure too. *)

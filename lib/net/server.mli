@@ -34,7 +34,7 @@
       observed calibration deciles behind the drift measurement.
     - [POST /reload[?model=PATH]] — hot model reload, see below.
     - [POST /observe] — a body of {!Hoiho.Delta} wire events: the
-      daemon applies them to its retained corpus ([corpus_path]),
+      daemon applies them to its retained corpus ([?corpus] of {!start}),
       incrementally relearns only the dirty suffix groups, and swaps
       the result in with the warm cache carried over minus the dirty
       suffixes' entries ({!Hoiho_serve.Serve.rebuild}). Malformed
@@ -83,11 +83,6 @@ type config = {
   request_timeout_s : float;  (** per-request read deadline *)
   max_body : int;  (** request body cap, bytes *)
   model_path : string option;  (** snapshot to re-read on reload *)
-  corpus_path : string option;
-      (** ITDK corpus backing [POST /observe]; must be the corpus the
-          served model was (default-options) learned from, or the
-          incremental-equivalence contract of {!Hoiho.Delta} does not
-          apply. [None] disables /observe. *)
   objectives : Hoiho_obs.Health.objective list option;
       (** SLO objectives for the health monitor (what [--slo FILE]
           supplies via {!Slo.load}); [None] uses
@@ -105,15 +100,19 @@ type config = {
 val default_config : config
 (** 127.0.0.1:0, jobs = {!Hoiho_util.Pool.default_jobs}, max_batch 64,
     max_wait_ms 1.0, max_pending 1024, request_timeout_s 5.0,
-    max_body 1 MiB, no model or corpus path, default objectives over a
+    max_body 1 MiB, no model path, default objectives over a
     60 s window (5 s × 12 buckets), no access log (16 MiB rotation
     when enabled). *)
 
 type t
 
-val start : ?config:config -> Hoiho.Learned_io.t -> t
+val start : ?config:config -> ?corpus:Hoiho_itdk.Dataset.t -> Hoiho.Learned_io.t -> t
 (** Bind, listen, and spawn the accept/batcher/housekeeping domains.
-    Raises [Unix.Unix_error] if the address cannot be bound. *)
+    [corpus] backs [POST /observe]; it must be the corpus the served
+    model was (default-options) learned from, or the
+    incremental-equivalence contract of {!Hoiho.Delta} does not apply.
+    Without it /observe is disabled. Raises [Unix.Unix_error] if the
+    address cannot be bound. *)
 
 val port : t -> int
 (** The bound port (the ephemeral one when [config.port] was 0). *)

@@ -172,6 +172,77 @@ let qcheck_equivalence =
     (QCheck.Test.make ~count:500 ~name:"incremental relearn ≡ batch (jobs 1 and 4)"
        QCheck.small_nat prop_incremental_equals_batch)
 
+(* --- the corpus order, against the list code it replaced --- *)
+
+(* [Delta.apply]'s order as it was once computed, one list operation per
+   event: a new id appended, a removed id filtered out *)
+let reference_apply (ds : Dataset.t) events =
+  let tbl = Hashtbl.create 16 in
+  Array.iter (fun (r : Router.t) -> Hashtbl.replace tbl r.Router.id r) ds.Dataset.routers;
+  let order =
+    ref (Array.to_list (Array.map (fun (r : Router.t) -> r.Router.id) ds.Dataset.routers))
+  in
+  List.iter
+    (function
+      | Delta.Upsert r ->
+          if not (Hashtbl.mem tbl r.Router.id) then order := !order @ [ r.Router.id ];
+          Hashtbl.replace tbl r.Router.id r
+      | Delta.Remove id ->
+          Hashtbl.remove tbl id;
+          order := List.filter (fun x -> x <> id) !order
+      | Delta.Set_hostnames { router; hostnames } ->
+          Hashtbl.replace tbl router { (Hashtbl.find tbl router) with Router.hostnames }
+      | _ -> assert false)
+    events;
+  List.map (Hashtbl.find tbl) !order
+
+(* a corpus of ids [0, n) and a stream over ids [0, n + 4): upserts of
+   old and new ids, removals, remove-then-upsert of one id, hostname
+   changes; only live ids are removed or renamed *)
+let gen_order_case =
+  let open QCheck.Gen in
+  let* n = int_bound 8 in
+  let* ops = list_size (int_bound 24) (pair (int_bound 3) (int_bound (n + 3))) in
+  let routers =
+    Array.init n (fun id -> Router.make id ~hostnames:[ Printf.sprintf "r%d.example.net" id ])
+  in
+  let live = Hashtbl.create 16 in
+  Array.iter (fun (r : Router.t) -> Hashtbl.replace live r.Router.id ()) routers;
+  let upsert k id =
+    Hashtbl.replace live id ();
+    Delta.Upsert (Router.make id ~hostnames:[ Printf.sprintf "u%d-%d.example.net" k id ])
+  in
+  let events =
+    List.concat
+      (List.mapi
+         (fun k (op, id) ->
+           match op with
+           | 0 -> [ upsert k id ]
+           | _ when not (Hashtbl.mem live id) -> []
+           | 1 ->
+               Hashtbl.remove live id;
+               [ Delta.Remove id ]
+           | 2 -> [ Delta.Remove id; upsert k id ]
+           | _ ->
+               let hostnames = [ Printf.sprintf "s%d.example.net" k ] in
+               [ Delta.Set_hostnames { router = id; hostnames } ])
+         ops)
+  in
+  return (Dataset.make ~label:"order" ~routers ~vps:[||] (), events)
+
+let qcheck_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"apply order ≡ the list reference"
+       (QCheck.make
+          ~print:(fun ((ds : Dataset.t), events) ->
+            Printf.sprintf "%d routers, events %s" (Array.length ds.Dataset.routers)
+              (Delta.events_to_string events))
+          gen_order_case)
+       (fun (ds, events) ->
+         match Delta.apply ds events with
+         | Ok (ds', _) -> Array.to_list ds'.Dataset.routers = reference_apply ds events
+         | Error e -> QCheck.Test.fail_report (Delta.error_to_string e)))
+
 (* --- table-driven dirty-set cases --- *)
 
 let apply_ok ds events =
@@ -444,5 +515,6 @@ let suites =
         Helpers.tc "negative cache invalidated on incremental swap"
           test_serve_negative_cache_invalidation;
         qcheck_equivalence;
+        qcheck_order;
       ] );
   ]

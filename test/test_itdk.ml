@@ -127,6 +127,10 @@ let malformed_rows =
     ("host a.example.net\n", 1, "host outside router");
     ("router 1\nhint ash\n", 2, "hint outside truth");
     ("router 1\nhosthint a.example.net -\n", 2, "hosthint outside truth");
+    ("router 1\nping 1 1.5.5\n", 2, "bad RTT \"1.5.5\"");
+    ("router 1\nping 1 1e\n", 2, "bad RTT \"1e\"");
+    ("router 1\nping 12345678901234567890 1.0\n", 2, "bad VP id \"12345678901234567890\"");
+    ("router 1\nping 1  2.0\n", 2, "bad RTT \"\"");
   ]
 
 let test_io_errors_name_the_line () =
@@ -184,6 +188,126 @@ let test_io_line_ends () =
   Sys.remove path;
   Alcotest.(check string) "long line round-trip" text (Io.to_string ds2)
 
+(* a failed load closes its file *)
+let test_io_load_closes_on_failure () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let path = Filename.temp_file "hoiho_test" ".itdk" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "router 1\nping 1 abc\n");
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for _ = 1 to 200 do
+    match Io.load path with
+    | _ -> Alcotest.fail "malformed corpus accepted"
+    | exception Failure _ -> ()
+  done;
+  let after = open_fds () in
+  Sys.remove path;
+  Alcotest.(check int) "open descriptors after 200 failed loads" before after
+
+(* --- in-place numbers against the stdlib ---
+
+   The reader parses plain decimals in place and hands every other
+   spelling to the stdlib. Whatever the spelling, a one-router corpus
+   must read to the stdlib's value, bit for bit, or fail exactly when
+   the stdlib rejects, with the reader's message for that field. *)
+
+let gen_digits n = QCheck.Gen.(string_size ~gen:(char_range '0' '9') (return n))
+
+let gen_float_spelling =
+  let open QCheck.Gen in
+  let magnitude =
+    map2 (fun m e -> m *. (10.0 ** float_of_int e)) (float_range (-1.0) 1.0) (int_range (-12) 16)
+  in
+  (* sign, leading zeros, digits, point, digits, exponent, each
+     possibly absent: mantissas of 16 to 19 digits, [.5], [5.], [+],
+     [-0], [1e] and friends *)
+  let composed =
+    let* sign = oneofl [ ""; "-"; "+" ] in
+    let* zeros = oneofl [ ""; "0"; "00" ] in
+    let* a = int_range 0 19 >>= gen_digits in
+    let* point = oneofl [ ""; "."; "." ] in
+    let* b = int_range 0 19 >>= gen_digits in
+    let* exp = oneofl [ ""; ""; ""; "e5"; "E-3"; "e"; "e+308"; "e-400" ] in
+    let* underscore = bool in
+    let s = zeros ^ a ^ point ^ (if point = "" then "" else b) ^ exp in
+    let s =
+      if underscore && String.length s > 1 then
+        String.sub s 0 1 ^ "_" ^ String.sub s 1 (String.length s - 1)
+      else s
+    in
+    return (sign ^ s)
+  in
+  frequency
+    [
+      (4, map2 (fun n x -> Printf.sprintf "%.*f" n x) (int_range 0 17) magnitude);
+      (1, map (Printf.sprintf "%.17g") magnitude);
+      (1, map (Printf.sprintf "%h") magnitude);
+      (1, map (Printf.sprintf "%e") magnitude);
+      (4, composed);
+      ( 1,
+        oneofl
+          [ "-0"; "-0.0"; "0"; ".5"; "5."; "-.5"; "1.5.5"; "--1"; "-"; ""; "nan"; "-nan"; "inf";
+            "-inf"; "infinity"; "0x1p3"; "\t1.5"; "1.5\r"; "123456789012345"; "1234567890123456";
+            "0.000000000000001"; "999999999999999.9" ] );
+    ]
+
+let gen_int_spelling =
+  let open QCheck.Gen in
+  let plain =
+    let* sign = oneofl [ ""; "-"; "+" ] in
+    let* n = frequency [ (1, int_range 1 17); (3, int_range 18 20) ] in
+    let* s = gen_digits n in
+    return (sign ^ s)
+  in
+  frequency
+    [
+      (8, plain);
+      (1, oneofl [ "-0"; "0x1F"; "-0o17"; "0b101"; "0u42"; "1_000"; "1.0"; "1e3"; "-"; ""; "\t5" ]);
+    ]
+
+let read text = match Io.of_string text with ds -> Ok ds | exception Failure msg -> Error msg
+
+let prop_float_spelling f =
+  match (float_of_string_opt f, read ("router 1\nping 7 " ^ f ^ "\n")) with
+  | Some x, Ok ds ->
+      let got = snd (List.hd (Rtts.to_list ds.Dataset.routers.(0).Router.ping_rtts)) in
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float got)
+      || QCheck.Test.fail_reportf "%S: read %h, stdlib %h" f got x
+  | None, Error msg ->
+      msg = Printf.sprintf "Itdk.Io.read: line 2: bad RTT %S" f
+      || QCheck.Test.fail_reportf "%S: message %S" f msg
+  | Some _, Error msg -> QCheck.Test.fail_reportf "%S: stdlib accepts, reader: %S" f msg
+  | None, Ok _ -> QCheck.Test.fail_reportf "%S: stdlib rejects, reader accepts" f
+
+(* an int ends a line or is followed by another field *)
+let prop_int_spelling f =
+  List.for_all
+    (fun (text, get) ->
+      match (int_of_string_opt f, read text) with
+      | Some n, Ok ds ->
+          get ds = n || QCheck.Test.fail_reportf "%S: read %d, stdlib %d" f (get ds) n
+      | None, Error msg ->
+          msg = Printf.sprintf "Itdk.Io.read: line 1: bad router id %S" f
+          || QCheck.Test.fail_reportf "%S: message %S" f msg
+      | Some _, Error msg -> QCheck.Test.fail_reportf "%S: stdlib accepts, reader: %S" f msg
+      | None, Ok _ -> QCheck.Test.fail_reportf "%S: stdlib rejects, reader accepts" f)
+    [
+      ("router " ^ f ^ "\n", fun ds -> ds.Dataset.routers.(0).Router.id);
+      ("link " ^ f ^ " 2\n", fun ds -> fst ds.Dataset.links.(0));
+    ]
+
+let qcheck_numbers =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:3000 ~name:"floats read as float_of_string does"
+         (QCheck.make ~print:(Printf.sprintf "%S") gen_float_spelling)
+         prop_float_spelling);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000 ~name:"ints read as int_of_string does"
+         (QCheck.make ~print:(Printf.sprintf "%S") gen_int_spelling)
+         prop_int_spelling);
+  ]
+
 let suites =
   [
     ( "itdk",
@@ -206,5 +330,7 @@ let suites =
         tc "packed layout" test_io_packed_layout;
         tc "line ends" test_io_line_ends;
         tc "file roundtrip" test_io_file_roundtrip;
-      ] );
+        tc "failed load closes its file" test_io_load_closes_on_failure;
+      ]
+      @ qcheck_numbers );
   ]

@@ -23,7 +23,6 @@ module City = Hoiho_geodb.City
 module Obs = Hoiho_obs.Obs
 module Router = Hoiho_itdk.Router
 module Dataset = Hoiho_itdk.Dataset
-module Io = Hoiho_itdk.Io
 module Psl = Hoiho_psl.Psl
 
 let describe = function Some c -> City.describe c | None -> "-"
@@ -227,8 +226,8 @@ let kc_post c target body =
        (String.length body) body);
   kc_read_response c
 
-let with_server ?(config = Server.default_config) model f =
-  let t = Server.start ~config model in
+let with_server ?(config = Server.default_config) ?corpus model f =
+  let t = Server.start ~config ?corpus model in
   Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f t (Server.port t))
 
 (* --- HTTP parser units --- *)
@@ -728,22 +727,11 @@ let observe_fixture () =
     (geohint probe_expected) (geohint expected_after);
   (swap probe_host, expected_after, Delta.events_to_string events)
 
-let with_corpus_file ds f =
-  let path = Filename.temp_file "hoiho_net_corpus" ".itdk" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Io.save path ds;
-      f path)
-
 let test_observe_relearn_mid_stream () =
   let p, model, _ = Lazy.force fixture in
   let probe, expected_after, events_json = observe_fixture () in
   let pinned_h, pinned_e = List.hd (corpus_lines ()) in
-  with_corpus_file p.Pipeline.dataset (fun corpus_file ->
-      with_server
-        ~config:{ small_config with Server.corpus_path = Some corpus_file }
-        model
+  with_server ~config:small_config ~corpus:p.Pipeline.dataset model
         (fun _ port ->
           let c = kc_connect port in
           Fun.protect
@@ -791,7 +779,7 @@ let test_observe_relearn_mid_stream () =
               in
               Alcotest.(check int) "clean suffix status" 200 status;
               Alcotest.(check string) "clean suffix unchanged"
-                (pinned_e ^ "\n") body)))
+                (pinned_e ^ "\n") body))
 
 let test_observe_unconfigured () =
   let _, model, _ = Lazy.force fixture in
