@@ -1,6 +1,8 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (§6) on synthetic datasets, printing measured values next
-   to the paper's, plus bechamel micro-benchmarks of the core machinery.
+   to the paper's, plus the `perf` gates (cross-jobs identity,
+   calibration, incremental relearn, tracing and monitoring overhead).
+   Performance figures come from bench/perf/run.sh, not from here.
 
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- --list       -- list experiment ids
@@ -8,7 +10,6 @@
      dune exec bench/main.exe -- --quick      -- small datasets (CI) *)
 
 module Generate = Hoiho_netsim.Generate
-module Chaos = Hoiho_netsim.Chaos
 module Presets = Hoiho_netsim.Presets
 module Truth = Hoiho_netsim.Truth
 module Oper = Hoiho_netsim.Oper
@@ -638,274 +639,103 @@ let fig2 () =
   Report.paper_vs "Hoiho coverage" "7 of 7 hostnames"
     (Printf.sprintf "%d of %d" (List.length hoiho_matched) (List.length hostnames))
 
-(* --- micro-benchmarks --- *)
-
-let micro () =
-  Report.section "Micro-benchmarks (bechamel, ns per run)";
-  let open Bechamel in
-  let open Toolkit in
-  let regex =
-    Hoiho_rx.Engine.compile_exn
-      {|^.+\.([a-z]{3})\d+\.([a-z]{2})\.[a-z]{3}\.zayo\.com$|}
-  in
-  let hostname = "zayo-ntt.mpr1.lhr15.uk.zip.zayo.com" in
-  let ds, routers = Fixtures.alter_net () in
-  let consist = Hoiho.Consist.create ds in
-  let router0 = List.hd routers in
-  let host0 = List.hd router0.Router.hostnames in
-  let samples =
-    Hoiho.Apparent.build_samples consist Fixtures.db ~suffix:"alter.net" routers
-  in
-  let tagged =
-    List.filter (fun (s : Hoiho.Apparent.sample) -> s.Hoiho.Apparent.tags <> []) samples
-  in
-  let a = Hoiho_geo.Coord.make ~lat:51.47 ~lon:(-0.45) in
-  let b = Hoiho_geo.Coord.make ~lat:40.64 ~lon:(-73.78) in
-  let tests =
-    Test.make_grouped ~name:"hoiho" ~fmt:"%s.%s"
-      [
-        Test.make ~name:"regex-exec"
-          (Staged.stage (fun () -> ignore (Hoiho_rx.Engine.exec regex hostname)));
-        Test.make ~name:"haversine"
-          (Staged.stage (fun () -> ignore (Hoiho_geo.Coord.distance_km a b)));
-        Test.make ~name:"stage2-tag-hostname"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hoiho.Apparent.tag_hostname consist Fixtures.db ~suffix:"alter.net"
-                    router0 host0)));
-        Test.make ~name:"stage3-phase1"
-          (Staged.stage (fun () -> ignore (Hoiho.Regen.phase1 ~suffix:"alter.net" tagged)));
-        Test.make ~name:"suffix-pipeline"
-          (Staged.stage (fun () ->
-               ignore
-                 (Pipeline.run_suffix consist Fixtures.db ~suffix:"alter.net" routers)));
-      ]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results =
-    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-          let pretty =
-            if est > 1_000_000.0 then Printf.sprintf "%.2f ms" (est /. 1_000_000.0)
-            else if est > 1_000.0 then Printf.sprintf "%.2f us" (est /. 1_000.0)
-            else Printf.sprintf "%.0f ns" est
-          in
-          rows := [ name; pretty ] :: !rows
-      | _ -> rows := [ name; "(no estimate)" ] :: !rows)
-    results;
-  Report.table ~header:[ "operation"; "time/run" ] (List.sort compare !rows)
-
-(* --- pipeline performance (parallel pool + regex fast path) --- *)
+(* --- performance gates ---
+   What `-e perf` can fail on. Performance figures come from
+   bench/perf/run.sh, which repeats each workload and reports the
+   spread; the single-run wall-clock gates below are enforced only in
+   full runs. *)
 
 let perf () =
-  Report.section "Performance: parallel pipeline + regex fast path";
-  (* a fresh dataset, not the cached one: the sequential run must start
-     from cold caches so the two timings are comparable *)
-  let config = List.assoc aug20 (presets ()) in
-  let config = { config with Generate.label = aug20 } in
-  let ds, truth = Generate.generate config in
-  let db = Truth.db truth in
-  let n_hostnames =
-    Array.fold_left
-      (fun a (r : Router.t) -> a + List.length r.Router.hostnames)
-      0 ds.Dataset.routers
-  in
+  Report.section "Performance gates";
   let time f =
     let t0 = Unix.gettimeofday () in
     let x = f () in
     (x, (Unix.gettimeofday () -. t0) *. 1000.0)
   in
   let module Obs = Hoiho_obs.Obs in
-  (* each run gets a registry scoped to itself, so the two snapshots are
-     directly comparable (work counters must come out identical) *)
-  Obs.reset ();
-  let seq, seq_ms = time (fun () -> Pipeline.run ~db ~jobs:1 ds) in
-  let seq_metrics = seq.Pipeline.metrics in
-  let pf_calls, pf_skips = Hoiho_rx.Engine.prefilter_stats () in
+  let cores = Domain.recommended_domain_count () in
+  (* why a gate is not enforced on this run, if it is not *)
+  let full_run_only = if !quick then Some "--quick" else None in
+  (* speedup and loopback req/s targets are statements about hardware
+     that can run 4 lanes; on smaller hosts they are reported, not
+     silently passed *)
+  let four_cores_only =
+    if !quick then Some "--quick"
+    else if cores < 4 then Some (Printf.sprintf "%d core(s) < 4" cores)
+    else None
+  in
+  (* every gate prints its verdict; enforced ones that fail are raised
+     together once all have run *)
+  let failed = ref [] in
+  let gate ?unenforced name ok detail =
+    let verdict =
+      match unenforced with
+      | Some why -> "not enforced: " ^ why
+      | None when ok -> "ok"
+      | None ->
+          failed := name :: !failed;
+          "FAILED"
+    in
+    Report.note "%s: %s (%s)" name detail verdict
+  in
+  (* a fresh dataset, not the cached one: the gates measure the same
+     work whichever experiments ran before *)
+  let config = List.assoc aug20 (presets ()) in
+  let config = { config with Generate.label = aug20 } in
+  let ds, truth = Generate.generate config in
+  let db = Truth.db truth in
   let jobs = max 2 (Hoiho_util.Pool.default_jobs ()) in
+  (* warm-up: a jobs=1 learn, then the jobs=[jobs] learn that the
+     health and relearn gates reuse; the untraced baseline below is
+     the third learn in the process *)
   Obs.reset ();
-  let par, par_ms = time (fun () -> Pipeline.run ~db ~jobs ds) in
-  let par_metrics = par.Pipeline.metrics in
-  let identical = seq.Pipeline.results = par.Pipeline.results in
-  (* pool.* counters are scheduling-dependent; everything else counts
-     work and must not vary with the jobs setting *)
-  let work_counters (s : Obs.snapshot) =
-    List.filter
-      (fun (name, _) -> not (String.length name >= 5 && String.sub name 0 5 = "pool."))
-      s.Obs.counters
-  in
-  let counters_identical = work_counters seq_metrics = work_counters par_metrics in
-  let speedup = seq_ms /. par_ms in
-  let samples_per_sec = float_of_int n_hostnames /. (par_ms /. 1000.0) in
-  let hit_rate =
-    if pf_calls = 0 then 0.0 else float_of_int pf_skips /. float_of_int pf_calls
-  in
-  Report.note "dataset: %d routers, %d hostnames" (Dataset.n_routers ds) n_hostnames;
-  Report.note "sequential (jobs=1):  %8.1f ms" seq_ms;
-  Report.note "parallel   (jobs=%d):  %8.1f ms  (%.2fx, %.0f hostnames/s)" jobs
-    par_ms speedup samples_per_sec;
-  Report.note "results identical across jobs settings: %b" identical;
-  Report.note "work counters identical across jobs settings: %b" counters_identical;
-  Report.note "prefilter: %d exec calls, %d skipped by literal scan (%.1f%%)"
-    pf_calls pf_skips (100.0 *. hit_rate);
-  (match Obs.find_histogram par_metrics "pipeline.suffix_ms" with
-  | Some h ->
-      Report.note "per-suffix wall time: n=%d p50=%.2f ms p95=%.2f ms max=%.2f ms"
-        h.Obs.n h.Obs.p50 h.Obs.p95 h.Obs.max
-  | None -> ());
-  (* per-layer micro timings *)
-  let ns_per iters f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-  in
-  let re_src = {|^.+\.([a-z]{3})\d+\.([a-z]{2})\.[a-z]{3}\.zayo\.com$|} in
-  let regex = Hoiho_rx.Engine.compile_exn re_src in
-  let miss = "ae-125.edge4.frankfurt1.level3.net" in
-  let hit = "zayo-ntt.mpr1.lhr15.uk.zip.zayo.com" in
-  let vm = Hoiho_rx.Nfavm.compile (Hoiho_rx.Parse.parse_exn {|[a-z]{3}\d+\.[a-z]+|}) in
-  let pool = Hoiho_util.Pool.get 2 in
-  let ints = List.init 64 Fun.id in
-  let exec_hit_ns = ns_per 20_000 (fun () -> Hoiho_rx.Engine.exec regex hit) in
-  let exec_miss_ns = ns_per 20_000 (fun () -> Hoiho_rx.Engine.exec regex miss) in
-  let exec_unf_ns =
-    ns_per 20_000 (fun () -> Hoiho_rx.Engine.exec_unfiltered regex miss)
-  in
-  let nfavm_ns = ns_per 20_000 (fun () -> Hoiho_rx.Nfavm.matches vm hit) in
-  let pool_ns =
-    ns_per 200 (fun () -> Hoiho_util.Pool.parallel_map pool (fun x -> x + 1) ints)
-  in
-  Report.table
-    ~header:[ "operation"; "time/run" ]
-    [
-      [ "exec, match (prefilter seeds start)"; Printf.sprintf "%.0f ns" exec_hit_ns ];
-      [ "exec, miss (prefilter bails)"; Printf.sprintf "%.0f ns" exec_miss_ns ];
-      [ "exec, miss, no prefilter"; Printf.sprintf "%.0f ns" exec_unf_ns ];
-      [ "nfavm matches (sparse sets)"; Printf.sprintf "%.0f ns" nfavm_ns ];
-      [ "pool parallel_map, 64 items"; Printf.sprintf "%.0f ns" pool_ns ];
-    ];
-  (* chaos resilience: with injection off, a replay must reproduce the
-     parallel run's learned conventions exactly; with injection on, the
-     run must complete, surfacing faults as degraded suffix results
-     rather than exceptions *)
+  ignore (Pipeline.run ~db ~jobs:1 ds);
   Obs.reset ();
-  let replay, replay_ms = time (fun () -> Pipeline.run ~db ~jobs ds) in
-  let replay_identical = replay.Pipeline.results = par.Pipeline.results in
-  (* tracing overhead: the warm replay above is the untraced baseline;
-     run the same warm pipeline once more with span collection on. The
-     contract (DESIGN.md §10) is < 10% wall-clock overhead *)
+  let par = Pipeline.run ~db ~jobs ds in
+  (* tracing overhead: a warm untraced run, then the same warm pipeline
+     with span collection on. The contract (DESIGN.md §10) is < 10%
+     wall-clock overhead *)
+  Obs.reset ();
+  let _, untraced_ms = time (fun () -> Pipeline.run ~db ~jobs ds) in
   let module Trace = Hoiho_obs.Trace in
   Obs.reset ();
   Trace.configure ~shards:16 ~capacity:(1 lsl 18) ();
   Trace.set_enabled true;
-  let traced, traced_ms = time (fun () -> Pipeline.run ~db ~jobs ds) in
+  let _, traced_ms = time (fun () -> Pipeline.run ~db ~jobs ds) in
   Trace.set_enabled false;
   let trace_spans = List.length (Trace.spans ()) in
   let trace_dropped = Trace.dropped () in
   Trace.configure ();
-  let traced_identical = traced.Pipeline.results = par.Pipeline.results in
-  let trace_overhead = (traced_ms -. replay_ms) /. replay_ms in
-  let trace_ok = trace_overhead < 0.10 in
-  Report.note
-    "tracing: untraced %8.1f ms, traced %8.1f ms (overhead %+.1f%%, %d spans, %d dropped)"
-    replay_ms traced_ms (100.0 *. trace_overhead) trace_spans trace_dropped;
-  Report.note "traced results identical to untraced: %b" traced_identical;
-  Report.note "tracing overhead within the 10%% contract: %b" trace_ok;
-  if (not !quick) && not trace_ok then
-    failwith
-      (Printf.sprintf "tracing overhead %.1f%% exceeds the 10%% contract"
-         (100.0 *. trace_overhead));
-  Obs.reset ();
-  let cdb, cds = Chaos.apply (Chaos.config ~level:2 4242) db ds in
-  let chaos_run, chaos_ms = time (fun () -> Pipeline.run ~db:cdb ~jobs cds) in
-  let chaos_metrics = chaos_run.Pipeline.metrics in
-  let chaos_degraded =
-    List.length
-      (List.filter
-         (fun (r : Pipeline.suffix_result) -> r.Pipeline.degraded <> None)
-         chaos_run.Pipeline.results)
-  in
-  let chaos_counter name =
-    match Obs.find_counter chaos_metrics name with Some n -> n | None -> 0 in
-  let chaos_injected =
-    chaos_counter "chaos.hostnames_mangled"
-    + chaos_counter "chaos.dict_entries_dropped"
-    + chaos_counter "chaos.rtts_dropped"
-    + chaos_counter "chaos.rtt_outliers"
-    + chaos_counter "chaos.rtts_negated"
-    + chaos_counter "chaos.alias_errors"
-  in
-  Report.note "chaos-off replay identical to chaos-off run: %b" replay_identical;
-  Report.note
-    "chaos seed=4242 level=2: %d injections, %d/%d suffix groups degraded, %.1f ms"
-    chaos_injected chaos_degraded
-    (List.length chaos_run.Pipeline.results)
-    chaos_ms;
-  (* learn-once / apply-many serving path: snapshot the learned model
-     through the codec (encode + strict decode, as a real consumer
-     would), then measure apply throughput over every hostname of the
-     dataset — cold vs warm cache, sequential vs parallel *)
+  let trace_overhead = (traced_ms -. untraced_ms) /. untraced_ms in
+  gate ?unenforced:full_run_only "tracing" (trace_overhead < 0.10)
+    (Printf.sprintf
+       "untraced %.1f ms, traced %.1f ms, overhead %+.1f%% (%d spans, %d \
+        dropped), limit < 10%%"
+       untraced_ms traced_ms (100.0 *. trace_overhead) trace_spans
+       trace_dropped);
+  (* health: the full monitoring stack (SLO objectives evaluated by the
+     housekeeper + per-response access logging + drift windows) against
+     the bare daemon, serving the learned model through the snapshot
+     codec to 4 keep-alive clients on a loopback socket. Best of two
+     trials each side to damp loopback scheduling noise; the budget is
+     < 5% req/s. *)
   let model =
     let m = Hoiho.Learned_io.of_pipeline par in
     match Hoiho.Learned_io.decode (Hoiho.Learned_io.encode m) with
     | Ok m -> m
     | Error e -> failwith (Hoiho.Learned_io.error_to_string e)
   in
-  let hostnames =
-    Array.to_list ds.Dataset.routers
-    |> List.concat_map (fun (r : Router.t) -> r.Router.hostnames)
+  let hosts =
+    Array.of_list
+      (Array.to_list ds.Dataset.routers
+      |> List.concat_map (fun (r : Router.t) -> r.Router.hostnames))
   in
-  let n_apply = List.length hostnames in
-  let apply_run ~jobs =
-    let serve = Hoiho_serve.Serve.create model in
-    let cold, cold_ms =
-      time (fun () -> Hoiho_serve.Serve.apply_batch ~jobs serve hostnames)
-    in
-    let _, warm_ms =
-      time (fun () -> ignore (Hoiho_serve.Serve.apply_batch ~jobs serve hostnames))
-    in
-    (cold, cold_ms, warm_ms)
-  in
-  let hps ms = float_of_int n_apply /. (ms /. 1000.0) in
-  let apply1, apply1_cold_ms, apply1_warm_ms = apply_run ~jobs:1 in
-  let applyn, applyn_cold_ms, applyn_warm_ms = apply_run ~jobs in
-  let apply_identical = apply1 = applyn in
-  let apply_matches_inproc =
-    List.for_all
-      (fun (h, (answer : Hoiho_serve.Serve.answer)) ->
-        let city, confidence = Pipeline.geolocate_conf par h in
-        answer.Hoiho_serve.Serve.city = city
-        && answer.Hoiho_serve.Serve.confidence = confidence)
-      apply1
-  in
-  Report.note "apply (serving path, %d hostnames through the snapshot codec):"
-    n_apply;
-  Report.note "  jobs=1:  cold %8.1f ms (%.0f hostnames/s), warm %8.1f ms (%.0f/s)"
-    apply1_cold_ms (hps apply1_cold_ms) apply1_warm_ms (hps apply1_warm_ms);
-  Report.note "  jobs=%d:  cold %8.1f ms (%.0f hostnames/s), warm %8.1f ms (%.0f/s)"
-    jobs applyn_cold_ms (hps applyn_cold_ms) applyn_warm_ms (hps applyn_warm_ms);
-  Report.note "  results identical across jobs settings: %b" apply_identical;
-  Report.note "  byte-identical to in-process geolocate: %b" apply_matches_inproc;
-  (* serve: the same snapshot behind the network daemon — sustained
-     req/s and latency quantiles over a real loopback socket, with as
-     many keep-alive clients as serving domains *)
-  let serve_bench ?(mutate = fun c -> c) ~jobs () =
-    let module Server = Hoiho_net.Server in
+  let module Server = Hoiho_net.Server in
+  let serve_rps ~jobs mutate =
     let cfg = mutate { Server.default_config with Server.jobs } in
     let server = Server.start ~config:cfg model in
     let port = Server.port server in
     let per_client = if !quick then 200 else 1000 in
-    let hosts = Array.of_list hostnames in
     let nh = Array.length hosts in
     let write_all fd s =
       let n = String.length s in
@@ -984,110 +814,60 @@ let perf () =
                 pending :=
                   String.sub !pending total (String.length !pending - total)
               in
-              let lat = Array.make per_client 0.0 in
               for i = 0 to per_client - 1 do
                 let h = hosts.((cid + (i * jobs)) mod nh) in
-                let t = Obs.now_ms () in
                 write_all fd
                   (Printf.sprintf "GET /geolocate?h=%s HTTP/1.1\r\nHost: b\r\n\r\n"
                      (Hoiho_net.Http.pct_encode h));
-                read_response ();
-                lat.(i) <- Obs.now_ms () -. t
+                read_response ()
               done;
-              Unix.close fd;
-              lat))
+              Unix.close fd))
     in
-    let lats = List.concat_map (fun d -> Array.to_list (Domain.join d)) clients in
+    List.iter Domain.join clients;
     let wall_ms = Obs.now_ms () -. t0 in
     Server.stop server;
-    let sorted = Array.of_list (List.sort compare lats) in
-    let n = Array.length sorted in
-    let pct p =
-      if n = 0 then 0.0
-      else
-        let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-        sorted.(max 1 (min n rank) - 1)
-    in
-    let rps = float_of_int n /. (wall_ms /. 1000.0) in
-    (n, rps, pct 50.0, pct 95.0, pct 99.0, wall_ms)
+    float_of_int (jobs * per_client) /. (wall_ms /. 1000.0)
   in
-  let serve1_n, serve1_rps, serve1_p50, serve1_p95, serve1_p99, serve1_wall =
-    serve_bench ~jobs:1 ()
+  (* bare daemons at jobs 1 and 4 warm the process first, so neither
+     side's first trial is the first daemon in it *)
+  ignore (serve_rps ~jobs:1 Fun.id);
+  ignore (serve_rps ~jobs:4 Fun.id);
+  let access_path = Filename.temp_file "hoiho_bench_access" ".log" in
+  let best mutate =
+    Float.max (serve_rps ~jobs:4 mutate) (serve_rps ~jobs:4 mutate)
   in
-  let serve4_n, serve4_rps, serve4_p50, serve4_p95, serve4_p99, serve4_wall =
-    serve_bench ~jobs:4 ()
+  let health_plain_rps = best (fun c -> c) in
+  let health_mon_rps =
+    best (fun c ->
+        {
+          c with
+          Server.objectives =
+            Some
+              [
+                {
+                  Hoiho_obs.Health.metric = "latency_p99_ms";
+                  max_value = 250.0;
+                  fail_ratio = 4.0;
+                };
+                {
+                  Hoiho_obs.Health.metric = "error_rate";
+                  max_value = 0.05;
+                  fail_ratio = 4.0;
+                };
+              ];
+          access_log = Some access_path;
+        })
   in
-  Report.note "serve (daemon on a loopback socket, keep-alive clients = jobs):";
-  Report.note
-    "  jobs=1: %d requests, %8.0f req/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms"
-    serve1_n serve1_rps serve1_p50 serve1_p95 serve1_p99;
-  Report.note
-    "  jobs=4: %d requests, %8.0f req/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms"
-    serve4_n serve4_rps serve4_p50 serve4_p95 serve4_p99;
-  (* health: the full monitoring stack (SLO objectives evaluated by
-     the housekeeper + per-response access logging + drift windows)
-     against the bare daemon, same harness, warm both runs. Best of
-     two trials each side to damp loopback scheduling noise; the
-     budget is < 5% req/s. *)
-  let health_overhead_bench () =
-    let module Server = Hoiho_net.Server in
-    let access_path = Filename.temp_file "hoiho_bench_access" ".log" in
-    let best mutate =
-      let run () =
-        let _, rps, _, _, _, _ = serve_bench ~mutate ~jobs:4 () in
-        rps
-      in
-      Float.max (run ()) (run ())
-    in
-    let plain = best (fun c -> c) in
-    let monitored =
-      best (fun c ->
-          {
-            c with
-            Server.objectives =
-              Some
-                [
-                  {
-                    Hoiho_obs.Health.metric = "latency_p99_ms";
-                    max_value = 250.0;
-                    fail_ratio = 4.0;
-                  };
-                  {
-                    Hoiho_obs.Health.metric = "error_rate";
-                    max_value = 0.05;
-                    fail_ratio = 4.0;
-                  };
-                ];
-            access_log = Some access_path;
-          })
-    in
-    (try Sys.remove access_path with Sys_error _ -> ());
-    (try Sys.remove (access_path ^ ".1") with Sys_error _ -> ());
-    (plain, monitored)
-  in
-  let health_plain_rps, health_mon_rps = health_overhead_bench () in
+  (try Sys.remove access_path with Sys_error _ -> ());
+  (try Sys.remove (access_path ^ ".1") with Sys_error _ -> ());
   let health_overhead_pct =
     (health_plain_rps -. health_mon_rps) /. health_plain_rps *. 100.0
   in
-  let health_budget_pct = 5.0 in
-  (* loopback req/s on a 1-2 core host is too noisy to enforce a 5%
-     band; the numbers are still recorded *)
-  let health_enforced =
-    (not !quick) && Domain.recommended_domain_count () >= 4
-  in
-  let health_ok =
-    (not health_enforced) || health_overhead_pct < health_budget_pct
-  in
-  Report.note "health (monitoring stack vs bare daemon, jobs=4, best of 2):";
-  Report.note
-    "  bare %8.0f req/s, monitored %8.0f req/s, overhead %.2f%% (budget < \
-     %.0f%%, %s)"
-    health_plain_rps health_mon_rps health_overhead_pct health_budget_pct
-    (if health_enforced then "enforced" else "not enforced");
-  if not health_ok then
-    failwith
-      (Printf.sprintf "health: monitoring overhead %.2f%% exceeds %.0f%%"
-         health_overhead_pct health_budget_pct);
+  gate ?unenforced:four_cores_only "health" (health_overhead_pct < 5.0)
+    (Printf.sprintf
+       "bare %.0f req/s, monitored %.0f req/s at jobs=4, overhead %.2f%%, \
+        budget < 5%%"
+       health_plain_rps health_mon_rps health_overhead_pct);
   (* incremental relearn (Delta) vs batch on a ~10%-dirty corpus: one
      observation event per dirty group, then relearn only those groups
      against the prior run — the output must encode byte-identically to
@@ -1131,58 +911,28 @@ let perf () =
       Hoiho.Learned_io.metrics = Hoiho_util.Json.Obj [];
     }
   in
-  let relearn_identical =
-    Hoiho.Learned_io.encode (normalize_model incr_run)
-    = Hoiho.Learned_io.encode (normalize_model batch_run)
-  in
-  if not relearn_identical then
-    failwith "relearn: incremental output diverges from batch";
+  gate "relearn identity"
+    (Hoiho.Learned_io.encode (normalize_model incr_run)
+    = Hoiho.Learned_io.encode (normalize_model batch_run))
+    "incremental output encodes byte-identically to batch";
   let relearn_speedup = batch_ms /. incr_ms in
-  let dirty_frac =
-    float_of_int (List.length incr_stats.Hoiho.Delta.dirty)
-    /. float_of_int n_groups
-  in
-  let relearn_target = 3.0 in
-  let relearn_enforced = not !quick in
-  let relearn_ok =
-    relearn_identical && ((not relearn_enforced) || relearn_speedup >= relearn_target)
-  in
-  Report.note
-    "relearn: %d/%d groups dirty (%.1f%%), incremental %8.1f ms vs batch %8.1f \
-     ms (%.2fx, target %.1fx %s)"
-    incr_stats.Hoiho.Delta.groups_relearned n_groups (100.0 *. dirty_frac)
-    incr_ms batch_ms relearn_speedup relearn_target
-    (if relearn_enforced then "enforced" else "not enforced: --quick");
-  Report.note "relearn output byte-identical to batch: %b" relearn_identical;
-  if relearn_enforced && relearn_speedup < relearn_target then
-    failwith
-      (Printf.sprintf "relearn: speedup %.2fx below target %.1fx"
-         relearn_speedup relearn_target);
-  (* allocation on the exec fast path: with the per-domain capture arena
-     a miss should allocate nothing beyond the (minor, 5-word) matcher
-     state — the cross-domain minor-GC synchronization this avoids is
-     what made parallel learn SLOWER than sequential before *)
-  let exec_alloc_bytes =
-    let iters = 50_000 in
-    ignore (Hoiho_rx.Engine.exec_unfiltered regex miss);
-    let a0 = Gc.allocated_bytes () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (Hoiho_rx.Engine.exec_unfiltered regex miss))
-    done;
-    (Gc.allocated_bytes () -. a0) /. float_of_int iters
-  in
-  let exec_match_baseline_ns = 3324.2 in
-  let exec_match_reduction = 1.0 -. (exec_hit_ns /. exec_match_baseline_ns) in
-  Report.note "exec allocation: %.0f bytes/call (miss, unfiltered)" exec_alloc_bytes;
-  Report.note "exec_match vs recorded baseline %.1f ns: %.0f ns (%.0f%% reduction)"
-    exec_match_baseline_ns exec_hit_ns (100.0 *. exec_match_reduction);
+  gate ?unenforced:full_run_only "relearn speedup" (relearn_speedup >= 3.0)
+    (Printf.sprintf
+       "%d/%d groups dirty (%.1f%%), incremental %.1f ms vs batch %.1f ms \
+        (%.2fx), target >= 3.0x"
+       incr_stats.Hoiho.Delta.groups_relearned n_groups
+       (100.0
+       *. float_of_int (List.length incr_stats.Hoiho.Delta.dirty)
+       /. float_of_int n_groups)
+       incr_ms batch_ms relearn_speedup);
   (* --- jobs sweep on the paper-scale preset ---
      The paper learns from the Aug '20 IPv4 ITDK (2.56M routers);
      Presets.paper reproduces that magnitude at scale 1.0. The sweep
      takes a proportional slice (HOIHO_BENCH_SCALE, in paper units) so
      small hosts can still run it, and measures the learn wall clock at
-     jobs = 1/2/4/8 over the same generated dataset. *)
-  let cores = Domain.recommended_domain_count () in
+     jobs = 1/2/4/8 over the same generated dataset. pool.* counters
+     are scheduling-dependent; every other counter counts work and must
+     not vary with the jobs setting. *)
   let sweep_scale =
     let default = if !quick then 0.005 else 0.05 in
     match Sys.getenv_opt "HOIHO_BENCH_SCALE" with
@@ -1195,81 +945,54 @@ let perf () =
   let sweep_config = Presets.paper ~scale:sweep_scale () in
   let sweep_ds, sweep_truth = Generate.generate sweep_config in
   let sweep_db = Truth.db sweep_truth in
-  let sweep_hostnames =
-    Array.fold_left
-      (fun a (r : Router.t) -> a + List.length r.Router.hostnames)
-      0 sweep_ds.Dataset.routers
+  Report.note "jobs sweep: %s" sweep_config.Generate.label;
+  let work_counters (s : Obs.snapshot) =
+    List.filter
+      (fun (name, _) -> not (String.length name >= 5 && String.sub name 0 5 = "pool."))
+      s.Obs.counters
   in
-  Report.note "jobs sweep: %s — %d routers, %d hostnames, %d core(s)"
-    sweep_config.Generate.label
-    (Dataset.n_routers sweep_ds)
-    sweep_hostnames cores;
   let sweep =
     List.map
       (fun j ->
         Obs.reset ();
         Gc.full_major ();
-        let a0 = Gc.allocated_bytes () in
         let p, ms = time (fun () -> Pipeline.run ~db:sweep_db ~jobs:j sweep_ds) in
-        let allocated_mb = (Gc.allocated_bytes () -. a0) /. 1e6 in
-        (j, p, ms, allocated_mb))
+        (j, p, ms))
       [ 1; 2; 4; 8 ]
   in
-  let _, sweep_p1, sweep_ms1, _ = List.hd sweep in
+  let _, sweep_p1, sweep_ms1 = List.hd sweep in
   let sweep_rows =
     List.map
-      (fun (j, p, ms, allocated_mb) ->
-        let res_ok = p.Pipeline.results = sweep_p1.Pipeline.results in
-        let ctr_ok =
-          work_counters p.Pipeline.metrics
-          = work_counters sweep_p1.Pipeline.metrics
+      (fun (j, p, ms) ->
+        let identical =
+          p.Pipeline.results = sweep_p1.Pipeline.results
+          && work_counters p.Pipeline.metrics
+             = work_counters sweep_p1.Pipeline.metrics
         in
-        (j, ms, sweep_ms1 /. ms, allocated_mb, res_ok, ctr_ok))
+        (j, ms, sweep_ms1 /. ms, identical))
       sweep
   in
   Report.table
-    ~header:
-      [ "jobs"; "wall ms"; "speedup"; "hostnames/s"; "alloc MB (main)";
-        "identical" ]
+    ~header:[ "jobs"; "wall ms"; "speedup"; "identical" ]
     (List.map
-       (fun (j, ms, sp, mb, res_ok, ctr_ok) ->
+       (fun (j, ms, sp, identical) ->
          [
            string_of_int j;
            Printf.sprintf "%.1f" ms;
            Printf.sprintf "%.2fx" sp;
-           Printf.sprintf "%.0f" (float_of_int sweep_hostnames /. (ms /. 1000.0));
-           Printf.sprintf "%.1f" mb;
-           string_of_bool (res_ok && ctr_ok);
+           string_of_bool identical;
          ])
        sweep_rows);
-  let sweep_speedup_at j =
-    match List.find_opt (fun (j', _, _, _, _, _) -> j' = j) sweep_rows with
-    | Some (_, _, sp, _, _, _) -> sp
+  gate "jobs sweep identity"
+    (List.for_all (fun (_, _, _, identical) -> identical) sweep_rows)
+    "results and work counters identical at jobs 1/2/4/8";
+  let speedup4 =
+    match List.find_opt (fun (j, _, _, _) -> j = 4) sweep_rows with
+    | Some (_, _, sp, _) -> sp
     | None -> 0.0
   in
-  let sweep_identical =
-    List.for_all (fun (_, _, _, _, res_ok, ctr_ok) -> res_ok && ctr_ok) sweep_rows
-  in
-  let target_speedup = 1.5 in
-  (* the speedup target is only a statement about hardware that can
-     actually run 4 lanes; on smaller hosts the sweep still proves the
-     identity contract and records the curve, but the threshold is
-     reported as unenforced rather than silently passed *)
-  let sweep_enforced = cores >= 4 in
-  let sweep_ok =
-    sweep_identical
-    && ((not sweep_enforced) || sweep_speedup_at 4 >= target_speedup)
-  in
-  Report.note "speedup at jobs=4: %.2fx (target %.1fx, %s)" (sweep_speedup_at 4)
-    target_speedup
-    (if sweep_enforced then "enforced"
-     else Printf.sprintf "not enforced: %d core(s) < 4" cores);
-  if not sweep_identical then
-    failwith "jobs sweep: results or work counters differ across jobs settings";
-  if (not !quick) && sweep_enforced && sweep_speedup_at 4 < target_speedup then
-    failwith
-      (Printf.sprintf "jobs sweep: speedup %.2fx at jobs=4 below target %.1fx"
-         (sweep_speedup_at 4) target_speedup);
+  gate ?unenforced:four_cores_only "jobs sweep speedup" (speedup4 >= 1.5)
+    (Printf.sprintf "%.2fx at jobs=4, target >= 1.5x" speedup4);
   (* --- confidence calibration on the paper-scale slice ---
      the confidence subsystem's acceptance gate, measured on the same
      paper-preset dataset as the jobs sweep: decile accuracy must be
@@ -1281,196 +1004,16 @@ let perf () =
       ~suffixes:(Truth.geo_suffixes sweep_truth)
   in
   let calib_monotone = Calibration.monotone calib in
-  let calib_ece_limit = 0.15 in
-  let calib_ok =
-    calib_monotone && calib.Calibration.ece <= calib_ece_limit
-  in
-  Report.note
-    "calibration (%s): %d ground-truth samples (%d answered), Brier %.4f, \
-     ECE %.4f (limit %.2f), decile accuracy monotone: %b"
-    sweep_config.Generate.label calib.Calibration.total
-    calib.Calibration.answered calib.Calibration.brier calib.Calibration.ece
-    calib_ece_limit calib_monotone;
-  if not calib_ok then
-    failwith
-      (Printf.sprintf
-         "calibration gate failed: ECE %.4f (limit %.2f), monotone %b"
-         calib.Calibration.ece calib_ece_limit calib_monotone);
-  let calibration_json =
-    Hoiho_util.Json.to_string
-      (match Calibration.to_json calib with
-      | Hoiho_util.Json.Obj fields ->
-          Hoiho_util.Json.Obj
-            (fields
-            @ [
-                ("ece_limit", Hoiho_util.Json.Float calib_ece_limit);
-                ("ok", Hoiho_util.Json.Bool calib_ok);
-              ])
-      | j -> j)
-  in
-  let relearn_json =
-    Printf.sprintf
-      "{\n\
-      \    \"n_suffix_groups\": %d,\n\
-      \    \"dirty_groups\": %d,\n\
-      \    \"dirty_frac\": %.4f,\n\
-      \    \"events\": %d,\n\
-      \    \"incremental_ms\": %.2f,\n\
-      \    \"batch_ms\": %.2f,\n\
-      \    \"speedup\": %.3f,\n\
-      \    \"groups_relearned\": %d,\n\
-      \    \"groups_reused\": %d,\n\
-      \    \"identical_to_batch\": %b,\n\
-      \    \"target_speedup\": %.1f,\n\
-      \    \"enforced\": %b,\n\
-      \    \"ok\": %b\n\
-      \  }"
-      n_groups
-      (List.length incr_stats.Hoiho.Delta.dirty)
-      dirty_frac incr_stats.Hoiho.Delta.events incr_ms batch_ms relearn_speedup
-      incr_stats.Hoiho.Delta.groups_relearned
-      incr_stats.Hoiho.Delta.groups_reused relearn_identical relearn_target
-      relearn_enforced relearn_ok
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "dataset": "%s",
-  "n_routers": %d,
-  "n_hostnames": %d,
-  "jobs": %d,
-  "seq_wall_ms": %.2f,
-  "par_wall_ms": %.2f,
-  "speedup": %.3f,
-  "hostnames_per_sec": %.1f,
-  "results_identical": %b,
-  "prefilter": { "exec_calls": %d, "skips": %d, "hit_rate": %.4f },
-  "micro_ns": {
-    "exec_match": %.1f,
-    "exec_miss_prefiltered": %.1f,
-    "exec_miss_unfiltered": %.1f,
-    "nfavm_matches": %.1f,
-    "pool_map_64": %.1f
-  },
-  "exec_match_baseline_ns": %.1f,
-  "exec_match_reduction_frac": %.4f,
-  "exec_alloc_bytes_per_miss": %.1f,
-  "jobs_sweep": {
-    "preset": "%s",
-    "scale": %g,
-    "n_routers": %d,
-    "n_hostnames": %d,
-    "cores": %d,
-    "runs": [
-%s
-    ],
-    "speedup_at_jobs4": %.3f,
-    "target_speedup": %.1f,
-    "enforced": %b,
-    "enforced_reason": "%s",
-    "results_identical": %b,
-    "counters_identical": %b,
-    "ok": %b
-  },
-  "chaos": {
-    "seed": 4242,
-    "level": 2,
-    "off_replay_identical": %b,
-    "injections": %d,
-    "suffixes_degraded": %d,
-    "suffixes_total": %d,
-    "wall_ms": %.2f
-  },
-  "trace": {
-    "untraced_wall_ms": %.2f,
-    "traced_wall_ms": %.2f,
-    "overhead_frac": %.4f,
-    "spans": %d,
-    "spans_dropped": %d,
-    "results_identical": %b,
-    "ok": %b
-  },
-  "apply": {
-    "n_hostnames": %d,
-    "jobs": %d,
-    "cold_seq_ms": %.2f,
-    "warm_seq_ms": %.2f,
-    "cold_par_ms": %.2f,
-    "warm_par_ms": %.2f,
-    "cold_seq_hostnames_per_sec": %.1f,
-    "warm_seq_hostnames_per_sec": %.1f,
-    "cold_par_hostnames_per_sec": %.1f,
-    "warm_par_hostnames_per_sec": %.1f,
-    "results_identical_across_jobs": %b,
-    "matches_in_process_geolocate": %b
-  },
-  "serve": {
-    "clients_per_run": "jobs",
-    "jobs1": { "n_requests": %d, "req_per_sec": %.1f, "p50_ms": %.3f, "p95_ms": %.3f, "p99_ms": %.3f, "wall_ms": %.2f },
-    "jobs4": { "n_requests": %d, "req_per_sec": %.1f, "p50_ms": %.3f, "p95_ms": %.3f, "p99_ms": %.3f, "wall_ms": %.2f }
-  },
-  "health": {
-    "bare_req_per_sec": %.1f,
-    "monitored_req_per_sec": %.1f,
-    "overhead_pct": %.2f,
-    "budget_pct": %.1f,
-    "enforced": %b,
-    "ok": %b
-  },
-  "relearn": %s,
-  "calibration": %s,
-  "metrics": {
-    "counters_identical_across_jobs": %b,
-    "seq": %s,
-    "par": %s
-  }
-}
-|}
-      config.Generate.label (Dataset.n_routers ds) n_hostnames jobs seq_ms par_ms
-      speedup samples_per_sec identical pf_calls pf_skips hit_rate exec_hit_ns
-      exec_miss_ns exec_unf_ns nfavm_ns pool_ns exec_match_baseline_ns
-      exec_match_reduction exec_alloc_bytes sweep_config.Generate.label
-      sweep_scale
-      (Dataset.n_routers sweep_ds)
-      sweep_hostnames cores
-      (String.concat ",\n"
-         (List.map
-            (fun (j, ms, sp, mb, res_ok, ctr_ok) ->
-              Printf.sprintf
-                "      { \"jobs\": %d, \"wall_ms\": %.2f, \"speedup\": %.3f, \
-                 \"hostnames_per_sec\": %.1f, \
-                 \"main_domain_allocated_mb\": %.2f, \
-                 \"results_identical_to_jobs1\": %b, \
-                 \"counters_identical_to_jobs1\": %b }"
-                j ms sp
-                (float_of_int sweep_hostnames /. (ms /. 1000.0))
-                mb res_ok ctr_ok)
-            sweep_rows))
-      (sweep_speedup_at 4) target_speedup sweep_enforced
-      (if sweep_enforced then "cores >= 4"
-       else Printf.sprintf "host has %d core(s), target needs >= 4 lanes" cores)
-      (List.for_all (fun (_, _, _, _, r, _) -> r) sweep_rows)
-      (List.for_all (fun (_, _, _, _, _, c) -> c) sweep_rows)
-      sweep_ok replay_identical chaos_injected
-      chaos_degraded
-      (List.length chaos_run.Pipeline.results)
-      chaos_ms replay_ms traced_ms trace_overhead trace_spans trace_dropped
-      traced_identical trace_ok n_apply jobs apply1_cold_ms apply1_warm_ms
-      applyn_cold_ms
-      applyn_warm_ms (hps apply1_cold_ms) (hps apply1_warm_ms)
-      (hps applyn_cold_ms) (hps applyn_warm_ms) apply_identical
-      apply_matches_inproc serve1_n serve1_rps serve1_p50 serve1_p95 serve1_p99
-      serve1_wall serve4_n serve4_rps serve4_p50 serve4_p95 serve4_p99
-      serve4_wall health_plain_rps health_mon_rps health_overhead_pct
-      health_budget_pct health_enforced health_ok relearn_json calibration_json
-      counters_identical
-      (String.trim (Obs.to_json seq_metrics))
-      (String.trim (Obs.to_json par_metrics))
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc json;
-  close_out oc;
-  Report.note "wrote BENCH_pipeline.json"
+  gate "calibration"
+    (calib_monotone && calib.Calibration.ece <= 0.15)
+    (Printf.sprintf
+       "%s: %d ground-truth samples (%d answered), Brier %.4f, ECE %.4f \
+        (limit 0.15), decile accuracy monotone: %b"
+       sweep_config.Generate.label calib.Calibration.total
+       calib.Calibration.answered calib.Calibration.brier calib.Calibration.ece
+       calib_monotone);
+  if !failed <> [] then
+    failwith ("perf gates failed: " ^ String.concat ", " (List.rev !failed))
 
 (* --- driver --- *)
 
@@ -1495,8 +1038,7 @@ let experiments =
     ("spoof", "spoofing-VP detection (§5.1.4 future work)", spoof);
     ("fig13", "regex generation phases", fig13);
     ("fig2", "DRoP rigidity comparison", fig2);
-    ("micro", "bechamel micro-benchmarks", micro);
-    ("perf", "parallel pipeline + prefilter speedups", perf);
+    ("perf", "performance gates: identity, calibration, relearn, overheads", perf);
   ]
 
 let () =

@@ -14,115 +14,7 @@
    - SIGTERM produces a clean exit: status 0 and the shutdown line on
      stdout, never a signal death. *)
 
-let die fmt =
-  Printf.ksprintf
-    (fun m ->
-      prerr_endline ("serve_check: FAIL: " ^ m);
-      exit 1)
-    fmt
-
-(* --- minimal HTTP client (Connection: close per request) --- *)
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-  in
-  go 0
-
-let read_to_eof fd =
-  let buf = Bytes.create 4096 and b = Buffer.create 1024 in
-  let rec go () =
-    match Unix.read fd buf 0 4096 with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes b buf 0 n;
-        go ()
-    | exception Unix.Unix_error (EINTR, _, _) -> go ()
-    | exception
-        Unix.Unix_error ((EAGAIN | EWOULDBLOCK | ETIMEDOUT | ECONNRESET), _, _)
-      ->
-        ()
-  in
-  go ();
-  Buffer.contents b
-
-let request port target =
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      (try
-         Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0
-       with Unix.Unix_error (e, _, _) ->
-         die "connect to 127.0.0.1:%d: %s" port (Unix.error_message e));
-      write_all fd
-        (Printf.sprintf "GET %s HTTP/1.1\r\nHost: c\r\nConnection: close\r\n\r\n"
-           target);
-      let raw = read_to_eof fd in
-      let status =
-        if String.length raw >= 12 && String.sub raw 0 9 = "HTTP/1.1 " then
-          Option.value ~default:0 (int_of_string_opt (String.sub raw 9 3))
-        else 0
-      in
-      let body =
-        let n = String.length raw in
-        let rec find i =
-          if i + 3 >= n then None
-          else if
-            raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r'
-            && raw.[i + 3] = '\n'
-          then Some (i + 4)
-          else find (i + 1)
-        in
-        match find 0 with Some i -> String.sub raw i (n - i) | None -> ""
-      in
-      (status, body))
-
-let contains haystack needle =
-  let hn = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= hn && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
-(* --- daemon stdout parsing --- *)
-
-let read_line_deadline fd deadline =
-  let b = Buffer.create 128 in
-  let one = Bytes.create 1 in
-  let rec go () =
-    let now = Unix.gettimeofday () in
-    if now > deadline then die "timed out waiting for daemon output";
-    match Unix.select [ fd ] [] [] (deadline -. now) with
-    | [], _, _ -> die "timed out waiting for daemon output"
-    | _ -> (
-        match Unix.read fd one 0 1 with
-        | 0 -> die "daemon closed stdout before printing its port"
-        | _ ->
-            if Bytes.get one 0 = '\n' then Buffer.contents b
-            else begin
-              Buffer.add_char b (Bytes.get one 0);
-              go ()
-            end
-        | exception Unix.Unix_error (EINTR, _, _) -> go ())
-  in
-  go ()
-
-(* "hoiho: serving MODEL on HOST:PORT (jobs=N)" *)
-let parse_port line =
-  match String.index_opt line '(' with
-  | None -> None
-  | Some paren -> (
-      let before = String.trim (String.sub line 0 paren) in
-      match String.rindex_opt before ':' with
-      | None -> None
-      | Some i ->
-          int_of_string_opt
-            (String.trim (String.sub before (i + 1) (String.length before - i - 1)))
-      )
+open Daemon_client
 
 (* EXPECTED lines are apply's "%-50s ANSWER\tCONF" format; the daemon
    speaks "ANSWER\tCONF" with "(no geolocation)" spelled "-", so map
@@ -174,62 +66,31 @@ let () =
   in
   Unix.close out_w;
   let deadline = Unix.gettimeofday () +. 60.0 in
-  (* the port line is first, but tolerate any preamble *)
-  let rec find_port tries =
-    if tries = 0 then die "daemon never printed its bound port";
-    let line = read_line_deadline out_r deadline in
-    match parse_port line with Some p -> p | None -> find_port (tries - 1)
-  in
-  let port = find_port 5 in
-  let fail_daemon fmt =
-    Printf.ksprintf
-      (fun m ->
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid);
-        die "%s" m)
-      fmt
-  in
+  let port = await_port out_r deadline in
   (* healthz *)
   let status, body = request port "/healthz" in
   if status <> 200 || body <> "ok\n" then
-    fail_daemon "/healthz: status %d body %S" status body;
+    fail_daemon pid "/healthz: status %d body %S" status body;
   (* golden subset over the socket *)
   List.iter
     (fun (h, answer) ->
       let status, body = request port ("/geolocate?h=" ^ h) in
-      if status <> 200 then fail_daemon "/geolocate?h=%s: status %d" h status;
+      if status <> 200 then fail_daemon pid "/geolocate?h=%s: status %d" h status;
       if body <> answer ^ "\n" then
-        fail_daemon "/geolocate?h=%s: served %S, pinned %S" h body answer)
+        fail_daemon pid "/geolocate?h=%s: served %S, pinned %S" h body answer)
     golden;
   (* metrics exposition *)
   let status, body = request port "/metrics" in
-  if status <> 200 then fail_daemon "/metrics: status %d" status;
+  if status <> 200 then fail_daemon pid "/metrics: status %d" status;
   if not (contains body "hoiho_net_requests_total") then
-    fail_daemon "/metrics: no hoiho_net_requests_total sample";
+    fail_daemon pid "/metrics: no hoiho_net_requests_total sample";
   if
     not
       (String.length body >= 6
       && String.sub body (String.length body - 6) 6 = "# EOF\n")
-  then fail_daemon "/metrics: missing \"# EOF\" terminator";
+  then fail_daemon pid "/metrics: missing \"# EOF\" terminator";
   (* clean shutdown on SIGTERM *)
-  Unix.kill pid Sys.sigterm;
-  let rec wait_exit () =
-    if Unix.gettimeofday () > deadline then begin
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid);
-      die "daemon did not exit within the deadline after SIGTERM"
-    end;
-    match Unix.waitpid [ WNOHANG ] pid with
-    | 0, _ ->
-        Unix.sleepf 0.05;
-        wait_exit ()
-    | _, st -> st
-  in
-  (match wait_exit () with
-  | WEXITED 0 -> ()
-  | WEXITED n -> die "daemon exited %d after SIGTERM (want 0)" n
-  | WSIGNALED s -> die "daemon died on signal %d instead of handling SIGTERM" s
-  | WSTOPPED s -> die "daemon stopped on signal %d" s);
+  terminate pid deadline;
   let rest = read_to_eof out_r in
   if not (contains rest "shut down cleanly") then
     die "daemon exited 0 but without the clean-shutdown line (got %S)" rest;

@@ -196,12 +196,14 @@ let sane_rid s =
   n > 0 && n <= 128
   && String.for_all (fun c -> c > ' ' && Char.code c < 0x7f) s
 
+let fresh_rid t =
+  Printf.sprintf "hoiho-%d-%d" (Unix.getpid ())
+    (Atomic.fetch_and_add t.rid_counter 1)
+
 let rid_of_request t req =
   match Http.header req "x-request-id" with
   | Some rid when sane_rid rid -> rid
-  | _ ->
-      Printf.sprintf "hoiho-%d-%d" (Unix.getpid ())
-        (Atomic.fetch_and_add t.rid_counter 1)
+  | _ -> fresh_rid t
 
 let make_ctx ~rid ~endpoint =
   {
@@ -451,17 +453,22 @@ let handle_observe t ctx fd req =
 
 (* --- health & debug endpoints (DESIGN.md §14) --- *)
 
-(* fresh evaluation at the probe (the housekeeper's cached state could
-   be a tick stale — a load balancer polling /healthz deserves the
-   current window). The cache is refreshed as a side effect so the
-   access-log degraded flag tracks the latest evaluation. *)
+(* the one evaluation of the current window, for /healthz, /debug/slo
+   and the housekeeper alike. The probes evaluate afresh (the
+   housekeeper's cached state could be a tick stale — a load balancer
+   polling /healthz deserves the current window); every evaluation
+   refreshes the cache so the access-log degraded flag tracks the
+   latest one. *)
 let evaluate_health t =
-  let state = Health.evaluate_monitor t.monitor ~now_ms:(Obs.now_ms ()) in
+  let measurements = Health.measurements t.monitor ~now_ms:(Obs.now_ms ()) in
+  let state =
+    Health.evaluate ~objectives:(Health.objectives t.monitor) ~measurements
+  in
   Atomic.set t.health_state (Health.state_to_int state);
-  state
+  (state, measurements)
 
 let handle_healthz t ctx fd =
-  match evaluate_health t with
+  match fst (evaluate_health t) with
   | Health.Ok -> respond ctx fd ~status:200 "ok\n"
   | Health.Degraded _ as s ->
       (* degraded is a warning, not an outage: load balancers keep
@@ -485,14 +492,7 @@ let json_of_profile masses =
   Json.List (List.map (fun m -> Json.Float m) (Array.to_list masses))
 
 let handle_debug_slo t ctx fd =
-  let now_ms = Obs.now_ms () in
-  let measurements = Health.measurements t.monitor ~now_ms in
-  let state =
-    Health.evaluate
-      ~objectives:(Health.objectives t.monitor)
-      ~measurements
-  in
-  Atomic.set t.health_state (Health.state_to_int state);
+  let state, measurements = evaluate_health t in
   let objectives =
     List.map
       (fun (o : Health.objective) ->
@@ -633,10 +633,6 @@ let handle_connection t fd =
             degraded = Atomic.get t.health_state > 0;
           }
   in
-  let fresh_rid () =
-    Printf.sprintf "hoiho-%d-%d" (Unix.getpid ())
-      (Atomic.fetch_and_add t.rid_counter 1)
-  in
   let rec serve_requests () =
     if not (Atomic.get t.stop_flag) then begin
       let t0 = Obs.now_ms () in
@@ -647,15 +643,15 @@ let handle_connection t fd =
              that we already read part of a request; answering 408 on
              a dead drip-feed is best-effort either way *)
           Obs.incr c_timeouts;
-          let ctx = make_ctx ~rid:(fresh_rid ()) ~endpoint:"-" in
+          let ctx = make_ctx ~rid:(fresh_rid t) ~endpoint:"-" in
           (try respond ctx fd ~status:408 "request timeout\n" with _ -> ());
           finish ~histo:false ctx t0
       | Error (Http.Bad_request msg) ->
-          let ctx = make_ctx ~rid:(fresh_rid ()) ~endpoint:"-" in
+          let ctx = make_ctx ~rid:(fresh_rid t) ~endpoint:"-" in
           (try respond ctx fd ~status:400 (msg ^ "\n") with _ -> ());
           finish ~histo:false ctx t0
       | Error (Http.Too_large msg) ->
-          let ctx = make_ctx ~rid:(fresh_rid ()) ~endpoint:"-" in
+          let ctx = make_ctx ~rid:(fresh_rid t) ~endpoint:"-" in
           (try respond ctx fd ~status:413 (msg ^ "\n") with _ -> ());
           finish ~histo:false ctx t0
       | Ok req ->
@@ -721,12 +717,7 @@ let accept_loop t =
    gauges fresh even when nobody polls /healthz: an idle-but-failing
    daemon still shows health.state=2 on the next /metrics scrape *)
 let update_health_gauges t =
-  let now_ms = Obs.now_ms () in
-  let measurements = Health.measurements t.monitor ~now_ms in
-  let state =
-    Health.evaluate ~objectives:(Health.objectives t.monitor) ~measurements
-  in
-  Atomic.set t.health_state (Health.state_to_int state);
+  let state, measurements = evaluate_health t in
   Obs.set_gauge g_health_state (Health.state_to_int state);
   match List.assoc_opt "calibration_drift" measurements with
   | Some d -> Obs.set_gauge g_drift (int_of_float (d *. 1e6))
@@ -843,16 +834,7 @@ let start ?(config = default_config) ?corpus model =
 
 let port t = t.bound_port
 
-let reload t model =
-  Atomic.set t.serve (Serve.create model);
-  Health.set_expected_profile t.monitor model.Learned_io.calibration;
-  Obs.incr c_reloads
-
 let monitor t = t.monitor
-let health t = evaluate_health t
-
-let reload_from_path t path = do_reload t path
-
 let request_reload t = Atomic.set t.reload_flag true
 
 let stop t =

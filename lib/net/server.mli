@@ -121,20 +121,11 @@ val monitor : t -> Hoiho_obs.Health.monitor
 (** The live health monitor — what chaos tests feed synthetic
     latency/error samples through to drive state transitions. *)
 
-val health : t -> Hoiho_obs.Health.state
-(** Evaluate the monitor right now (what [/healthz] reports). *)
-
-val reload : t -> Hoiho.Learned_io.t -> unit
-(** Swap in an already-decoded model (fresh [Serve.t], fresh cache). *)
-
-val reload_from_path : t -> string -> (unit, string) result
-(** Decode [path] off-path and swap it in; on any decode error the
-    old model keeps serving and the error text is returned. *)
-
 val request_reload : t -> unit
 (** Mark a reload wanted (what a SIGHUP handler calls — async-signal
-    safe: one atomic store). The housekeeping domain performs
-    {!reload_from_path} with [config.model_path] shortly after. *)
+    safe: one atomic store). The housekeeping domain reloads
+    [config.model_path] shortly after, as [POST /reload] does; on a
+    decode error the old model keeps serving. *)
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, let in-flight requests finish,

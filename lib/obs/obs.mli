@@ -29,8 +29,8 @@ val add : counter -> int -> unit
 val count : counter -> int
 
 val set_counter : counter -> int -> unit
-(** Reset hook for callers that owned ad-hoc counters before this layer
-    existed (e.g. {!Hoiho_rx.Engine.reset_prefilter_stats}). *)
+(** Overwrite a counter's value: the reset hook for a layer that owns
+    its counters (e.g. {!Hoiho_obs.Trace.clear} zeroes the span counters). *)
 
 (** {1 Gauges} — high-water marks: [observe_gauge] keeps the maximum
     value ever reported, lock-free via compare-and-set. *)

@@ -165,10 +165,6 @@ let subject_ok s =
    false)
 let prefilter_stats () = (Obs.count c_calls, Obs.count c_skips)
 
-let reset_prefilter_stats () =
-  Obs.set_counter c_calls 0;
-  Obs.set_counter c_skips 0
-
 let matches_char p s pos =
   pos < String.length s
   &&

@@ -67,5 +67,3 @@ val prefilter_stats : unit -> int * int
     {!Hoiho_obs.Obs} registry counters [rx.exec_calls] and
     [rx.prefilter_skips] (the registry also tracks
     [rx.backtrack_attempts]); this accessor remains for convenience. *)
-
-val reset_prefilter_stats : unit -> unit

@@ -54,7 +54,7 @@ val monotone : ?tolerance:float -> report -> bool
 (** Decile accuracy is non-decreasing over the non-empty buckets, up to
     [tolerance] (default 0.05): higher-confidence buckets may not be
     meaningfully {e less} accurate than lower ones. The headline gate,
-    asserted in [dune runtest] and recorded in BENCH_pipeline.json. *)
+    asserted in [dune runtest] and by [bench/main.exe -e perf]. *)
 
 val to_json : report -> Hoiho_util.Json.t
 (** Stable field order; floats print via the util printer's [%.17g]. *)

@@ -164,18 +164,26 @@ let test_openmetrics_shape () =
 (* --- cross-jobs determinism (the contract in trace.mli) --- *)
 
 let test_canonical_tree_jobs_invariant () =
+  let learn jobs =
+    let ds, truth =
+      Hoiho_netsim.Generate.generate (Hoiho_netsim.Presets.tiny ~seed:7 ())
+    in
+    (Pipeline.run ~db:(Hoiho_netsim.Truth.db truth) ~jobs ds).Pipeline.results
+  in
   let run jobs =
     with_tracing (fun () ->
-        let ds, truth =
-          Hoiho_netsim.Generate.generate (Hoiho_netsim.Presets.tiny ~seed:7 ())
-        in
-        ignore (Pipeline.run ~db:(Hoiho_netsim.Truth.db truth) ~jobs ds);
+        let results = learn jobs in
         Trace.set_enabled false;
         let dropped = Trace.dropped () in
-        (Trace.canonical (Trace.spans ()), dropped))
+        (Trace.canonical (Trace.spans ()), dropped, results))
   in
-  let c1, d1 = run 1 in
-  let c4, d4 = run 4 in
+  let c1, d1, r1 = run 1 in
+  let c4, d4, r4 = run 4 in
+  (* tracing observes the run; it must not change what is learned *)
+  Alcotest.(check bool) "traced results equal untraced at jobs=1" true
+    (r1 = learn 1);
+  Alcotest.(check bool) "traced results equal untraced at jobs=4" true
+    (r4 = learn 4);
   Alcotest.(check int) "no drops at jobs=1" 0 d1;
   Alcotest.(check int) "no drops at jobs=4" 0 d4;
   Alcotest.(check bool) "tree is non-trivial" true (String.length c1 > 1000);
