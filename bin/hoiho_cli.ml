@@ -40,9 +40,7 @@ let with_trace trace_out f =
       let finish () =
         Trace.set_enabled false;
         let spans = Trace.spans () in
-        let oc = open_out path in
-        output_string oc (Trace.to_chrome_json spans);
-        close_out oc;
+        Hoiho_obs.Obs.write_file_atomic path (Trace.to_chrome_json spans);
         Printf.eprintf "hoiho: wrote %d span(s) to %s%s\n"
           (List.length spans) path
           (match Trace.dropped () with
@@ -298,9 +296,8 @@ let learn_cmd =
     match metrics_out with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Hoiho_obs.Obs.to_json pipeline.Hoiho.Pipeline.metrics);
-        close_out oc;
+        Hoiho_obs.Obs.write_file_atomic path
+          (Hoiho_obs.Obs.to_json pipeline.Hoiho.Pipeline.metrics);
         Printf.printf "wrote metrics snapshot to %s\n" path
   in
   Cmd.v
@@ -475,12 +472,12 @@ let apply_cmd =
         applied hits misses (c "serve.cache_evictions") ratio;
       match Hoiho_obs.Obs.find_histogram s "serve.batch_ms" with
       | Some h when applied > 0 ->
-          let per_1k = h.Hoiho_obs.Obs.total *. 1000.0 /. float_of_int applied in
+          let per_1k = h.Hoiho_obs.Histo.sum *. 1000.0 /. float_of_int applied in
           Printf.eprintf
             "serve: %d batch(es), %.1f ms total, %.2f ms per 1k hostnames \
              (batch p50 %.2f ms, p95 %.2f ms)\n"
-            h.Hoiho_obs.Obs.n h.Hoiho_obs.Obs.total per_1k
-            h.Hoiho_obs.Obs.p50 h.Hoiho_obs.Obs.p95
+            h.Hoiho_obs.Histo.n h.Hoiho_obs.Histo.sum per_1k
+            h.Hoiho_obs.Histo.p50 h.Hoiho_obs.Histo.p95
       | _ -> ()
     end
   in
@@ -579,7 +576,8 @@ let serve_cmd =
           ~doc:
             "SLO declaration file (strict JSON: window_s, buckets, \
              objectives) for the health monitor. /healthz answers 503 when \
-             an objective burns past its fail_ratio. A malformed file fails \
+             an objective burns past its fail_ratio. A malformed file, one \
+             over 64 KiB or one asking for more than 120 buckets fails \
              startup.")
   in
   let access_log =
@@ -886,12 +884,9 @@ let calibrate_cmd =
     match out with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Hoiho_util.Json.to_string
-             (Hoiho_validate.Calibration.to_json report));
-        output_char oc '\n';
-        close_out oc;
+        Hoiho_obs.Obs.write_file_atomic path
+          (Hoiho_util.Json.to_string (Hoiho_validate.Calibration.to_json report)
+          ^ "\n");
         Printf.printf "wrote calibration report to %s\n" path
   in
   Cmd.v

@@ -114,7 +114,8 @@ let score s =
    answer. Pure arithmetic over the stats in list order, so a batch
    learn and an incremental relearn that produce byte-identical suffix
    lists produce bit-identical profiles (the Delta equivalence
-   contract). *)
+   contract). Deciles follow Hoiho_obs.Histo.decile, the rule the
+   daemon's drift monitor buckets served confidences by. *)
 let expected_profile stats_list =
   let masses = Array.make 10 0.0 in
   let total = ref 0.0 in
@@ -124,7 +125,7 @@ let expected_profile stats_list =
       let neg = float_of_int (s.fn + s.unk) in
       if pos > 0.0 then begin
         let c = clamp01 (shrunk_ppv s.tp s.fp *. agreement_factor s.rtt_agreement) in
-        let i = min 9 (int_of_float (c *. 10.0)) in
+        let i = Hoiho_obs.Histo.decile c in
         masses.(i) <- masses.(i) +. pos
       end;
       if neg > 0.0 then masses.(0) <- masses.(0) +. neg;

@@ -340,5 +340,5 @@ let of_string s =
   terminate src;
   read_source src
 
-let save path ds = Out_channel.with_open_text path (fun oc -> write oc ds)
+let save path ds = Hoiho_obs.Obs.write_channel_atomic path (fun oc -> write oc ds)
 let load path = In_channel.with_open_text path read

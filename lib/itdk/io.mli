@@ -28,7 +28,9 @@ val of_string : string -> Dataset.t
     one buffer. *)
 
 val save : string -> Dataset.t -> unit
-(** Write to a file path. *)
+(** Write to a file path atomically ({!Hoiho_obs.Obs.write_channel_atomic}):
+    a reader sees the old corpus or the new one, and a failed write
+    leaves the old file untouched. *)
 
 val load : string -> Dataset.t
 (** {!read} from a file path; the file is closed on failure too. *)

@@ -10,6 +10,7 @@ module Obs = Hoiho_obs.Obs
 module Trace = Hoiho_obs.Trace
 module Health = Hoiho_obs.Health
 module Window = Hoiho_obs.Window
+module Histo = Hoiho_obs.Histo
 module Json = Hoiho_util.Json
 
 let c_conns = Obs.counter "net.connections"
@@ -476,16 +477,18 @@ let handle_healthz t ctx fd =
       respond ctx fd ~status:200 (Health.render s ^ "\n")
   | Health.Failing _ as s -> respond ctx fd ~status:503 (Health.render s ^ "\n")
 
-let json_of_stats (s : Window.stats) =
+let json_of_window w ~now_ms =
+  let s = Window.stats w ~now_ms in
   Json.Obj
     [
-      ("n", Json.Int s.Window.n);
-      ("rate_per_s", Json.Float s.Window.rate_per_s);
-      ("p50", Json.Float s.Window.p50);
-      ("p95", Json.Float s.Window.p95);
-      ("p99", Json.Float s.Window.p99);
-      ("max", Json.Float s.Window.max);
-      ("sum", Json.Float s.Window.sum);
+      ("n", Json.Int s.Histo.n);
+      ( "rate_per_s",
+        Json.Float (float_of_int s.Histo.n /. (Window.span_ms w /. 1000.0)) );
+      ("p50", Json.Float s.Histo.p50);
+      ("p95", Json.Float s.Histo.p95);
+      ("p99", Json.Float s.Histo.p99);
+      ("max", Json.Float s.Histo.max);
+      ("sum", Json.Float s.Histo.sum);
     ]
 
 let json_of_profile masses =
@@ -534,8 +537,7 @@ let handle_debug_slo t ctx fd =
 let handle_debug_windows t ctx fd =
   let now_ms = Obs.now_ms () in
   let m = t.monitor in
-  let window w = json_of_stats (Window.stats w ~now_ms) in
-  let confs = Window.samples (Health.confidence_window m) ~now_ms in
+  let window w = json_of_window w ~now_ms in
   let body =
     Json.to_string
       (Json.Obj
@@ -556,7 +558,8 @@ let handle_debug_windows t ctx fd =
              | Some p -> json_of_profile p
              | None -> Json.Null );
            ( "observed_calibration",
-             json_of_profile (Health.decile_histogram confs) );
+             json_of_profile
+               (Window.deciles (Health.confidence_window m) ~now_ms) );
          ])
   in
   respond ctx fd ~content_type:"application/json" ~status:200 (body ^ "\n")

@@ -11,6 +11,9 @@ let metrics =
   [ "latency_p50_ms"; "latency_p99_ms"; "error_rate"; "shed_rate";
     "calibration_drift" ]
 
+let max_buckets = 120
+let max_file_bytes = 65536
+
 let ( let* ) r f = Result.bind r f
 
 let as_number path = function
@@ -67,6 +70,9 @@ let parse s =
   let* nbuckets =
     match Json.member "buckets" json with
     | None -> Ok 12
+    | Some (Json.Int n) when n > max_buckets ->
+        Error
+          (Printf.sprintf "$.buckets: %d exceeds the limit of %d" n max_buckets)
     | Some (Json.Int n) when n >= 1 -> Ok n
     | Some j ->
         Error
@@ -96,11 +102,14 @@ let parse s =
 
 let load path =
   match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+    In_channel.with_open_bin path (fun ic ->
+        let n = in_channel_length ic in
+        if n > max_file_bytes then
+          Error
+            (Printf.sprintf "%s: %d bytes exceeds the limit of %d for an SLO file"
+               path n max_file_bytes)
+        else Ok (really_input_string ic n))
   with
-  | s -> parse s
+  | Ok s -> parse s
+  | Error _ as e -> e
   | exception Sys_error msg -> Error msg

@@ -7,7 +7,7 @@
     {v
     {
       "window_s": 60,          // sliding-window span, default 60
-      "buckets": 12,           // ring buckets across the span, default 12
+      "buckets": 12,           // ring buckets across the span, default 12, at most 120
       "objectives": [
         {"metric": "latency_p99_ms", "max": 250},
         {"metric": "error_rate",     "max": 0.05, "fail_ratio": 3.0}
@@ -31,7 +31,18 @@ val metrics : string list
 (** The measurement names an objective may budget: [latency_p50_ms],
     [latency_p99_ms], [error_rate], [shed_rate], [calibration_drift]. *)
 
+val max_buckets : int
+(** 120: each bucket is one {!Hoiho_obs.Histo} (about 4 KB) in each of
+    the monitor's four windows, so 120 buckets cost about 2 MB; on the
+    default 60 s window they are 0.5 s slots. More is an [Error] naming
+    the limit. *)
+
+val max_file_bytes : int
+(** 65536: {!load} rejects a larger file, naming the limit, before
+    reading it. *)
+
 val parse : string -> (t, string) result
 
 val load : string -> (t, string) result
-(** [parse] of the file contents; unreadable files are [Error]. *)
+(** [parse] of the file contents; unreadable or oversized files are
+    [Error]. *)

@@ -61,20 +61,6 @@ let evaluate ~objectives ~measurements =
 
 let drift_min_samples = 20
 
-let decile_histogram samples =
-  let masses = Array.make 10 0.0 in
-  let n = Array.length samples in
-  if n = 0 then masses
-  else begin
-    Array.iter
-      (fun c ->
-        let c = Float.max 0.0 (Float.min 1.0 c) in
-        let i = min 9 (int_of_float (c *. 10.0)) in
-        masses.(i) <- masses.(i) +. 1.0)
-      samples;
-    Array.map (fun m -> m /. float_of_int n) masses
-  end
-
 let drift ~expected ~observed =
   let n = min (Array.length expected) (Array.length observed) in
   let acc = ref 0.0 in
@@ -95,8 +81,8 @@ type monitor = {
 }
 
 let create_monitor ?(objectives = default_objectives) ?(bucket_ms = 5000.0)
-    ?(nbuckets = 12) ?(shards = 8) () =
-  let w () = Window.create ~shards ~bucket_ms ~nbuckets () in
+    ?(nbuckets = 12) () =
+  let w () = Window.create ~bucket_ms ~nbuckets () in
   {
     mobjectives = objectives;
     latency = w ();
@@ -118,26 +104,22 @@ let set_expected_profile m p = Atomic.set m.profile p
 let expected_profile m = Atomic.get m.profile
 
 let measurements m ~now_ms =
+  let count w = (Window.stats w ~now_ms).Histo.n in
   let lat = Window.stats m.latency ~now_ms in
-  let total = float_of_int (max 1 lat.Window.n) in
-  let nerr = (Window.stats m.errors ~now_ms).Window.n in
-  let nshed = (Window.stats m.shed ~now_ms).Window.n in
+  let total = float_of_int (max 1 lat.Histo.n) in
   let base =
     [
-      ("latency_p50_ms", lat.Window.p50);
-      ("latency_p99_ms", lat.Window.p99);
-      ("error_rate", float_of_int nerr /. total);
-      ("shed_rate", float_of_int nshed /. total);
+      ("latency_p50_ms", lat.Histo.p50);
+      ("latency_p99_ms", lat.Histo.p99);
+      ("error_rate", float_of_int (count m.errors) /. total);
+      ("shed_rate", float_of_int (count m.shed) /. total);
     ]
   in
   match Atomic.get m.profile with
-  | None -> base
-  | Some expected ->
-      let confs = Window.samples m.confidence ~now_ms in
-      if Array.length confs < drift_min_samples then base
-      else
-        let observed = decile_histogram confs in
-        base @ [ ("calibration_drift", drift ~expected ~observed) ]
+  | Some expected when count m.confidence >= drift_min_samples ->
+      let observed = Window.deciles m.confidence ~now_ms in
+      base @ [ ("calibration_drift", drift ~expected ~observed) ]
+  | _ -> base
 
 let evaluate_monitor m ~now_ms =
   evaluate ~objectives:m.mobjectives ~measurements:(measurements m ~now_ms)

@@ -60,14 +60,10 @@ val evaluate :
 type monitor
 
 val create_monitor :
-  ?objectives:objective list ->
-  ?bucket_ms:float ->
-  ?nbuckets:int ->
-  ?shards:int ->
-  unit ->
-  monitor
+  ?objectives:objective list -> ?bucket_ms:float -> ?nbuckets:int -> unit -> monitor
 (** Defaults: {!default_objectives}, 12 buckets of 5000 ms (a 60 s
-    window), 8 shards. *)
+    window). Four windows of [nbuckets + 1] {!Histo}s (about 4 KB
+    each): a ring slot costs about 16 KB, whatever the traffic. *)
 
 val objectives : monitor -> objective list
 
@@ -92,7 +88,9 @@ val measurements : monitor -> now_ms:float -> (string * float) list
     and — when an expected profile is set and at least
     [drift_min_samples] confidences are in-window —
     [calibration_drift]. Rates are per-request over the latency
-    window's count. *)
+    window's count. All come from merged window histograms: counts
+    are exact, percentiles within {!Histo.stats}' 1/16, and the
+    observed deciles ({!Window.deciles}) exact. *)
 
 val evaluate_monitor : monitor -> now_ms:float -> state
 (** [evaluate ~objectives ~measurements] at [now_ms]. *)
@@ -103,11 +101,6 @@ val shed_window : monitor -> Window.t
 val confidence_window : monitor -> Window.t
 
 (** {1 Calibration drift} *)
-
-val decile_histogram : float array -> float array
-(** Bucket confidences in [0,1] into 10 decile masses normalized to
-    sum 1 (all-zero for an empty input). Confidence 1.0 lands in the
-    top decile. *)
 
 val drift : expected:float array -> observed:float array -> float
 (** Total-variation distance [0.5 * Σ |e_i − o_i|] between two decile

@@ -1,12 +1,7 @@
 type counter = { cname : string; ccell : int Atomic.t }
 type gauge = { gname : string; gcell : int Atomic.t }
 
-type histogram = {
-  hname : string;
-  hlock : Mutex.t;
-  mutable vals : float array;
-  mutable hlen : int;
-}
+type histogram = { hname : string; hlock : Mutex.t; histo : Histo.t }
 
 (* one registry per metric kind, all guarded by a single mutex;
    registration is rare (module initialization), reads and bumps never
@@ -17,17 +12,13 @@ let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 8
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
 let registered tbl name make =
-  Mutex.lock reg_mutex;
-  let m =
-    match Hashtbl.find_opt tbl name with
-    | Some m -> m
-    | None ->
-        let m = make name in
-        Hashtbl.replace tbl name m;
-        m
-  in
-  Mutex.unlock reg_mutex;
-  m
+  Mutex.protect reg_mutex (fun () ->
+      match Hashtbl.find_opt tbl name with
+      | Some m -> m
+      | None ->
+          let m = make name in
+          Hashtbl.replace tbl name m;
+          m)
 
 let counter name =
   registered counters name (fun cname -> { cname; ccell = Atomic.make 0 })
@@ -49,18 +40,9 @@ let gauge_value g = Atomic.get g.gcell
 
 let histogram name =
   registered histograms name (fun hname ->
-      { hname; hlock = Mutex.create (); vals = Array.make 64 0.0; hlen = 0 })
+      { hname; hlock = Mutex.create (); histo = Histo.create () })
 
-let observe h v =
-  Mutex.lock h.hlock;
-  if h.hlen = Array.length h.vals then begin
-    let bigger = Array.make (2 * h.hlen) 0.0 in
-    Array.blit h.vals 0 bigger 0 h.hlen;
-    h.vals <- bigger
-  end;
-  h.vals.(h.hlen) <- v;
-  h.hlen <- h.hlen + 1;
-  Mutex.unlock h.hlock
+let observe h v = Mutex.protect h.hlock (fun () -> Histo.record h.histo v)
 
 (* monotonic milliseconds (arbitrary epoch, differences only): a wall
    clock stepping backwards under NTP used to push negative durations
@@ -79,47 +61,19 @@ let time h f =
 
 (* --- snapshots --- *)
 
-type histo_stats = {
-  n : int;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-  total : float;
-}
-
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * int) list;
-  histograms : (string * histo_stats) list;
+  histograms : (string * Histo.stats) list;
 }
 
-(* nearest-rank percentile over a sorted copy of the samples *)
-let percentile sorted n p =
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 1 (min n rank) - 1)
-
-let histo_stats h =
-  Mutex.lock h.hlock;
-  let n = h.hlen in
-  let copy = Array.sub h.vals 0 n in
-  Mutex.unlock h.hlock;
-  Array.sort compare copy;
-  {
-    n;
-    p50 = percentile copy n 50.0;
-    p95 = percentile copy n 95.0;
-    p99 = percentile copy n 99.0;
-    max = (if n = 0 then 0.0 else copy.(n - 1));
-    total = Array.fold_left ( +. ) 0.0 copy;
-  }
+let histo_stats h = Mutex.protect h.hlock (fun () -> Histo.stats h.histo)
 
 let sorted_bindings tbl value =
-  Mutex.lock reg_mutex;
-  let all = Hashtbl.fold (fun name m acc -> (name, m) :: acc) tbl [] in
-  Mutex.unlock reg_mutex;
+  let all =
+    Mutex.protect reg_mutex (fun () ->
+        Hashtbl.fold (fun name m acc -> (name, m) :: acc) tbl [])
+  in
   List.sort (fun (a, _) (b, _) -> compare a b) all
   |> List.map (fun (name, m) -> (name, value m))
 
@@ -134,16 +88,12 @@ let find_counter snap name = List.assoc_opt name snap.counters
 let find_histogram snap name = List.assoc_opt name snap.histograms
 
 let reset () =
-  Mutex.lock reg_mutex;
-  Hashtbl.iter (fun _ c -> Atomic.set c.ccell 0) counters;
-  Hashtbl.iter (fun _ g -> Atomic.set g.gcell 0) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      Mutex.lock h.hlock;
-      h.hlen <- 0;
-      Mutex.unlock h.hlock)
-    histograms;
-  Mutex.unlock reg_mutex
+  Mutex.protect reg_mutex (fun () ->
+      Hashtbl.iter (fun _ c -> Atomic.set c.ccell 0) counters;
+      Hashtbl.iter (fun _ g -> Atomic.set g.gcell 0) gauges;
+      Hashtbl.iter
+        (fun _ h -> Mutex.protect h.hlock (fun () -> Histo.clear h.histo))
+        histograms)
 
 (* --- JSON rendering, hand-rolled so the layer stays dependency-free --- *)
 
@@ -185,12 +135,12 @@ let to_json snap =
   json_obj buf ~indent:4 snap.gauges (fun v ->
       Buffer.add_string buf (string_of_int v));
   Buffer.add_string buf ",\n  \"histograms\": ";
-  json_obj buf ~indent:4 snap.histograms (fun (s : histo_stats) ->
+  json_obj buf ~indent:4 snap.histograms (fun (s : Histo.stats) ->
       Buffer.add_string buf
         (Printf.sprintf
            "{\"count\": %d, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": \
             %.3f, \"max_ms\": %.3f, \"total_ms\": %.3f}"
-           s.n s.p50 s.p95 s.p99 s.max s.total));
+           s.n s.p50 s.p95 s.p99 s.max s.sum));
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf
 
@@ -203,15 +153,10 @@ let to_json snap =
    "hoiho_" namespace prefix. *)
 
 let om_name name =
-  let buf = Buffer.create (String.length name + 8) in
-  Buffer.add_string buf "hoiho_";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    name;
-  Buffer.contents buf
+  "hoiho_"
+  ^ String.map
+      (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c | _ -> '_')
+      name
 
 let om_float v =
   if Float.is_integer v && Float.abs v < 1e15 then
@@ -223,27 +168,21 @@ let to_openmetrics snap =
   List.iter
     (fun (name, v) ->
       let n = om_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
-      Buffer.add_string buf (Printf.sprintf "%s_total %d\n" n v))
+      Printf.bprintf buf "# TYPE %s counter\n%s_total %d\n" n n v)
     snap.counters;
   List.iter
     (fun (name, v) ->
       let n = om_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
-      Buffer.add_string buf (Printf.sprintf "%s %d\n" n v))
+      Printf.bprintf buf "# TYPE %s gauge\n%s %d\n" n n v)
     snap.gauges;
   List.iter
-    (fun (name, (s : histo_stats)) ->
+    (fun (name, (s : Histo.stats)) ->
       let n = om_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" n);
-      Buffer.add_string buf
-        (Printf.sprintf "%s{quantile=\"0.5\"} %s\n" n (om_float s.p50));
-      Buffer.add_string buf
-        (Printf.sprintf "%s{quantile=\"0.95\"} %s\n" n (om_float s.p95));
-      Buffer.add_string buf
-        (Printf.sprintf "%s{quantile=\"0.99\"} %s\n" n (om_float s.p99));
-      Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.n);
-      Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (om_float s.total)))
+      Printf.bprintf buf "# TYPE %s summary\n" n;
+      List.iter
+        (fun (q, v) -> Printf.bprintf buf "%s{quantile=\"%s\"} %s\n" n q (om_float v))
+        [ ("0.5", s.p50); ("0.95", s.p95); ("0.99", s.p99) ];
+      Printf.bprintf buf "%s_count %d\n%s_sum %s\n" n s.n n (om_float s.sum))
     snap.histograms;
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
@@ -265,16 +204,26 @@ type emitter = {
 (* pid-unique tmp name: two processes pointed at the same exposition
    path (or an emitter racing a final end-of-run writer) can never
    tear each other's tmp file; the rename stays the atomic commit *)
-let write_file_atomic path contents =
+let write_channel_atomic path write =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let oc = open_out tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
+  match
+    let r = write oc in
+    close_out oc;
+    Sys.rename tmp path;
+    r
+  with
+  | r -> r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
+
+let write_file_atomic path contents =
+  write_channel_atomic path (fun oc -> output_string oc contents)
 
 let write_openmetrics path = write_file_atomic path (to_openmetrics (snapshot ()))
-
-let emit_openmetrics = write_openmetrics
 
 let start_emitter ?(period_s = 5.0) ~path () =
   let stop = Atomic.make false in
@@ -290,7 +239,7 @@ let start_emitter ?(period_s = 5.0) ~path () =
         let rec loop () =
           sleep period_s;
           if not (Atomic.get stop) then begin
-            (try emit_openmetrics path with Sys_error _ -> ());
+            (try write_openmetrics path with Sys_error _ -> ());
             loop ()
           end
         in
@@ -304,4 +253,4 @@ let start_emitter ?(period_s = 5.0) ~path () =
 let stop_emitter e =
   Atomic.set e.stop true;
   Domain.join e.worker;
-  emit_openmetrics e.epath
+  write_openmetrics e.epath

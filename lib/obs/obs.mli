@@ -9,8 +9,9 @@
     Thread-safety contract (see DESIGN.md §7): counters and gauges are
     [Atomic]-based and safe to bump from any domain of the work pool
     without locks; histograms take a per-histogram mutex on [observe],
-    which is fine at their call rate (per pipeline stage, not per
-    hostname). Metric *registration* ([counter]/[gauge]/[histogram]) is
+    held for one bucket increment. Call rates range from once per
+    pipeline stage to once per served request ([net.request_ms]) or
+    per [apply] batch. Metric *registration* ([counter]/[gauge]/[histogram]) is
     guarded by a registry mutex and idempotent: the same name always
     yields the same underlying cell, so modules may register at
     initialization or lazily from worker domains. *)
@@ -45,13 +46,18 @@ val set_gauge : gauge -> int -> unit
 
 val gauge_value : gauge -> int
 
-(** {1 Histograms} — duration samples in milliseconds with
-    count/p50/p95/p99/max/total summaries. *)
+(** {1 Histograms} — durations in milliseconds, each kept in one
+    fixed-layout {!Histo}: 16 linear sub-buckets per power of two over
+    [\[2⁻¹⁰, 2²⁰)] ms plus an edge at each decile, about 4 KB whatever
+    the number of samples. [n], [sum] and [max] are exact ([sum] to
+    10⁻⁶ ms per sample); p50/p95/p99 are never below the exact
+    nearest-rank value and at most 1/16 above it inside the grid. *)
 
 val histogram : string -> histogram
 
 val observe : histogram -> float -> unit
-(** Record one duration (milliseconds). *)
+(** Record one duration (milliseconds): one bucket increment, constant
+    memory. *)
 
 val now_ms : unit -> float
 (** Monotonic milliseconds ([CLOCK_MONOTONIC]; arbitrary epoch — use
@@ -68,19 +74,10 @@ val time : histogram -> (unit -> 'a) -> 'a
 
 (** {1 Snapshots} *)
 
-type histo_stats = {
-  n : int;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-  total : float;
-}
-
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)
   gauges : (string * int) list;  (** sorted by name *)
-  histograms : (string * histo_stats) list;  (** sorted by name *)
+  histograms : (string * Histo.stats) list;  (** sorted by name *)
 }
 
 val snapshot : unit -> snapshot
@@ -89,11 +86,11 @@ val snapshot : unit -> snapshot
     process is quiescent — the intended use: snapshot after a run. *)
 
 val find_counter : snapshot -> string -> int option
-val find_histogram : snapshot -> string -> histo_stats option
+val find_histogram : snapshot -> string -> Histo.stats option
 
 val reset : unit -> unit
 (** Zero every registered metric (counters, gauges and histogram
-    samples). Registration survives; cells are reused. *)
+    buckets). Registration survives; cells are reused. *)
 
 val to_json : snapshot -> string
 (** Render as a stable JSON object:
@@ -116,12 +113,18 @@ val json_escape : string -> string
 
 (** {1 Periodic exposition} *)
 
-val write_file_atomic : string -> string -> unit
-(** [write_file_atomic path contents] writes [contents] to a
+val write_channel_atomic : string -> (out_channel -> 'a) -> 'a
+(** [write_channel_atomic path write] runs [write] on a channel to a
     pid-unique tmp sibling ([path.tmp.PID]) and renames it over
     [path]: readers see the old file or the new one, never a torn
     write, and two processes writing one path cannot tear each other's
-    tmp file. Model snapshots are saved through it too. *)
+    tmp file. If [write] raises, the tmp file is closed and removed,
+    [path] is left untouched and the exception propagates. Corpora
+    ([Io.save]) stream through it. *)
+
+val write_file_atomic : string -> string -> unit
+(** [write_channel_atomic] of one string: model snapshots, metrics,
+    traces and calibration reports. *)
 
 val write_openmetrics : string -> unit
 (** Write {!to_openmetrics} of a fresh {!snapshot} to a file,

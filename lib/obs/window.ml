@@ -1,120 +1,56 @@
-(* Sliding-window aggregates over a ring of epoch-stamped buckets.
-
-   The determinism story: a sample recorded at [now_ms] lands in epoch
-   [floor (now_ms / bucket_ms)] no matter which domain records it or
-   which shard it hashes to, and [snapshot_samples] merges every shard
-   and sorts — so the visible window state is a pure function of the
-   recorded (value, now_ms) multiset. jobs=1 and jobs=4 runs that
-   record the same samples at the same injected clock see identical
-   stats, which is what the replay tests pin. *)
-
-type bucket = {
-  mutable bepoch : int;  (* which epoch this slot currently holds *)
-  mutable bvals : float array;
-  mutable blen : int;
-}
-
-type shard = { lock : Mutex.t; buckets : bucket array }
+(* A sample lands in epoch [floor (now_ms / bucket_ms)] whichever
+   domain records it, so merged reads are a pure function of the
+   recorded (value, now_ms) multiset: the replay tests pin jobs=1 =
+   jobs=4. *)
 
 type t = {
   bucket_ms : float;
-  nbuckets : int;
-  shards : shard array;
+  lock : Mutex.t;
+  epochs : int array;  (* which epoch each slot currently holds *)
+  slots : Histo.t array;
+  merged : Histo.t;  (* scratch for reads, rebuilt under the lock *)
 }
 
-let create ?(shards = 8) ~bucket_ms ~nbuckets () =
+let create ~bucket_ms ~nbuckets () =
   if not (bucket_ms > 0.0) then invalid_arg "Window.create: bucket_ms <= 0";
   if nbuckets < 1 then invalid_arg "Window.create: nbuckets < 1";
-  let shards = max 1 shards in
-  let mk_shard () =
-    {
-      lock = Mutex.create ();
-      buckets =
-        Array.init nbuckets (fun _ ->
-            { bepoch = min_int; bvals = Array.make 16 0.0; blen = 0 });
-    }
-  in
-  { bucket_ms; nbuckets; shards = Array.init shards (fun _ -> mk_shard ()) }
+  {
+    bucket_ms;
+    lock = Mutex.create ();
+    epochs = Array.make nbuckets min_int;
+    slots = Array.init nbuckets (fun _ -> Histo.create ());
+    merged = Histo.create ();
+  }
 
-let span_ms t = t.bucket_ms *. float_of_int t.nbuckets
+let nbuckets t = Array.length t.slots
+let span_ms t = t.bucket_ms *. float_of_int (nbuckets t)
 let bucket_ms t = t.bucket_ms
-let nbuckets t = t.nbuckets
 let epoch_of t now_ms = int_of_float (Float.floor (now_ms /. t.bucket_ms))
 
 let record t ~now_ms v =
   let epoch = epoch_of t now_ms in
-  let shard =
-    t.shards.((Domain.self () :> int) mod Array.length t.shards)
-  in
-  Mutex.lock shard.lock;
-  let b = shard.buckets.(((epoch mod t.nbuckets) + t.nbuckets) mod t.nbuckets) in
-  if b.bepoch <> epoch then begin
-    (* lazy rotation: the slot last held a different epoch's samples —
-       drop them, this slot now belongs to [epoch] *)
-    b.bepoch <- epoch;
-    b.blen <- 0
-  end;
-  if b.blen = Array.length b.bvals then begin
-    let bigger = Array.make (2 * b.blen) 0.0 in
-    Array.blit b.bvals 0 bigger 0 b.blen;
-    b.bvals <- bigger
-  end;
-  b.bvals.(b.blen) <- v;
-  b.blen <- b.blen + 1;
-  Mutex.unlock shard.lock
+  let nb = nbuckets t in
+  let i = ((epoch mod nb) + nb) mod nb in
+  Mutex.protect t.lock (fun () ->
+      if t.epochs.(i) <> epoch then begin
+        (* lazy rotation: the slot last held a different epoch's
+           samples — drop them, this slot now belongs to [epoch] *)
+        t.epochs.(i) <- epoch;
+        Histo.clear t.slots.(i)
+      end;
+      Histo.record t.slots.(i) v)
 
-(* every sample whose epoch is within [cur - nbuckets + 1, cur] *)
-let samples t ~now_ms =
+(* [f] of every slot whose epoch is within [cur - nbuckets + 1, cur] *)
+let read t ~now_ms f =
   let cur = epoch_of t now_ms in
-  let oldest = cur - t.nbuckets + 1 in
-  let acc = ref [] and total = ref 0 in
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lock;
-      Array.iter
-        (fun b ->
-          if b.bepoch >= oldest && b.bepoch <= cur && b.blen > 0 then begin
-            acc := Array.sub b.bvals 0 b.blen :: !acc;
-            total := !total + b.blen
-          end)
-        shard.buckets;
-      Mutex.unlock shard.lock)
-    t.shards;
-  let out = Array.make !total 0.0 in
-  let off = ref 0 in
-  List.iter
-    (fun chunk ->
-      Array.blit chunk 0 out !off (Array.length chunk);
-      off := !off + Array.length chunk)
-    !acc;
-  Array.sort compare out;
-  out
+  Mutex.protect t.lock (fun () ->
+      Histo.clear t.merged;
+      Array.iteri
+        (fun i e ->
+          if e > cur - nbuckets t && e <= cur then
+            Histo.merge_into ~into:t.merged t.slots.(i))
+        t.epochs;
+      f t.merged)
 
-type stats = {
-  n : int;
-  rate_per_s : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-  sum : float;
-}
-
-let percentile sorted n p =
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 1 (min n rank) - 1)
-
-let stats t ~now_ms =
-  let sorted = samples t ~now_ms in
-  let n = Array.length sorted in
-  {
-    n;
-    rate_per_s = float_of_int n /. (span_ms t /. 1000.0);
-    p50 = percentile sorted n 50.0;
-    p95 = percentile sorted n 95.0;
-    p99 = percentile sorted n 99.0;
-    max = (if n = 0 then 0.0 else sorted.(n - 1));
-    sum = Array.fold_left ( +. ) 0.0 sorted;
-  }
+let stats t ~now_ms = read t ~now_ms Histo.stats
+let deciles t ~now_ms = read t ~now_ms Histo.deciles

@@ -1,56 +1,40 @@
-(** Sliding-window aggregates: a ring of fixed-duration buckets with
-    deterministic, clock-injected rotation.
+(** Sliding-window aggregates: a ring of fixed-duration {!Histo} slots
+    with deterministic, clock-injected rotation.
 
     Unlike {!Obs.histogram} (cumulative since process start), a window
-    answers "what happened over the last N seconds" — the shape a
-    health evaluator needs. Every operation takes the current time as
-    an explicit [~now_ms] argument, so tests can drive a synthetic
-    clock and replay byte-identical snapshots; the daemon passes
-    {!Obs.now_ms}.
+    answers "what happened over the last N seconds". Every operation
+    takes the current time as [~now_ms], so tests drive a synthetic
+    clock; the daemon passes {!Obs.now_ms}.
 
     Rotation contract (DESIGN.md §14): time is quantized into epochs
-    [epoch = floor (now_ms / bucket_ms)]. A bucket slot holds the
-    samples of exactly one epoch ([slot = epoch mod nbuckets]); writing
-    into a slot whose stored epoch differs resets it first, so an idle
-    gap longer than the window span needs no background sweeper —
-    stale epochs simply fall outside the span filter at snapshot time.
+    [floor (now_ms / bucket_ms)], and slot [epoch mod nbuckets] holds
+    one epoch's histogram. Writing into a slot whose stored epoch
+    differs clears it first, so an idle gap needs no sweeper: stale
+    epochs fall outside the span filter at read time.
 
-    Recording is lock-sharded (each domain hashes to a shard with its
-    own mutex and ring) so concurrent writers do not contend; snapshots
-    merge all shards and sort the in-window samples, which makes the
-    result a pure function of the recorded (value, epoch) multiset —
-    independent of shard assignment, arrival order, and jobs count. *)
+    One mutex guards the ring. A read merges the in-window slots, so
+    it is a pure function of the recorded (value, epoch) multiset,
+    whatever the arrival order or jobs count. Memory is
+    [nbuckets + 1] histograms, whatever the traffic. *)
 
 type t
 
-val create : ?shards:int -> bucket_ms:float -> nbuckets:int -> unit -> t
-(** A window spanning [nbuckets * bucket_ms] milliseconds. [shards]
-    defaults to 8; [bucket_ms] must be positive and [nbuckets] at
-    least 1. *)
+val create : bucket_ms:float -> nbuckets:int -> unit -> t
+(** A window spanning [nbuckets * bucket_ms] milliseconds. [bucket_ms]
+    must be positive and [nbuckets] at least 1. *)
 
 val record : t -> now_ms:float -> float -> unit
-(** Record one sample at time [now_ms], rotating the target bucket if
-    its epoch has passed. For event-count windows (errors, sheds)
-    record any value and use {!stats}.n. *)
+(** Record one sample at [now_ms]. For event-count windows (errors,
+    sheds) record any value and read {!stats}[.n]. *)
 
-type stats = {
-  n : int;  (** samples inside the window span *)
-  rate_per_s : float;  (** n / window span in seconds *)
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-  sum : float;
-}
+val stats : t -> now_ms:float -> Histo.stats
+(** {!Histo.stats} of every sample whose epoch lies within the span
+    ending at [now_ms]; all zero when empty. A rate is [n] over
+    {!span_ms}. *)
 
-val stats : t -> now_ms:float -> stats
-(** Summary of every sample whose epoch lies within the window span
-    ending at [now_ms]. Empty window yields all-zero stats. *)
-
-val samples : t -> now_ms:float -> float array
-(** The in-window samples themselves, sorted ascending — the
-    deterministic merged view {!stats} is computed from. Used by the
-    calibration-drift monitor to re-bucket served confidences. *)
+val deciles : t -> now_ms:float -> float array
+(** {!Histo.deciles} of the same samples: the served confidence
+    profile the drift monitor compares. *)
 
 val span_ms : t -> float
 val bucket_ms : t -> float

@@ -20,13 +20,6 @@ type report = {
 
 let n_buckets = 10
 
-(* decile index of a confidence: [i/10, (i+1)/10), last bucket closed
-   at 1.0. Scores are clamped to [0,1] upstream, but clamp the index
-   anyway so a stray out-of-range float cannot raise. *)
-let bucket_index c =
-  let i = int_of_float (c *. float_of_int n_buckets) in
-  if i < 0 then 0 else if i >= n_buckets then n_buckets - 1 else i
-
 let of_samples ?answered samples =
   let total = List.length samples in
   let answered = Option.value answered ~default:total in
@@ -36,7 +29,9 @@ let of_samples ?answered samples =
   let brier_sum =
     List.fold_left
       (fun acc s ->
-        let i = bucket_index s.confidence in
+        (* the one decile rule the drift monitor also buckets by;
+           it clamps, so a stray out-of-range float cannot raise *)
+        let i = Hoiho_obs.Histo.decile s.confidence in
         counts.(i) <- counts.(i) + 1;
         conf_sums.(i) <- conf_sums.(i) +. s.confidence;
         if s.correct then correct_counts.(i) <- correct_counts.(i) + 1;

@@ -4,6 +4,7 @@
    parsing. Everything clock-injected — no sleeps, no daemon. *)
 
 module Window = Hoiho_obs.Window
+module Histo = Hoiho_obs.Histo
 module Health = Hoiho_obs.Health
 module Access_log = Hoiho_net.Access_log
 module Slo = Hoiho_net.Slo
@@ -20,21 +21,22 @@ let test_window_basic_stats () =
     (fun v -> Window.record w ~now_ms:50.0 (float_of_int v))
     [ 5; 1; 2; 3; 4 ];
   let s = Window.stats w ~now_ms:50.0 in
-  Alcotest.(check int) "n" 5 s.Window.n;
-  Alcotest.(check (float 1e-9)) "p50" 3.0 s.Window.p50;
-  Alcotest.(check (float 1e-9)) "p99" 5.0 s.Window.p99;
-  Alcotest.(check (float 1e-9)) "max" 5.0 s.Window.max;
-  Alcotest.(check (float 1e-9)) "sum" 15.0 s.Window.sum;
-  Alcotest.(check (float 1e-9)) "rate = n / span_s" 5.0 s.Window.rate_per_s
+  Alcotest.(check int) "n" 5 s.Histo.n;
+  Alcotest.(check bool) "p50 within 1/16 above 3.0" true
+    (s.Histo.p50 >= 3.0 && s.Histo.p50 <= 3.0 *. (1.0 +. (1.0 /. 16.0)));
+  Alcotest.(check (float 1e-9)) "p99" 5.0 s.Histo.p99;
+  Alcotest.(check (float 1e-9)) "max" 5.0 s.Histo.max;
+  Alcotest.(check (float 1e-9)) "sum" 15.0 s.Histo.sum;
+  Alcotest.(check (float 1e-9)) "rate = n / span_s" 5.0
+    (float_of_int s.Histo.n /. (Window.span_ms w /. 1000.0))
 
 let test_window_empty () =
   let w = Window.create ~bucket_ms:100.0 ~nbuckets:4 () in
   let s = Window.stats w ~now_ms:0.0 in
-  Alcotest.(check int) "n" 0 s.Window.n;
-  Alcotest.(check (float 1e-9)) "p50" 0.0 s.Window.p50;
-  Alcotest.(check (float 1e-9)) "max" 0.0 s.Window.max;
-  Alcotest.(check int) "no samples" 0
-    (Array.length (Window.samples w ~now_ms:0.0))
+  Alcotest.(check int) "n" 0 s.Histo.n;
+  Alcotest.(check (float 1e-9)) "p50" 0.0 s.Histo.p50;
+  Alcotest.(check (float 1e-9)) "max" 0.0 s.Histo.max;
+  Alcotest.(check int) "no samples" 0 (Window.stats w ~now_ms:0.0).Histo.n
 
 let test_window_bucket_boundary () =
   (* a sample stamped exactly at a bucket boundary belongs to the NEW
@@ -44,13 +46,13 @@ let test_window_bucket_boundary () =
   Window.record w ~now_ms:200.0 2.0;
   (* at now=200 the span covers epochs {1, 2}: both visible *)
   Alcotest.(check int) "boundary: both epochs in-window" 2
-    (Window.stats w ~now_ms:200.0).Window.n;
+    (Window.stats w ~now_ms:200.0).Histo.n;
   (* at now=300 (epoch 3) the span covers {2, 3}: the 199.999 sample
      aged out, the 200.0 sample survives *)
   let s = Window.stats w ~now_ms:300.0 in
-  Alcotest.(check int) "old epoch aged out" 1 s.Window.n;
+  Alcotest.(check int) "old epoch aged out" 1 s.Histo.n;
   Alcotest.(check (float 1e-9)) "survivor is the boundary sample" 2.0
-    s.Window.max
+    s.Histo.max
 
 let test_window_idle_gap () =
   (* an idle gap longer than the whole span: no sweeper runs, yet the
@@ -58,16 +60,16 @@ let test_window_idle_gap () =
      filter; the next record reuses the slots cleanly *)
   let w = Window.create ~bucket_ms:100.0 ~nbuckets:4 () in
   List.iter (fun t -> Window.record w ~now_ms:t 1.0) [ 10.0; 110.0; 210.0 ];
-  Alcotest.(check int) "filled" 3 (Window.stats w ~now_ms:210.0).Window.n;
+  Alcotest.(check int) "filled" 3 (Window.stats w ~now_ms:210.0).Histo.n;
   (* jump far past the span (4 buckets x 100 ms) without recording *)
   Alcotest.(check int) "all aged out after idle gap" 0
-    (Window.stats w ~now_ms:5000.0).Window.n;
+    (Window.stats w ~now_ms:5000.0).Histo.n;
   (* slot reuse after the gap: epoch 50 maps to the same slot as epoch
      2 (50 mod 4 = 2) and must reset it rather than mix samples *)
   Window.record w ~now_ms:5010.0 9.0;
   let s = Window.stats w ~now_ms:5010.0 in
-  Alcotest.(check int) "fresh epoch only" 1 s.Window.n;
-  Alcotest.(check (float 1e-9)) "fresh value" 9.0 s.Window.max
+  Alcotest.(check int) "fresh epoch only" 1 s.Histo.n;
+  Alcotest.(check (float 1e-9)) "fresh value" 9.0 s.Histo.max
 
 let test_window_rollover_evicts_oldest () =
   let w = Window.create ~bucket_ms:100.0 ~nbuckets:3 () in
@@ -75,12 +77,13 @@ let test_window_rollover_evicts_oldest () =
   Window.record w ~now_ms:0.0 10.0;
   Window.record w ~now_ms:100.0 20.0;
   Window.record w ~now_ms:200.0 30.0;
-  Alcotest.(check int) "full ring" 3 (Window.stats w ~now_ms:200.0).Window.n;
+  Alcotest.(check int) "full ring" 3 (Window.stats w ~now_ms:200.0).Histo.n;
   (* writing epoch 3 reuses epoch 0's slot *)
   Window.record w ~now_ms:300.0 40.0;
-  let samples = Window.samples w ~now_ms:300.0 in
-  Alcotest.(check (array (float 1e-9))) "oldest evicted, rest sorted"
-    [| 20.0; 30.0; 40.0 |] samples
+  let s = Window.stats w ~now_ms:300.0 in
+  Alcotest.(check int) "oldest evicted" 3 s.Histo.n;
+  Alcotest.(check (float 1e-9)) "newest kept" 40.0 s.Histo.max;
+  Alcotest.(check (float 1e-9)) "sum of 20, 30, 40" 90.0 s.Histo.sum
 
 let test_window_invalid_args () =
   Alcotest.check_raises "bucket_ms <= 0"
@@ -92,8 +95,7 @@ let test_window_invalid_args () =
 
 (* the determinism the access-log/window replay contract rests on:
    the same (value, now_ms) multiset recorded from 1 domain or 4
-   domains — in any interleaving, any shard assignment — yields a
-   byte-identical sorted snapshot *)
+   domains — in any interleaving — yields identical stats and deciles *)
 let test_window_jobs_invariant () =
   let entries =
     List.init 400 (fun i ->
@@ -112,12 +114,12 @@ let test_window_jobs_invariant () =
   in
   Array.iter Domain.join domains;
   let now = 949.0 in
-  Alcotest.(check (array (float 1e-12))) "jobs=1 = jobs=4 snapshots"
-    (Window.samples w1 ~now_ms:now)
-    (Window.samples w4 ~now_ms:now);
-  let s1 = Window.stats w1 ~now_ms:now and s4 = Window.stats w4 ~now_ms:now in
-  Alcotest.(check int) "same n" s1.Window.n s4.Window.n;
-  Alcotest.(check (float 1e-12)) "same p99" s1.Window.p99 s4.Window.p99
+  Alcotest.(check bool) "jobs=1 = jobs=4 stats" true
+    (Window.stats w1 ~now_ms:now = Window.stats w4 ~now_ms:now);
+  Alcotest.(check bool) "jobs=1 = jobs=4 deciles" true
+    (Window.deciles w1 ~now_ms:now = Window.deciles w4 ~now_ms:now);
+  Alcotest.(check bool) "the window is not empty" true
+    ((Window.stats w1 ~now_ms:now).Histo.n > 0)
 
 (* --- Health evaluator --- *)
 
@@ -171,17 +173,22 @@ let test_default_objectives_clean_server_ok () =
   Alcotest.(check int) "clean monitor Ok" 0
     (Health.state_to_int (Health.evaluate_monitor m ~now_ms:0.0))
 
+let deciles_of xs =
+  let h = Histo.create () in
+  List.iter (Histo.record h) xs;
+  Histo.deciles h
+
 let test_decile_histogram_and_drift () =
-  let h = Health.decile_histogram [| 0.05; 0.05; 0.95; 1.0 |] in
+  let h = deciles_of [ 0.05; 0.05; 0.95; 1.0 ] in
   Alcotest.(check (float 1e-9)) "bottom decile mass" 0.5 h.(0);
   Alcotest.(check (float 1e-9)) "1.0 clamps into top decile" 0.5 h.(9);
   Alcotest.(check (float 1e-9)) "normalized" 1.0 (Array.fold_left ( +. ) 0.0 h);
   Alcotest.(check (float 1e-9)) "empty input is all-zero" 0.0
-    (Array.fold_left ( +. ) 0.0 (Health.decile_histogram [||]));
+    (Array.fold_left ( +. ) 0.0 (deciles_of []));
   Alcotest.(check (float 1e-9)) "identical -> drift 0" 0.0
     (Health.drift ~expected:h ~observed:h);
-  let lo = Health.decile_histogram [| 0.05 |] in
-  let hi = Health.decile_histogram [| 0.95 |] in
+  let lo = deciles_of [ 0.05 ] in
+  let hi = deciles_of [ 0.95 ] in
   Alcotest.(check (float 1e-9)) "disjoint -> drift 1" 1.0
     (Health.drift ~expected:lo ~observed:hi)
 
@@ -209,7 +216,7 @@ let test_monitor_drift_gating_and_degraded () =
       ~bucket_ms:100.0 ~nbuckets:10 ()
   in
   (* expected: everything in the top decile; observed: bottom decile *)
-  let expected = Health.decile_histogram [| 0.95 |] in
+  let expected = deciles_of [ 0.95 ] in
   Health.set_expected_profile m (Some expected);
   let below = Health.drift_min_samples - 1 in
   for i = 1 to below do
@@ -248,6 +255,31 @@ let test_monitor_recovery () =
            (Health.state_label s));
   Alcotest.(check int) "errors aged out -> Ok" 0
     (Health.state_to_int (Health.evaluate_monitor m ~now_ms:5000.0))
+
+(* a monitor's memory does not grow with traffic: 10^6 records over
+   ten window spans leave it exactly as large as 10^3 did. Every slot
+   of every window is written in both phases, so both have each slot's
+   [max] boxed. *)
+let test_monitor_bounded_memory () =
+  let m = Health.create_monitor ~bucket_ms:100.0 ~nbuckets:12 () in
+  let span = 1200.0 in
+  let feed ~t0 lo hi =
+    for i = lo to hi - 1 do
+      let now_ms =
+        t0 +. (10.0 *. span *. float_of_int (i - lo) /. float_of_int (hi - lo))
+      in
+      Health.record_request m ~now_ms
+        ~latency_ms:(float_of_int (i mod 977) *. 0.3)
+        ~status:(if i mod 3 = 0 then 500 else 200)
+        ~shed:(i mod 5 = 0);
+      Health.record_confidence m ~now_ms (float_of_int (i mod 101) /. 100.0)
+    done
+  in
+  feed ~t0:0.0 0 1_000;
+  let words = Obj.reachable_words (Obj.repr m) in
+  feed ~t0:(10.0 *. span) 1_000 1_000_000;
+  Alcotest.(check int) "same reachable words after 10^3 and 10^6 records" words
+    (Obj.reachable_words (Obj.repr m))
 
 (* --- Access log --- *)
 
@@ -390,6 +422,29 @@ let test_slo_parse_errors () =
     {|{"objectives": [{"metric": "error_rate", "max": 1, "fail_ratio": 1.0}]}|};
   expect_error "bad window" {|{"window_s": -5, "objectives": []}|};
   expect_error "bad buckets" {|{"buckets": 0, "objectives": []}|};
+  expect_error "buckets over the limit" {|{"buckets": 121, "objectives": []}|};
+  expect_error "a million buckets" {|{"buckets": 1000000, "objectives": []}|};
+  (match Slo.parse {|{"buckets": 1000000, "objectives": []}|} with
+  | Error e ->
+      Alcotest.(check string) "error names the bucket limit"
+        "$.buckets: 1000000 exceeds the limit of 120" e
+  | Ok _ -> Alcotest.fail "expected error");
+  (match Slo.parse {|{"buckets": 120, "objectives": []}|} with
+  | Ok t -> Alcotest.(check int) "the limit itself is accepted" 120 t.Slo.nbuckets
+  | Error e -> Alcotest.failf "120 buckets: %s" e);
+  (* a file over the size limit is refused before it is read *)
+  let path = Filename.temp_file "hoiho_slo" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc {|{"objectives": []}|};
+          output_string oc (String.make Slo.max_file_bytes ' '));
+      match Slo.load path with
+      | Error e ->
+          Alcotest.(check bool) "error names the size limit" true
+            (String.ends_with ~suffix:"exceeds the limit of 65536 for an SLO file" e)
+      | Ok _ -> Alcotest.fail "expected an oversized SLO file to be refused");
   (* error text names the offending path *)
   match Slo.parse {|{"objectives": [{"metric": "error_rate", "max": -1}]}|} with
   | Error e ->
@@ -420,6 +475,7 @@ let suites =
         tc "monitor measurements" test_monitor_measurements;
         tc "drift gating and degraded" test_monitor_drift_gating_and_degraded;
         tc "windowed recovery" test_monitor_recovery;
+        tc "monitor memory is bounded" test_monitor_bounded_memory;
       ] );
     ( "access-log",
       [

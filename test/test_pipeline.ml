@@ -165,7 +165,7 @@ let test_metrics_determinism () =
         Option.value ~default:0
           (Obs.find_counter par.Pipeline.metrics "pipeline.suffix_groups")
       in
-      Alcotest.(check int) "one span per suffix group" groups h.Obs.n
+      Alcotest.(check int) "one span per suffix group" groups h.Hoiho_obs.Histo.n
   | None -> Alcotest.fail "pipeline.suffix_ms histogram missing")
 
 let test_clean_run_not_degraded () =
