@@ -1067,5 +1067,5 @@ let () =
   end;
   let t0 = Unix.gettimeofday () in
   List.iter (fun (_, _, run) -> run ()) to_run;
-  Printf.printf "\n(%d experiment(s), %.1f s)\n" (List.length to_run)
+  Printf.eprintf "\n(%d experiment(s), %.1f s)\n" (List.length to_run)
     (Unix.gettimeofday () -. t0)

@@ -605,7 +605,6 @@ let serve_cmd =
     in
     let config =
       {
-        Hoiho_net.Server.default_config with
         Hoiho_net.Server.host;
         port;
         jobs =

@@ -89,9 +89,9 @@ let try_cand db sm hostname c =
             | best :: _ -> { city = Some best; confidence }
             | [] -> no_answer))
 
-let apply ?parent db index hostname =
+let apply db index hostname =
   try
-    Trace.with_span ?parent "apply" ~attrs:[ ("hostname", hostname) ]
+    Trace.with_span "apply" ~attrs:[ ("hostname", hostname) ]
     @@ fun () ->
     let answer =
       match

@@ -47,12 +47,7 @@ val index : suffix_model list -> (index, int * string) result
 
 val find : index -> string -> suffix_model option
 
-val apply :
-  ?parent:Hoiho_obs.Trace.parent ->
-  Hoiho_geodb.Db.t ->
-  index ->
-  string ->
-  answer
+val apply : Hoiho_geodb.Db.t -> index -> string -> answer
 (** [apply db index hostname] answers an already-normalized hostname
     ({!Hoiho_util.Strutil.normalize_hostname}): split off its registered
     suffix, and if that suffix's model is classified good or promising,
@@ -66,5 +61,6 @@ val apply :
     [hoiho explain] renders: [apply] (hostname, answer) wrapping
     [apply.psl] (the suffix split), one [apply.cand] per regex tried
     (match, capture groups, decoded hint) and [apply.resolve]
-    (provenance, resolved city, collision losers, confidence). [parent]
-    roots the [apply] span explicitly, for calls on pool domains. *)
+    (provenance, resolved city, collision losers, confidence). The
+    [apply] span nests under the caller's current span, also when the
+    call runs in a {!Hoiho_util.Pool} job on another domain. *)

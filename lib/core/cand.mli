@@ -36,8 +36,8 @@ val source_of : suffix:string -> comp list -> string
 val build_many : ?jobs:int -> suffix:string -> comp list list -> t list
 (** Batched compilation: deduplicates bodies on their rendered source
     (keeping first occurrences, like {!dedup}) before compiling, and
-    fans the distinct compiles out over the shared pool when
-    [jobs > 1]. Equivalent to [dedup (List.map (build ~suffix) bodies)]
+    fans the distinct compiles out over the shared pool of [jobs]
+    lanes. Equivalent to [dedup (List.map (build ~suffix) bodies)]
     at a fraction of the compile work. *)
 
 val analysis_regex :

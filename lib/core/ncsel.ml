@@ -93,12 +93,8 @@ let dedupe_cands cands =
     cands
 
 let prepare ?(jobs = 1) consist db ?learned cands samples_arr =
-  (* per-candidate spans run on arbitrary pool domains; the explicit
-     parent (captured here, on the submitting domain) keeps them nested
-     under this build at every jobs setting *)
-  let parent = Trace.fanout_parent () in
   let eval cand =
-    Trace.with_span ~parent "ncsel.cand"
+    Trace.with_span "ncsel.cand"
       ~attrs:
         [
           ("source", cand.Cand.source);
@@ -116,23 +112,14 @@ let prepare ?(jobs = 1) consist db ?learned cands samples_arr =
     Trace.add_attr "atp" (string_of_int (Evalx.atp counts));
     { cand; hits; atp = Evalx.atp counts }
   in
-  (* fault determinism: evaluate EVERY candidate (capturing failures
-     per job) and re-raise the first error in candidate order, not
-     completion order — so a poisoned sample aborts the suffix with the
-     same work counters and the same attributed exception whether the
-     fan-out ran on one lane or eight. chunk:1 makes each candidate its
-     own stealable job: a fat suffix's evaluation tail is then drained
-     by whichever lanes fall idle, instead of serializing on the lane
-     that happened to dequeue its chunk. *)
-  let results =
-    Hoiho_util.Pool.map_results (Hoiho_util.Pool.get jobs) ~chunk:1 eval cands
-  in
-  let rec unwrap = function
-    | [] -> []
-    | Ok m :: rest -> m :: unwrap rest
-    | Error e :: _ -> Hoiho_util.Pool.raise_job_error e
-  in
-  unwrap results
+  (* the pool evaluates EVERY candidate and re-raises the first error in
+     candidate order, so a poisoned sample aborts the suffix with the
+     same work counters and the same attributed exception on one lane
+     or eight. chunk:1 makes each candidate its own stealable job: a
+     fat suffix's evaluation tail is then drained by whichever lanes
+     fall idle, instead of serializing on the lane that happened to
+     dequeue its chunk. *)
+  Hoiho_util.Pool.parallel_map (Hoiho_util.Pool.get jobs) ~chunk:1 eval cands
 
 let eval_nc consist db ?learned cands samples =
   let samples_arr = Array.of_list samples in
@@ -215,10 +202,8 @@ let build ?jobs consist db ?learned cands samples =
          fat suffix. [grow] is pure and touches no Obs counter, so the
          order-preserving map keeps results jobs-invariant. *)
       let ncs =
-        if jobs <= 1 then List.map (grow samples_arr ranked) seeds
-        else
-          Hoiho_util.Pool.parallel_map (Hoiho_util.Pool.get jobs) ~chunk:1
-            (grow samples_arr ranked) seeds
+        Hoiho_util.Pool.parallel_map (Hoiho_util.Pool.get jobs) ~chunk:1
+          (grow samples_arr ranked) seeds
       in
       let by_atp =
         List.sort

@@ -194,11 +194,8 @@ let run_suffix consist db ?(learn_geohints = true) ?jobs ~suffix routers =
 let run_groups consist db ?(learn_geohints = true) ?(min_samples = 1) ?jobs
     groups =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  (* suffix spans run on pool domains whose span stacks are empty; the
-     explicit parent keeps the tree identical at every jobs setting *)
-  let parent = Trace.fanout_parent () in
   let run_group (suffix, routers) =
-    Trace.with_span ~parent "pipeline.suffix" ~attrs:[ ("suffix", suffix) ]
+    Trace.with_span "pipeline.suffix" ~attrs:[ ("suffix", suffix) ]
     @@ fun () ->
     Obs.time h_suffix (fun () ->
         let result = run_suffix consist db ~learn_geohints ~jobs ~suffix routers in
@@ -206,29 +203,24 @@ let run_groups consist db ?(learn_geohints = true) ?(min_samples = 1) ?jobs
           { result with nc = None; classification = None; stats = None }
         else result)
   in
-  if jobs <= 1 then List.map run_group groups
-  else begin
-    (* LPT submission order: the fattest groups go onto the queue
-       first so one huge suffix can't land last and serialize the
-       tail of the run; chunk:1 makes every group its own
-       stealable job, and each group's internal stages fan out
-       over the same pool, so idle lanes help with a fat group
-       instead of waiting behind it. Results land back in their
-       original slots — output order, and everything downstream,
-       is unchanged. *)
-    let arr = Array.of_list groups in
-    let n = Array.length arr in
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        compare (List.length (snd arr.(b))) (List.length (snd arr.(a))))
-      order;
-    let slots = Array.make n None in
-    Pool.parallel_for (Pool.get jobs) ~chunk:1 n (fun k ->
-        let i = order.(k) in
-        slots.(i) <- Some (run_group arr.(i)));
-    Array.to_list (Array.map Option.get slots)
-  end
+  (* LPT submission order: the fattest groups go onto the queue first
+     so one huge suffix can't land last and serialize the tail of the
+     run; chunk:1 makes every group its own stealable job, and each
+     group's internal stages fan out over the same pool, so idle lanes
+     help with a fat group instead of waiting behind it. Results land
+     back in their original slots — output order, and everything
+     downstream, is unchanged. *)
+  let arr = Array.of_list groups in
+  let n = Array.length arr in
+  let order = Array.init n (fun i -> i) in
+  Array.sort
+    (fun a b -> compare (List.length (snd arr.(b))) (List.length (snd arr.(a))))
+    order;
+  let slots = Array.make n None in
+  Pool.parallel_for (Pool.get jobs) ~chunk:1 n (fun k ->
+      let i = order.(k) in
+      slots.(i) <- Some (run_group arr.(i)));
+  Array.to_list (Array.map Option.get slots)
 
 let run ?db ?(learn_geohints = true) ?(min_samples = 1) ?jobs dataset =
   let db = match db with Some db -> db | None -> Db.default () in

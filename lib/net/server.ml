@@ -43,13 +43,11 @@ type config = {
   max_wait_ms : float;
   max_pending : int;
   request_timeout_s : float;
-  max_body : int;
   model_path : string option;
   objectives : Health.objective list option;
   health_bucket_ms : float;
   health_nbuckets : int;
   access_log : string option;
-  access_log_max_bytes : int;
 }
 
 let default_config =
@@ -61,13 +59,11 @@ let default_config =
     max_wait_ms = 1.0;
     max_pending = 1024;
     request_timeout_s = 5.0;
-    max_body = 1 lsl 20;
     model_path = None;
     objectives = None;
     health_bucket_ms = 5000.0;
     health_nbuckets = 12;
     access_log = None;
-    access_log_max_bytes = 16 * 1024 * 1024;
   }
 
 type t = {
@@ -588,11 +584,7 @@ let handle_connection t fd =
      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.request_timeout_s
    with Unix.Unix_error _ -> ());
   let limits =
-    {
-      Http.default_limits with
-      Http.max_body = t.cfg.max_body;
-      deadline_ms = t.cfg.request_timeout_s *. 1000.0;
-    }
+    { Http.default_limits with Http.deadline_ms = t.cfg.request_timeout_s *. 1000.0 }
   in
   let reader = Http.reader_of_fd fd in
   (* one observation point for every response this connection produces:
@@ -776,9 +768,7 @@ let start ?(config = default_config) ?corpus model =
     match config.access_log with
     | None -> None
     | Some path -> (
-        match
-          Access_log.create ~max_bytes:config.access_log_max_bytes path
-        with
+        match Access_log.create path with
         | Ok log -> Some log
         | Error msg ->
             (* an unwritable log path fails the start, like an

@@ -81,7 +81,6 @@ type config = {
   max_wait_ms : float;  (** coalescing window after the first ticket *)
   max_pending : int;  (** admission bound; beyond it requests get 503 *)
   request_timeout_s : float;  (** per-request read deadline *)
-  max_body : int;  (** request body cap, bytes *)
   model_path : string option;  (** snapshot to re-read on reload *)
   objectives : Hoiho_obs.Health.objective list option;
       (** SLO objectives for the health monitor (what [--slo FILE]
@@ -94,15 +93,15 @@ type config = {
   access_log : string option;
       (** JSON-lines access log path ({!Access_log}); [None] disables.
           An unwritable path fails {!start}. *)
-  access_log_max_bytes : int;  (** size-based rotation threshold *)
 }
 
 val default_config : config
 (** 127.0.0.1:0, jobs = {!Hoiho_util.Pool.default_jobs}, max_batch 64,
-    max_wait_ms 1.0, max_pending 1024, request_timeout_s 5.0,
-    max_body 1 MiB, no model path, default objectives over a
-    60 s window (5 s × 12 buckets), no access log (16 MiB rotation
-    when enabled). *)
+    max_wait_ms 1.0, max_pending 1024, request_timeout_s 5.0, no model
+    path, default objectives over a 60 s window (5 s × 12 buckets), no
+    access log. Request bodies are capped at
+    {!Http.default_limits}'s [max_body] (1 MiB), and an access log rotates
+    at {!Access_log.create}'s default (16 MiB). *)
 
 type t
 

@@ -11,14 +11,14 @@
 
     Nesting: each domain keeps its own stack of live spans
     ({!Domain.DLS}), so synchronous callees nest under their caller
-    automatically. Work fanned out over {!Hoiho_util.Pool} runs on
+    automatically. Work fanned out over {!Hoiho_util.Pool} may run on
     other domains whose stacks are empty — the pool {!capture}s the
-    submitter's context and installs it ({!with_ctx}) around each job,
-    so implicit-parent spans created inside a job nest under the span
-    the job was submitted from, keeping the span tree identical at
-    every [HOIHO_JOBS] setting. Fan-out sites that open one span per
-    job can still pass {!fanout_parent} explicitly; both roads lead to
-    the same parent.
+    caller's context and installs it ({!with_ctx}) around each queued
+    job, so spans created inside a job nest under the span the fan-out
+    started from, keeping the span tree identical at every
+    [HOIHO_JOBS] setting. The pool is the only mechanism fan-out sites
+    use; {!fanout_parent} and [with_span ?parent] serve code that hands
+    work to other domains by its own means.
 
     Determinism: for a fixed-seed run, the canonical forest
     ({!canonical}) is byte-identical across jobs settings as long as
@@ -56,7 +56,7 @@ val clear : unit -> unit
 type parent =
   | Stack  (** the innermost live span of the calling domain, if any *)
   | Root  (** force a root span *)
-  | Span of int  (** explicit parent id, for pool fan-out *)
+  | Span of int  (** explicit parent id, see {!fanout_parent} *)
 
 val with_span :
   ?cat:string ->

@@ -85,7 +85,7 @@ let geolocate_conf t hostname =
       answer
 
 let apply_batch ?jobs ?(normalized = false) t hostnames =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   (* [normalized] callers (the network daemon) have already run
      Strutil.normalize_hostname at their input boundary — exactly once
      per hostname, per the serving contract *)
@@ -98,9 +98,6 @@ let apply_batch ?jobs ?(normalized = false) t hostnames =
   @@ fun () ->
   Obs.time h_batch
   @@ fun () ->
-  (* per-miss apply spans run on pool domains; the explicit parent
-     keeps them under this batch at every jobs setting *)
-  let parent = Trace.fanout_parent () in
   Obs.add c_applied (List.length keys);
   (* one sequential cache probe per distinct key, in first-appearance
      order: hit/miss counts and eviction order are then functions of the
@@ -126,22 +123,16 @@ let apply_batch ?jobs ?(normalized = false) t hostnames =
   (* the per-miss computation is pure (~1µs each after the exec-path
      allocation work); fanning each miss out as its own pool job costs
      more in queue traffic than the work saves, which is how the cold
-     path used to run SLOWER in parallel. Batch the misses into chunks
-     of at least [min_chunk] and stay sequential below one chunk's
-     worth — the pool then only ever sees jobs big enough to pay for
-     themselves. *)
+     path used to run SLOWER in parallel. Misses go out in chunks of at
+     least [min_chunk], so the pool only ever queues jobs big enough to
+     pay for themselves, and a batch of at most [min_chunk] misses is
+     one chunk, which the pool runs inline. *)
   let min_chunk = 64 in
   let computed = Array.make n_misses None in
-  let compute i =
-    let key = misses.(i) in
-    computed.(i) <- Some (Apply.apply ~parent t.db t.index key)
-  in
-  if jobs <= 1 || n_misses <= min_chunk then
-    for i = 0 to n_misses - 1 do compute i done
-  else begin
-    let chunk = max min_chunk (n_misses / (jobs * 4)) in
-    Pool.parallel_for (Pool.get jobs) ~chunk n_misses compute
-  end;
+  Pool.parallel_for (Pool.get jobs)
+    ~chunk:(max min_chunk (n_misses / (jobs * 4)))
+    n_misses
+    (fun i -> computed.(i) <- Some (Apply.apply t.db t.index misses.(i)));
   Trace.add_attr "misses" (string_of_int n_misses);
   (* inserts stay sequential and in first-appearance order, so cache
      contents and eviction order are jobs-invariant *)

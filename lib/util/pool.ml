@@ -1,24 +1,22 @@
-(* A fixed-size work pool over OCaml 5 domains.
+(* A fixed-size work pool over OCaml 5 domains; the fan-out contract is
+   in pool.mli.
 
-   Domains are spawned once at pool creation and park on a condition
-   variable; work arrives as thunks on a shared queue guarded by a
-   single mutex. A caller submitting a batch participates in draining
-   the queue while it waits ("helping"), which makes nested
-   [parallel_map] calls from inside a worker deadlock-free: every
-   blocked submitter is itself a consumer, so a non-empty queue always
-   has at least one thread able to run it. *)
+   Workers park on a condition variable and take chunk jobs from one
+   queue guarded by a single mutex. A caller waiting on its fan-out
+   runs queued jobs itself ("helping"), which makes a fan-out from
+   inside a job deadlock-free: every blocked caller is a consumer, so
+   a non-empty queue always has a thread able to run it. *)
 
 module Obs = Hoiho_obs.Obs
+module Trace = Hoiho_obs.Trace
 
-(* scheduler-level metrics: total thunks queued, the deepest the shared
-   queue ever got, and tasks a blocked submitter ran itself while
-   helping drain its batch.  Scheduling-dependent by nature — unlike
-   the rx/ncsel/pipeline work counters these are NOT expected to be
-   identical across HOIHO_JOBS settings. *)
+(* scheduler-level metrics: chunk jobs queued, the deepest the queue
+   got, and jobs a waiting caller ran itself. Scheduling-dependent by
+   nature — unlike the rx/ncsel/pipeline work counters these are NOT
+   expected to be identical across HOIHO_JOBS settings. *)
 let c_submitted = Obs.counter "pool.jobs_submitted"
 let c_steals = Obs.counter "pool.helping_steals"
 let g_depth = Obs.gauge "pool.queue_depth_hwm"
-let c_timeouts = Obs.counter "pool.job_timeouts"
 let c_job_exns = Obs.counter "pool.job_exceptions"
 
 type t = {
@@ -26,264 +24,28 @@ type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   queue : (unit -> unit) Queue.t;
-  mutable closing : bool;
-  mutable workers : unit Domain.t list;
+  spawned : bool Atomic.t;
 }
 
 let default_jobs () =
-  match Sys.getenv_opt "HOIHO_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | _ -> 1)
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
+  match Option.bind (Sys.getenv_opt "HOIHO_JOBS") (fun s -> int_of_string_opt (String.trim s)) with
+  | Some j when j >= 1 -> j
+  | _ -> max 1 (Domain.recommended_domain_count () - 1)
 
-let jobs t = t.jobs
-
+(* a job captures every exception of its items, so a worker never
+   unwinds and serves the pool for the life of the process *)
 let rec worker t =
   Mutex.lock t.mutex;
-  let rec wait () =
-    if Queue.is_empty t.queue && not t.closing then begin
-      Condition.wait t.nonempty t.mutex;
-      wait ()
-    end
-  in
-  wait ();
-  if Queue.is_empty t.queue then
-    (* closing and drained *)
-    Mutex.unlock t.mutex
-  else begin
-    let task = Queue.pop t.queue in
-    Mutex.unlock t.mutex;
-    task ();
-    worker t
-  end
-
-let create ?jobs () =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let t =
-    {
-      jobs;
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      closing = false;
-      workers = [];
-    }
-  in
-  (* the submitting thread is one of the [jobs] lanes *)
-  t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
-  t
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.closing <- true;
-  Condition.broadcast t.nonempty;
+  while Queue.is_empty t.queue do
+    Condition.wait t.nonempty t.mutex
+  done;
+  let job = Queue.pop t.queue in
   Mutex.unlock t.mutex;
-  List.iter Domain.join t.workers;
-  t.workers <- []
+  job ();
+  worker t
 
-(* a batch of tasks submitted together; completion is tracked under the
-   pool mutex so the submitter can sleep on [finished] *)
-type batch = {
-  size : int;
-  mutable pending : int;
-  finished : Condition.t;
-  mutable error : (exn * Printexc.raw_backtrace) option;
-}
-
-(* non-blocking half of a batch: enqueue every thunk and wake the
-   workers, but return to the caller immediately. The caller settles the
-   batch later with [await]; between the two it is free to do unrelated
-   work (or submit further batches), which is how a stage can overlap
-   its own tail with the next stage's head. *)
-let submit t (thunks : (unit -> unit) array) =
-  let b =
-    {
-      size = Array.length thunks;
-      pending = Array.length thunks;
-      finished = Condition.create ();
-      error = None;
-    }
-  in
-  if b.size > 0 then begin
-    (* jobs carry the span context of their submission site: spans a job
-       opens then nest under the submitting span on ANY executing
-       domain, which keeps the trace tree jobs-invariant without every
-       fan-out site having to thread a parent through by hand *)
-    let ctx = Hoiho_obs.Trace.capture () in
-    let wrapped thunk () =
-      (try Hoiho_obs.Trace.with_ctx ctx thunk
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         Mutex.lock t.mutex;
-         if b.error = None then b.error <- Some (e, bt);
-         Mutex.unlock t.mutex);
-      Mutex.lock t.mutex;
-      b.pending <- b.pending - 1;
-      if b.pending = 0 then Condition.broadcast b.finished;
-      Mutex.unlock t.mutex
-    in
-    Mutex.lock t.mutex;
-    Array.iter (fun th -> Queue.push (wrapped th) t.queue) thunks;
-    Obs.add c_submitted b.size;
-    Obs.observe_gauge g_depth (Queue.length t.queue);
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex
-  end;
-  b
-
-(* the batch span is scheduling-dependent by nature (it only exists when
-   jobs > 1, and its duration reflects queue contention), so it carries
-   the "sched" category and is exempt — like the pool.* counters — from
-   the cross-jobs determinism contract (DESIGN.md §10) *)
-let await t b =
-  if b.size = 0 then ()
-  else
-    Hoiho_obs.Trace.with_span ~cat:"sched" "pool.batch"
-      ~attrs:[ ("thunks", string_of_int b.size) ]
-    @@ fun () ->
-    Mutex.lock t.mutex;
-    (* help drain the queue until this batch completes; only sleep when
-       there is nothing at all to run. The queue is shared, so a blocked
-       submitter may execute thunks from other batches — that is the
-       point: every waiter is a worker. *)
-    let rec help () =
-      if b.pending > 0 then
-        match Queue.take_opt t.queue with
-        | Some task ->
-            Mutex.unlock t.mutex;
-            Obs.incr c_steals;
-            task ();
-            Mutex.lock t.mutex;
-            help ()
-        | None ->
-            Condition.wait b.finished t.mutex;
-            help ()
-    in
-    help ();
-    let error = b.error in
-    Mutex.unlock t.mutex;
-    match error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-
-let run_batch t thunks = await t (submit t thunks)
-
-(* split [0, n) into contiguous chunks — an explicit [chunk] size, or a
-   few chunks per lane so per-task queueing overhead stays small
-   relative to work. [chunk:1] maximizes stealability: every item is an
-   independent job, the right trade when items are heavy and unevenly
-   sized (suffix groups, candidate evaluations). *)
-let chunk_ranges ?chunk n jobs =
-  let size =
-    match chunk with
-    | Some c -> max 1 c
-    | None ->
-        let target = jobs * 4 in
-        max 1 ((n + target - 1) / target)
-  in
-  let rec go lo acc =
-    if lo >= n then List.rev acc
-    else
-      let hi = min n (lo + size) in
-      go hi ((lo, hi) :: acc)
-  in
-  go 0 []
-
-let parallel_for t ?chunk n f =
-  if t.jobs <= 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      f i
-    done
-  else
-    let thunks =
-      chunk_ranges ?chunk n t.jobs
-      |> List.map (fun (lo, hi) () ->
-             for i = lo to hi - 1 do
-               f i
-             done)
-      |> Array.of_list
-    in
-    run_batch t thunks
-
-let parallel_map_array t ?chunk f arr =
-  let n = Array.length arr in
-  if t.jobs <= 1 || n <= 1 then Array.map f arr
-  else begin
-    let results = Array.make n None in
-    parallel_for t ?chunk n (fun i -> results.(i) <- Some (f arr.(i)));
-    Array.map
-      (function Some v -> v | None -> assert false (* run_batch raised *))
-      results
-  end
-
-let parallel_map t ?chunk f xs =
-  Array.to_list (parallel_map_array t ?chunk f (Array.of_list xs))
-
-let parallel_iter t ?chunk f xs =
-  ignore (parallel_map_array t ?chunk (fun x -> f x) (Array.of_list xs))
-
-(* job-level fault capture: unlike [parallel_map], whose batch aborts
-   on the first exception by completion time (a scheduling-dependent
-   choice), [map_results] runs EVERY item to completion and returns a
-   per-item verdict in input order. Callers that want fail-fast
-   semantics with deterministic attribution re-raise the first [Error]
-   in input order — identical at any [jobs] setting. *)
-type job_error =
-  | Exn of exn * Printexc.raw_backtrace
-  | Timed_out
-
-exception Job_timeout
-
-let run_one deadline f x =
-  match deadline with
-  | Some d when Obs.now_ms () > d ->
-      Obs.incr c_timeouts;
-      Error Timed_out
-  | _ -> (
-      try Ok (f x)
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Obs.incr c_job_exns;
-        Error (Exn (e, bt)))
-
-let map_results t ?chunk ?timeout_ms f xs =
-  (* the timeout is cooperative: the deadline is checked before each
-     item starts, never preempting one mid-flight — an item that began
-     before the deadline runs to completion. This bounds a batch of n
-     items at deadline + one item's latency without the portability
-     tar pit of cancelling a running domain. *)
-  let deadline = Option.map (fun ms -> Obs.now_ms () +. ms) timeout_ms in
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let results = Array.make n None in
-  let exec i = results.(i) <- Some (run_one deadline f arr.(i)) in
-  if t.jobs <= 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      exec i
-    done
-  else begin
-    let thunks =
-      chunk_ranges ?chunk n t.jobs
-      |> List.map (fun (lo, hi) () ->
-             for i = lo to hi - 1 do
-               exec i
-             done)
-      |> Array.of_list
-    in
-    (* exec never raises, so run_batch's own error channel stays idle *)
-    run_batch t thunks
-  end;
-  Array.to_list
-    (Array.map (function Some r -> r | None -> assert false) results)
-
-let raise_job_error = function
-  | Exn (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Timed_out -> raise Job_timeout
-
-(* shared pools, one per size, spawned on first use and reused for the
-   process lifetime *)
+(* shared pools, one per size, for the process lifetime. [get] runs on
+   every served batch, so a hit allocates nothing and spawns nothing. *)
 let shared : (int, t) Hashtbl.t = Hashtbl.create 4
 let shared_mutex = Mutex.create ()
 
@@ -291,12 +53,120 @@ let get jobs =
   let jobs = max 1 jobs in
   Mutex.lock shared_mutex;
   let t =
-    match Hashtbl.find_opt shared jobs with
-    | Some t -> t
-    | None ->
-        let t = create ~jobs () in
+    match Hashtbl.find shared jobs with
+    | t -> t
+    | exception Not_found ->
+        let t =
+          {
+            jobs;
+            mutex = Mutex.create ();
+            nonempty = Condition.create ();
+            queue = Queue.create ();
+            spawned = Atomic.make false;
+          }
+        in
         Hashtbl.replace shared jobs t;
         t
   in
   Mutex.unlock shared_mutex;
   t
+
+(* a one-lane pool, or a single chunk: a plain ascending loop on the
+   caller. It allocates nothing unless an item raises; the first
+   failure in index order is the lowest. *)
+let inline n f =
+  let failed = ref None in
+  for i = 0 to n - 1 do
+    try f i
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Obs.incr c_job_exns;
+      if Option.is_none !failed then failed := Some (e, bt)
+  done;
+  match !failed with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
+
+(* a fan-out on the queue: chunks not yet finished, and the lowest
+   failing index with its exception, both under the pool mutex *)
+type fanout = {
+  mutable pending : int;
+  finished : Condition.t;
+  mutable failed : (int * exn * Printexc.raw_backtrace) option;
+}
+
+let note_failure t fo i e bt =
+  Obs.incr c_job_exns;
+  Mutex.lock t.mutex;
+  (match fo.failed with
+  | Some (j, _, _) when j < i -> ()
+  | _ -> fo.failed <- Some (i, e, bt));
+  Mutex.unlock t.mutex
+
+let queued t ~size n f =
+  let chunks = (n + size - 1) / size in
+  let fo = { pending = chunks; finished = Condition.create (); failed = None } in
+  (* every job runs under the caller's span context, so spans it opens
+     nest under the fan-out's span on any domain *)
+  let ctx = Trace.capture () in
+  let job lo () =
+    Trace.with_ctx ctx (fun () ->
+        for i = lo to min n (lo + size) - 1 do
+          try f i with e -> note_failure t fo i e (Printexc.get_raw_backtrace ())
+        done);
+    Mutex.lock t.mutex;
+    fo.pending <- fo.pending - 1;
+    if fo.pending = 0 then Condition.broadcast fo.finished;
+    Mutex.unlock t.mutex
+  in
+  if (not (Atomic.get t.spawned)) && Atomic.compare_and_set t.spawned false true then
+    for _ = 2 to t.jobs do
+      ignore (Domain.spawn (fun () -> worker t))
+    done;
+  Mutex.lock t.mutex;
+  for k = 0 to chunks - 1 do
+    Queue.push (job (k * size)) t.queue
+  done;
+  Obs.add c_submitted chunks;
+  Obs.observe_gauge g_depth (Queue.length t.queue);
+  Condition.broadcast t.nonempty;
+  Mutex.unlock t.mutex;
+  (* the wait span is scheduling-dependent by nature (it exists only
+     for a queued fan-out, and its duration reflects contention), so it
+     carries the "sched" category and stays out of the canonical span
+     forest (DESIGN.md §10) *)
+  Trace.with_span ~cat:"sched" "pool.batch" ~attrs:[ ("chunks", string_of_int chunks) ]
+  @@ fun () ->
+  (* help drain the queue until this fan-out completes; sleep only
+     when there is nothing at all to run. The queue is shared, so a
+     waiting caller may run other fan-outs' jobs — every waiter is a
+     worker. *)
+  Mutex.lock t.mutex;
+  while fo.pending > 0 do
+    match Queue.take_opt t.queue with
+    | Some job ->
+        Mutex.unlock t.mutex;
+        Obs.incr c_steals;
+        job ();
+        Mutex.lock t.mutex
+    | None -> Condition.wait fo.finished t.mutex
+  done;
+  let failed = fo.failed in
+  Mutex.unlock t.mutex;
+  match failed with
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
+
+let parallel_for t ?chunk n f =
+  let size =
+    match chunk with
+    | Some c -> max 1 c
+    | None -> max 1 ((n + (t.jobs * 4) - 1) / (t.jobs * 4))
+  in
+  if t.jobs <= 1 || size >= n then inline n f else queued t ~size n f
+
+let parallel_map t ?chunk f xs =
+  let src = Array.of_list xs in
+  let out = Array.make (Array.length src) None in
+  parallel_for t ?chunk (Array.length src) (fun i -> out.(i) <- Some (f src.(i)));
+  List.init (Array.length src) (fun i -> Option.get out.(i))

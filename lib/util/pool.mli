@@ -1,93 +1,50 @@
-(** A fixed-size work pool over OCaml 5 domains (stdlib only).
+(** A fixed-size work pool over OCaml 5 domains (stdlib only), and the
+    one place that decides how a fan-out runs.
 
-    Worker domains are spawned once at pool creation and reused for
-    every subsequent batch; work is distributed as contiguous chunks
-    through a queue guarded by a mutex/condition pair. The submitting
-    thread participates in draining the queue while it waits, so
-    [parallel_map] may be called from inside a pool task (nested
-    parallelism) without deadlock.
+    A {e fan-out} is one {!parallel_for} or {!parallel_map} call; a
+    {e chunk} is the run of consecutive items one pool job takes. At
+    every pool size and every [chunk], a fan-out keeps one contract:
 
-    [parallel_map] preserves input order, making a parallel run's
-    output indistinguishable from the sequential one whenever the
-    mapped function is pure. With [jobs <= 1] every operation degrades
-    to a plain in-thread [map]/[iter] — the deterministic sequential
-    fallback. *)
+    - every item runs, even when others raise;
+    - afterwards, the exception of the lowest failing index is
+      re-raised with its backtrace (each captured exception counts
+      under [pool.job_exceptions]);
+    - on a one-lane pool, or when the items fit in one chunk, the
+      fan-out runs inline on the caller, in index order, and queues
+      nothing;
+    - spans a job opens ({!Hoiho_obs.Trace}) nest under the span the
+      fan-out started from, on whichever domain runs the job.
+
+    For a pure function, then, the result, the failure, the work
+    counters and the canonical span forest are the same at every pool
+    size, and callers never branch on it.
+
+    Worker domains are spawned on the first fan-out that queues work
+    and live for the process. A caller waiting on its fan-out helps
+    drain the shared queue, so a job may itself fan out on the same
+    pool without deadlock. *)
 
 type t
 
 val default_jobs : unit -> int
-(** The [HOIHO_JOBS] environment variable when set to a positive
-    integer, otherwise [Domain.recommended_domain_count () - 1]
-    (the submitting thread is one of the lanes), and at least 1. *)
-
-val create : ?jobs:int -> unit -> t
-(** Spawn a pool of [jobs] lanes ([jobs - 1] domains; the caller is the
-    last lane). Defaults to {!default_jobs}. *)
-
-val jobs : t -> int
+(** The [HOIHO_JOBS] environment variable when it is a positive
+    integer. Otherwise (unset, malformed, zero or negative)
+    [Domain.recommended_domain_count () - 1], since the calling thread
+    is one of the lanes, and at least 1. *)
 
 val get : int -> t
-(** A process-wide shared pool of the given size, spawned on first use
-    and reused afterwards. Prefer this to [create] on hot paths so
-    domains are spawned once per process. *)
-
-val parallel_map : t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving map. If any application raises, the first
-    exception (by completion time) is re-raised in the caller after the
-    batch drains. [chunk] fixes the number of items per pool job;
-    unset, items are split into a few chunks per lane. [chunk:1] makes
-    every item an independently stealable job — the right trade for
-    heavy, unevenly sized items. The result never depends on [chunk]. *)
-
-val parallel_map_array : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-
-val parallel_iter : t -> ?chunk:int -> ('a -> unit) -> 'a list -> unit
+(** The process-wide pool of [max 1 jobs] lanes: the caller plus
+    [jobs - 1] worker domains. Every call with the same size returns
+    the same pool. No domain is spawned until a fan-out queues work. *)
 
 val parallel_for : t -> ?chunk:int -> int -> (int -> unit) -> unit
-(** [parallel_for t n f] runs [f 0 .. f (n-1)], fanned out in contiguous
-    index chunks. With [jobs <= 1] it is a plain ascending [for] loop.
-    [f] must tolerate concurrent invocations on distinct indices (write
-    to disjoint slots, or only to atomics). *)
+(** [parallel_for t n f] runs [f 0 .. f (n-1)] under the contract
+    above. [chunk] fixes the items per job; unset, the items are split
+    into about four chunks per lane. [chunk:1] makes every item its own
+    stealable job, the right trade for heavy, unevenly sized items.
+    [f] must tolerate concurrent calls on distinct indices (write
+    disjoint slots, or only atomics). *)
 
-type batch
-(** A set of thunks submitted together; settled by {!await}. *)
-
-val submit : t -> (unit -> unit) array -> batch
-(** Enqueue every thunk and return without waiting. Thunks may begin
-    running (on worker domains) before [submit] returns. *)
-
-val await : t -> batch -> unit
-(** Block until every thunk of the batch has completed, helping drain
-    the pool's shared queue while waiting (so [await] from inside a pool
-    task cannot deadlock, and an idle waiter speeds other batches). If
-    any thunk raised, the first exception by completion time is
-    re-raised here. Each batch must be awaited at most once. *)
-
-type job_error =
-  | Exn of exn * Printexc.raw_backtrace
-      (** The job raised; counted under [pool.job_exceptions]. *)
-  | Timed_out
-      (** The job was never started because the batch deadline had
-          passed; counted under [pool.job_timeouts]. *)
-
-exception Job_timeout
-(** Raised by {!raise_job_error} for a {!Timed_out} job. *)
-
-val map_results :
-  t -> ?chunk:int -> ?timeout_ms:float -> ('a -> 'b) -> 'a list -> ('b, job_error) result list
-(** Order-preserving map with job-level fault capture: every item runs
-    to completion (or is skipped past the deadline) and yields its own
-    [Ok]/[Error] — no item's failure aborts the batch, and the result
-    list is identical at any [jobs] setting when [f] is pure. The
-    [timeout_ms] deadline (from call entry) is cooperative: it is
-    checked before each item starts, so a pathological item already
-    running is not preempted, but no further work is admitted once the
-    deadline passes. *)
-
-val raise_job_error : job_error -> 'a
-(** Re-raise a captured error: the original exception with its
-    backtrace, or {!Job_timeout}. *)
-
-val shutdown : t -> unit
-(** Signal workers to exit and join them. Only needed for pools made
-    with [create]; shared pools live for the process. *)
+val parallel_map : t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+(** Order-preserving map under the same contract and [chunk] rule as
+    {!parallel_for}. *)

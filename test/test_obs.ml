@@ -28,12 +28,10 @@ let test_counter_parallel () =
   let c = Obs.counter "test.obs.counter_parallel" in
   Obs.set_counter c 0;
   let pool = Pool.get 8 in
-  Pool.parallel_iter pool
-    (fun _ ->
+  Pool.parallel_for pool 32 (fun _ ->
       for _ = 1 to 1000 do
         Obs.incr c
-      done)
-    (List.init 32 Fun.id);
+      done);
   Alcotest.(check int) "no lost updates" 32_000 (Obs.count c)
 
 let test_gauge_high_water () =

@@ -1,13 +1,10 @@
 module Pool = Hoiho_util.Pool
+module Obs = Hoiho_obs.Obs
 
 let tc = Helpers.tc
 
-let with_pool jobs f =
-  let pool = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
-
 let test_map_preserves_order () =
-  with_pool 4 @@ fun pool ->
+  let pool = Pool.get 4 in
   let input = List.init 1000 Fun.id in
   Alcotest.(check (list int))
     "squares in input order"
@@ -17,26 +14,18 @@ let test_map_preserves_order () =
 let test_map_matches_sequential () =
   let input = List.init 257 (fun i -> Printf.sprintf "host%d.example.net" i) in
   let f s = String.uppercase_ascii s ^ "!" in
-  let seq = with_pool 1 (fun p -> Pool.parallel_map p f input) in
-  let par = with_pool 4 (fun p -> Pool.parallel_map p f input) in
+  let seq = Pool.parallel_map (Pool.get 1) f input in
+  let par = Pool.parallel_map (Pool.get 4) f input in
   Alcotest.(check (list string)) "jobs=1 and jobs=4 agree" seq par
 
-let test_map_array () =
-  with_pool 3 @@ fun pool ->
-  let input = Array.init 100 Fun.id in
-  Alcotest.(check (array int))
-    "array map in order"
-    (Array.map (fun x -> x + 1) input)
-    (Pool.parallel_map_array pool (fun x -> x + 1) input)
-
 let test_empty_and_singleton () =
-  with_pool 4 @@ fun pool ->
+  let pool = Pool.get 4 in
   Alcotest.(check (list int)) "empty" [] (Pool.parallel_map pool Fun.id []);
   Alcotest.(check (list int)) "singleton" [ 7 ]
     (Pool.parallel_map pool (fun x -> x + 1) [ 6 ])
 
 let test_exception_propagates () =
-  with_pool 4 @@ fun pool ->
+  let pool = Pool.get 4 in
   Alcotest.check_raises "first failure re-raised" (Failure "boom") (fun () ->
       ignore
         (Pool.parallel_map pool
@@ -47,7 +36,7 @@ let test_exception_propagates () =
     (Pool.parallel_map pool (fun x -> x + 1) [ 1; 2 ])
 
 let test_pool_reuse () =
-  with_pool 4 @@ fun pool ->
+  let pool = Pool.get 4 in
   for round = 1 to 5 do
     let input = List.init 100 (fun i -> (round * 1000) + i) in
     Alcotest.(check (list int))
@@ -59,12 +48,13 @@ let test_pool_reuse () =
 let test_shared_pool_is_shared () =
   Alcotest.(check bool) "Pool.get returns the same pool per size" true
     (Pool.get 2 == Pool.get 2);
-  Alcotest.(check int) "requested size" 2 (Pool.jobs (Pool.get 2))
+  Alcotest.(check bool) "sizes below 1 are the one-lane pool" true
+    (Pool.get 0 == Pool.get 1)
 
 let test_jobs1_fallback () =
-  (* jobs=1 must behave as a plain sequential map/iter, including
+  (* jobs=1 must behave as a plain sequential loop, including
      left-to-right evaluation order *)
-  with_pool 1 @@ fun pool ->
+  let pool = Pool.get 1 in
   let order = ref [] in
   let out =
     Pool.parallel_map pool
@@ -77,13 +67,13 @@ let test_jobs1_fallback () =
   Alcotest.(check (list int)) "applied left to right" [ 1; 2; 3; 4 ]
     (List.rev !order);
   let seen = ref [] in
-  Pool.parallel_iter pool (fun x -> seen := x :: !seen) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "iter in order" [ 1; 2; 3 ] (List.rev !seen)
+  Pool.parallel_for pool 3 (fun i -> seen := i :: !seen);
+  Alcotest.(check (list int)) "for in order" [ 0; 1; 2 ] (List.rev !seen)
 
 let test_nested_map () =
   (* a task submitting to the pool it runs on must not deadlock: the
      submitter helps drain the queue while it waits *)
-  with_pool 3 @@ fun pool ->
+  let pool = Pool.get 3 in
   let out =
     Pool.parallel_map pool
       (fun i -> Pool.parallel_map pool (fun j -> (i * 10) + j) [ 0; 1; 2 ])
@@ -97,77 +87,27 @@ let test_nested_map () =
 let test_default_jobs_positive () =
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
 
-(* project a map_results output into a comparable shape *)
-let verdicts results =
-  List.map
-    (function
-      | Ok v -> Printf.sprintf "ok:%d" v
-      | Error (Pool.Exn (e, _)) -> "exn:" ^ Printexc.to_string e
-      | Error Pool.Timed_out -> "timeout")
-    results
+let test_default_jobs_fallback () =
+  (* a malformed or non-positive HOIHO_JOBS falls back to the default,
+     as documented, not to 1. OCaml cannot unset a variable, so an
+     unset one is restored as "", which reads as unset. *)
+  let default = max 1 (Domain.recommended_domain_count () - 1) in
+  let saved = Sys.getenv_opt "HOIHO_JOBS" in
+  Fun.protect ~finally:(fun () -> Unix.putenv "HOIHO_JOBS" (Option.value saved ~default:""))
+  @@ fun () ->
+  List.iter
+    (fun v ->
+      Unix.putenv "HOIHO_JOBS" v;
+      Alcotest.(check int) (Printf.sprintf "HOIHO_JOBS=%S" v) default (Pool.default_jobs ()))
+    [ "abc"; "0"; "-3" ];
+  Unix.putenv "HOIHO_JOBS" " 3 ";
+  Alcotest.(check int) "a positive value is taken" 3 (Pool.default_jobs ())
 
-let test_map_results_captures () =
-  (* one bad item must not abort the batch: every other item completes
-     and the failure is reported in place, in input order *)
-  with_pool 4 @@ fun pool ->
-  let f x = if x mod 10 = 3 then failwith "bad" else x * 2 in
-  let results = Pool.map_results pool f (List.init 40 Fun.id) in
-  Alcotest.(check int) "every item has a verdict" 40 (List.length results);
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v ->
-          Alcotest.(check bool) "clean items succeed" true (i mod 10 <> 3 && v = i * 2)
-      | Error (Pool.Exn (Failure m, _)) ->
-          Alcotest.(check bool) "failures land on the bad items" true
-            (i mod 10 = 3 && m = "bad")
-      | Error _ -> Alcotest.fail "unexpected verdict")
-    results;
-  (* the pool survives and the captured error re-raises faithfully *)
-  Alcotest.check_raises "raise_job_error rethrows" (Failure "bad") (fun () ->
-      List.iter (function Error e -> Pool.raise_job_error e | Ok _ -> ()) results)
-
-let test_map_results_jobs_agnostic () =
-  (* the verdict list — including which items failed and with what —
-     is identical at jobs=1 and jobs=4 *)
-  let input = List.init 100 Fun.id in
-  let f x = if x mod 7 = 0 then invalid_arg (string_of_int x) else x + 1 in
-  let seq = with_pool 1 (fun p -> verdicts (Pool.map_results p f input)) in
-  let par = with_pool 4 (fun p -> verdicts (Pool.map_results p f input)) in
-  Alcotest.(check (list string)) "verdicts identical across jobs" seq par
-
-let spin_ms ms =
-  let t0 = Hoiho_obs.Obs.now_ms () in
-  while Hoiho_obs.Obs.now_ms () -. t0 < ms do
-    ignore (Sys.opaque_identity 0)
-  done
-
-let test_map_results_timeout () =
-  (* the deadline is cooperative: items already running finish, items
-     not yet started once it passes are skipped as Timed_out. With 2
-     lanes, 8 jobs of ~30 ms and a 15 ms budget, the first wave starts
-     in time and the tail cannot. *)
-  with_pool 2 @@ fun pool ->
-  let results =
-    Pool.map_results pool ~timeout_ms:15.0
-      (fun x ->
-        spin_ms 30.0;
-        x)
-      (List.init 8 Fun.id)
-  in
-  let ok = List.length (List.filter Result.is_ok results) in
-  let timed_out =
-    List.length (List.filter (function Error Pool.Timed_out -> true | _ -> false) results)
-  in
-  Alcotest.(check int) "every job has a verdict" 8 (ok + timed_out);
-  Alcotest.(check bool) "work admitted before the deadline" true (ok >= 1);
-  Alcotest.(check bool) "tail timed out" true (timed_out >= 1);
-  Alcotest.check_raises "timeout rethrows as Job_timeout" Pool.Job_timeout (fun () ->
-      List.iter (function Error e -> Pool.raise_job_error e | Ok _ -> ()) results)
+let chunk_name = function Some c -> string_of_int c | None -> "auto"
 
 let test_parallel_for_covers () =
   (* every index runs exactly once, at any chunking *)
-  with_pool 4 @@ fun pool ->
+  let pool = Pool.get 4 in
   List.iter
     (fun chunk ->
       let n = 257 in
@@ -176,22 +116,21 @@ let test_parallel_for_covers () =
       Array.iteri
         (fun i a ->
           Alcotest.(check int)
-            (Printf.sprintf "index %d ran once (chunk=%s)" i
-               (match chunk with Some c -> string_of_int c | None -> "auto"))
+            (Printf.sprintf "index %d ran once (chunk=%s)" i (chunk_name chunk))
             1 (Atomic.get a))
         hits)
     [ None; Some 1; Some 7; Some 1000 ]
 
 let test_parallel_for_jobs1_ascending () =
   (* the sequential fallback is a plain ascending for loop *)
-  with_pool 1 @@ fun pool ->
+  let pool = Pool.get 1 in
   let seen = ref [] in
   Pool.parallel_for pool 10 (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "ascending" (List.init 10 Fun.id) (List.rev !seen)
 
 let test_chunk_never_changes_results () =
   (* the documented contract: [chunk] is a scheduling knob only *)
-  with_pool 4 @@ fun pool ->
+  let pool = Pool.get 4 in
   let input = List.init 300 Fun.id in
   let expect = List.map (fun x -> x * x) input in
   List.iter
@@ -201,67 +140,72 @@ let test_chunk_never_changes_results () =
         (Pool.parallel_map pool ?chunk (fun x -> x * x) input))
     [ None; Some 1; Some 3; Some 512 ]
 
-let test_submit_await () =
-  (* thunks write to disjoint slots; await is the completion barrier *)
-  with_pool 4 @@ fun pool ->
-  let n = 64 in
-  let out = Array.make n (-1) in
-  let batch =
-    Pool.submit pool (Array.init n (fun i () -> out.(i) <- i * 10))
-  in
-  Pool.await pool batch;
-  Alcotest.(check (array int))
-    "all thunks completed"
-    (Array.init n (fun i -> i * 10))
-    out;
-  (* two in-flight batches settle independently *)
-  let a = Array.make 8 0 and b = Array.make 8 0 in
-  let ba = Pool.submit pool (Array.init 8 (fun i () -> a.(i) <- 1)) in
-  let bb = Pool.submit pool (Array.init 8 (fun i () -> b.(i) <- 2)) in
-  Pool.await pool bb;
-  Pool.await pool ba;
-  Alcotest.(check int) "batch a done" 8 (Array.fold_left ( + ) 0 a);
-  Alcotest.(check int) "batch b done" 16 (Array.fold_left ( + ) 0 b)
+let test_every_index_runs_on_failure () =
+  (* a raising item aborts neither its chunk nor the fan-out: every
+     other index still runs exactly once *)
+  List.iter
+    (fun (jobs, chunk) ->
+      let n = 100 in
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d chunk=%s re-raises" jobs (chunk_name chunk))
+        (Failure "item 2")
+        (fun () ->
+          Pool.parallel_for (Pool.get jobs) ?chunk n (fun i ->
+              Atomic.incr hits.(i);
+              if i mod 10 = 2 then failwith (Printf.sprintf "item %d" i)));
+      Array.iteri
+        (fun i a ->
+          Alcotest.(check int)
+            (Printf.sprintf "jobs=%d chunk=%s index %d ran once" jobs (chunk_name chunk) i)
+            1 (Atomic.get a))
+        hits)
+    (List.concat_map (fun jobs -> List.map (fun c -> (jobs, c)) [ None; Some 1; Some 7 ]) [ 1; 4 ])
 
-let test_await_reraises () =
-  with_pool 4 @@ fun pool ->
-  let batch =
-    Pool.submit pool
-      (Array.init 16 (fun i () -> if i = 11 then failwith "thunk boom"))
-  in
-  Alcotest.check_raises "await re-raises the thunk's exception"
-    (Failure "thunk boom")
-    (fun () -> Pool.await pool batch);
-  (* the pool survives the failed batch *)
-  Alcotest.(check (list int)) "pool usable after failure" [ 4; 5 ]
-    (Pool.parallel_map pool (fun x -> x + 1) [ 3; 4 ])
+let test_lowest_failure_wins () =
+  (* the reported failure is the lowest failing index, not the first to
+     fail in time: on a multi-lane pool, index 3 holds its failure back
+     until an item at index >= 40 has failed *)
+  List.iter
+    (fun jobs ->
+      let late_failed = Atomic.make false in
+      let f i =
+        if i = 3 then begin
+          let t0 = Unix.gettimeofday () in
+          while jobs > 1 && (not (Atomic.get late_failed)) && Unix.gettimeofday () -. t0 < 10.0 do
+            Domain.cpu_relax ()
+          done;
+          failwith "index 3"
+        end;
+        if i >= 40 then begin
+          Atomic.set late_failed true;
+          failwith (Printf.sprintf "index %d" i)
+        end;
+        i
+      in
+      Alcotest.check_raises (Printf.sprintf "jobs=%d" jobs) (Failure "index 3") (fun () ->
+          ignore (Pool.parallel_map (Pool.get jobs) ~chunk:1 f (List.init 64 Fun.id)));
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: a later index failed too" jobs)
+        true (Atomic.get late_failed))
+    [ 1; 2; 4 ]
 
-let test_submit_await_nested () =
-  (* awaiting from inside a pool task must help drain, not deadlock *)
-  with_pool 2 @@ fun pool ->
-  let out =
-    Pool.parallel_map pool ~chunk:1
-      (fun i ->
-        let acc = Array.make 4 0 in
-        let batch =
-          Pool.submit pool (Array.init 4 (fun j () -> acc.(j) <- (i * 10) + j))
-        in
-        Pool.await pool batch;
-        Array.fold_left ( + ) 0 acc)
-      (List.init 12 Fun.id)
-  in
-  Alcotest.(check (list int))
-    "nested submit/await results"
-    (List.init 12 (fun i -> (i * 40) + 6))
-    out
-
-let test_map_results_no_timeout_by_default () =
-  with_pool 2 @@ fun pool ->
-  let results = Pool.map_results pool (fun x -> x * x) (List.init 50 Fun.id) in
-  Alcotest.(check (list string))
-    "no deadline, all Ok, in order"
-    (List.init 50 (fun i -> Printf.sprintf "ok:%d" (i * i)))
-    (verdicts results)
+let test_one_chunk_runs_inline () =
+  (* a fan-out that fits in one chunk queues nothing, even on a 4-lane
+     pool: it runs on the caller's domain, in ascending order *)
+  let pool = Pool.get 4 in
+  let submitted () = Obs.count (Obs.counter "pool.jobs_submitted") in
+  let before = submitted () in
+  let caller = Domain.self () in
+  let seen = ref [] in
+  Pool.parallel_for pool ~chunk:16 16 (fun i -> seen := (i, Domain.self () = caller) :: !seen);
+  Alcotest.(check (list (pair int bool)))
+    "ascending, on the caller"
+    (List.init 16 (fun i -> (i, true)))
+    (List.rev !seen);
+  Alcotest.(check (list int)) "single item, auto chunk" [ 8 ]
+    (Pool.parallel_map pool (fun x -> x * 2) [ 4 ]);
+  Alcotest.(check int) "nothing queued" before (submitted ())
 
 let suites =
   [
@@ -269,7 +213,6 @@ let suites =
       [
         tc "map preserves order" test_map_preserves_order;
         tc "jobs=1 equals jobs=4" test_map_matches_sequential;
-        tc "array map" test_map_array;
         tc "empty and singleton" test_empty_and_singleton;
         tc "exception propagates" test_exception_propagates;
         tc "pool reuse across batches" test_pool_reuse;
@@ -277,15 +220,12 @@ let suites =
         tc "jobs=1 sequential fallback" test_jobs1_fallback;
         tc "nested map no deadlock" test_nested_map;
         tc "default jobs positive" test_default_jobs_positive;
+        tc "malformed HOIHO_JOBS uses the default" test_default_jobs_fallback;
         tc "parallel_for covers every index" test_parallel_for_covers;
         tc "parallel_for jobs=1 ascending" test_parallel_for_jobs1_ascending;
         tc "chunk never changes results" test_chunk_never_changes_results;
-        tc "submit and await" test_submit_await;
-        tc "await re-raises" test_await_reraises;
-        tc "nested submit/await no deadlock" test_submit_await_nested;
-        tc "map_results captures per job" test_map_results_captures;
-        tc "map_results jobs-agnostic verdicts" test_map_results_jobs_agnostic;
-        tc "map_results cooperative timeout" test_map_results_timeout;
-        tc "map_results no default deadline" test_map_results_no_timeout_by_default;
+        tc "every index runs when others raise" test_every_index_runs_on_failure;
+        tc "lowest failing index is re-raised" test_lowest_failure_wins;
+        tc "one chunk runs inline on the caller" test_one_chunk_runs_inline;
       ] );
   ]

@@ -8,6 +8,7 @@ module Serve = Hoiho_serve.Serve
 module Learned_io = Hoiho.Learned_io
 module Pipeline = Hoiho.Pipeline
 module Obs = Hoiho_obs.Obs
+module Trace = Hoiho_obs.Trace
 
 let tc = Helpers.tc
 
@@ -240,6 +241,56 @@ let test_tiny_cache_still_correct () =
   done;
   Alcotest.(check bool) "cache stayed bounded" true (Serve.cache_length s <= 2)
 
+let test_traced_fanout_nests_under_batch () =
+  (* 300 distinct uncached names are more than one 64-name chunk, so at
+     jobs=4 the misses are applied in pool jobs on other domains. Every
+     [apply] span still nests under the batch's span, and the canonical
+     forest is the one jobs=1 gives. *)
+  let _, model = Lazy.force fixture in
+  let sites = [| "lhr"; "fra"; "sea"; "ord" |] in
+  let names =
+    List.init 300 (fun i ->
+        Printf.sprintf "ae%d.cr%d.%s%d.example.net" i (i mod 7) sites.(i mod 4) (1 + (i mod 3)))
+  in
+  let run jobs =
+    let s = Serve.create model in
+    Trace.set_enabled false;
+    Trace.configure ();
+    Trace.set_enabled true;
+    let spans =
+      Fun.protect
+        ~finally:(fun () -> Trace.set_enabled false)
+        (fun () ->
+          ignore (Serve.apply_batch ~jobs s names);
+          Trace.spans ())
+    in
+    let named n = List.filter (fun (sp : Trace.span) -> sp.Trace.name = n) spans in
+    let batch =
+      match named "serve.batch" with
+      | [ b ] -> b
+      | l -> Alcotest.failf "jobs=%d: %d serve.batch spans" jobs (List.length l)
+    in
+    let applies = named "apply" in
+    Alcotest.(check int) (Printf.sprintf "jobs=%d: one apply span per name" jobs) 300
+      (List.length applies);
+    List.iter
+      (fun (sp : Trace.span) ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "jobs=%d: apply under serve.batch" jobs)
+          (Some batch.Trace.id) sp.Trace.parent)
+      applies;
+    Alcotest.(check bool)
+      (Printf.sprintf "jobs=%d: fanned out iff jobs > 1" jobs)
+      (jobs > 1)
+      (named "pool.batch" <> []);
+    Alcotest.(check int) "no drops" 0 (Trace.dropped ());
+    Trace.canonical spans
+  in
+  let c1 = run 1 in
+  let c4 = run 4 in
+  Trace.configure ();
+  Alcotest.(check bool) "jobs=1 and jobs=4 canonical forests equal" true (c1 = c4)
+
 let suites =
   [
     ( "serve-lru",
@@ -261,5 +312,6 @@ let suites =
         tc "batch keeps order, dedupes work" test_batch_order_and_duplicates;
         tc "jobs=1 and jobs=4 identical" test_jobs_determinism;
         tc "tiny cache never changes answers" test_tiny_cache_still_correct;
+        tc "traced fan-out nests under the batch" test_traced_fanout_nests_under_batch;
       ] );
   ]
