@@ -870,10 +870,10 @@ let perf () =
        health_plain_rps health_mon_rps health_overhead_pct);
   (* incremental relearn (Delta) vs batch on a ~10%-dirty corpus: one
      observation event per dirty group, then relearn only those groups
-     against the prior run — the output must encode byte-identically to
-     a from-scratch batch learn of the final corpus (metrics
-     normalized), and reusing the ~90% clean groups must be >= 3x
-     faster than redoing them *)
+     against the prior run's snapshot, as POST /observe does — the
+     output must encode byte-identically to a from-scratch batch learn
+     of the final corpus (metrics normalized), and reusing the ~90%
+     clean groups must be >= 3x faster than redoing them *)
   let groups = Dataset.by_suffix ds in
   let n_groups = List.length groups in
   let n_dirty = max 1 (n_groups / 10) in
@@ -896,24 +896,25 @@ let perf () =
     let ms = min ms0 (min (snd (time f)) (snd (time f))) in
     (x, ms)
   in
-  let (incr_run, incr_stats), incr_ms =
+  let model = Hoiho.Learned_io.of_pipeline par in
+  let (incr_model, incr_corpus, incr_stats), incr_ms =
     best_of_3 (fun () ->
-        match Hoiho.Delta.relearn ~jobs ~prior:par relearn_events with
-        | Ok pair -> pair
+        match
+          Hoiho.Delta.relearn_model ~jobs ~model ~corpus:ds relearn_events
+        with
+        | Ok r -> r
         | Error e -> failwith (Hoiho.Delta.error_to_string e))
   in
   let batch_run, batch_ms =
-    best_of_3 (fun () -> Pipeline.run ~db ~jobs incr_run.Pipeline.dataset)
+    best_of_3 (fun () -> Pipeline.run ~db ~jobs incr_corpus)
   in
-  let normalize_model p =
-    {
-      (Hoiho.Learned_io.of_pipeline p) with
-      Hoiho.Learned_io.metrics = Hoiho_util.Json.Obj [];
-    }
+  let normalize (m : Hoiho.Learned_io.t) =
+    { m with Hoiho.Learned_io.metrics = Hoiho_util.Json.Obj [] }
   in
   gate "relearn identity"
-    (Hoiho.Learned_io.encode (normalize_model incr_run)
-    = Hoiho.Learned_io.encode (normalize_model batch_run))
+    (Hoiho.Learned_io.encode (normalize incr_model)
+    = Hoiho.Learned_io.encode
+        (normalize (Hoiho.Learned_io.of_pipeline batch_run)))
     "incremental output encodes byte-identically to batch";
   let relearn_speedup = batch_ms /. incr_ms in
   gate ?unenforced:full_run_only "relearn speedup" (relearn_speedup >= 3.0)

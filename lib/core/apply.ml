@@ -34,10 +34,6 @@ let index models =
 
 let find = Hashtbl.find_opt
 
-let usable = function
-  | Ncsel.Good | Ncsel.Promising -> true
-  | Ncsel.Poor -> false
-
 (* decision-trace attrs: together exactly what [hoiho explain] prints *)
 
 let trace_groups groups =
@@ -103,7 +99,7 @@ let apply db index hostname =
       | None -> no_answer
       | Some suffix -> (
           match find index suffix with
-          | Some sm when usable sm.classification ->
+          | Some sm when Ncsel.usable sm.classification ->
               (* each candidate's span closes before the next opens, so
                  the spans of successive regexes are siblings *)
               Option.value ~default:no_answer

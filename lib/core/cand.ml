@@ -96,5 +96,3 @@ let dedup cands =
         true
       end)
     cands
-
-let pp fmt t = Format.fprintf fmt "%s [%a]" t.source Plan.pp t.plan

@@ -51,5 +51,3 @@ val equal_structure : t -> t -> bool
 
 val dedup : t list -> t list
 (** Remove structural duplicates, keeping first occurrences. *)
-
-val pp : Format.formatter -> t -> unit

@@ -112,6 +112,3 @@ let channel_consistent t (r : Router.t) channel loc =
 
 let city_consistent t r (city : Hoiho_geodb.City.t) =
   location_consistent t r city.Hoiho_geodb.City.coord
-
-let closest_vp_rtt _t (r : Router.t) =
-  match Router.min_ping_rtt r with Some (_, rtt) -> Some rtt | None -> None

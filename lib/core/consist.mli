@@ -54,6 +54,3 @@ val channel_consistent :
     disagreeing. This can: it is the cross-channel corroboration probe
     behind {!Confidence.stats_of_nc}. Vacuously true when the channel
     has no samples for the router. *)
-
-val closest_vp_rtt : t -> Hoiho_itdk.Router.t -> float option
-(** Smallest ping RTT, if any (figure 10a / 11 analyses). *)

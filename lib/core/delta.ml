@@ -350,12 +350,11 @@ let bump_counters stats =
   Obs.add c_relearned stats.groups_relearned;
   Obs.add c_reused stats.groups_reused
 
-let recompute consist db ?learn_geohints ?min_samples ?jobs todo =
+let recompute consist db ?jobs todo =
   Trace.with_span "relearn.run"
     ~attrs:[ ("dirty_groups", string_of_int (List.length todo)) ]
   @@ fun () ->
-  Obs.time h_run (fun () ->
-      Pipeline.run_groups consist db ?learn_geohints ?min_samples ?jobs todo)
+  Obs.time h_run (fun () -> Pipeline.run_groups consist db ?jobs todo)
 
 let index_results results =
   let tbl = Hashtbl.create (List.length results + 1) in
@@ -364,45 +363,6 @@ let index_results results =
       Hashtbl.replace tbl r.Pipeline.suffix r)
     results;
   tbl
-
-let relearn ?learn_geohints ?min_samples ?jobs ~(prior : Pipeline.t) events =
-  match apply prior.Pipeline.dataset events with
-  | Error e -> Error e
-  | Ok (ds, dirty) ->
-      let db = prior.Pipeline.db in
-      let consist = Consist.create ds in
-      let groups = Dataset.by_suffix ds in
-      let dirty_set = Hashtbl.create 16 in
-      List.iter (fun s -> Hashtbl.replace dirty_set s ()) dirty;
-      let prior_by_suffix = index_results prior.Pipeline.results in
-      (* a suffix with no prior result cannot be reused; with a
-         conservative dirty set this only happens for suffixes the
-         events introduced, which are already dirty *)
-      let is_dirty s =
-        Hashtbl.mem dirty_set s || not (Hashtbl.mem prior_by_suffix s)
-      in
-      let todo = List.filter (fun (s, _) -> is_dirty s) groups in
-      let fresh_by_suffix =
-        index_results
-          (recompute consist db ?learn_geohints ?min_samples ?jobs todo)
-      in
-      let results =
-        List.map
-          (fun (s, _) ->
-            if is_dirty s then Hashtbl.find fresh_by_suffix s
-            else Hashtbl.find prior_by_suffix s)
-          groups
-      in
-      let stats =
-        {
-          events = List.length events;
-          dirty;
-          groups_relearned = List.length todo;
-          groups_reused = List.length groups - List.length todo;
-        }
-      in
-      bump_counters stats;
-      Ok (Pipeline.make ds consist db results, stats)
 
 let relearn_model ?jobs ~(model : Learned_io.t) ~(corpus : Dataset.t) events =
   match apply corpus events with

@@ -1,18 +1,19 @@
 (** Incremental relearn: ingest a stream of hostname/RTT observation
     events, mark only the affected suffix groups dirty, and re-run the
-    pipeline over just those groups while reusing the prior results for
-    clean ones (the batch→streaming step of ROADMAP open item 2,
-    modeled on ip6neigh's event-driven monitor).
+    pipeline over just those groups while reusing the prior snapshot's
+    models for clean ones (the batch→streaming step of ROADMAP open
+    item 2, modeled on ip6neigh's event-driven monitor).
 
     The central guarantee is {b equivalence}: because each suffix
     group's result depends only on that group's routers, the VP set,
-    and the dictionary (see {!Pipeline.run_groups}), an incremental
-    relearn produces output identical to a from-scratch batch learn of
-    the final corpus — same results, same degraded sets, and a
-    {!Learned_io.encode} that is byte-identical modulo the wall-clock
-    metrics block — at every [jobs] setting. The drift test suite
+    and the dictionary (see {!Pipeline.run_groups}), {!relearn_model}
+    produces a snapshot whose {!Learned_io.encode} is byte-identical to
+    that of a from-scratch batch learn of the final corpus, modulo the
+    wall-clock metrics block, at every [jobs] setting. Its result is
+    again a valid prior, so relearns chain. The drift test suite
     (test/test_delta.ml) holds this property over seeded event streams
-    at jobs 1 and 4. *)
+    at jobs 1 and 4, and over the same streams relearned in two
+    steps. *)
 
 type event =
   | Upsert of Hoiho_itdk.Router.t
@@ -86,22 +87,6 @@ val events_of_string : string -> (event list, string) result
     not a list, unknown op, missing or mistyped field — is an [Error]
     naming the offending event index. Never raises. *)
 
-val relearn :
-  ?learn_geohints:bool ->
-  ?min_samples:int ->
-  ?jobs:int ->
-  prior:Pipeline.t ->
-  event list ->
-  (Pipeline.t * stats, error) result
-(** Incremental counterpart of {!Pipeline.run}: apply the events to the
-    prior run's corpus, recompute only the dirty suffix groups (with
-    the given options, which must match the prior run's for the
-    equivalence guarantee to hold), and reuse the prior [suffix_result]
-    for every clean group. The returned run is positioned exactly as
-    [Pipeline.run ~db ?learn_geohints ?min_samples ?jobs final_corpus]
-    would be, except its [metrics] snapshot reflects only the work
-    actually done. *)
-
 val relearn_model :
   ?jobs:int ->
   model:Learned_io.t ->
@@ -110,7 +95,8 @@ val relearn_model :
   (Learned_io.t * Hoiho_itdk.Dataset.t * stats, error) result
 (** Snapshot-level incremental relearn, for serving: [model] must be a
     default-options batch learn of [corpus] (what [hoiho learn] /
-    {!Learned_io.of_pipeline} produce). Applies the events, relearns
+    {!Learned_io.of_pipeline} produce), or an earlier [relearn_model]
+    result with the corpus it returned. Applies the events, relearns
     dirty groups against the model's own dictionary, and splices fresh
     suffix models over the carried-over ones in final-corpus order.
     The result encodes byte-identically to

@@ -61,8 +61,6 @@ let resolve_explained db ?learned (ex : Plan.extraction) =
       in
       ((if narrowed <> [] then narrowed else cities), Dictionary)
 
-let resolve db ?learned ex = fst (resolve_explained db ?learned ex)
-
 (* the stage-2 expectation this extraction corresponds to, if any *)
 let matching_tag (sample : Apparent.sample) hint =
   List.find_opt (fun (t : Apparent.tag) -> t.Apparent.hint = hint) sample.Apparent.tags
@@ -92,7 +90,7 @@ let eval_sample consist db ?learned (cand : Cand.t) (sample : Apparent.sample) =
           if missing_region then
             { sample; outcome = FN; extraction = Some ex; location = None }
           else begin
-            let cities = resolve db ?learned ex in
+            let cities = fst (resolve_explained db ?learned ex) in
             if cities = [] then
               { sample; outcome = UNK; extraction = Some ex; location = None }
             else begin
@@ -113,11 +111,6 @@ let eval_sample consist db ?learned (cand : Cand.t) (sample : Apparent.sample) =
                   }
             end
           end)
-
-let eval_cand consist db ?learned cand samples =
-  let hits = List.map (eval_sample consist db ?learned cand) samples in
-  let counts = List.fold_left (fun c h -> add_outcome c h.outcome) zero hits in
-  (counts, hits)
 
 (* candidate-scoring loops only rank by counts; skip building the hits
    list (each hit dies young instead of being retained) *)

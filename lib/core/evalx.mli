@@ -35,14 +35,6 @@ val eval_sample :
   Apparent.sample ->
   hit
 
-val eval_cand :
-  Consist.t ->
-  Hoiho_geodb.Db.t ->
-  ?learned:Learned.t ->
-  Cand.t ->
-  Apparent.sample list ->
-  counts * hit list
-
 val eval_cand_counts :
   Consist.t ->
   Hoiho_geodb.Db.t ->
@@ -50,20 +42,12 @@ val eval_cand_counts :
   Cand.t ->
   Apparent.sample list ->
   counts
-(** {!eval_cand} without materializing the hits list — for scoring
-    loops that only rank candidates by counts. *)
+(** The outcomes of {!eval_sample} over [samples], counted without
+    materializing the hits — for scoring loops that only rank
+    candidates by counts. *)
 
 val unique_tp_hints : hit list -> string list
 (** Distinct hint strings among TP hits. *)
-
-val resolve :
-  Hoiho_geodb.Db.t ->
-  ?learned:Learned.t ->
-  Plan.extraction ->
-  Hoiho_geodb.City.t list
-(** Candidate locations for an extraction: the learned overlay first,
-    then the reference dictionary filtered by any extracted country and
-    state codes. *)
 
 type provenance = Overlay | Dictionary
 
@@ -74,5 +58,8 @@ val resolve_explained :
   ?learned:Learned.t ->
   Plan.extraction ->
   Hoiho_geodb.City.t list * provenance
-(** {!resolve} plus where the answer came from — the decision traces of
-    [hoiho explain] record which rule supplied the geohint. *)
+(** Candidate locations for an extraction: the learned overlay first,
+    then the reference dictionary filtered by any extracted country and
+    state codes (unfiltered when the filter leaves nothing). The
+    provenance says which of the two supplied them; the decision traces
+    of [hoiho explain] record it. *)

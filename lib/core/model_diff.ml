@@ -36,8 +36,6 @@ type t = {
   diffs : suffix_diff list;
 }
 
-let is_empty t = t.diffs = [] && not t.dictionary_changed
-
 (* support: routers corroborating the learned overlay — the sum of TP
    counts across entries, the churn signal the Longitudinal study
    tracks (a convention losing support is rotting) *)

@@ -45,9 +45,6 @@ val diff : Learned_io.t -> Learned_io.t -> t
     entries (compared in stable sorted order) differ; metrics blocks
     are ignored — two learns of the same corpus diff empty. *)
 
-val is_empty : t -> bool
-(** No per-suffix diffs and an unchanged dictionary. *)
-
 val to_json : t -> Hoiho_util.Json.t
 (** Deterministic JSON view (suffixes and hints in sorted order; cities
     identified by {!Hoiho_geodb.City.key}). *)

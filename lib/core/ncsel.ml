@@ -237,4 +237,4 @@ let classify nc =
   else if nc.unique_hints >= 3 && ppv >= 0.8 then Promising
   else Poor
 
-let usable nc = match classify nc with Good | Promising -> true | Poor -> false
+let usable = function Good | Promising -> true | Poor -> false

@@ -44,8 +44,9 @@ val classify : t -> classification
 (** good: ≥3 unique hints and PPV ≥ 0.9; promising: ≥3 and PPV ≥ 0.8;
     poor otherwise. *)
 
-val usable : t -> bool
-(** good or promising. *)
+val usable : classification -> bool
+(** good or promising: the one rule for which classified NCs are
+    applied ({!Apply.apply}) and counted ({!Pipeline.usable}). *)
 
 val seed_count : int
 (** Number of top-ranked candidates used as set-building seeds. *)

@@ -77,15 +77,6 @@ let suffix_model_of_result r =
         }
   | _ -> None
 
-let make dataset consist db results =
-  let index =
-    match Apply.index (List.filter_map suffix_model_of_result results) with
-    | Ok index -> index
-    | Error (_, suffix) ->
-        invalid_arg (Printf.sprintf "Pipeline.make: duplicate suffix %S" suffix)
-  in
-  { dataset; consist; db; results; index; metrics = Obs.snapshot () }
-
 let run_suffix_exn consist db ~learn_geohints ?jobs ~suffix routers =
   let samples =
     stage "apparent" (fun () ->
@@ -190,18 +181,14 @@ let run_suffix consist db ?(learn_geohints = true) ?jobs ~suffix routers =
    pool's helping scheduler makes the nesting deadlock-free. Results
    are returned in input-group order and are bit-identical across
    [jobs] settings. Shared by [run] (all groups) and
-   [Delta.relearn] (the dirty groups only). *)
-let run_groups consist db ?(learn_geohints = true) ?(min_samples = 1) ?jobs
-    groups =
+   [Delta.relearn_model] (the dirty groups only). *)
+let run_groups consist db ?(learn_geohints = true) ?jobs groups =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let run_group (suffix, routers) =
     Trace.with_span "pipeline.suffix" ~attrs:[ ("suffix", suffix) ]
     @@ fun () ->
     Obs.time h_suffix (fun () ->
-        let result = run_suffix consist db ~learn_geohints ~jobs ~suffix routers in
-        if result.n_tagged < min_samples then
-          { result with nc = None; classification = None; stats = None }
-        else result)
+        run_suffix consist db ~learn_geohints ~jobs ~suffix routers)
   in
   (* LPT submission order: the fattest groups go onto the queue first
      so one huge suffix can't land last and serialize the tail of the
@@ -222,7 +209,7 @@ let run_groups consist db ?(learn_geohints = true) ?(min_samples = 1) ?jobs
       slots.(i) <- Some (run_group arr.(i)));
   Array.to_list (Array.map Option.get slots)
 
-let run ?db ?(learn_geohints = true) ?(min_samples = 1) ?jobs dataset =
+let run ?db ?(learn_geohints = true) ?jobs dataset =
   let db = match db with Some db -> db | None -> Db.default () in
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let consist = Consist.create dataset in
@@ -235,15 +222,16 @@ let run ?db ?(learn_geohints = true) ?(min_samples = 1) ?jobs dataset =
       ]
   @@ fun () ->
   let results =
-    Obs.time h_run (fun () ->
-        run_groups consist db ~learn_geohints ~min_samples ~jobs groups)
+    Obs.time h_run (fun () -> run_groups consist db ~learn_geohints ~jobs groups)
   in
-  make dataset consist db results
+  (* by_suffix yields each suffix once, so indexing cannot fail *)
+  let index =
+    Result.get_ok (Apply.index (List.filter_map suffix_model_of_result results))
+  in
+  { dataset; consist; db; results; index; metrics = Obs.snapshot () }
 
 let usable r =
-  match r.classification with
-  | Some Ncsel.Good | Some Ncsel.Promising -> true
-  | _ -> false
+  match r.classification with Some c -> Ncsel.usable c | None -> false
 
 let find t suffix = List.find_opt (fun r -> r.suffix = suffix) t.results
 

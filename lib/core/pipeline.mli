@@ -40,7 +40,7 @@ type t = {
   index : Apply.index;
       (** the servable projection of [results]
           ({!suffix_model_of_result}), indexed once for
-          {!geolocate_conf}. Built by {!make}; a record update of
+          {!geolocate_conf} when {!run} finishes; a record update of
           [results] leaves it describing the old results. *)
   metrics : Hoiho_obs.Obs.snapshot;
       (** observability snapshot taken when the run finished: per-stage
@@ -57,27 +57,14 @@ val suffix_model_of_result : suffix_result -> Apply.suffix_model option
     {!Learned_io.of_pipeline} and {!Delta.relearn_model}, so in-process
     and served answers come from the same models. *)
 
-val make :
-  Hoiho_itdk.Dataset.t ->
-  Consist.t ->
-  Hoiho_geodb.Db.t ->
-  suffix_result list ->
-  t
-(** Assemble a run from its results: index the servable suffixes and
-    take the {!Hoiho_obs.Obs} snapshot now. The constructor behind
-    {!run} and {!Delta.relearn}. Raises [Invalid_argument] if two
-    results share a suffix. *)
-
 val run :
   ?db:Hoiho_geodb.Db.t ->
   ?learn_geohints:bool ->
-  ?min_samples:int ->
   ?jobs:int ->
   Hoiho_itdk.Dataset.t ->
   t
 (** [learn_geohints:false] disables stage 4 (used by the ablation
-    experiment). [min_samples] (default 1) skips suffixes with fewer
-    tagged hostnames. [jobs] (default {!Hoiho_util.Pool.default_jobs},
+    experiment). [jobs] (default {!Hoiho_util.Pool.default_jobs},
     i.e. the [HOIHO_JOBS] env var or cores − 1) fans the independent
     suffix groups — and candidate evaluation within each — out over a
     shared domain pool. Results are deterministic: any [jobs] value
@@ -87,13 +74,12 @@ val run_groups :
   Consist.t ->
   Hoiho_geodb.Db.t ->
   ?learn_geohints:bool ->
-  ?min_samples:int ->
   ?jobs:int ->
   (string * Hoiho_itdk.Router.t list) list ->
   suffix_result list
 (** Run the per-suffix pipeline over an explicit list of suffix groups,
     returning results in input-group order. This is the fan-out core of
-    {!run}, exposed so {!Delta.relearn} can drive it over just the
+    {!run}, exposed so {!Delta.relearn_model} can drive it over just the
     dirty groups: given the same [consist]/[db]/options, each group's
     result depends only on that group's routers (the per-suffix stages
     never look across groups), so recomputing a subset yields results
@@ -111,7 +97,7 @@ val run_suffix :
 (** The per-suffix pipeline, exposed for examples and tests. *)
 
 val usable : suffix_result -> bool
-(** Classified good or promising. *)
+(** Classified, and {!Ncsel.usable}. *)
 
 val find : t -> string -> suffix_result option
 

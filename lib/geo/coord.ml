@@ -17,5 +17,4 @@ let distance_km a b =
   in
   2.0 *. earth_radius_km *. asin (sqrt (Float.min 1.0 h))
 
-let equal a b = a.lat = b.lat && a.lon = b.lon
 let pp fmt { lat; lon } = Format.fprintf fmt "(%.4f, %.4f)" lat lon

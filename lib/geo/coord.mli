@@ -13,6 +13,4 @@ val make : lat:float -> lon:float -> t
 val distance_km : t -> t -> float
 (** Great-circle distance in kilometres. *)
 
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit

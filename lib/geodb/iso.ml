@@ -109,10 +109,6 @@ let states_of = function
 let state_name ~cc code =
   List.assoc_opt (String.lowercase_ascii code) (states_of (String.lowercase_ascii cc))
 
-let is_state ~cc code = state_name ~cc code <> None
-
-let all_countries = countries
-
 let all_states =
   List.concat_map
     (fun cc -> List.map (fun (code, name) -> (cc, code, name)) (states_of cc))

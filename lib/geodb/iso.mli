@@ -19,13 +19,8 @@ val state_name : cc:string -> string -> string option
 (** [state_name ~cc:"us" "va"] is [Some "virginia"]. Covers US states,
     Canadian provinces and Australian states/territories. *)
 
-val is_state : cc:string -> string -> bool
-
 val is_any_state : string -> bool
 (** True if the code is a subdivision of any covered country. *)
-
-val all_countries : (string * string) list
-(** (code, name) pairs. *)
 
 val all_states : (string * string * string) list
 (** (country, code, name) triples. *)

@@ -6,5 +6,3 @@ type t = {
 }
 
 let make ~id ~name ~city_key ~coord = { id; name; city_key; coord }
-
-let pp fmt t = Format.fprintf fmt "%s" t.name

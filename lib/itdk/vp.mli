@@ -10,5 +10,3 @@ type t = {
 }
 
 val make : id:int -> name:string -> city_key:string -> coord:Hoiho_geo.Coord.t -> t
-
-val pp : Format.formatter -> t -> unit

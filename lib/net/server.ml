@@ -84,9 +84,9 @@ type t = {
      coalescing hint *)
   active : int Atomic.t;
   explain_mutex : Mutex.t;
-  (* serializes /observe: relearn-and-swap must see a consistent
-     (corpus, model) pair. Guarded by [relearn_mutex]. *)
-  relearn_mutex : Mutex.t;
+  (* serializes model swaps (see [swap]); [serve] is written and
+     [corpus] read or written only under it *)
+  swap_mutex : Mutex.t;
   mutable corpus : Dataset.t option;
   mutable accepters : unit Domain.t list;
   mutable housekeeper : unit Domain.t option;
@@ -375,6 +375,26 @@ let handle_metrics ctx fd =
     ~status:200
     (Obs.to_openmetrics (Obs.snapshot ()))
 
+(* The one model swap, behind /reload, SIGHUP and /observe alike.
+   [next] maps the serving model and the retained corpus to the server
+   and corpus to install, under [swap_mutex]: a reload that lands while
+   an /observe relearns waits for it and then replaces its result, and
+   an /observe never lays a relearn of the old model over a reloaded
+   one. Lookups never take the lock; they keep serving the old model
+   until the one atomic store. The drift baseline follows the serving
+   model: its answers are judged against ITS expected profile. *)
+let swap t next =
+  Mutex.lock t.swap_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.swap_mutex) @@ fun () ->
+  match next (Atomic.get t.serve) t.corpus with
+  | Error _ as e -> e
+  | Ok (serve, corpus, v) ->
+      t.corpus <- corpus;
+      Atomic.set t.serve serve;
+      Health.set_expected_profile t.monitor
+        (Serve.model serve).Learned_io.calibration;
+      Ok v
+
 let do_reload t path =
   match Learned_io.load path with
   | Error e ->
@@ -382,14 +402,13 @@ let do_reload t path =
       Error (Learned_io.error_to_string e)
   | Ok model ->
       (* build the new server (dictionary resolution, suffix index,
-         fresh LRU) before the swap: serving never blocks on a decode,
-         and no cache entry learned under the old model survives *)
-      Atomic.set t.serve (Serve.create model);
-      (* the drift baseline follows the serving model: answers from the
-         new snapshot are judged against ITS expected profile *)
-      Health.set_expected_profile t.monitor model.Learned_io.calibration;
+         fresh LRU) before taking the lock: a reload never holds up an
+         /observe with a decode, and no cache entry learned under the
+         old model survives. The retained corpus stays. *)
+      let serve = Serve.create model in
+      let swapped = swap t (fun _ corpus -> Ok (serve, corpus, ())) in
       Obs.incr c_reloads;
-      Ok ()
+      swapped
 
 let handle_reload t ctx fd req =
   let path =
@@ -408,45 +427,41 @@ let handle_reload t ctx fd req =
    Delta wire events is applied to the retained corpus, only the dirty
    suffix groups are relearned against the serving model's own
    dictionary, and the result is swapped in with the warm cache carried
-   over minus the dirty suffixes' entries (Serve.rebuild). The mutex
-   serializes observes so every relearn sees a consistent
-   (corpus, model) pair; lookups keep serving the old model
-   throughout — the swap is one atomic store, exactly like /reload. *)
+   over minus the dirty suffixes' entries (Serve.rebuild). The relearn
+   runs inside [swap], so it sees the (corpus, model) pair the last
+   swap left, and no other swap lands until it is installed. *)
 let handle_observe t ctx fd req =
-  Mutex.lock t.relearn_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.relearn_mutex) @@ fun () ->
-  match t.corpus with
-  | None ->
+  let relearn serve = function
+    | None -> Error "no corpus configured (start with --corpus)"
+    | Some corpus -> (
+        match Delta.events_of_string req.Http.body with
+        | Error msg -> Error ("bad events: " ^ msg)
+        | Ok events -> (
+            match
+              Delta.relearn_model ~jobs:t.cfg.jobs ~model:(Serve.model serve)
+                ~corpus events
+            with
+            | Error e -> Error ("bad events: " ^ Delta.error_to_string e)
+            | Ok (model', corpus', stats) ->
+                Ok
+                  ( Serve.rebuild ~dirty:stats.Delta.dirty serve model',
+                    Some corpus',
+                    stats )))
+  in
+  match swap t relearn with
+  | Error msg ->
       Obs.incr c_observe_failures;
-      respond ctx fd ~status:400 "no corpus configured (start with --corpus)\n"
-  | Some corpus -> (
-      match Delta.events_of_string req.Http.body with
-      | Error msg ->
-          Obs.incr c_observe_failures;
-          respond ctx fd ~status:400 ("bad events: " ^ msg ^ "\n")
-      | Ok events -> (
-          let model = Serve.model (Atomic.get t.serve) in
-          match Delta.relearn_model ~jobs:t.cfg.jobs ~model ~corpus events with
-          | Error e ->
-              Obs.incr c_observe_failures;
-              respond ctx fd ~status:400
-                ("bad events: " ^ Delta.error_to_string e ^ "\n")
-          | Ok (model', corpus', stats) ->
-              t.corpus <- Some corpus';
-              Atomic.set t.serve
-                (Serve.rebuild ~dirty:stats.Delta.dirty (Atomic.get t.serve)
-                   model');
-              Health.set_expected_profile t.monitor
-                model'.Learned_io.calibration;
-              Obs.incr c_observes;
-              Obs.add c_observe_events stats.Delta.events;
-              respond ctx fd ~status:200
-                (Printf.sprintf
-                   "relearned: %d events, %d dirty suffixes, %d groups \
-                    relearned, %d reused\n"
-                   stats.Delta.events
-                   (List.length stats.Delta.dirty)
-                   stats.Delta.groups_relearned stats.Delta.groups_reused)))
+      respond ctx fd ~status:400 (msg ^ "\n")
+  | Ok stats ->
+      Obs.incr c_observes;
+      Obs.add c_observe_events stats.Delta.events;
+      respond ctx fd ~status:200
+        (Printf.sprintf
+           "relearned: %d events, %d dirty suffixes, %d groups relearned, \
+            %d reused\n"
+           stats.Delta.events
+           (List.length stats.Delta.dirty)
+           stats.Delta.groups_relearned stats.Delta.groups_reused)
 
 (* --- health & debug endpoints (DESIGN.md §14) --- *)
 
@@ -811,7 +826,7 @@ let start ?(config = default_config) ?corpus model =
       reload_flag = Atomic.make false;
       active;
       explain_mutex = Mutex.create ();
-      relearn_mutex = Mutex.create ();
+      swap_mutex = Mutex.create ();
       corpus;
       accepters = [];
       housekeeper = None;

@@ -39,8 +39,9 @@
       the result in with the warm cache carried over minus the dirty
       suffixes' entries ({!Hoiho_serve.Serve.rebuild}). Malformed
       bodies and unknown router ids get typed 400s; without a
-      configured corpus every /observe is a 400. Observes are
-      serialized; lookups keep serving the old model until the swap.
+      configured corpus every /observe is a 400. The relearn runs
+      inside the one model swap (see below); lookups keep serving the
+      old model until it is installed.
 
     Input boundary: every hostname is normalized exactly once, with
     {!Hoiho_util.Strutil.normalize_hostname}, at the request boundary,
@@ -50,14 +51,18 @@
     byte-identical to in-process {!Hoiho.Pipeline.geolocate} on the
     same raw string.
 
-    Hot reload: the new snapshot is decoded and a fresh
-    {!Hoiho_serve.Serve.t} built off-path, then swapped in with one
-    atomic store. The LRU lives inside the [Serve.t], so the swap
-    also replaces the cache — stale entries (negative ones included)
-    cannot survive a model change. In-flight batches finish on the
-    server they started with. Every model swap also swaps the
-    expected calibration profile the drift monitor compares served
-    confidences against.
+    Model swaps: [POST /reload], {!request_reload} and [POST /observe]
+    install their model through one function, under one mutex, with
+    one atomic store; lookups never take the lock. A reload decodes
+    the new snapshot and builds a fresh {!Hoiho_serve.Serve.t}
+    off-path and outside the lock. An /observe relearns inside it, so
+    a reload that lands during the relearn waits, then replaces the
+    relearned model rather than being overwritten by it. The LRU
+    lives inside the [Serve.t], so a reload also replaces the cache —
+    stale entries (negative ones included) cannot survive a model
+    change. In-flight batches finish on the server they started with.
+    Every model swap also swaps the expected calibration profile the
+    drift monitor compares served confidences against.
 
     Observability: every response carries an [X-Request-Id] header
     (the client's, when sane, else a generated one), which is also a
@@ -110,7 +115,10 @@ val start : ?config:config -> ?corpus:Hoiho_itdk.Dataset.t -> Hoiho.Learned_io.t
     [corpus] backs [POST /observe]; it must be the corpus the served
     model was (default-options) learned from, or the
     incremental-equivalence contract of {!Hoiho.Delta} does not apply.
-    Without it /observe is disabled. Raises [Unix.Unix_error] if the
+    The daemon then retains the corpus each /observe produces. A
+    reload leaves that corpus in place, so a reloaded snapshot keeps
+    /observe batch-equivalent only if it was learned from it. Without
+    [corpus] /observe is disabled. Raises [Unix.Unix_error] if the
     address cannot be bound. *)
 
 val port : t -> int

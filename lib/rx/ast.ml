@@ -131,4 +131,3 @@ and node_to_string = function
   | Alt alts -> "(?:" ^ String.concat "|" (List.map to_string alts) ^ ")"
 
 let equal (a : t) (b : t) = a = b
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -59,5 +59,3 @@ val to_string : t -> string
 
 val equal : t -> t -> bool
 (** Structural equality. *)
-
-val pp : Format.formatter -> t -> unit

@@ -503,11 +503,6 @@ let exec_unfiltered t s =
     let st = mstate_of t s in
     if try_every t st then Some (extract t st) else None
 
-let exec_groups t s =
-  match exec t s with
-  | None -> None
-  | Some arr -> Some (Array.to_list arr |> List.filter_map (fun x -> x))
-
 let matches t s =
   subject_ok s
   &&

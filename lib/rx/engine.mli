@@ -50,10 +50,6 @@ val exec_unfiltered : t -> string -> string option array option
     retried at every start offset. For differential testing and
     benchmarking; agrees with {!exec} on every input. *)
 
-val exec_groups : t -> string -> string list option
-(** Like {!exec} but returns only the captured strings of groups that
-    participated, in order. *)
-
 val matches : t -> string -> bool
 (** [exec t s <> None] without materializing capture strings. *)
 

@@ -195,8 +195,11 @@ let test_classify_thresholds () =
   Alcotest.(check bool) "promising" true (Ncsel.classify (mk 85 15 5) = Ncsel.Promising);
   Alcotest.(check bool) "poor ppv" true (Ncsel.classify (mk 70 30 5) = Ncsel.Poor);
   Alcotest.(check bool) "poor unique" true (Ncsel.classify (mk 90 0 2) = Ncsel.Poor);
-  Alcotest.(check bool) "usable good" true (Ncsel.usable (mk 90 5 5));
-  Alcotest.(check bool) "not usable poor" false (Ncsel.usable (mk 90 0 2))
+  Alcotest.(check bool) "usable good" true (Ncsel.usable (Ncsel.classify (mk 90 5 5)));
+  Alcotest.(check bool) "usable promising" true
+    (Ncsel.usable (Ncsel.classify (mk 85 15 5)));
+  Alcotest.(check bool) "not usable poor" false
+    (Ncsel.usable (Ncsel.classify (mk 90 0 2)))
 
 let suites =
   [

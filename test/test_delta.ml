@@ -2,14 +2,16 @@
 
    The load-bearing property is the jobs-invariant equivalence
    guarantee (DESIGN.md §12): for any event stream, relearning only
-   the dirty suffix groups over the prior run produces a model whose
-   metrics-normalized Learned_io encoding is byte-identical to a
-   from-scratch batch learn of the final corpus — at jobs 1 and at
-   jobs 4, with identical degraded sets and identical stats. A 500-case
-   qcheck property holds this over seeded random event streams; the
-   table-driven cases pin the conservative dirty-set contract, corpus
-   order preservation, the wire codec, and the serving-side
-   negative-cache invalidation that makes the incremental swap sound. *)
+   the dirty suffix groups over the prior snapshot
+   (Delta.relearn_model) produces a model whose metrics-normalized
+   Learned_io encoding is byte-identical to a from-scratch batch learn
+   of the final corpus — at jobs 1 and at jobs 4, with identical stats,
+   and also when the stream is relearned in two chained steps, the way
+   the daemon chains POST /observe. A 500-case qcheck property holds
+   this over seeded random event streams; the table-driven cases pin
+   the conservative dirty-set contract, corpus order preservation, the
+   wire codec, and the serving-side negative-cache invalidation that
+   makes the incremental swap sound. *)
 
 module Delta = Hoiho.Delta
 module Pipeline = Hoiho.Pipeline
@@ -44,20 +46,19 @@ let small_config =
     p_responsive_unnamed = 0.8;
   }
 
+(* the corpus, its dictionary, and the batch-learned snapshot every
+   relearn starts from *)
 let fixture =
   lazy
     (let ds, truth = Generate.generate small_config in
      let db = Truth.db truth in
-     (ds, db, Pipeline.run ~db ~jobs:1 ds))
+     (ds, db, Learned_io.of_pipeline (Pipeline.run ~db ~jobs:1 ds)))
 
 let normalize m = { m with Learned_io.metrics = Json.Obj [] }
-let enc p = Learned_io.encode (normalize (Learned_io.of_pipeline p))
+let enc m = Learned_io.encode (normalize m)
 
-let degraded_set (p : Pipeline.t) =
-  List.filter_map
-    (fun (r : Pipeline.suffix_result) ->
-      Option.map (fun d -> (r.Pipeline.suffix, d)) r.Pipeline.degraded)
-    p.Pipeline.results
+let enc_batch db corpus =
+  enc (Learned_io.of_pipeline (Pipeline.run ~db ~jobs:1 corpus))
 
 let ok_or_fail = function
   | Ok v -> v
@@ -134,9 +135,9 @@ let gen_stream seed ds =
           Delta.Remove id
       | _ -> upsert_new r)
 
-let prop_incremental_equals_batch seed =
-  let _ds, db, prior = Lazy.force fixture in
-  let events = gen_stream seed prior.Pipeline.dataset in
+let prop_incremental_equals_batch (seed, split) =
+  let ds, db, model = Lazy.force fixture in
+  let events = gen_stream seed ds in
   (* the wire codec must be the identity on observable events *)
   let events =
     match Delta.events_of_string (Delta.events_to_string events) with
@@ -146,31 +147,44 @@ let prop_incremental_equals_batch seed =
         decoded
     | Error msg -> QCheck.Test.fail_reportf "wire decode failed: %s" msg
   in
-  let run jobs =
-    match Delta.relearn ~jobs ~prior events with
-    | Ok pair -> pair
+  let relearn ~jobs ~model ~corpus events =
+    match Delta.relearn_model ~jobs ~model ~corpus events with
+    | Ok r -> r
     | Error e ->
         QCheck.Test.fail_reportf "relearn failed: %s" (Delta.error_to_string e)
   in
-  let p1, s1 = run 1 in
-  let p4, s4 = run 4 in
+  let m1, corpus, s1 = relearn ~jobs:1 ~model ~corpus:ds events in
+  let m4, _, s4 = relearn ~jobs:4 ~model ~corpus:ds events in
   if s1 <> s4 then QCheck.Test.fail_report "stats differ between jobs 1 and 4";
-  let batch = Pipeline.run ~db ~jobs:1 p1.Pipeline.dataset in
-  if degraded_set p1 <> degraded_set batch then
-    QCheck.Test.fail_report "degraded sets diverge from batch";
-  let e1 = enc p1 and e4 = enc p4 and eb = enc batch in
-  if e1 <> eb then
-    QCheck.Test.fail_reportf "incremental (jobs 1) diverges from batch\nevents: %s"
-      (Delta.events_to_string events);
-  if e4 <> eb then
-    QCheck.Test.fail_reportf "incremental (jobs 4) diverges from batch\nevents: %s"
-      (Delta.events_to_string events);
+  let eb = enc_batch db corpus in
+  let check what m =
+    if enc m <> eb then
+      QCheck.Test.fail_reportf "%s diverges from batch\nevents: %s" what
+        (Delta.events_to_string events)
+  in
+  check "incremental (jobs 1)" m1;
+  check "incremental (jobs 4)" m4;
+  (* the same stream in two steps: the first step's model and corpus
+     are the second's prior *)
+  let k = split mod (List.length events + 1) in
+  let m_mid, corpus_mid, _ =
+    relearn ~jobs:2 ~model ~corpus:ds (List.filteri (fun i _ -> i < k) events)
+  in
+  let m2, corpus2, _ =
+    relearn ~jobs:2 ~model:m_mid ~corpus:corpus_mid
+      (List.filteri (fun i _ -> i >= k) events)
+  in
+  if corpus2 <> corpus then
+    QCheck.Test.fail_reportf "two-step corpus differs (split at %d)" k;
+  check (Printf.sprintf "two-step relearn (split at %d)" k) m2;
   true
 
 let qcheck_equivalence =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:500 ~name:"incremental relearn ≡ batch (jobs 1 and 4)"
-       QCheck.small_nat prop_incremental_equals_batch)
+    (QCheck.Test.make ~count:500
+       ~name:"incremental relearn ≡ batch (jobs 1 and 4, and chained)"
+       QCheck.(pair small_nat small_nat)
+       prop_incremental_equals_batch)
 
 (* --- the corpus order, against the list code it replaced --- *)
 
@@ -398,8 +412,8 @@ let test_wire_rejects_malformed () =
 (* --- relearn stats and counters --- *)
 
 let test_relearn_stats_and_counters () =
-  let _ds, _db, prior = Lazy.force fixture in
-  let r0 = prior.Pipeline.dataset.Dataset.routers.(0) in
+  let ds, _db, model = Lazy.force fixture in
+  let r0 = ds.Dataset.routers.(0) in
   let suffix =
     match Hoiho_psl.Psl.registered_suffix (List.hd r0.Router.hostnames) with
     | Some s -> s
@@ -410,14 +424,16 @@ let test_relearn_stats_and_counters () =
         { router = r0.Router.id; hostname = "probe0.cr1." ^ suffix } ]
   in
   Obs.reset ();
-  let p', stats = ok_or_fail (Delta.relearn ~jobs:1 ~prior events) in
-  let n_groups = List.length prior.Pipeline.results in
+  let _, corpus', stats =
+    ok_or_fail (Delta.relearn_model ~jobs:1 ~model ~corpus:ds events)
+  in
+  let n_groups = List.length (Dataset.by_suffix ds) in
   Alcotest.(check int) "events counted" 1 stats.Delta.events;
   Alcotest.(check (list string)) "dirty set" [ suffix ] stats.Delta.dirty;
   Alcotest.(check int) "one group relearned" 1 stats.Delta.groups_relearned;
   Alcotest.(check int) "the rest reused" (n_groups - 1) stats.Delta.groups_reused;
-  Alcotest.(check int) "result count unchanged" n_groups
-    (List.length p'.Pipeline.results);
+  Alcotest.(check int) "group count unchanged" n_groups
+    (List.length (Dataset.by_suffix corpus'));
   let snap = Obs.snapshot () in
   let counter name =
     match Obs.find_counter snap name with
@@ -431,18 +447,14 @@ let test_relearn_stats_and_counters () =
     (counter "relearn.groups_reused")
 
 let test_relearn_model_matches_batch () =
-  let _ds, db, prior = Lazy.force fixture in
-  let model = Learned_io.of_pipeline prior in
-  let events = gen_stream 7 prior.Pipeline.dataset in
+  let ds, db, model = Lazy.force fixture in
+  let events = gen_stream 7 ds in
   let model', corpus', stats =
-    ok_or_fail
-      (Delta.relearn_model ~jobs:1 ~model ~corpus:prior.Pipeline.dataset events)
+    ok_or_fail (Delta.relearn_model ~jobs:1 ~model ~corpus:ds events)
   in
   Alcotest.(check bool) "something was dirty" true (stats.Delta.dirty <> []);
-  let batch = Learned_io.of_pipeline (Pipeline.run ~db ~jobs:1 corpus') in
   Alcotest.(check string) "snapshot-level incremental ≡ batch"
-    (Learned_io.encode (normalize batch))
-    (Learned_io.encode (normalize model'))
+    (enc_batch db corpus') (enc model')
 
 (* --- satellite 4: negative-cache invalidation on incremental swap --- *)
 

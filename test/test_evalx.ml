@@ -113,7 +113,8 @@ let test_eval_cand_aggregates () =
   let ds = Helpers.dataset routers vps in
   let consist = Consist.create ds in
   let samples = Apparent.build_samples consist db ~suffix:"example.net" routers in
-  let counts, hits = Evalx.eval_cand consist db iata_cand samples in
+  let counts = Evalx.eval_cand_counts consist db iata_cand samples in
+  let hits = List.map (Evalx.eval_sample consist db iata_cand) samples in
   Alcotest.(check int) "both TP" 2 counts.Evalx.tp;
   Alcotest.(check (list string)) "unique hints" [ "fra"; "lhr" ]
     (Evalx.unique_tp_hints hits)
@@ -124,27 +125,29 @@ let test_resolve_overlay () =
   Learned.add learned
     { Learned.hint = "ash"; hint_type = Plan.Iata; city = ashburn; tp = 4; fp = 0; collides = true };
   let ex = { Plan.hint = "ash"; hint_type = Plan.Iata; cc = None; state = None } in
-  (match Evalx.resolve db ~learned ex with
-  | [ c ] -> Alcotest.check Helpers.check_city "overlay wins" ashburn c
-  | _ -> Alcotest.fail "expected exactly the learned city");
+  (match Evalx.resolve_explained db ~learned ex with
+  | [ c ], Evalx.Overlay -> Alcotest.check Helpers.check_city "overlay wins" ashburn c
+  | _ -> Alcotest.fail "expected exactly the learned city, from the overlay");
   (* without the overlay, the dictionary interpretation (Nashua) rules *)
-  match Evalx.resolve db ex with
-  | [ c ] -> Alcotest.(check string) "dictionary" "nashua" c.Hoiho_geodb.City.name
-  | _ -> Alcotest.fail "expected nashua"
+  match Evalx.resolve_explained db ex with
+  | [ c ], Evalx.Dictionary ->
+      Alcotest.(check string) "dictionary" "nashua" c.Hoiho_geodb.City.name
+  | _ -> Alcotest.fail "expected nashua, from the dictionary"
 
 let test_resolve_cc_filter () =
   (* "washington" with state=dc narrows to the capital *)
   let ex =
     { Plan.hint = "washington"; hint_type = Plan.CityName; cc = None; state = Some "dc" }
   in
-  (match Evalx.resolve db ex with
+  (match fst (Evalx.resolve_explained db ex) with
   | [ c ] -> Alcotest.(check (option string)) "dc" (Some "dc") c.Hoiho_geodb.City.state
   | cities -> Alcotest.failf "expected 1 city, got %d" (List.length cities));
   (* a cc that matches nothing falls back to the unfiltered set *)
   let ex2 =
     { Plan.hint = "washington"; hint_type = Plan.CityName; cc = Some "jp"; state = None }
   in
-  Alcotest.(check bool) "fallback" true (List.length (Evalx.resolve db ex2) > 1)
+  Alcotest.(check bool) "fallback" true
+    (List.length (fst (Evalx.resolve_explained db ex2)) > 1)
 
 let suites =
   [

@@ -278,13 +278,16 @@ let test_drift_events () =
             (Delta.error_to_string e));
       (* and the incremental relearn across the epoch matches batch *)
       let _, p1 = Lazy.force fixture in
-      (match Delta.relearn ~jobs:4 ~prior:p1 events with
-      | Ok (incr, _) ->
+      (match
+         Delta.relearn_model ~jobs:4 ~model:(Learned_io.of_pipeline p1)
+           ~corpus:p1.Pipeline.dataset events
+       with
+      | Ok (incr, _, _) ->
           let batch = Pipeline.run ~jobs:4 ds2 in
           Alcotest.(check string)
             "incremental relearn across the drift epoch ≡ batch"
             (Learned_io.encode (normalize (Learned_io.of_pipeline batch)))
-            (Learned_io.encode (normalize (Learned_io.of_pipeline incr)))
+            (Learned_io.encode (normalize incr))
       | Error e ->
           Alcotest.failf "incremental relearn across the epoch failed: %s"
             (Delta.error_to_string e))

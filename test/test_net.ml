@@ -781,6 +781,92 @@ let test_observe_relearn_mid_stream () =
               Alcotest.(check string) "clean suffix unchanged"
                 (pinned_e ^ "\n") body))
 
+(* A reload that lands while an /observe relearns. OTHER is the served
+   snapshot minus the probe hostname's suffix model, and the observed
+   events dirty every group but that suffix. Whichever swap goes first,
+   the probe's suffix model then comes from OTHER (reloaded, or carried
+   over clean by a relearn of OTHER), so once both requests return the
+   probe answers "-" as OTHER does. The reload is sent at several
+   delays spread over the relearn, each against a fresh daemon. *)
+let test_reload_during_observe () =
+  let p, model, _ = Lazy.force fixture in
+  let ds = p.Pipeline.dataset in
+  let probe, probe_expected, suffix =
+    match
+      List.find_map
+        (fun (h, e) ->
+          if is_negative e then None
+          else Option.map (fun s -> (h, e, s)) (Psl.registered_suffix h))
+        (corpus_lines ())
+    with
+    | Some v -> v
+    | None -> Alcotest.fail "corpus has no geolocated hostname"
+  in
+  let other =
+    {
+      model with
+      Learned_io.suffixes =
+        List.filter
+          (fun (sm : Learned_io.suffix_model) -> sm.Learned_io.suffix <> suffix)
+          model.Learned_io.suffixes;
+    }
+  in
+  let other_path = Filename.temp_file "hoiho_net_other" ".hoiho.json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove other_path with Sys_error _ -> ())
+  @@ fun () ->
+  Learned_io.save other_path other;
+  (* one new name on one router of every other group, never on a router
+     that also has a name under the probe's suffix *)
+  let events =
+    Dataset.by_suffix ds
+    |> List.filter_map (fun (s, routers) ->
+           if s = suffix then None
+           else
+             List.find_opt
+               (fun r -> not (List.mem suffix (Router.suffixes r)))
+               routers
+             |> Option.map (fun (r : Router.t) ->
+                    Delta.Add_hostname
+                      { router = r.Router.id; hostname = "observed.cr1." ^ s }))
+  in
+  (match Delta.apply ds events with
+  | Ok (_, dirty) ->
+      Alcotest.(check bool) "the probe's suffix stays clean" false
+        (List.mem suffix dirty);
+      Alcotest.(check int) "every other group is dirty"
+        (List.length (Dataset.by_suffix ds) - 1)
+        (List.length dirty)
+  | Error e -> Alcotest.failf "events do not apply: %s" (Delta.error_to_string e));
+  let events_json = Delta.events_to_string events in
+  let geolocate port =
+    let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode probe) in
+    Alcotest.(check int) "geolocate status" 200 status;
+    body
+  in
+  List.iter
+    (fun delay_s ->
+      with_server ~config:small_config ~corpus:ds model (fun _ port ->
+          Alcotest.(check string) "the served model answers the probe"
+            (probe_expected ^ "\n") (geolocate port);
+          let observer =
+            Domain.spawn (fun () ->
+                request ~meth:"POST" ~body:events_json port "/observe")
+          in
+          Unix.sleepf delay_s;
+          let status, body, _ =
+            request ~meth:"POST" port
+              ("/reload?model=" ^ Http.pct_encode other_path)
+          in
+          let observe_status, observe_body, _ = Domain.join observer in
+          if status <> 200 then Alcotest.failf "reload failed (%d): %s" status body;
+          if observe_status <> 200 then
+            Alcotest.failf "observe failed (%d): %s" observe_status observe_body;
+          Alcotest.(check string)
+            (Printf.sprintf "reload sent %.0f ms into the observe wins"
+               (delay_s *. 1000.0))
+            "-\t0.000\n" (geolocate port)))
+    [ 0.0; 0.01; 0.02; 0.04; 0.06; 0.09 ]
+
 let test_observe_unconfigured () =
   let _, model, _ = Lazy.force fixture in
   with_server ~config:small_config model (fun _ port ->
@@ -1170,6 +1256,8 @@ let suites =
         Helpers.tc "observe relearns mid-stream on a keep-alive connection"
           test_observe_relearn_mid_stream;
         Helpers.tc "observe without a corpus" test_observe_unconfigured;
+        Helpers.tc "reload during an observe relearn is kept"
+          test_reload_during_observe;
         Helpers.tc "chaos clients" test_chaos_clients;
         Helpers.tc "metrics content type" test_metrics_content_type;
         Helpers.tc "request ids echoed and generated" test_request_id;

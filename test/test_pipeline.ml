@@ -113,13 +113,6 @@ let test_learning_toggle () =
         (nc_on.Ncsel.counts.Hoiho.Evalx.tp >= nc_off.Ncsel.counts.Hoiho.Evalx.tp)
   | _ -> Alcotest.fail "expected NCs in both runs"
 
-let test_min_samples_filter () =
-  let ds, _, _ = Helpers.suffix_fixture [ (Helpers.city "london" "gb", "lhr", 1) ] in
-  let p = Pipeline.run ~min_samples:10 ds in
-  match p.Pipeline.results with
-  | [ r ] -> Alcotest.(check bool) "filtered out" true (r.Pipeline.nc = None)
-  | _ -> Alcotest.fail "expected one suffix"
-
 let test_find () =
   let ds, _, _ = Helpers.suffix_fixture good_sites in
   let p = Pipeline.run ds in
@@ -202,7 +195,6 @@ let suites =
         tc "full run and geolocate" test_full_run_and_geolocate;
         tc "geolocated routers" test_geolocated_routers;
         tc "learning toggle" test_learning_toggle;
-        tc "min samples filter" test_min_samples_filter;
         tc "find" test_find;
         tc "parallel determinism" test_parallel_determinism;
         tc "metrics determinism" test_metrics_determinism;
