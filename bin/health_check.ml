@@ -6,6 +6,8 @@
      health_check CLI_EXE MODEL ACCESS_LOG SLO_SNAPSHOT
 
    Asserts, in order:
+   - `hoiho health URL` against a listener that never accepts gives up
+     on its own deadline and exits 2;
    - a clean daemon under the tight SLO answers /healthz 200 "ok";
    - `hoiho health URL` (the CLI probe) exits 0 against it;
    - a burst of injected faults (404 storms tripping the error_rate
@@ -20,15 +22,32 @@
 
 open Daemon_client
 
-let run_probe cli url =
+(* `hoiho health URL`'s exit code. A probe still running after 15 s is
+   killed and fails the check (with [daemon], if given), so a probe that
+   hangs fails CI rather than hanging it. *)
+let run_probe ?daemon cli url =
+  let fail m =
+    match daemon with Some pid -> fail_daemon pid "%s" m | None -> die "%s" m
+  in
   let pid =
     Unix.create_process cli
       [| cli; "health"; url |]
       Unix.stdin Unix.stdout Unix.stderr
   in
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED n -> n
-  | _, _ -> die "health probe died on a signal"
+  let deadline = Unix.gettimeofday () +. 15.0 in
+  let rec wait () =
+    match Unix.waitpid [ WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.05;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        fail (Printf.sprintf "`hoiho health %s` still running after 15 s" url)
+    | _, WEXITED n -> n
+    | _, _ -> fail "health probe died on a signal"
+  in
+  wait ()
 
 let () =
   let cli, model, access_path, snapshot_path =
@@ -38,6 +57,21 @@ let () =
   in
   let cli = if String.contains cli '/' then cli else "./" ^ cli in
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
+  (* phase 0: the kernel completes the handshake into the backlog of a
+     listener that never accepts, so the probe's request is sent and
+     never answered *)
+  let silent = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind silent (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen silent 8;
+  let silent_url =
+    match Unix.getsockname silent with
+    | ADDR_INET (_, p) -> Printf.sprintf "http://127.0.0.1:%d" p
+    | ADDR_UNIX _ -> die "listener has no port"
+  in
+  (match run_probe cli silent_url with
+  | 2 -> ()
+  | n -> die "probe of a listener that never accepts exited %d (want 2)" n);
+  Unix.close silent;
   (* a tight SLO: a short 2 s window so the state machine transitions
      fast, and an error_rate budget any 404 storm tramples *)
   let slo_path = Filename.temp_file "hoiho_health_slo" ".json" in
@@ -64,7 +98,7 @@ let () =
   let status, body = request port "/healthz" in
   if status <> 200 || body <> "ok\n" then
     fail_daemon pid "clean /healthz: status %d body %S" status body;
-  (match run_probe cli url with
+  (match run_probe ~daemon:pid cli url with
   | 0 -> ()
   | n -> fail_daemon pid "healthy probe exited %d (want 0)" n);
   (* phase 2: fault injection — a 404 storm burns the error budget *)
@@ -88,7 +122,7 @@ let () =
   let oc = open_out snapshot_path in
   output_string oc slo_body;
   close_out oc;
-  (match run_probe cli url with
+  (match run_probe ~daemon:pid cli url with
   | 1 -> ()
   | n -> fail_daemon pid "failing probe exited %d (want 1)" n);
   (* phase 3: stop the fault load; the bad requests age out of the 2 s
@@ -104,7 +138,7 @@ let () =
     end
   in
   await_recovery ();
-  (match run_probe cli url with
+  (match run_probe ~daemon:pid cli url with
   | 0 -> ()
   | n -> fail_daemon pid "recovered probe exited %d (want 0)" n);
   (* clean shutdown, then audit the access log *)
@@ -132,6 +166,7 @@ let () =
   if not (contains raw "\"degraded\":true") then
     die "access log never flagged a request served while degraded";
   Printf.printf
-    "health_check: OK — healthz 200 -> 503 (error_rate named) -> 200 on port \
-     %d, CLI probe exit codes 0/1/0, %d access-log lines audited\n"
+    "health_check: OK — silent listener probe exit 2, healthz 200 -> 503 \
+     (error_rate named) -> 200 on port %d, CLI probe exit codes 0/1/0, %d \
+     access-log lines audited\n"
     port (List.length lines)

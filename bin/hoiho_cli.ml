@@ -523,22 +523,6 @@ let serve_cmd =
             "Accept-loop domains (and apply parallelism). Defaults to the \
              worker-pool default (HOIHO_JOBS or the core count).")
   in
-  let batch_max =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "batch-max" ] ~docv:"N"
-          ~doc:"Coalesce at most $(docv) hostnames into one apply batch.")
-  in
-  let batch_wait =
-    Arg.(
-      value
-      & opt float 1.0
-      & info [ "batch-wait-ms" ] ~docv:"MS"
-          ~doc:
-            "Hold a forming batch open for up to $(docv) ms after its first \
-             hostname while more requests are in flight.")
-  in
   let max_pending =
     Arg.(
       value
@@ -590,8 +574,7 @@ let serve_cmd =
              endpoint, status, latency, batch size, cache hit, confidence, \
              shed/degraded flags), rotated by size to $(docv).1.")
   in
-  let run model_path corpus slo access_log port host jobs batch_max batch_wait
-      max_pending timeout =
+  let run model_path corpus slo access_log port host jobs max_pending timeout =
     let model = load_model_or_die model_path in
     let slo =
       match slo with
@@ -611,8 +594,6 @@ let serve_cmd =
           (match jobs with
           | Some j -> max 1 j
           | None -> Hoiho_util.Pool.default_jobs ());
-        max_batch = max 1 batch_max;
-        max_wait_ms = Float.max 0.0 batch_wait;
         max_pending = max 1 max_pending;
         request_timeout_s = Float.max 0.05 timeout;
         model_path = Some model_path;
@@ -665,12 +646,16 @@ let serve_cmd =
           snapshot atomically without dropping traffic.")
     Term.(
       const run $ model_path $ corpus $ slo $ access_log $ port $ host $ jobs
-      $ batch_max $ batch_wait $ max_pending $ timeout)
+      $ max_pending $ timeout)
 
 (* --- health --- *)
 
 (* a deliberately tiny HTTP/1.1 client: one GET, read to EOF. The probe
-   must not share code with the daemon it is checking. *)
+   must not share code with the daemon it is checking. Its socket gives
+   up after the daemon's default request deadline, so a daemon that
+   accepts but never answers cannot hang it. *)
+let probe_timeout_s = Hoiho_net.Server.default_config.request_timeout_s
+
 let probe_healthz url =
   let strip_prefix p s =
     if String.length s >= String.length p
@@ -709,6 +694,8 @@ let probe_healthz url =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO probe_timeout_s;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO probe_timeout_s;
       Unix.connect fd (Unix.ADDR_INET (addr, port));
       let req =
         Printf.sprintf
@@ -754,6 +741,10 @@ let health_cmd =
   in
   let run url =
     match probe_healthz url with
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINPROGRESS), _, _) ->
+        Printf.eprintf "hoiho: health: %s did not answer within the %g s timeout\n"
+          url probe_timeout_s;
+        exit 2
     | exception e ->
         Printf.eprintf "hoiho: health: %s unreachable: %s\n" url
           (Printexc.to_string e);
@@ -765,10 +756,13 @@ let health_cmd =
   Cmd.v
     (Cmd.info "health"
        ~doc:
-         "Probe a running daemon's /healthz and print the evaluated state. \
-          Exits 0 when healthy (200), 1 when degraded service reports \
-          failing (503), 2 when the daemon is unreachable — ready for \
-          scripting and orchestration liveness checks.")
+         (Printf.sprintf
+            "Probe a running daemon's /healthz and print the evaluated \
+             state. Exits 0 when healthy (200), 1 when degraded service \
+             reports failing (503), 2 when the daemon is unreachable or \
+             does not answer within %g s — ready for scripting and \
+             orchestration liveness checks."
+            probe_timeout_s))
     Term.(const run $ url)
 
 (* --- explain --- *)

@@ -490,13 +490,7 @@ let db t =
 let save path t = Hoiho_obs.Obs.write_file_atomic path (encode t ^ "\n")
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | s -> decode s
   | exception Sys_error msg -> Error (Syntax msg)
 

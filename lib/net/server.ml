@@ -39,8 +39,6 @@ type config = {
   host : string;
   port : int;
   jobs : int;
-  max_batch : int;
-  max_wait_ms : float;
   max_pending : int;
   request_timeout_s : float;
   model_path : string option;
@@ -55,8 +53,6 @@ let default_config =
     host = "127.0.0.1";
     port = 0;
     jobs = Pool.default_jobs ();
-    max_batch = 64;
-    max_wait_ms = 1.0;
     max_pending = 1024;
     request_timeout_s = 5.0;
     model_path = None;
@@ -792,8 +788,7 @@ let start ?(config = default_config) ?corpus model =
             failwith (Printf.sprintf "access log %s: %s" path msg))
   in
   let batcher =
-    Batcher.create ~max_batch:config.max_batch ~max_wait_ms:config.max_wait_ms
-      ~max_pending:config.max_pending
+    Batcher.create ~max_pending:config.max_pending
       ~more_hint:(fun () -> Atomic.get active)
       ~apply:(fun keys ->
         let answers =

@@ -82,8 +82,6 @@ type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port, see {!port} *)
   jobs : int;  (** accept domains; also the apply parallelism *)
-  max_batch : int;  (** coalescing cap, hostnames per batch *)
-  max_wait_ms : float;  (** coalescing window after the first ticket *)
   max_pending : int;  (** admission bound; beyond it requests get 503 *)
   request_timeout_s : float;  (** per-request read deadline *)
   model_path : string option;  (** snapshot to re-read on reload *)
@@ -101,10 +99,11 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:0, jobs = {!Hoiho_util.Pool.default_jobs}, max_batch 64,
-    max_wait_ms 1.0, max_pending 1024, request_timeout_s 5.0, no model
-    path, default objectives over a 60 s window (5 s × 12 buckets), no
-    access log. Request bodies are capped at
+(** 127.0.0.1:0, jobs = {!Hoiho_util.Pool.default_jobs}, max_pending
+    1024, request_timeout_s 5.0, no model path, default objectives over
+    a 60 s window (5 s × 12 buckets), no access log. Request coalescing
+    uses {!Batcher.create}'s defaults: at most 64 hostnames per batch,
+    held open at most 1 ms. Request bodies are capped at
     {!Http.default_limits}'s [max_body] (1 MiB), and an access log rotates
     at {!Access_log.create}'s default (16 MiB). *)
 

@@ -1,128 +1,86 @@
-type prog =
-  | PLit of char
-  | PStr of string  (* a coalesced run of literal characters *)
-  | PCls of Bytes.t  (* 256-byte membership bitmap *)
-  | PAny
-  | PBol
-  | PEol
-  | PRepGreedy1 of prog * int * int option
-      (* greedy repetition of a group-free width-1 atom: consume
-         maximally, then retreat by plain position arithmetic *)
-  | PRepPoss1 of prog * int * int option
-      (* possessive repetition of a group-free width-1 atom *)
-  | PRep of prog * int * int option * Ast.greed
-  | PGrp of int * prog list
-  | PAlt of prog list list
-
-(* the execution form: every node is linked to its continuation at
+(* the one compiled form: every node is linked to its continuation at
    COMPILE time, so the matcher is one closure-free recursive function
    over pure data — no per-exec continuation closures, and [t] stays
    safely comparable with polymorphic equality (results-identity checks
    compare whole pipelines, candidates included). The continuation
-   instruction is shared across alternation branches, making this a
-   DAG, never a cycle. *)
+   instruction is shared across alternation branches, and a general
+   repetition's body ends in the constant [ILoop] rather than pointing
+   back at its [IRep], so the program is a DAG, never a cycle. *)
 type atom = ALit of char | ACls of Bytes.t | AAny
 
 type instr =
   | IAccept
   | ILit of char * instr
-  | IStr of string * instr
-  | ICls of Bytes.t * instr
+  | IStr of string * instr  (* a coalesced run of literal characters *)
+  | ICls of Bytes.t * instr  (* 256-byte membership bitmap *)
   | IAny of instr
   | IBol of instr
   | IEol of instr
   | IGrpStart of int * instr  (* continues into the inner chain *)
   | IGrpEnd of int * instr
   | IAlt of instr array
-  | IRepG1 of atom * int * int * instr  (* max_int encodes "unbounded" *)
-  | IRepP1 of atom * int * int * instr
-  | IRepDyn of prog * int * int option * instr
-      (* general repetition (e.g. over a capture group): rare, takes the
-         closure-allocating CPS path below *)
+  | IRepG1 of atom * int * int * instr
+      (* greedy repetition of a width-1 atom; max_int encodes
+         "unbounded" *)
+  | IRepP1 of atom * int * int * instr  (* possessive, width-1 atom *)
+  | IRep of rep
+      (* any other repetition: over a group, an alternation, or
+         anything containing another repetition *)
+  | ILoop  (* end of a [rep] body: resume the innermost repetition *)
 
-type t = {
-  prog : prog list;
-  instr : instr;
-  ngroups : int;
-  ast : Ast.t;
-  pf : Prefilter.t;
-}
+and rep = { body : instr; min : int; max : int; next : instr }
+
+type t = { instr : instr; ngroups : int; ast : Ast.t; pf : Prefilter.t }
 
 let compile ast =
-  let counter = ref 0 in
-  (* consecutive literal characters collapse into one PStr so the hot
-     loop compares a substring per program node instead of entering the
-     CPS matcher once per character *)
-  let rec seq nodes =
+  let atom = function
+    | Ast.Lit c -> Some (ALit c)
+    | Ast.Cls c -> Some (ACls (Ast.cls_bitmap c))
+    | Ast.Any -> Some AAny
+    | _ -> None
+  in
+  (* groups number left to right, outside in, as in conventional
+     engines, but linking runs right to left: [g] is the number of the
+     first group in [nodes] *)
+  let rec link g nodes next =
     match nodes with
-    | Ast.Lit a :: (Ast.Lit _ :: _ as rest0) ->
-        let buf = Buffer.create 8 in
-        Buffer.add_char buf a;
-        let rec take = function
-          | Ast.Lit c :: rest ->
-              Buffer.add_char buf c;
-              take rest
-          | rest -> rest
+    | [] -> next
+    | Ast.Lit _ :: Ast.Lit _ :: _ ->
+        (* consecutive literal characters collapse into one [IStr] so
+           the hot loop compares a substring per instruction *)
+        let rec lits acc = function
+          | Ast.Lit c :: rest -> lits (c :: acc) rest
+          | rest -> (String.of_seq (List.to_seq (List.rev acc)), rest)
         in
-        let rest = take rest0 in
-        let p = PStr (Buffer.contents buf) in
-        p :: seq rest
-    | n :: rest ->
-        (* bind before consing: group numbering must be left-to-right,
-           and cons arguments evaluate right-to-left *)
-        let p = node n in
-        p :: seq rest
-    | [] -> []
-  and node = function
-    | Ast.Lit c -> PLit c
-    | Ast.Cls c -> PCls (Ast.cls_bitmap c)
-    | Ast.Any -> PAny
-    | Ast.Bol -> PBol
-    | Ast.Eol -> PEol
-    | Ast.Rep (n, min, max, g) -> (
-        match (node n, g) with
-        (* width-1 group-free atoms get the closure-free paths; anything
-           wrapping a capture group must take the general CPS path so
-           its captures are recorded *)
-        | ((PLit _ | PCls _ | PAny) as p), Ast.Greedy -> PRepGreedy1 (p, min, max)
-        | ((PLit _ | PCls _ | PAny) as p), Ast.Possessive -> PRepPoss1 (p, min, max)
-        | p, _ -> PRep (p, min, max, g))
-    | Ast.Grp inner ->
-        let idx = !counter in
-        incr counter;
-        (* number this group before descending so numbering is
-           left-to-right outside-in, as in conventional engines *)
-        PGrp (idx, seq inner)
-    | Ast.Alt alts -> PAlt (List.map seq alts)
-  in
-  let prog = seq ast in
-  let atom_of = function
-    | PLit c -> ALit c
-    | PCls bm -> ACls bm
-    | PAny -> AAny
-    | _ -> assert false (* PRepGreedy1/PRepPoss1 only wrap these *)
-  in
-  let bound = function Some m -> m | None -> max_int in
-  let rec link items next =
-    match items with [] -> next | it :: rest -> link_node it (link rest next)
-  and link_node it next =
-    match it with
-    | PLit c -> ILit (c, next)
-    | PStr s -> IStr (s, next)
-    | PCls bm -> ICls (bm, next)
-    | PAny -> IAny next
-    | PBol -> IBol next
-    | PEol -> IEol next
-    | PGrp (i, inner) -> IGrpStart (i, link inner (IGrpEnd (i, next)))
-    | PAlt alts -> IAlt (Array.of_list (List.map (fun a -> link a next) alts))
-    | PRepGreedy1 (p, mn, mx) -> IRepG1 (atom_of p, mn, bound mx, next)
-    | PRepPoss1 (p, mn, mx) -> IRepP1 (atom_of p, mn, bound mx, next)
-    | PRep (p, mn, mx, _) -> IRepDyn (p, mn, mx, next)
+        let lit, rest = lits [] nodes in
+        IStr (lit, link g rest next)
+    | n :: rest -> node g n (link (g + Ast.count_groups [ n ]) rest next)
+  and node g n next =
+    match n with
+    | Ast.Lit c -> ILit (c, next)
+    | Ast.Cls c -> ICls (Ast.cls_bitmap c, next)
+    | Ast.Any -> IAny next
+    | Ast.Bol -> IBol next
+    | Ast.Eol -> IEol next
+    | Ast.Grp inner -> IGrpStart (g, link (g + 1) inner (IGrpEnd (g, next)))
+    | Ast.Alt alts ->
+        let rec branches g = function
+          | [] -> []
+          | a :: rest -> link g a next :: branches (g + Ast.count_groups a) rest
+        in
+        IAlt (Array.of_list (branches g alts))
+    | Ast.Rep (body, min, max, greed) -> (
+        let max = Option.value max ~default:max_int in
+        match (atom body, greed) with
+        | Some a, Ast.Greedy -> IRepG1 (a, min, max, next)
+        | Some a, Ast.Possessive -> IRepP1 (a, min, max, next)
+        (* a possessive quantifier over anything wider degrades to
+           greedy, so every group the match consumed has real offsets *)
+        | None, _ -> IRep { body = node g body ILoop; min; max; next })
   in
   {
-    prog;
-    instr = link prog IAccept;
-    ngroups = !counter;
+    instr = link 0 ast IAccept;
+    ngroups = Ast.count_groups ast;
     ast;
     pf = Prefilter.analyze ast;
   }
@@ -165,25 +123,23 @@ let subject_ok s =
    false)
 let prefilter_stats () = (Obs.count c_calls, Obs.count c_skips)
 
-let matches_char p s pos =
-  pos < String.length s
-  &&
-  match p with
-  | PLit c -> String.unsafe_get s pos = c
-  | PCls bm -> Bytes.unsafe_get bm (Char.code (String.unsafe_get s pos)) <> '\000'
-  | PAny -> true
-  | _ -> false
+(* the iteration frames of the general repetitions entered but not
+   yet left, innermost first: the repetition, the iterations it has
+   done and where the current one started *)
+type frames = Top | Iter of rep * int * int * frames
 
 (* per-match scratch state: one mutable record per domain ([mstate_of]
    below), its fields overwritten per exec and its capture buffer
-   re-filled for each start offset, so matching allocates nothing.
-   [ncaps] is the prefix of [caps] this pattern actually uses — the
-   arena array may be larger. *)
+   re-filled for each start offset, so matching allocates nothing but
+   one frame per general-repetition iteration. [ncaps] is the prefix
+   of [caps] this pattern actually uses — the arena array may be
+   larger. *)
 type mstate = {
   mutable str : string;
   mutable slen : int;
   mutable caps : int array;
   mutable ncaps : int;
+  mutable frames : frames;
 }
 
 let str_at s n pos lit =
@@ -196,99 +152,12 @@ let str_at s n pos lit =
   in
   cmp 0
 
-let rec mseq st items pos k =
-  match items with
-  | [] -> k pos
-  | it :: rest -> mnode st it pos (fun pos' -> mseq st rest pos' k)
-
-and mnode st item pos k =
-  let s = st.str and n = st.slen and caps = st.caps in
-  match item with
-  | PLit c -> pos < n && String.unsafe_get s pos = c && k (pos + 1)
-  | PStr lit -> str_at s n pos lit && k (pos + String.length lit)
-  | PCls bm ->
-      pos < n
-      && Bytes.unsafe_get bm (Char.code (String.unsafe_get s pos)) <> '\000'
-      && k (pos + 1)
-  | PAny -> pos < n && k (pos + 1)
-  | PBol -> pos = 0 && k pos
-  | PEol -> pos = n && k pos
-  | PGrp (i, inner) ->
-      let s0 = caps.(2 * i) and e0 = caps.((2 * i) + 1) in
-      caps.(2 * i) <- pos;
-      let ok =
-        mseq st inner pos (fun pos' ->
-            caps.((2 * i) + 1) <- pos';
-            k pos')
-      in
-      if not ok then begin
-        caps.(2 * i) <- s0;
-        caps.((2 * i) + 1) <- e0
-      end;
-      ok
-  | PAlt alts ->
-      let rec try_alts = function
-        | [] -> false
-        | a :: rest -> mseq st a pos k || try_alts rest
-      in
-      try_alts alts
-  | PRepGreedy1 (p, min, max) ->
-      (* the dominant repetition shape ([a-z]+, \d+, [^.]+ over a
-         hostname). The general path below allocates one closure per
-         consumed character per attempt; here greediness is plain
-         position arithmetic: consume maximally, then retreat one
-         character at a time — zero allocation *)
-      let rec eat count pos =
-        let more =
-          (match max with Some m -> count < m | None -> true)
-          && matches_char p s pos
-        in
-        if more then eat (count + 1) (pos + 1) else pos
-      in
-      let hi = eat 0 pos in
-      let lo = pos + min in
-      hi >= lo
-      &&
-      let rec back p = k p || (p > lo && back (p - 1)) in
-      back hi
-  | PRepPoss1 (p, min, max) ->
-      (* consume maximally with no backtracking; only for group-free
-         width-1 atoms — a possessive repetition over a capture group
-         must take the general path below so its captures are recorded
-         (the fast path would silently leave them at (-1,-1)) *)
-      let rec eat count pos =
-        let more =
-          (match max with Some m -> count < m | None -> true)
-          && matches_char p s pos
-        in
-        if more then eat (count + 1) (pos + 1) else (count, pos)
-      in
-      let count, pos' = eat 0 pos in
-      count >= min && k pos'
-  | PRep (p, min, max, _) ->
-      let rec go count pos =
-        let try_more () =
-          (match max with Some m -> count < m | None -> true)
-          && mnode st p pos (fun pos' ->
-                 (* zero-width inner match would loop forever *)
-                 pos' > pos && go (count + 1) pos')
-        in
-        if count < min then try_more ()
-        else try_more () || k pos
-      in
-      go 0 pos
-
-(* invariant: a possessive repetition wrapping a group records captures
-   via the general (greedy) path — possessiveness degrades to greedy
-   there, but every group the match consumed has real offsets *)
-
-(* --- the instruction-threaded matcher ---
+(* --- the matcher ---
 
    [run] interprets the compile-time-linked [instr] DAG: the
-   continuation of every node is a field of the node, so the only
-   runtime state is (instr, pos) on the OCaml stack. Nothing here
-   allocates; only [IRepDyn] drops back to the closure CPS above.
-   Behavior must stay exactly [mseq st t.prog pos (fun _ -> true)]. *)
+   continuation of every node is a field of the node, so the runtime
+   state is (instr, pos) on the OCaml stack plus the frame stack of
+   the general repetitions in progress. *)
 
 let matches_atom a s pos =
   match a with
@@ -325,6 +194,9 @@ let rec run st i pos =
       run st next pos
   | IAlt branches -> run_alt st branches pos 0
   | IRepG1 (a, mn, mx, next) ->
+      (* the dominant repetition shape ([a-z]+, \d+, [^.]+ over a
+         hostname): consume maximally, then retreat one character at a
+         time *)
       let limit = if mx >= st.slen - pos then st.slen else pos + mx in
       let hi = run_eat st.str a limit pos in
       let lo = pos + mn in
@@ -333,15 +205,22 @@ let rec run st i pos =
       let limit = if mx >= st.slen - pos then st.slen else pos + mx in
       let pos' = run_eat st.str a limit pos in
       pos' - pos >= mn && run st next pos'
-  | IRepDyn (p, mn, mx, next) ->
-      let rec go count pos0 =
-        let try_more () =
-          (match mx with Some m -> count < m | None -> true)
-          && mnode st p pos0 (fun pos' -> pos' > pos0 && go (count + 1) pos')
-        in
-        if count < mn then try_more () else try_more () || run st next pos0
-      in
-      go 0 pos
+  | IRep r -> run_rep st r 0 pos
+  | ILoop -> (
+      match st.frames with
+      | Iter (r, count, start, up) as frame ->
+          st.frames <- up;
+          (* an iteration that matched nothing counts toward the
+             minimum; once the minimum is met it ends the repetition,
+             keeping its captures (the rule of Perl and Python's re),
+             so a nullable body cannot loop forever *)
+          let ok =
+            if pos = start && count + 1 >= r.min then run st r.next pos
+            else run_rep st r (count + 1) pos
+          in
+          st.frames <- frame;
+          ok
+      | Top -> false (* unreachable: an [ILoop] only ends a [rep] body *))
 
 and run_alt st branches pos j =
   j < Array.length branches
@@ -354,11 +233,23 @@ and run_eat s a limit pos =
 and run_back st next lo p =
   run st next p || (p > lo && run_back st next lo (p - 1))
 
+(* greedy: one more iteration first, the continuation after *)
+and run_rep st r count pos =
+  (count < r.max
+  &&
+  let up = st.frames in
+  st.frames <- Iter (r, count, pos, up);
+  let ok = run st r.body pos in
+  st.frames <- up;
+  ok)
+  || (count >= r.min && run st r.next pos)
+
 let exec_at t st start =
   Array.fill st.caps 0 st.ncaps (-1);
+  st.frames <- Top;
   run st t.instr start
 
-let anchored t = match t.prog with PBol :: _ -> true | _ -> false
+let anchored t = t.pf.Prefilter.anchored
 
 (* the unfiltered reference search: retry at every start offset *)
 let try_every t st =
@@ -453,11 +344,12 @@ let search t st =
 (* per-domain match arena: exec'ing a pattern is not re-entrant within
    one domain (no callback runs inside [search], and [extract] reads
    the captures before any further exec), so one mutable state record
-   per domain serves every call — zero per-exec allocation. Each
-   [exec_at] attempt re-fills the first [ncaps] capture slots, which
+   per domain serves every call. Each [exec_at] attempt re-fills the
+   first [ncaps] capture slots and empties the frame stack, which
    doubles as the arena reset. *)
 let mstate_arena : mstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { str = ""; slen = 0; caps = [||]; ncaps = 0 })
+  Domain.DLS.new_key (fun () ->
+      { str = ""; slen = 0; caps = [||]; ncaps = 0; frames = Top })
 
 let mstate_of t s =
   let want = 2 * t.ngroups in

@@ -1,11 +1,26 @@
 (** Backtracking matcher with capture groups.
 
-    Matching is exact backtracking over the AST. Possessive quantifiers
-    are honored for group-free single-character atoms (literals,
-    classes, [.]), which is the only way the Hoiho generator emits
-    them; a possessive quantifier over a wider atom — including a
-    capture group, e.g. [([a-z])++] — degrades to greedy, so any group
-    it contains still records the text of its last iteration.
+    {!compile} links the AST into one instruction program: each
+    instruction holds its continuation, so matching is one recursive
+    interpreter over pure data, and a compiled regex stays an acyclic
+    value that [=] can compare. A repetition of a single-character
+    atom (literal, class, [.]) is matched by position arithmetic.
+    Every other repetition — over a group, an alternation, or anything
+    containing another repetition — runs its body once per iteration
+    on a stack of iteration frames (iterations done, start position),
+    greedy: one more iteration first, the continuation after.
+
+    An iteration that matches nothing counts toward the repetition's
+    minimum; once the minimum is met it ends the repetition, keeping
+    that iteration's captures. This is the rule Perl and Python's [re]
+    follow: [^(a?){2}b$] matches ["ab"], and [^(a|)+b$] on ["aab"]
+    captures [""] in its group.
+
+    Possessive quantifiers are honored for single-character atoms,
+    which is the only way the Hoiho generator emits them; a possessive
+    quantifier over a wider atom — including a capture group, e.g.
+    [([a-z])++] — degrades to greedy, so any group it contains still
+    records the text of its last iteration.
 
     Every compiled pattern carries a {!Prefilter.t}: [exec] first scans
     the input for the pattern's required literal substring and bails —

@@ -419,6 +419,20 @@ let load_missing () =
   | Error e -> Alcotest.failf "expected Syntax, got %s" (Learned_io.error_to_string e)
   | Ok _ -> Alcotest.fail "load of a missing file succeeded"
 
+(* a failed read must still close its channel: every bad reload of a
+   daemon (POST /reload, SIGHUP) would otherwise leak a descriptor *)
+let failed_loads_leak_no_fd () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let dir = Filename.get_temp_dir_name () in
+  let before = open_fds () in
+  for _ = 1 to 200 do
+    match Learned_io.load dir with
+    | Error (Learned_io.Syntax _) -> ()
+    | Error e -> Alcotest.failf "expected Syntax, got %s" (Learned_io.error_to_string e)
+    | Ok _ -> Alcotest.fail "load of a directory succeeded"
+  done;
+  Alcotest.(check int) "open descriptors" before (open_fds ())
+
 let save_load_roundtrip () =
   let m = sample_model () in
   let path = Filename.temp_file "hoiho_model" ".hoiho.json" in
@@ -498,6 +512,8 @@ let suites =
         Alcotest.test_case "v2 requires the stats block" `Quick
           v2_requires_stats;
         Alcotest.test_case "load of missing file" `Quick load_missing;
+        Alcotest.test_case "200 failed loads leave /proc/self/fd unchanged" `Quick
+          failed_loads_leak_no_fd;
         Alcotest.test_case "save/load round-trip" `Quick save_load_roundtrip;
         Alcotest.test_case "save over an existing snapshot is atomic" `Quick
           save_over_existing_is_atomic;

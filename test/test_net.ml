@@ -409,8 +409,7 @@ let test_serve_create_rejects_duplicate () =
 
 (* --- the daemon over a real socket --- *)
 
-let small_config =
-  { Server.default_config with Server.jobs = 2; max_wait_ms = 0.5 }
+let small_config = { Server.default_config with Server.jobs = 2 }
 
 let test_server_basics () =
   let _, model, model_path = Lazy.force fixture in

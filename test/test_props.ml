@@ -109,7 +109,45 @@ let rec degreed_node = function
   | Ast.Alt alts -> Ast.Alt (List.map (List.map degreed_node) alts)
   | atom -> atom
 
-let gen_greedy_ast = QCheck.Gen.map (List.map degreed_node) gen_ast
+(* nodes that also repeat groups and alternations, with repetitions
+   nested inside: the shapes only the general repetition runs. Group
+   bodies and branches may be empty or nullable, so iterations that
+   match nothing occur. Only the outer level repeats a group: repeated
+   groups inside repeated groups make patterns ambiguous enough for
+   one 12-byte case to backtrack for seconds. *)
+let gen_nested_node =
+  QCheck.Gen.(
+    (* a group, or a two-branch alternation, of up to two [g] nodes *)
+    let wrapped g =
+      let seq = list_size (int_range 0 2) g in
+      oneof
+        [
+          map (fun inner -> Ast.Grp inner) seq;
+          map2 (fun a b -> Ast.Alt [ a; b ]) seq seq;
+        ]
+    in
+    let body = wrapped (frequency [ (2, gen_node); (1, wrapped gen_node) ]) in
+    frequency
+      [
+        (2, gen_node);
+        (1, body);
+        ( 2,
+          map2
+            (fun body (min, max) -> Ast.Rep (body, min, max, Ast.Greedy))
+            body
+            (oneofl
+               [ (0, Some 1); (0, None); (1, None); (2, None); (2, Some 2); (1, Some 3) ]) );
+      ])
+
+let gen_greedy_ast =
+  QCheck.Gen.(
+    map (List.map degreed_node)
+      (oneof
+         [
+           gen_ast;
+           list_size (int_range 1 3) gen_nested_node >>= fun body ->
+           oneofl [ body; (Ast.Bol :: body) @ [ Ast.Eol ] ];
+         ]))
 
 let gen_input =
   QCheck.Gen.(

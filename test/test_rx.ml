@@ -98,6 +98,24 @@ let test_possessive_group_captures2 = check_match {|^([a-z])++\d$|} "abc1" (Some
 let test_possessive_nested_group_captures =
   check_match {|^(([a-z])([a-z]))++$|} "abcd" (Some "cd,c,d")
 
+(* iterations that match nothing: one counts toward the minimum, and
+   once the minimum is met it ends the repetition, keeping its own
+   captures. The expected captures are what Python's re returns. *)
+let empty_iteration_cases =
+  [
+    ({|^(a*)+b$|}, "b", Some "");
+    ({|^(a*)+b$|}, "aab", Some "");
+    ({|^(a?){2}b$|}, "ab", Some "");
+    ({|^(a?){2}b$|}, "b", Some "");
+    ({|^(?:a|)+b$|}, "b", Some "");
+    ({|^((a)|)+b$|}, "ab", Some ",a");
+    ({|^((a)|)+b$|}, "b", Some ",_");
+    ({|^(?:(a)|b?)+c$|}, "abc", Some "a");
+  ]
+
+let test_empty_iterations () =
+  List.iter (fun (re, s, expected) -> check_match re s expected ()) empty_iteration_cases
+
 let test_unanchored_search = check_match {|b+|} "aabbaa" (Some "")
 let test_empty_pattern = check_match "" "anything" (Some "")
 
@@ -353,6 +371,7 @@ let suites =
         tc "possessive group captures" test_possessive_group_captures;
         tc "possessive group captures before tail" test_possessive_group_captures2;
         tc "possessive nested group captures" test_possessive_nested_group_captures;
+        tc "iterations that match nothing" test_empty_iterations;
         tc "unanchored search" test_unanchored_search;
         tc "empty pattern" test_empty_pattern;
       ] );
