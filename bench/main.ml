@@ -684,7 +684,7 @@ let perf () =
   let config = { config with Generate.label = aug20 } in
   let ds, truth = Generate.generate config in
   let db = Truth.db truth in
-  let jobs = max 2 (Hoiho_util.Pool.default_jobs ()) in
+  let jobs = max 2 (Hoiho_obs.Pool.default_jobs ()) in
   (* warm-up: a jobs=1 learn, then the jobs=[jobs] learn that the
      health and relearn gates reuse; the untraced baseline below is
      the third learn in the process *)

@@ -297,7 +297,9 @@ let learn_cmd =
     | None -> ()
     | Some path ->
         Hoiho_obs.Obs.write_file_atomic path
-          (Hoiho_obs.Obs.to_json pipeline.Hoiho.Pipeline.metrics);
+          (Hoiho_util.Json.to_string
+             (Hoiho_obs.Obs.to_json pipeline.Hoiho.Pipeline.metrics)
+          ^ "\n");
         Printf.printf "wrote metrics snapshot to %s\n" path
   in
   Cmd.v
@@ -593,7 +595,7 @@ let serve_cmd =
         jobs =
           (match jobs with
           | Some j -> max 1 j
-          | None -> Hoiho_util.Pool.default_jobs ());
+          | None -> Hoiho_obs.Pool.default_jobs ());
         max_pending = max 1 max_pending;
         request_timeout_s = Float.max 0.05 timeout;
         model_path = Some model_path;
@@ -942,12 +944,6 @@ let lookup_cmd =
 
 (* --- relearn --- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let relearn_cmd =
   let model_path =
     Arg.(
@@ -982,7 +978,7 @@ let relearn_cmd =
        dictionary, so dataset_of's db is irrelevant here. *)
     let corpus, _db = dataset_of config seed input in
     let events =
-      match Hoiho.Delta.events_of_string (read_file events_path) with
+      match Hoiho.Delta.load_events events_path with
       | Ok events -> events
       | Error msg ->
           Printf.eprintf "hoiho: bad events in %s: %s\n" events_path msg;

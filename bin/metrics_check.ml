@@ -1,61 +1,46 @@
 (* CI smoke assertion: a metrics snapshot written by `hoiho learn
-   --metrics` must be non-empty — a nonzero rx.exec_calls counter,
-   per-stage duration histograms with samples, and pool counters
-   present. Exits nonzero with a diagnostic otherwise. *)
+   --metrics` must parse under the repo's own strict JSON parser and be
+   non-empty — a nonzero rx.exec_calls counter, per-stage duration
+   histograms with samples, and pool counters present. Exits nonzero
+   with a diagnostic otherwise. *)
 
-let read_all path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* find `"key": <int>` in the flat JSON the obs layer emits *)
-let find_int text key =
-  let needle = Printf.sprintf "\"%s\": " key in
-  let nlen = String.length needle and tlen = String.length text in
-  let rec scan i =
-    if i + nlen > tlen then None
-    else if String.sub text i nlen = needle then begin
-      let j = ref (i + nlen) in
-      let start = !j in
-      while !j < tlen && (text.[!j] = '-' || (text.[!j] >= '0' && text.[!j] <= '9')) do
-        incr j
-      done;
-      int_of_string_opt (String.sub text start (!j - start))
-    end
-    else scan (i + 1)
-  in
-  scan 0
+module Json = Hoiho_util.Json
 
 let () =
   let path = if Array.length Sys.argv > 1 then Sys.argv.(1) else "metrics.json" in
-  let text = read_all path in
+  let doc =
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok doc -> doc
+    | Error e ->
+        Printf.eprintf "metrics check failed: %s does not parse as JSON: %s\n" path e;
+        exit 1
+  in
+  let section name =
+    match Json.member name doc with Some (Json.Obj fields) -> fields | _ -> []
+  in
+  let counter name =
+    match List.assoc_opt name (section "counters") with
+    | Some (Json.Int n) -> Some n
+    | _ -> None
+  in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (match find_int text "rx.exec_calls" with
+  (match counter "rx.exec_calls" with
   | Some n when n > 0 -> ()
   | Some n -> fail "rx.exec_calls is %d, expected > 0" n
   | None -> fail "rx.exec_calls counter missing");
-  (match find_int text "pipeline.suffix_groups" with
+  (match counter "pipeline.suffix_groups" with
   | Some n when n > 0 -> ()
   | _ -> fail "pipeline.suffix_groups counter missing or zero");
   List.iter
-    (fun key ->
-      if find_int text key = None then fail "%s counter missing" key)
+    (fun name -> if counter name = None then fail "%s counter missing" name)
     [ "ncsel.candidates_evaluated"; "pool.jobs_submitted"; "rx.prefilter_skips" ];
+  let summaries = List.map snd (section "histograms") in
+  let summarized key = List.exists (fun h -> Json.member key h <> None) summaries in
   (* every run times at least the whole-run span and one suffix group *)
-  if not (String.length text > 0 && find_int text "count" <> None) then
-    fail "no histogram samples recorded";
+  if not (summarized "count") then fail "no histogram samples recorded";
   (* histogram summaries carry the tail quantile since the health work *)
-  let contains needle =
-    let nlen = String.length needle and tlen = String.length text in
-    let rec scan i =
-      i + nlen <= tlen && (String.sub text i nlen = needle || scan (i + 1))
-    in
-    scan 0
-  in
-  if not (contains "\"p99_ms\"") then fail "histogram summaries lack p99_ms";
+  if not (summarized "p99_ms") then fail "histogram summaries lack p99_ms";
   match !failures with
   | [] -> Printf.printf "metrics snapshot %s ok\n" path
   | fs ->

@@ -63,4 +63,4 @@ val apply : Hoiho_geodb.Db.t -> index -> string -> answer
     (match, capture groups, decoded hint) and [apply.resolve]
     (provenance, resolved city, collision losers, confidence). The
     [apply] span nests under the caller's current span, also when the
-    call runs in a {!Hoiho_util.Pool} job on another domain. *)
+    call runs in a {!Hoiho_obs.Pool} job on another domain. *)

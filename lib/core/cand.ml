@@ -68,7 +68,7 @@ let build_many ?(jobs = 1) ~suffix bodies =
         end)
       bodies
   in
-  Hoiho_util.Pool.parallel_map (Hoiho_util.Pool.get jobs) (build ~suffix) distinct
+  Hoiho_obs.Pool.parallel_map (Hoiho_obs.Pool.get jobs) (build ~suffix) distinct
 
 let analysis_regex t =
   let ast = ast_of ~capture_fillers:true ~suffix:t.suffix t.body in

@@ -15,7 +15,7 @@
 
     A value of type [t] is read-only after [create] returns and safe to
     share across domains: the pipeline fans suffix groups out over a
-    {!Hoiho_util.Pool} while every worker consults the same [t]. The
+    {!Hoiho_obs.Pool} while every worker consults the same [t]. The
     RTT memo is domain-local storage holding the vectors of the [t] the
     domain used last, so concurrent lookups never touch a shared table
     and a finished run's memo does not outlive the next run. Any future

@@ -254,93 +254,79 @@ let event_to_json = function
 let events_to_string events =
   Json.to_string (Json.List (List.map event_to_json events))
 
-exception Decode of string
+let ( let* ) = Result.bind
 
-let fail i fmt = Printf.ksprintf (fun m -> raise (Decode (Printf.sprintf "event %d: %s" i m))) fmt
+(* [[vp, ms], ...]; Rtts refuses a VP id beyond 32 bits *)
+let rtts path json =
+  let* pairs = Json.list (Json.pair Json.int Json.number) path json in
+  match Rtts.of_list pairs with
+  | samples -> Ok samples
+  | exception Invalid_argument msg -> Json.fail path ~expected:"32-bit VP ids" ~got:msg
 
-let int_field i name j =
-  match Json.member name j with
-  | Some (Json.Int n) -> n
-  | Some v -> fail i "%s: expected int, got %s" name (Json.kind v)
-  | None -> fail i "missing %s" name
+(* each op decodes the fields it carries beside "op" and "id"; absent
+   RTTs are no samples *)
+let ops =
+  [
+    ( "upsert",
+      fun id path json ->
+        let* asn = Json.field_opt "asn" Json.int path json in
+        let* hostnames = Json.field "hostnames" (Json.list Json.string) path json in
+        let* ping_rtts = Json.field_opt "ping" rtts path json in
+        let* trace_rtts = Json.field_opt "trace" rtts path json in
+        Ok (Upsert (Router.make ?asn ~hostnames ?ping_rtts ?trace_rtts id)) );
+    ("remove", fun id _ _ -> Ok (Remove id));
+    ( "add_hostname",
+      fun router path json ->
+        let* hostname = Json.field "hostname" Json.string path json in
+        Ok (Add_hostname { router; hostname }) );
+    ( "remove_hostname",
+      fun router path json ->
+        let* hostname = Json.field "hostname" Json.string path json in
+        Ok (Remove_hostname { router; hostname }) );
+    ( "set_hostnames",
+      fun router path json ->
+        let* hostnames = Json.field "hostnames" (Json.list Json.string) path json in
+        Ok (Set_hostnames { router; hostnames }) );
+    ( "set_rtts",
+      fun router path json ->
+        let* ping = Json.field_opt "ping" rtts path json in
+        let* trace = Json.field_opt "trace" rtts path json in
+        let samples = Option.value ~default:Rtts.empty in
+        Ok (Set_rtts { router; ping = samples ping; trace = samples trace }) );
+  ]
 
-let string_field i name j =
-  match Json.member name j with
-  | Some (Json.String s) -> s
-  | Some v -> fail i "%s: expected string, got %s" name (Json.kind v)
-  | None -> fail i "missing %s" name
+let op = Json.enum (String.concat "|" (List.map fst ops)) (fun op -> List.assoc_opt op ops)
 
-let hostnames_field i name j =
-  match Json.member name j with
-  | Some (Json.List l) ->
-      List.map
-        (function
-          | Json.String s -> s
-          | v -> fail i "%s: expected string, got %s" name (Json.kind v))
-        l
-  | Some v -> fail i "%s: expected list, got %s" name (Json.kind v)
-  | None -> fail i "missing %s" name
+let event path json =
+  let* decode = Json.field "op" op path json in
+  let* id = Json.field "id" Json.int path json in
+  decode id path json
 
-let rtts_field i name j =
-  match Json.member name j with
-  | None -> Rtts.empty
-  | Some (Json.List l) -> (
-      let pairs =
-        List.map
-          (function
-            | Json.List [ Json.Int vp; Json.Float ms ] -> (vp, ms)
-            | Json.List [ Json.Int vp; Json.Int ms ] -> (vp, float_of_int ms)
-            | v -> fail i "%s: expected [vp, ms] pair, got %s" name (Json.kind v))
-          l
-      in
-      try Rtts.of_list pairs with Invalid_argument msg -> fail i "%s: %s" name msg)
-  | Some v -> fail i "%s: expected list, got %s" name (Json.kind v)
-
-let event_of_json i j =
-  match j with
-  | Json.Obj _ -> (
-      let id () = int_field i "id" j in
-      match string_field i "op" j with
-      | "upsert" ->
-          let asn =
-            match Json.member "asn" j with
-            | Some (Json.Int a) -> Some a
-            | Some v -> fail i "asn: expected int, got %s" (Json.kind v)
-            | None -> None
-          in
-          Upsert
-            (Router.make ?asn
-               ~hostnames:(hostnames_field i "hostnames" j)
-               ~ping_rtts:(rtts_field i "ping" j)
-               ~trace_rtts:(rtts_field i "trace" j)
-               (id ()))
-      | "remove" -> Remove (id ())
-      | "add_hostname" ->
-          Add_hostname { router = id (); hostname = string_field i "hostname" j }
-      | "remove_hostname" ->
-          Remove_hostname
-            { router = id (); hostname = string_field i "hostname" j }
-      | "set_hostnames" ->
-          Set_hostnames
-            { router = id (); hostnames = hostnames_field i "hostnames" j }
-      | "set_rtts" ->
-          Set_rtts
-            {
-              router = id ();
-              ping = rtts_field i "ping" j;
-              trace = rtts_field i "trace" j;
-            }
-      | op -> fail i "unknown op %S" op)
-  | v -> fail i "expected object, got %s" (Json.kind v)
-
+(* each event decodes at its own root, so an error reads
+   "event 3: $.hostname: expected string, got int" *)
 let events_of_string s =
   match Json.parse s with
   | Error e -> Error ("events: " ^ e)
   | Ok (Json.List items) -> (
-      match List.mapi event_of_json items with
+      let exception Failed of string in
+      match
+        List.mapi
+          (fun i item ->
+            match event Json.root item with
+            | Ok ev -> ev
+            | Error e ->
+                raise_notrace (Failed (Printf.sprintf "event %d: %s" i (Json.error_to_string e))))
+          items
+      with
       | events -> Ok events
-      | exception Decode m -> Error m)
+      | exception Failed msg -> Error msg)
   | Ok v -> Error ("events: expected a list, got " ^ Json.kind v)
+
+let max_file_bytes = 512 * 1024 * 1024
+
+let load_events path =
+  let* s = Json.read_file ~max_bytes:max_file_bytes ~what:"an event stream" path in
+  events_of_string s
 
 (* ---- incremental relearn ------------------------------------------- *)
 

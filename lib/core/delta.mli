@@ -84,8 +84,20 @@ val events_to_string : event list -> string
 
 val events_of_string : string -> (event list, string) result
 (** Strict decode of the wire form. Any malformed input — not JSON,
-    not a list, unknown op, missing or mistyped field — is an [Error]
-    naming the offending event index. Never raises. *)
+    not a list, unknown op, missing or mistyped field, a VP id beyond
+    32 bits — is an [Error] naming the offending event index and the
+    path inside that event, e.g. ["event 3: $.hostname: expected
+    string, got int"]. Never raises. *)
+
+val max_file_bytes : int
+(** 512 MiB: {!load_events} refuses a larger file before reading it,
+    naming the limit. The tiny preset's one-epoch drift stream is
+    169 KB for 1,712 routers; the same drift at paper scale 1.0
+    (≈2.5M routers) would be about 250 MB. *)
+
+val load_events : string -> (event list, string) result
+(** {!events_of_string} of a file's contents; an unreadable file or
+    one over {!max_file_bytes} is an [Error]. *)
 
 val relearn_model :
   ?jobs:int ->

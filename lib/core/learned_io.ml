@@ -32,7 +32,7 @@ type t = {
 type error =
   | Syntax of string
   | Unknown_version of int
-  | Schema of { path : string; expected : string; got : string }
+  | Schema of Json.error
 
 let error_to_string = function
   | Syntax msg -> "syntax error: " ^ msg
@@ -40,8 +40,7 @@ let error_to_string = function
       Printf.sprintf
         "unknown format version %d (this build reads versions %d-%d)" v
         oldest_readable_version format_version
-  | Schema { path; expected; got } ->
-      Printf.sprintf "schema error at %s: expected %s, got %s" path expected got
+  | Schema e -> "schema error at " ^ Json.error_to_string e
 
 (* --- wire names --- *)
 
@@ -197,258 +196,147 @@ let encode t = Json.to_string (to_json t)
 
 (* --- decoding --- *)
 
-(* decode combinators: thread a path for error messages, short-circuit
-   with result. Exceptions cannot escape: every leaf produces a typed
-   error, and [decode] additionally fences the whole walk. *)
+let ( let* ) = Result.bind
 
-let ( let* ) r f = Result.bind r f
+let unit_interval f = f >= 0.0 && f <= 1.0
 
-let schema path expected got = Error (Schema { path; expected; got })
-
-let field path name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> (
-      match json with
-      | Json.Obj _ -> schema (path ^ "." ^ name) "present field" "absent"
-      | j -> schema path "object" (Json.kind j))
-
-let opt_string_field path name json =
-  match Json.member name json with
-  | None -> Ok None
-  | Some (Json.String s) -> Ok (Some s)
-  | Some j -> schema (path ^ "." ^ name) "string" (Json.kind j)
-
-let as_string path = function
-  | Json.String s -> Ok s
-  | j -> schema path "string" (Json.kind j)
-
-let as_int path = function
-  | Json.Int i -> Ok i
-  | j -> schema path "int" (Json.kind j)
-
-let as_bool path = function
-  | Json.Bool b -> Ok b
-  | j -> schema path "bool" (Json.kind j)
-
-let as_float path = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | j -> schema path "number" (Json.kind j)
-
-let as_list path = function
-  | Json.List l -> Ok l
-  | j -> schema path "list" (Json.kind j)
-
-let string_field path name json =
-  let* v = field path name json in
-  as_string (path ^ "." ^ name) v
-
-let int_field path name json =
-  let* v = field path name json in
-  as_int (path ^ "." ^ name) v
-
-let map_items path f items =
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | item :: rest ->
-        let* v = f (Printf.sprintf "%s[%d]" path i) item in
-        go (i + 1) (v :: acc) rest
-  in
-  go 0 [] items
-
-let string_list path json =
-  let* items = as_list path json in
-  map_items path as_string items
-
-let city_of_json path json =
-  let* name = string_field path "name" json in
-  let* cc = string_field path "cc" json in
-  let* state = opt_string_field path "state" json in
-  let* lat = Result.bind (field path "lat" json) (as_float (path ^ ".lat")) in
-  let* lon = Result.bind (field path "lon" json) (as_float (path ^ ".lon")) in
-  let* pop = int_field path "pop" json in
-  let* iata = Result.bind (field path "iata" json) (string_list (path ^ ".iata")) in
-  let* icao = Result.bind (field path "icao" json) (string_list (path ^ ".icao")) in
-  let* locode = opt_string_field path "locode" json in
-  let* clli = opt_string_field path "clli" json in
-  let* fac_items =
-    Result.bind (field path "facilities" json) (as_list (path ^ ".facilities"))
-  in
+let city path json =
+  let* name = Json.field "name" Json.string path json in
+  let* cc = Json.field "cc" Json.string path json in
+  let* state = Json.field_opt "state" Json.string path json in
+  let* lat = Json.field "lat" Json.number path json in
+  let* lon = Json.field "lon" Json.number path json in
+  let* population = Json.field "pop" Json.int path json in
+  let* iata = Json.field "iata" (Json.list Json.string) path json in
+  let* icao = Json.field "icao" (Json.list Json.string) path json in
+  let* locode = Json.field_opt "locode" Json.string path json in
+  let* clli = Json.field_opt "clli" Json.string path json in
   let* facilities =
-    map_items (path ^ ".facilities")
-      (fun p item ->
-        let* pair = as_list p item in
-        match pair with
-        | [ a; b ] ->
-            let* name = as_string (p ^ "[0]") a in
-            let* addr = as_string (p ^ "[1]") b in
-            Ok (name, addr)
-        | l -> schema p "2-element list" (Printf.sprintf "%d-element list" (List.length l)))
-      fac_items
+    Json.field "facilities" (Json.list (Json.pair Json.string Json.string)) path json
   in
   match Hoiho_geo.Coord.make ~lat ~lon with
   | coord ->
-      Ok
-        {
-          City.name;
-          cc;
-          state;
-          coord;
-          population = pop;
-          iata;
-          icao;
-          locode;
-          clli;
-          facilities;
-        }
+      Ok { City.name; cc; state; coord; population; iata; icao; locode; clli; facilities }
   | exception Invalid_argument _ ->
-      schema path "coordinates in range" (Printf.sprintf "(%g, %g)" lat lon)
+      Json.fail path ~expected:"coordinates in range"
+        ~got:(Printf.sprintf "(%g, %g)" lat lon)
 
-let entry_of_json path json =
-  let* hint = string_field path "hint" json in
-  let* ht_name = string_field path "type" json in
+let entry path json =
+  let* hint = Json.field "hint" Json.string path json in
   let* hint_type =
-    match hint_type_of_wire ht_name with
-    | Some ht -> Ok ht
-    | None -> schema (path ^ ".type") "geohint type name" (Printf.sprintf "%S" ht_name)
+    Json.field "type" (Json.enum "geohint type name" hint_type_of_wire) path json
   in
-  let* city = Result.bind (field path "city" json) (city_of_json (path ^ ".city")) in
-  let* tp = int_field path "tp" json in
-  let* fp = int_field path "fp" json in
-  let* collides = Result.bind (field path "collides" json) (as_bool (path ^ ".collides")) in
+  let* city = Json.field "city" city path json in
+  let* tp = Json.field "tp" Json.int path json in
+  let* fp = Json.field "fp" Json.int path json in
+  let* collides = Json.field "collides" Json.bool path json in
   Ok { Learned.hint; hint_type; city; tp; fp; collides }
 
-let cand_of_json path json =
-  let* source = string_field path "source" json in
-  let* plan_items = Result.bind (field path "plan" json) (as_list (path ^ ".plan")) in
-  let* plan =
-    map_items (path ^ ".plan")
-      (fun p item ->
-        let* name = as_string p item in
-        match elem_of_wire name with
-        | Some e -> Ok e
-        | None -> schema p "plan element name" (Printf.sprintf "%S" name))
-      plan_items
-  in
+let regex path json =
+  let* source = Json.string path json in
   match Engine.compile_string source with
-  | Error msg -> schema (path ^ ".source") "compilable regex" msg
-  | Ok regex ->
-      if Engine.group_count regex <> List.length plan then
-        schema path
-          (Printf.sprintf "plan of %d element(s) matching the regex's capture groups"
-             (Engine.group_count regex))
-          (Printf.sprintf "%d element(s)" (List.length plan))
-      else Ok { source; plan; regex }
+  | Ok regex -> Ok (source, regex)
+  | Error msg -> Json.fail path ~expected:"compilable regex" ~got:msg
 
-let stats_of_json path json =
-  let* tp = int_field path "tp" json in
-  let* fp = int_field path "fp" json in
-  let* fn = int_field path "fn" json in
-  let* unk = int_field path "unk" json in
+let cand path json =
+  let* source, regex = Json.field "source" regex path json in
+  let* plan =
+    Json.field "plan" (Json.list (Json.enum "plan element name" elem_of_wire)) path json
+  in
+  if Engine.group_count regex <> List.length plan then
+    Json.fail path
+      ~expected:
+        (Printf.sprintf "plan of %d element(s) matching the regex's capture groups"
+           (Engine.group_count regex))
+      ~got:(Printf.sprintf "%d element(s)" (List.length plan))
+  else Ok { source; plan; regex }
+
+let stats path json =
+  let* tp = Json.field "tp" Json.int path json in
+  let* fp = Json.field "fp" Json.int path json in
+  let* fn = Json.field "fn" Json.int path json in
+  let* unk = Json.field "unk" Json.int path json in
   let* rtt_agreement =
-    Result.bind
-      (field path "rtt_agreement" json)
-      (as_float (path ^ ".rtt_agreement"))
+    Json.field "rtt_agreement" (Json.check "float in [0,1]" unit_interval Json.number)
+      path json
   in
-  if rtt_agreement < 0.0 || rtt_agreement > 1.0 then
-    schema (path ^ ".rtt_agreement") "float in [0,1]"
-      (Printf.sprintf "%g" rtt_agreement)
-  else Ok { Confidence.tp; fp; fn; unk; rtt_agreement }
+  Ok { Confidence.tp; fp; fn; unk; rtt_agreement }
 
-let suffix_of_json ~version path json =
-  let* suffix = string_field path "suffix" json in
-  let* cls_name = string_field path "classification" json in
+let suffix_model ~version path json =
+  let* suffix = Json.field "suffix" Json.string path json in
   let* classification =
-    match classification_of_wire cls_name with
-    | Some c -> Ok c
-    | None ->
-        schema (path ^ ".classification") "good|promising|poor"
-          (Printf.sprintf "%S" cls_name)
+    Json.field "classification"
+      (Json.enum "good|promising|poor" classification_of_wire)
+      path json
   in
-  let* cand_items = Result.bind (field path "cands" json) (as_list (path ^ ".cands")) in
-  let* cands = map_items (path ^ ".cands") cand_of_json cand_items in
-  let* entry_items =
-    Result.bind (field path "learned" json) (as_list (path ^ ".learned"))
-  in
-  let* entries = map_items (path ^ ".learned") entry_of_json entry_items in
+  let* cands = Json.field "cands" (Json.list cand) path json in
+  let* entries = Json.field "learned" (Json.list entry) path json in
   let learned = Learned.empty () in
   List.iter (Learned.add learned) entries;
   (* v1 predates the stats block: decode with the neutral stats, so old
      snapshots keep serving (their answers score from the 0.5 prior) *)
   let* stats =
-    if version < 2 then Ok Confidence.no_stats
-    else Result.bind (field path "stats" json) (stats_of_json (path ^ ".stats"))
+    if version < 2 then Ok Confidence.no_stats else Json.field "stats" stats path json
   in
   Ok { suffix; classification; cands; learned; stats }
 
+let dictionary path json =
+  let* provenance =
+    Json.field "provenance"
+      (Json.enum "default|embedded" (function
+        | "default" -> Some `Default
+        | "embedded" -> Some `Embedded
+        | _ -> None))
+      path json
+  in
+  match provenance with
+  | `Default -> Ok Default
+  | `Embedded ->
+      Result.map (fun cities -> Embedded cities)
+        (Json.field "cities" (Json.list city) path json)
+
+(* v3 added the expected calibration profile; below v3 (or absent — the
+   field is optional even in v3) drift monitoring is simply disabled,
+   but a present profile must be well-formed: exactly 10 decile masses,
+   each in [0,1] *)
+let calibration path json =
+  let* masses =
+    Json.list (Json.check "decile mass in [0,1]" unit_interval Json.number) path json
+  in
+  if List.length masses <> 10 then
+    Json.fail path ~expected:"10 decile masses"
+      ~got:(Printf.sprintf "%d element(s)" (List.length masses))
+  else Ok (Array.of_list masses)
+
 let of_json json =
-  let* version = int_field "$" "format_version" json in
-  if version < oldest_readable_version || version > format_version then
-    Error (Unknown_version version)
-  else
-    let* dict_json = field "$" "dictionary" json in
-    let* provenance = string_field "$.dictionary" "provenance" dict_json in
-    let* dictionary =
-      match provenance with
-      | "default" -> Ok Default
-      | "embedded" ->
-          let* city_items =
-            Result.bind
-              (field "$.dictionary" "cities" dict_json)
-              (as_list "$.dictionary.cities")
-          in
-          let* cities = map_items "$.dictionary.cities" city_of_json city_items in
-          Ok (Embedded cities)
-      | other ->
-          schema "$.dictionary.provenance" "default|embedded"
-            (Printf.sprintf "%S" other)
-    in
-    let* suffix_items =
-      Result.bind (field "$" "suffixes" json) (as_list "$.suffixes")
-    in
-    let* suffixes =
-      map_items "$.suffixes" (suffix_of_json ~version) suffix_items
-    in
-    (* duplicate suffixes are a corrupt snapshot: a server indexing
-       by suffix would silently drop one model's regexes and learned
-       hints, and which half survives would depend on load order *)
-    let* () =
-      match Apply.index suffixes with
-      | Ok _ -> Ok ()
-      | Error (i, suffix) ->
-          schema
-            (Printf.sprintf "$.suffixes[%d].suffix" i)
-            "unique suffix"
-            (Printf.sprintf "duplicate %S" suffix)
-    in
-    (* v3 added the expected calibration profile; below v3 (or absent —
-       the field is optional even in v3) drift monitoring is simply
-       disabled, but a present profile must be well-formed: exactly 10
-       decile masses, each in [0,1] *)
-    let* calibration =
-      match Json.member "calibration" json with
-      | None -> Ok None
-      | Some j ->
-          let* items = as_list "$.calibration" j in
-          let* masses =
-            map_items "$.calibration"
-              (fun p item ->
-                let* m = as_float p item in
-                if m < 0.0 || m > 1.0 then
-                  schema p "decile mass in [0,1]" (Printf.sprintf "%g" m)
-                else Ok m)
-              items
-          in
-          if List.length masses <> 10 then
-            schema "$.calibration" "10 decile masses"
-              (Printf.sprintf "%d element(s)" (List.length masses))
-          else Ok (Some (Array.of_list masses))
-    in
-    let metrics =
-      match Json.member "metrics" json with Some m -> m | None -> Json.Obj []
-    in
-    Ok { dictionary; suffixes; calibration; metrics }
+  match Json.field "format_version" Json.int Json.root json with
+  | Error e -> Error (Schema e)
+  | Ok version when version < oldest_readable_version || version > format_version ->
+      Error (Unknown_version version)
+  | Ok version ->
+      Result.map_error
+        (fun e -> Schema e)
+        (let* dictionary = Json.field "dictionary" dictionary Json.root json in
+         let* suffixes =
+           Json.field "suffixes" (Json.list (suffix_model ~version)) Json.root json
+         in
+         (* duplicate suffixes are a corrupt snapshot: a server indexing
+            by suffix would silently drop one model's regexes and learned
+            hints, and which half survives would depend on load order *)
+         let* () =
+           match Apply.index suffixes with
+           | Ok _ -> Ok ()
+           | Error (i, suffix) ->
+               Error
+                 {
+                   Json.path = Printf.sprintf "$.suffixes[%d].suffix" i;
+                   expected = "unique suffix";
+                   got = Printf.sprintf "duplicate %S" suffix;
+                 }
+         in
+         let* calibration = Json.field_opt "calibration" calibration Json.root json in
+         let metrics = Option.value (Json.member "metrics" json) ~default:(Json.Obj []) in
+         Ok { dictionary; suffixes; calibration; metrics })
 
 let decode s =
   match Json.parse s with
@@ -470,11 +358,7 @@ let of_pipeline (p : Pipeline.t) =
     if p.Pipeline.db == Db.default () then Default
     else Embedded (Db.cities p.Pipeline.db)
   in
-  let metrics =
-    match Json.parse (Hoiho_obs.Obs.to_json p.Pipeline.metrics) with
-    | Ok j -> j
-    | Error _ -> Json.Obj []
-  in
+  let metrics = Hoiho_obs.Obs.to_json p.Pipeline.metrics in
   let calibration =
     Some (Confidence.expected_profile (List.map (fun sm -> sm.stats) suffixes))
   in
@@ -489,10 +373,12 @@ let db t =
    the new one, never a truncated one *)
 let save path t = Hoiho_obs.Obs.write_file_atomic path (encode t ^ "\n")
 
+let max_file_bytes = 64 * 1024 * 1024
+
 let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> decode s
-  | exception Sys_error msg -> Error (Syntax msg)
+  match Json.read_file ~max_bytes:max_file_bytes ~what:"a model snapshot" path with
+  | Ok s -> decode s
+  | Error msg -> Error (Syntax msg)
 
 (* --- equality (for round-trip properties) --- *)
 

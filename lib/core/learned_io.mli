@@ -66,10 +66,13 @@ val oldest_readable_version : int
     [calibration = None]. *)
 
 type error =
-  | Syntax of string  (** not a JSON document: truncation, garbage *)
+  | Syntax of string
+      (** not a JSON document (truncation, garbage), or a file that
+          cannot be read or exceeds {!max_file_bytes} *)
   | Unknown_version of int
-  | Schema of { path : string; expected : string; got : string }
-      (** structurally valid JSON that does not satisfy the schema *)
+  | Schema of Hoiho_util.Json.error
+      (** structurally valid JSON that does not satisfy the schema, at
+          a path such as [$.suffixes[3].cands[0].source] *)
 
 val error_to_string : error -> string
 
@@ -111,8 +114,14 @@ val save : string -> t -> unit
     daemon reload racing [save-model] — sees the old snapshot or the
     new one, never a truncated file. *)
 
+val max_file_bytes : int
+(** 64 MiB: {!load} refuses a larger file before reading it, with a
+    [Syntax] error naming the limit. The paper preset's snapshot at
+    scale 0.05 is 166,824 bytes with the default dictionary. *)
+
 val load : string -> (t, error) result
-(** [decode] of the file contents; unreadable files are [Syntax]. *)
+(** [decode] of the file contents; unreadable files, and files over
+    {!max_file_bytes}, are [Syntax]. *)
 
 val equal : t -> t -> bool
 (** Semantic equality: same dictionary, same suffixes with the same

@@ -119,7 +119,7 @@ let prepare ?(jobs = 1) consist db ?learned cands samples_arr =
      fat suffix's evaluation tail is then drained by whichever lanes
      fall idle, instead of serializing on the lane that happened to
      dequeue its chunk. *)
-  Hoiho_util.Pool.parallel_map (Hoiho_util.Pool.get jobs) ~chunk:1 eval cands
+  Hoiho_obs.Pool.parallel_map (Hoiho_obs.Pool.get jobs) ~chunk:1 eval cands
 
 let eval_nc consist db ?learned cands samples =
   let samples_arr = Array.of_list samples in
@@ -168,7 +168,7 @@ let grow samples_arr ranked seed =
   loop [ seed ] seed_nc
 
 let build ?jobs consist db ?learned cands samples =
-  let jobs = match jobs with Some j -> j | None -> Hoiho_util.Pool.default_jobs () in
+  let jobs = match jobs with Some j -> j | None -> Hoiho_obs.Pool.default_jobs () in
   let samples_arr = Array.of_list samples in
   let n_raw = List.length cands in
   Trace.with_span "ncsel.build"
@@ -202,7 +202,7 @@ let build ?jobs consist db ?learned cands samples =
          fat suffix. [grow] is pure and touches no Obs counter, so the
          order-preserving map keeps results jobs-invariant. *)
       let ncs =
-        Hoiho_util.Pool.parallel_map (Hoiho_util.Pool.get jobs) ~chunk:1
+        Hoiho_obs.Pool.parallel_map (Hoiho_obs.Pool.get jobs) ~chunk:1
           (grow samples_arr ranked) seeds
       in
       let by_atp =

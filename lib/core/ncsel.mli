@@ -36,7 +36,7 @@ val build :
   t option
 (** Full phase 4 + final selection. [None] when no candidate matches
     anything. Candidates with an identical (regex source, plan) pair
-    are evaluated once. [jobs] (default {!Hoiho_util.Pool.default_jobs})
+    are evaluated once. [jobs] (default {!Hoiho_obs.Pool.default_jobs})
     fans the per-candidate evaluation out over a domain pool; results
     are independent of [jobs]. *)
 

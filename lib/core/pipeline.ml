@@ -1,5 +1,5 @@
 module Db = Hoiho_geodb.Db
-module Pool = Hoiho_util.Pool
+module Pool = Hoiho_obs.Pool
 module Dataset = Hoiho_itdk.Dataset
 module Router = Hoiho_itdk.Router
 module Obs = Hoiho_obs.Obs

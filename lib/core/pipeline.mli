@@ -64,7 +64,7 @@ val run :
   Hoiho_itdk.Dataset.t ->
   t
 (** [learn_geohints:false] disables stage 4 (used by the ablation
-    experiment). [jobs] (default {!Hoiho_util.Pool.default_jobs},
+    experiment). [jobs] (default {!Hoiho_obs.Pool.default_jobs},
     i.e. the [HOIHO_JOBS] env var or cores − 1) fans the independent
     suffix groups — and candidate evaluation within each — out over a
     shared domain pool. Results are deterministic: any [jobs] value

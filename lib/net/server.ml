@@ -5,7 +5,7 @@ module Dataset = Hoiho_itdk.Dataset
 module City = Hoiho_geodb.City
 module Strutil = Hoiho_util.Strutil
 module Engine = Hoiho_rx.Engine
-module Pool = Hoiho_util.Pool
+module Pool = Hoiho_obs.Pool
 module Obs = Hoiho_obs.Obs
 module Trace = Hoiho_obs.Trace
 module Health = Hoiho_obs.Health

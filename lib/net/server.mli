@@ -99,7 +99,7 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:0, jobs = {!Hoiho_util.Pool.default_jobs}, max_pending
+(** 127.0.0.1:0, jobs = {!Hoiho_obs.Pool.default_jobs}, max_pending
     1024, request_timeout_s 5.0, no model path, default objectives over
     a 60 s window (5 s × 12 buckets), no access log. Request coalescing
     uses {!Batcher.create}'s defaults: at most 64 hostnames per batch,

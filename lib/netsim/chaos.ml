@@ -200,99 +200,3 @@ let apply cfg db (ds : Dataset.t) =
   ( db,
     Dataset.make ~links:ds.Dataset.links ~label:ds.Dataset.label ~routers
       ~vps:ds.Dataset.vps () )
-
-(* --- network fault plans ---
-
-   The serving daemon's adversity is hostile clients, not dirty
-   datasets. A plan is pure data — payload bytes plus pacing — so this
-   module stays socket-free and the plans stay deterministic; the net
-   tests execute them against a live listener. *)
-
-type net_fault =
-  | Slow_loris
-  | Torn_request
-  | Oversized_hostname
-  | Control_bytes
-  | Garbage
-
-let all_net_faults =
-  [ Slow_loris; Torn_request; Oversized_hostname; Control_bytes; Garbage ]
-
-let net_fault_name = function
-  | Slow_loris -> "slow_loris"
-  | Torn_request -> "torn_request"
-  | Oversized_hostname -> "oversized_hostname"
-  | Control_bytes -> "control_bytes"
-  | Garbage -> "garbage"
-
-type net_plan = {
-  fault : net_fault;
-  payload : string;
-  chunk : int;
-  pause_s : float;
-  expect_response : bool;
-}
-
-let c_net = Obs.counter "chaos.net_faults"
-
-let valid_get h =
-  Printf.sprintf
-    "GET /geolocate?h=%s HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\n\r\n" h
-
-let net_plan rng fault =
-  Obs.incr c_net;
-  match fault with
-  | Slow_loris ->
-      (* each chunk lands well inside the socket timeout; only the
-         per-request deadline can end this client *)
-      {
-        fault;
-        payload = valid_get "100ge1-4.core2.fra12.he.net";
-        chunk = 1 + Prng.int rng 3;
-        pause_s = 0.01 +. Prng.float rng 0.02;
-        expect_response = true;
-      }
-  | Torn_request ->
-      let full = valid_get "100ge12-2.core2.tok2.he.net" in
-      let cut = 1 + Prng.int rng (String.length full - 1) in
-      {
-        fault;
-        payload = String.sub full 0 cut;
-        chunk = String.length full;
-        pause_s = 0.0;
-        expect_response = false;
-      }
-  | Oversized_hostname ->
-      (* past Engine.max_subject_len (1024) but inside the request-line
-         bound: must be rejected at the boundary with a 400 *)
-      {
-        fault;
-        payload = valid_get (String.make (1200 + Prng.int rng 2048) 'a');
-        chunk = 512;
-        pause_s = 0.0;
-        expect_response = true;
-      }
-  | Control_bytes ->
-      (* a raw C0 byte in the request line (never CR/LF, which would
-         just split the line): parser must answer 400 *)
-      let bad = String.make 1 (Char.chr (Prng.int rng 9)) in
-      {
-        fault;
-        payload = valid_get ("100ge1-4" ^ bad ^ ".core2.fra12.he.net");
-        chunk = 256;
-        pause_s = 0.0;
-        expect_response = true;
-      }
-  | Garbage ->
-      let len = 32 + Prng.int rng 224 in
-      let payload = String.init len (fun _ -> Char.chr (Prng.int rng 256)) in
-      { fault; payload; chunk = 64; pause_s = 0.0; expect_response = false }
-
-let net_plans ?(n = 25) seed =
-  let rng = Prng.create seed in
-  let k = List.length all_net_faults in
-  let rec build i acc =
-    if i >= n then List.rev acc
-    else build (i + 1) (net_plan rng (List.nth all_net_faults (i mod k)) :: acc)
-  in
-  build 0 []

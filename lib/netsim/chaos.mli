@@ -46,50 +46,3 @@ val apply :
     class never changes another's injections. VPs and links are left
     intact — adversity targets observations, not the measurement
     platform's own inventory. *)
-
-(** {1 Network fault plans}
-
-    The serving daemon (lib/net) faces a different adversary than the
-    learning pipeline: hostile or broken HTTP clients. A {!net_plan}
-    is a deterministic description of one such client — the bytes it
-    writes, how it paces them, and whether it sticks around for an
-    answer — generated from a seed exactly like the dataset fault
-    classes above. The plans are pure data (no sockets here), so the
-    net test layer can execute them against a live server and the
-    contract stays testable: the server must answer, shed, or close —
-    never crash, never wedge a connection past its deadline. *)
-
-type net_fault =
-  | Slow_loris
-      (** a well-formed request dribbled a few bytes at a time with
-          pauses: each read beats the socket timeout, only the
-          per-request deadline can end it *)
-  | Torn_request
-      (** a prefix of a valid request, then an abrupt close *)
-  | Oversized_hostname
-      (** a syntactically valid request whose hostname exceeds the
-          regex engine's subject bound — must 400, not crash or scan *)
-  | Control_bytes
-      (** raw control bytes embedded in the request line *)
-  | Garbage  (** bytes that are not HTTP at all *)
-
-val all_net_faults : net_fault list
-
-val net_fault_name : net_fault -> string
-(** Stable snake_case name, e.g. for test labels. *)
-
-type net_plan = {
-  fault : net_fault;
-  payload : string;  (** the bytes this client writes *)
-  chunk : int;  (** write granularity, [>= 1] *)
-  pause_s : float;  (** pause between chunks *)
-  expect_response : bool;
-      (** whether the client waits to read a response (a torn or
-          garbage client just disconnects) *)
-}
-
-val net_plans : ?n:int -> int -> net_plan list
-(** [net_plans seed] is [n] (default 25) deterministic client plans
-    cycling through {!all_net_faults} in order, so every class is
-    covered whenever [n >= 5]. Same seed, same plans, byte for byte;
-    each generated plan bumps the [chaos.net_faults] counter. *)

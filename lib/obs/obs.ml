@@ -1,3 +1,5 @@
+module Json = Hoiho_util.Json
+
 type counter = { cname : string; ccell : int Atomic.t }
 type gauge = { gname : string; gcell : int Atomic.t }
 
@@ -95,54 +97,27 @@ let reset () =
         (fun _ h -> Mutex.protect h.hlock (fun () -> Histo.clear h.histo))
         histograms)
 
-(* --- JSON rendering, hand-rolled so the layer stays dependency-free --- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_obj buf ~indent bindings render =
-  let pad = String.make indent ' ' in
-  Buffer.add_string buf "{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\n%s\"%s\": " pad (json_escape name));
-      render v)
-    bindings;
-  if bindings <> [] then begin
-    Buffer.add_string buf "\n";
-    Buffer.add_string buf (String.make (indent - 2) ' ')
-  end;
-  Buffer.add_string buf "}"
+(* --- JSON rendering --- *)
 
 let to_json snap =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"counters\": ";
-  json_obj buf ~indent:4 snap.counters (fun v ->
-      Buffer.add_string buf (string_of_int v));
-  Buffer.add_string buf ",\n  \"gauges\": ";
-  json_obj buf ~indent:4 snap.gauges (fun v ->
-      Buffer.add_string buf (string_of_int v));
-  Buffer.add_string buf ",\n  \"histograms\": ";
-  json_obj buf ~indent:4 snap.histograms (fun (s : Histo.stats) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"count\": %d, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": \
-            %.3f, \"max_ms\": %.3f, \"total_ms\": %.3f}"
-           s.n s.p50 s.p95 s.p99 s.max s.sum));
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let ints metrics = Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) metrics) in
+  let summary (s : Histo.stats) =
+    Json.Obj
+      [
+        ("count", Json.Int s.n);
+        ("p50_ms", Json.Float s.p50);
+        ("p95_ms", Json.Float s.p95);
+        ("p99_ms", Json.Float s.p99);
+        ("max_ms", Json.Float s.max);
+        ("total_ms", Json.Float s.sum);
+      ]
+  in
+  Json.Obj
+    [
+      ("counters", ints snap.counters);
+      ("gauges", ints snap.gauges);
+      ("histograms", Json.Obj (List.map (fun (name, s) -> (name, summary s)) snap.histograms));
+    ]
 
 (* --- OpenMetrics text exposition ---
 

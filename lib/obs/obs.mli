@@ -2,9 +2,9 @@
     duration histograms, collected into a registry that can be
     snapshotted and rendered as JSON.
 
-    The layer is deliberately small and self-contained (stdlib + unix
-    for the wall clock) so every library in the tree can depend on it
-    without cycles.
+    The layer sits directly above the leaf library [hoiho_util] (its
+    {!Hoiho_util.Json} renders snapshots), so every library above that
+    can depend on it without cycles.
 
     Thread-safety contract (see DESIGN.md §7): counters and gauges are
     [Atomic]-based and safe to bump from any domain of the work pool
@@ -92,12 +92,12 @@ val reset : unit -> unit
 (** Zero every registered metric (counters, gauges and histogram
     buckets). Registration survives; cells are reused. *)
 
-val to_json : snapshot -> string
-(** Render as a stable JSON object:
+val to_json : snapshot -> Hoiho_util.Json.t
+(** The snapshot as a JSON object:
     [{"counters": {..}, "gauges": {..}, "histograms": {"name":
     {"count": n, "p50_ms": x, "p95_ms": x, "p99_ms": x, "max_ms": x,
-    "total_ms": x}}}]. Keys are sorted, so equal snapshots render
-    equal strings. *)
+    "total_ms": x}}}]. Keys are sorted, so equal snapshots print
+    equal strings ({!Hoiho_util.Json.to_string}). *)
 
 val to_openmetrics : snapshot -> string
 (** The snapshot in OpenMetrics/Prometheus text exposition: counters
@@ -106,10 +106,6 @@ val to_openmetrics : snapshot -> string
     sanitized (non-alphanumeric bytes become ['_']) and prefixed with
     [hoiho_]; keys are sorted, so equal snapshots render equal
     strings. *)
-
-val json_escape : string -> string
-(** RFC 8259 string-body escaping (quotes, backslash, control bytes)
-    shared with {!Trace.to_chrome_json}. *)
 
 (** {1 Periodic exposition} *)
 

@@ -1,3 +1,5 @@
+module Json = Hoiho_util.Json
+
 type span = {
   id : int;
   parent : int option;
@@ -285,17 +287,7 @@ let render_text ?include_sched sps =
   List.iter (go 0) (forest ?include_sched sps);
   Buffer.contents buf
 
-(* --- Chrome trace-event export ---
-
-   Hand-rolled like Obs.to_json: hoiho_obs sits below hoiho_util in the
-   dependency order, so it cannot use Hoiho_util.Json — but the output
-   must (and does: bin/trace_check.ml, test_trace) parse with that
-   strict parser. *)
-
-let add_str buf s =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (Obs.json_escape s);
-  Buffer.add_char buf '"'
+(* --- Chrome trace-event export --- *)
 
 let to_chrome_json ?epoch_ms sps =
   let epoch_ms = match epoch_ms with Some v -> v | None -> Obs.epoch_ms () in
@@ -305,33 +297,33 @@ let to_chrome_json ?epoch_ms sps =
       (match sps with [] -> 0L | s :: _ -> s.t_start_ns)
       sps
   in
-  let us ns = Int64.to_float (Int64.sub ns t0) /. 1e3 in
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"traceEvents\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n  {\"name\": ";
-      add_str buf s.name;
-      Buffer.add_string buf ", \"cat\": ";
-      add_str buf s.cat;
-      Buffer.add_string buf
-        (Printf.sprintf ", \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %d, \"args\": {\"span_id\": %d, \"parent_id\": %s"
-           (us s.t_start_ns)
-           (Int64.to_float (Int64.sub s.t_end_ns s.t_start_ns) /. 1e3)
-           s.domain s.id
-           (match s.parent with Some p -> string_of_int p | None -> "null"));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf ", ";
-          add_str buf k;
-          Buffer.add_string buf ": ";
-          add_str buf v)
-        s.attrs;
-      Buffer.add_string buf "}}")
-    sps;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"trace_start_epoch_ms\": %.3f, \"dropped_spans\": %d}}\n"
-       epoch_ms (dropped ()));
-  Buffer.contents buf
+  let us ns = Int64.to_float ns /. 1e3 in
+  let event s =
+    Json.Obj
+      [
+        ("name", Json.String s.name);
+        ("cat", Json.String s.cat);
+        ("ph", Json.String "X");
+        ("ts", Json.Float (us (Int64.sub s.t_start_ns t0)));
+        ("dur", Json.Float (us (Int64.sub s.t_end_ns s.t_start_ns)));
+        ("pid", Json.Int 1);
+        ("tid", Json.Int s.domain);
+        ( "args",
+          Json.Obj
+            (("span_id", Json.Int s.id)
+            :: ("parent_id", match s.parent with Some p -> Json.Int p | None -> Json.Null)
+            :: List.map (fun (k, v) -> (k, Json.String v)) s.attrs) );
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.List (List.map event sps));
+         ("displayTimeUnit", Json.String "ms");
+         ( "otherData",
+           Json.Obj
+             [
+               ("trace_start_epoch_ms", Json.Float epoch_ms);
+               ("dropped_spans", Json.Int (dropped ()));
+             ] );
+       ])

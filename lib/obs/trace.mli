@@ -11,7 +11,7 @@
 
     Nesting: each domain keeps its own stack of live spans
     ({!Domain.DLS}), so synchronous callees nest under their caller
-    automatically. Work fanned out over {!Hoiho_util.Pool} may run on
+    automatically. Work fanned out over {!Pool} may run on
     other domains whose stacks are empty — the pool {!capture}s the
     caller's context and installs it ({!with_ctx}) around each queued
     job, so spans created inside a job nest under the span the fan-out
@@ -94,7 +94,7 @@ val with_ctx : ctx -> (unit -> 'a) -> 'a
     under the captured span. The executing domain's own live spans are
     masked for the duration, so a helping submitter's current work
     never becomes the accidental parent of another batch's job. Used
-    by {!Hoiho_util.Pool} around every job. *)
+    by {!Pool} around every job. *)
 
 val sampled : string -> bool
 (** Deterministic 1-in-64 subject sampling for very hot call sites
@@ -136,4 +136,5 @@ val to_chrome_json : ?epoch_ms:float -> span list -> string
     form), timestamps in microseconds relative to the earliest span.
     [epoch_ms] (default: wall clock now) is recorded once under
     ["otherData"] so consumers can anchor the monotonic timeline to
-    wall time. The output parses with {!Hoiho_util.Json.parse}. *)
+    wall time. Printed by {!Hoiho_util.Json.to_string}, so
+    {!Hoiho_util.Json.parse} reads it back. *)

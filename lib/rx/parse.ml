@@ -35,6 +35,10 @@ let parse_class_body st =
   go ();
   Ast.cls_of_string (Buffer.contents buf)
 
+let max_count = 1024
+
+(* a count past [max_count] (or past [max_int]) is an error, never a
+   [Failure] from [int_of_string] *)
 let parse_int st =
   let start = st.pos in
   let rec go () =
@@ -46,7 +50,13 @@ let parse_int st =
   in
   go ();
   if st.pos = start then raise (Err "expected integer in quantifier");
-  int_of_string (String.sub st.src start (st.pos - start))
+  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+  | Some n when n <= max_count -> n
+  | _ ->
+      raise
+        (Err
+           (Printf.sprintf "quantifier count at position %d exceeds the limit of %d"
+              start max_count))
 
 let parse_brace_quant st =
   (* positioned just after '{' *)

@@ -1,6 +1,6 @@
 module Learned_io = Hoiho.Learned_io
 module Apply = Hoiho.Apply
-module Pool = Hoiho_util.Pool
+module Pool = Hoiho_obs.Pool
 module Obs = Hoiho_obs.Obs
 module Trace = Hoiho_obs.Trace
 

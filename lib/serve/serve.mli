@@ -75,7 +75,7 @@ val apply_batch :
 (** Answer a batch, in input order, each hostname paired with its
     geolocation and confidence. Distinct uncached hostnames are computed in parallel
     over the shared pool ([jobs] defaults to
-    {!Hoiho_util.Pool.default_jobs}); duplicates within the batch are
+    {!Hoiho_obs.Pool.default_jobs}); duplicates within the batch are
     computed once. [normalized] (default false) promises every
     hostname is already in {!Hoiho_util.Strutil.normalize_hostname}
     form — the network boundary normalizes exactly once and sets it,

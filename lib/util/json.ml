@@ -314,3 +314,112 @@ let rec equal a b =
              | _ -> false)
            ka
   | _ -> false
+
+(* --- decoding ---
+
+   A path is built as a decoder descends and rendered only when an
+   error names it, so a successful decode allocates one small node per
+   field or item and formats nothing. *)
+
+type path = Root | Key of path * string | Nth of path * int
+
+let root = Root
+
+let path_to_string p =
+  let buf = Buffer.create 32 in
+  let rec go = function
+    | Root -> Buffer.add_char buf '$'
+    | Key (p, k) ->
+        go p;
+        Buffer.add_char buf '.';
+        Buffer.add_string buf k
+    | Nth (p, i) ->
+        go p;
+        Printf.bprintf buf "[%d]" i
+  in
+  go p;
+  Buffer.contents buf
+
+type error = { path : string; expected : string; got : string }
+
+let error_to_string e = Printf.sprintf "%s: expected %s, got %s" e.path e.expected e.got
+
+type 'a decoder = path -> t -> ('a, error) result
+
+let fail path ~expected ~got = Error { path = path_to_string path; expected; got }
+let mismatch path expected j = fail path ~expected ~got:(kind j)
+
+let int path = function Int i -> Ok i | j -> mismatch path "int" j
+
+let number path = function
+  | Float f -> Ok f
+  | Int i -> Ok (float_of_int i)
+  | j -> mismatch path "number" j
+
+let string path = function String s -> Ok s | j -> mismatch path "string" j
+let bool path = function Bool b -> Ok b | j -> mismatch path "bool" j
+
+(* one pass, one list: the first failing item stops the map *)
+let list d path = function
+  | List items -> (
+      let exception Failed of error in
+      match
+        List.mapi
+          (fun i item ->
+            match d (Nth (path, i)) item with Ok v -> v | Error e -> raise_notrace (Failed e))
+          items
+      with
+      | vs -> Ok vs
+      | exception Failed e -> Error e)
+  | j -> mismatch path "list" j
+
+let pair da db path = function
+  | List [ a; b ] -> (
+      match da (Nth (path, 0)) a with
+      | Error _ as e -> e
+      | Ok va -> (
+          match db (Nth (path, 1)) b with Ok vb -> Ok (va, vb) | Error _ as e -> e))
+  | List l ->
+      fail path ~expected:"2-element list"
+        ~got:(Printf.sprintf "%d-element list" (List.length l))
+  | j -> mismatch path "list" j
+
+let field name d path = function
+  | Obj fields -> (
+      match List.assoc_opt name fields with
+      | Some v -> d (Key (path, name)) v
+      | None -> fail (Key (path, name)) ~expected:"present field" ~got:"absent")
+  | j -> mismatch path "object" j
+
+let field_opt name d path = function
+  | Obj fields -> (
+      match List.assoc_opt name fields with
+      | Some v -> Result.map Option.some (d (Key (path, name)) v)
+      | None -> Ok None)
+  | j -> mismatch path "object" j
+
+let enum expected of_wire path = function
+  | String s as j -> (
+      match of_wire s with Some v -> Ok v | None -> fail path ~expected ~got:(to_string j))
+  | j -> mismatch path "string" j
+
+let check expected ok d path j =
+  match d path j with
+  | Ok v when not (ok v) -> fail path ~expected ~got:(to_string j)
+  | r -> r
+
+(* --- files --- *)
+
+let read_file ~max_bytes ~what path =
+  match
+    In_channel.with_open_bin path (fun ic ->
+        let n = in_channel_length ic in
+        if n > max_bytes then
+          Error
+            (Printf.sprintf "%s: %d bytes exceeds the limit of %d for %s" path n
+               max_bytes what)
+        else Ok (really_input_string ic n))
+  with
+  | r -> r
+  | exception (Sys_error msg) -> Error msg
+  | exception End_of_file -> Error (path ^ ": file shrank while it was read")

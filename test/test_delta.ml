@@ -409,6 +409,26 @@ let test_wire_rejects_malformed () =
          in
          contains 0)
 
+(* an event file over the cap is refused before it is read, naming the
+   limit; the file is sparse, so writing it costs one byte *)
+let test_load_events_oversized () =
+  let path = Filename.temp_file "hoiho_events" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.seek oc (Int64.of_int Delta.max_file_bytes);
+          output_char oc ' ');
+      match Delta.load_events path with
+      | Error msg ->
+          Alcotest.(check bool) "error names the size limit" true
+            (String.ends_with
+               ~suffix:
+                 (Printf.sprintf "exceeds the limit of %d for an event stream"
+                    Delta.max_file_bytes)
+               msg)
+      | Ok _ -> Alcotest.fail "an oversized event file loaded")
+
 (* --- relearn stats and counters --- *)
 
 let test_relearn_stats_and_counters () =
@@ -522,6 +542,7 @@ let suites =
         Helpers.tc "corpus order is preserved" test_corpus_order_preserved;
         Helpers.tc "events_between round-trips" test_events_between_roundtrip;
         Helpers.tc "wire rejects malformed input" test_wire_rejects_malformed;
+        Helpers.tc "load_events refuses an oversized file" test_load_events_oversized;
         Helpers.tc "relearn stats and counters" test_relearn_stats_and_counters;
         Helpers.tc "relearn_model matches batch" test_relearn_model_matches_batch;
         Helpers.tc "negative cache invalidated on incremental swap"

@@ -433,6 +433,27 @@ let failed_loads_leak_no_fd () =
   done;
   Alcotest.(check int) "open descriptors" before (open_fds ())
 
+(* a file over the cap is refused before it is read, naming the limit;
+   the file is sparse, so writing it costs one byte *)
+let load_refuses_oversized () =
+  let path = Filename.temp_file "hoiho_model" ".hoiho.json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.seek oc (Int64.of_int Learned_io.max_file_bytes);
+          output_char oc ' ');
+      match Learned_io.load path with
+      | Error (Learned_io.Syntax msg) ->
+          Alcotest.(check bool) "error names the size limit" true
+            (String.ends_with
+               ~suffix:
+                 (Printf.sprintf "exceeds the limit of %d for a model snapshot"
+                    Learned_io.max_file_bytes)
+               msg)
+      | Error e -> Alcotest.failf "expected Syntax, got %s" (Learned_io.error_to_string e)
+      | Ok _ -> Alcotest.fail "an oversized snapshot loaded")
+
 let save_load_roundtrip () =
   let m = sample_model () in
   let path = Filename.temp_file "hoiho_model" ".hoiho.json" in
@@ -499,6 +520,200 @@ let json_roundtrip =
          | Ok j' -> Json.equal j j'
          | Error m -> Test.fail_report m))
 
+(* --- the decode vocabulary --- *)
+
+let json_decoders_name_the_path () =
+  let doc =
+    match Json.parse {|{"a": [{"b": 1}, {"b": "x"}], "n": 2, "e": "red", "l": [1, 2, 3]}|} with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "fixture: %s" m
+  in
+  let err = function
+    | Ok _ -> "Ok"
+    | Error e -> Json.error_to_string e
+  in
+  let bs = Json.field "a" (Json.list (Json.field "b" Json.int)) Json.root doc in
+  Alcotest.(check string) "indexed list path" "$.a[1].b: expected int, got string"
+    (err bs);
+  Alcotest.(check string) "absent field" "$.z: expected present field, got absent"
+    (err (Json.field "z" Json.int Json.root doc));
+  Alcotest.(check string) "not an object" "$.n: expected object, got int"
+    (err (Json.field "n" (Json.field "b" Json.int) Json.root doc));
+  Alcotest.(check (result (float 0.0) reject)) "a number accepts an int" (Ok 2.0)
+    (Result.map_error ignore (Json.field "n" Json.number Json.root doc));
+  Alcotest.(check (result (option int) reject)) "an absent optional field" (Ok None)
+    (Result.map_error ignore (Json.field_opt "z" Json.int Json.root doc));
+  Alcotest.(check string) "enum names the value" {|$.e: expected blue|green, got "red"|}
+    (err (Json.field "e" (Json.enum "blue|green" (fun _ -> None)) Json.root doc));
+  Alcotest.(check string) "check names the value" "$.n: expected odd int, got 2"
+    (err (Json.field "n" (Json.check "odd int" (fun n -> n mod 2 = 1) Json.int) Json.root doc));
+  Alcotest.(check string) "pair items" "$.a[0]: expected int, got object"
+    (err (Json.field "a" (Json.pair Json.int Json.int) Json.root doc));
+  Alcotest.(check string) "pair length" "$.l: expected 2-element list, got 3-element list"
+    (err (Json.field "l" (Json.pair Json.int Json.int) Json.root doc))
+
+(* --- seeded mutations over the three decoders ---
+
+   From a valid snapshot, event stream and SLO file: truncate, flip a
+   byte, give a value the wrong type, drop a field, or inflate a regex
+   quantifier (a number, in documents without regexes). Event and SLO
+   decoding must never raise. A snapshot that still parses as JSON
+   must never be answered through decode's catch-all fence: every
+   defect in it is a typed Schema or version error. *)
+
+module Delta = Hoiho.Delta
+module Slo = Hoiho_net.Slo
+module Rtts = Hoiho_itdk.Rtts
+
+let sample_events =
+  Delta.events_to_string
+    [
+      Delta.Upsert
+        (Hoiho_itdk.Router.make 7 ~asn:64500 ~hostnames:[ "xe-1.cr1.lhr1.example.net" ]
+           ~ping_rtts:(Rtts.of_list [ (1, 2.5); (2, 31.0) ]));
+      Delta.Remove 3;
+      Delta.Add_hostname { router = 7; hostname = "xe-2.cr1.lhr1.example.net" };
+      Delta.Remove_hostname { router = 7; hostname = "xe-1.cr1.lhr1.example.net" };
+      Delta.Set_hostnames { router = 9; hostnames = [ "ae0.cr2.fra1.example.net" ] };
+      Delta.Set_rtts
+        { router = 9; ping = Rtts.of_list [ (4, 8.25) ]; trace = Rtts.empty };
+    ]
+
+let sample_slo =
+  {|{"window_s": 10, "buckets": 5, "objectives": [
+      {"metric": "latency_p99_ms", "max": 250},
+      {"metric": "error_rate", "max": 0.05, "fail_ratio": 3.0}]}|}
+
+type mutation = Truncate | Flip | Retype | Drop | Inflate
+
+let mutation_name = function
+  | Truncate -> "truncate"
+  | Flip -> "flip"
+  | Retype -> "retype"
+  | Drop -> "drop"
+  | Inflate -> "inflate"
+
+(* the pre-order positions of the nodes [pick] selects, and a rewrite
+   of the node at one position *)
+let positions pick j =
+  let found = ref [] and k = ref 0 in
+  let rec go j =
+    if pick j then found := !k :: !found;
+    incr k;
+    match j with
+    | Json.List l -> List.iter go l
+    | Json.Obj fields -> List.iter (fun (_, v) -> go v) fields
+    | _ -> ()
+  in
+  go j;
+  List.rev !found
+
+let rewrite pos f j =
+  let k = ref 0 in
+  let rec go j =
+    let here = !k = pos in
+    incr k;
+    if here then f j
+    else
+      match j with
+      | Json.List l -> Json.List (List.map go l)
+      | Json.Obj fields -> Json.Obj (List.map (fun (n, v) -> (n, go v)) fields)
+      | j -> j
+  in
+  go j
+
+let huge_count = "{1,99999999999999999999}"
+
+let inflate_source s =
+  match String.index_opt s '+' with
+  | Some i -> String.sub s 0 i ^ huge_count ^ String.sub s (i + 1) (String.length s - i - 1)
+  | None -> "^a" ^ huge_count ^ s
+
+let mutate rand mutation doc =
+  let any l = List.nth l (Random.State.int rand (List.length l)) in
+  let tree f = match Json.parse doc with Ok j -> Json.to_string (f j) | Error _ -> doc in
+  let at pick f j = match positions pick j with [] -> j | ps -> rewrite (any ps) f j in
+  match mutation with
+  | Truncate -> String.sub doc 0 (Random.State.int rand (String.length doc))
+  | Flip ->
+      let b = Bytes.of_string doc in
+      let i = Random.State.int rand (Bytes.length b) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Random.State.int rand 255)));
+      Bytes.to_string b
+  | Retype ->
+      tree
+        (at (fun _ -> true) (function
+          | Json.Int _ | Json.Float _ -> Json.String "7"
+          | Json.String _ -> Json.Int 7
+          | Json.Bool _ -> Json.Null
+          | Json.Null -> Json.Bool true
+          | Json.List _ -> Json.Obj []
+          | Json.Obj _ -> Json.List []))
+  | Drop ->
+      tree
+        (at
+           (function Json.Obj (_ :: _) -> true | _ -> false)
+           (function
+             | Json.Obj fields ->
+                 let victim = fst (any fields) in
+                 Json.Obj (List.filter (fun (n, _) -> n <> victim) fields)
+             | j -> j))
+  | Inflate ->
+      tree (fun j ->
+          let has_source = function
+            | Json.Obj fields -> List.mem_assoc "source" fields
+            | _ -> false
+          in
+          if positions has_source j <> [] then
+            at has_source
+              (function
+                | Json.Obj fields ->
+                    Json.Obj
+                      (List.map
+                         (function
+                           | "source", Json.String s -> ("source", Json.String (inflate_source s))
+                           | field -> field)
+                         fields)
+                | j -> j)
+              j
+          else
+            at
+              (function Json.Int _ -> true | _ -> false)
+              (fun _ -> if Random.State.bool rand then Json.Int max_int else Json.Float 1e300)
+              j)
+
+let decoders_survive_mutation =
+  let gen =
+    Gen.(
+      tup4 gen_model
+        (oneofl [ `Snapshot; `Events; `Slo ])
+        (oneofl [ Truncate; Flip; Retype; Drop; Inflate ])
+        int)
+  in
+  let print (m, target, mutation, seed) =
+    Printf.sprintf "%s of the %s (seed %d)%s" (mutation_name mutation)
+      (match target with `Snapshot -> "snapshot" | `Events -> "events" | `Slo -> "SLO file")
+      seed
+      (match target with `Snapshot -> ": " ^ Learned_io.encode m | _ -> "")
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:600 ~name:"decoders survive seeded mutations" (make ~print gen)
+       (fun (m, target, mutation, seed) ->
+         let rand = Random.State.make [| seed |] in
+         match target with
+         | `Events ->
+             ignore (Delta.events_of_string (mutate rand mutation sample_events));
+             true
+         | `Slo ->
+             ignore (Slo.parse (mutate rand mutation sample_slo));
+             true
+         | `Snapshot -> (
+             let input = mutate rand mutation (Learned_io.encode m) in
+             match (Json.parse input, Learned_io.decode input) with
+             | Ok _, Error (Learned_io.Syntax msg) ->
+                 Test.fail_reportf "parsed as JSON, yet decoded through the fence: %s" msg
+             | _ -> true)))
+
 let suites =
   [
     ( "learned_io",
@@ -514,11 +729,16 @@ let suites =
         Alcotest.test_case "load of missing file" `Quick load_missing;
         Alcotest.test_case "200 failed loads leave /proc/self/fd unchanged" `Quick
           failed_loads_leak_no_fd;
+        Alcotest.test_case "load refuses an oversized file" `Quick
+          load_refuses_oversized;
         Alcotest.test_case "save/load round-trip" `Quick save_load_roundtrip;
         Alcotest.test_case "save over an existing snapshot is atomic" `Quick
           save_over_existing_is_atomic;
         roundtrip;
         encode_stable;
         json_roundtrip;
+        Alcotest.test_case "json decoders name the failing path" `Quick
+          json_decoders_name_the_path;
+        decoders_survive_mutation;
       ] );
   ]

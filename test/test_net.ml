@@ -3,8 +3,8 @@
    72-hostname golden corpus queried over a real socket (including a
    pass that straddles a hot reload), the single-normalization parity
    proof, deterministic 503 shedding, reload failure semantics, and
-   the chaos net-fault plans from Hoiho_netsim.Chaos driven against a
-   short-deadline server.
+   seeded hostile-client plans driven against a short-deadline
+   server.
 
    Contract under test (DESIGN.md §11): a served answer is
    byte-identical to in-process application of the same snapshot; the
@@ -14,7 +14,7 @@
 module Http = Hoiho_net.Http
 module Batcher = Hoiho_net.Batcher
 module Server = Hoiho_net.Server
-module Chaos = Hoiho_netsim.Chaos
+module Prng = Hoiho_util.Prng
 module Pipeline = Hoiho.Pipeline
 module Learned_io = Hoiho.Learned_io
 module Delta = Hoiho.Delta
@@ -883,22 +883,124 @@ let test_observe_unconfigured () =
          in
          contains 0))
 
-(* --- chaos: hostile clients against a short-deadline server --- *)
+(* --- chaos: hostile clients against a short-deadline server ---
 
-let run_plan port (plan : Chaos.net_plan) =
+   The daemon's adversity is hostile clients, not dirty datasets. A
+   plan is pure data — the bytes one client writes, how it paces them,
+   and whether it waits for an answer — generated from a seed, so the
+   plans stay deterministic and the contract testable: the server must
+   answer, shed, or close, never crash, never wedge a connection past
+   its deadline. *)
+
+type net_fault =
+  | Slow_loris
+      (* a well-formed request dribbled a few bytes at a time with
+         pauses: each read beats the socket timeout, only the
+         per-request deadline can end it *)
+  | Torn_request  (* a prefix of a valid request, then an abrupt close *)
+  | Oversized_hostname
+      (* a syntactically valid request whose hostname exceeds the regex
+         engine's subject bound — must 400, not crash or scan *)
+  | Control_bytes  (* raw control bytes embedded in the request line *)
+  | Garbage  (* bytes that are not HTTP at all *)
+
+let all_net_faults =
+  [ Slow_loris; Torn_request; Oversized_hostname; Control_bytes; Garbage ]
+
+let net_fault_name = function
+  | Slow_loris -> "slow_loris"
+  | Torn_request -> "torn_request"
+  | Oversized_hostname -> "oversized_hostname"
+  | Control_bytes -> "control_bytes"
+  | Garbage -> "garbage"
+
+type net_plan = {
+  fault : net_fault;
+  payload : string;
+  chunk : int;  (* write granularity, >= 1 *)
+  pause_s : float;  (* pause between chunks *)
+  expect_response : bool;
+      (* whether the client waits to read a response (a torn or garbage
+         client just disconnects) *)
+}
+
+let valid_get h =
+  Printf.sprintf
+    "GET /geolocate?h=%s HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\n\r\n" h
+
+let net_plan rng fault =
+  match fault with
+  | Slow_loris ->
+      (* each chunk lands well inside the socket timeout; only the
+         per-request deadline can end this client *)
+      {
+        fault;
+        payload = valid_get "100ge1-4.core2.fra12.he.net";
+        chunk = 1 + Prng.int rng 3;
+        pause_s = 0.01 +. Prng.float rng 0.02;
+        expect_response = true;
+      }
+  | Torn_request ->
+      let full = valid_get "100ge12-2.core2.tok2.he.net" in
+      let cut = 1 + Prng.int rng (String.length full - 1) in
+      {
+        fault;
+        payload = String.sub full 0 cut;
+        chunk = String.length full;
+        pause_s = 0.0;
+        expect_response = false;
+      }
+  | Oversized_hostname ->
+      (* past Engine.max_subject_len (1024) but inside the request-line
+         bound: must be rejected at the boundary with a 400 *)
+      {
+        fault;
+        payload = valid_get (String.make (1200 + Prng.int rng 2048) 'a');
+        chunk = 512;
+        pause_s = 0.0;
+        expect_response = true;
+      }
+  | Control_bytes ->
+      (* a raw C0 byte in the request line (never CR/LF, which would
+         just split the line): parser must answer 400 *)
+      let bad = String.make 1 (Char.chr (Prng.int rng 9)) in
+      {
+        fault;
+        payload = valid_get ("100ge1-4" ^ bad ^ ".core2.fra12.he.net");
+        chunk = 256;
+        pause_s = 0.0;
+        expect_response = true;
+      }
+  | Garbage ->
+      let len = 32 + Prng.int rng 224 in
+      let payload = String.init len (fun _ -> Char.chr (Prng.int rng 256)) in
+      { fault; payload; chunk = 64; pause_s = 0.0; expect_response = false }
+
+(* [n] plans cycling through [all_net_faults] in order, so every class
+   is covered whenever [n >= 5]; same seed, same plans, byte for byte *)
+let net_plans ?(n = 25) seed =
+  let rng = Prng.create seed in
+  let k = List.length all_net_faults in
+  let rec build i acc =
+    if i >= n then List.rev acc
+    else build (i + 1) (net_plan rng (List.nth all_net_faults (i mod k)) :: acc)
+  in
+  build 0 []
+
+let run_plan port plan =
   let fd = connect port in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with _ -> ())
     (fun () ->
       (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 3.0
        with Unix.Unix_error _ -> ());
-      let n = String.length plan.Chaos.payload in
+      let n = String.length plan.payload in
       let rec send off =
         if off < n then
-          let len = min plan.Chaos.chunk (n - off) in
-          match Unix.write_substring fd plan.Chaos.payload off len with
+          let len = min plan.chunk (n - off) in
+          match Unix.write_substring fd plan.payload off len with
           | w ->
-              if plan.Chaos.pause_s > 0.0 then Unix.sleepf plan.Chaos.pause_s;
+              if plan.pause_s > 0.0 then Unix.sleepf plan.pause_s;
               send (off + w)
           | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
               (* the server already gave up on us — that is an allowed
@@ -907,15 +1009,15 @@ let run_plan port (plan : Chaos.net_plan) =
           | exception Unix.Unix_error (EINTR, _, _) -> send off
       in
       send 0;
-      if plan.Chaos.expect_response then begin
+      if plan.expect_response then begin
         let raw = read_to_eof fd in
         let status = parse_status raw in
-        match plan.Chaos.fault with
-        | Chaos.Oversized_hostname | Chaos.Control_bytes ->
+        match plan.fault with
+        | Oversized_hostname | Control_bytes ->
             Alcotest.(check int)
-              (Chaos.net_fault_name plan.Chaos.fault ^ " is rejected with 400")
+              (net_fault_name plan.fault ^ " is rejected with 400")
               400 status
-        | Chaos.Slow_loris ->
+        | Slow_loris ->
             (* fast enough to finish inside the deadline → 200; too
                slow → 408 or a silent close. Never a hang, never a 5xx. *)
             if raw <> "" && status <> 200 && status <> 408 then
@@ -935,11 +1037,11 @@ let test_chaos_clients () =
     }
   in
   with_server ~config model (fun _ port ->
-      let plans = Chaos.net_plans ~n:25 7 in
+      let plans = net_plans ~n:25 7 in
       Alcotest.(check bool) "every fault class planned" true
         (List.for_all
-           (fun f -> List.exists (fun p -> p.Chaos.fault = f) plans)
-           Chaos.all_net_faults);
+           (fun f -> List.exists (fun p -> p.fault = f) plans)
+           all_net_faults);
       List.iteri
         (fun i plan ->
           (* mid-reload traffic: swap the model while hostile clients
@@ -952,7 +1054,7 @@ let test_chaos_clients () =
         plans;
       (* determinism of the plan stream itself *)
       Alcotest.(check bool) "plans are deterministic" true
-        (Chaos.net_plans ~n:25 7 = plans);
+        (net_plans ~n:25 7 = plans);
       (* after all that, the server still answers, correctly *)
       let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "alive after chaos" 200 status;

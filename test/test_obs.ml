@@ -1,6 +1,7 @@
 module Obs = Hoiho_obs.Obs
 module Histo = Hoiho_obs.Histo
-module Pool = Hoiho_util.Pool
+module Pool = Hoiho_obs.Pool
+module Json = Hoiho_util.Json
 
 let tc = Helpers.tc
 
@@ -77,11 +78,16 @@ let test_snapshot_sorted_and_json () =
     (names = List.sort compare names);
   let json = Obs.to_json snap in
   Alcotest.(check bool) "json has counters section" true
-    (contains json "\"counters\"");
+    (Json.member "counters" json <> None);
   Alcotest.(check bool) "json has histograms section" true
-    (contains json "\"histograms\"");
-  Alcotest.(check bool) "json names quoted" true
-    (contains json "\"test.obs.json_a\"")
+    (Json.member "histograms" json <> None);
+  Alcotest.(check bool) "json names the counter" true
+    (Option.bind (Json.member "counters" json) (Json.member "test.obs.json_a")
+    <> None);
+  Alcotest.(check bool) "json round-trips through the parser" true
+    (match Json.parse (Json.to_string json) with
+    | Ok j -> Json.equal j json
+    | Error _ -> false)
 
 let test_find_counter () =
   let c = Obs.counter "test.obs.find" in

@@ -1,4 +1,4 @@
-module Pool = Hoiho_util.Pool
+module Pool = Hoiho_obs.Pool
 module Obs = Hoiho_obs.Obs
 
 let tc = Helpers.tc

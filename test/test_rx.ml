@@ -19,13 +19,26 @@ let check_match re s expected () =
 (* --- parser --- *)
 
 let test_parse_errors () =
-  let bad = [ "a{2,1}"; "("; ")"; "[abc"; "*a"; "a{"; "\\"; "a|*" ] in
+  let bad =
+    [
+      "a{2,1}"; "("; ")"; "[abc"; "*a"; "a{"; "\\"; "a|*";
+      (* counts past max_int, and past the bound that keeps an
+         empty-iteration repetition off the matcher's stack *)
+      "a{99999999999999999999}";
+      "a{1,99999999999999999999}";
+      Printf.sprintf "^(a?){%d}b$" (Parse.max_count + 1);
+    ]
+  in
   List.iter
     (fun re ->
       match Parse.parse re with
       | Ok _ -> Alcotest.failf "expected parse error for %S" re
-      | Error _ -> ())
-    bad
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "%S raised %s" re (Printexc.to_string e))
+    bad;
+  Alcotest.(check bool) "the count bound is within the subject bound" true
+    (Parse.max_count <= Engine.max_subject_len);
+  check_match (Printf.sprintf "^(a?){%d}b$" Parse.max_count) "b" (Some "") ()
 
 let test_parse_roundtrip () =
   let res =
