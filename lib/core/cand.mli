@@ -29,10 +29,6 @@ val build : suffix:string -> comp list -> t
 (** Compile components into an anchored regex ending in the literal
     suffix; derives the plan from the [Cap] components in order. *)
 
-val source_of : suffix:string -> comp list -> string
-(** The concrete syntax [build] would give this body, without
-    compiling it. *)
-
 val build_many : ?jobs:int -> suffix:string -> comp list list -> t list
 (** Batched compilation: deduplicates bodies on their rendered source
     (keeping first occurrences, like {!dedup}) before compiling, and

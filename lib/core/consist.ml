@@ -13,7 +13,7 @@ let slack_ms = 0.5
    domains during a parallel pipeline run, so nothing here may mutate
    shared state after [create] returns. [stamp] tells one [t]'s RTT
    memo apart from another's. *)
-type t = { dataset : Dataset.t; vp_by_id : Vp.t array; stamp : int }
+type t = { vp_by_id : Vp.t array; stamp : int }
 
 exception Unknown_vp of int
 
@@ -45,9 +45,7 @@ let create dataset =
       vp_by_id
     end
   in
-  { dataset; vp_by_id; stamp = Atomic.fetch_and_add stamps 1 }
-
-let dataset t = t.dataset
+  { vp_by_id; stamp = Atomic.fetch_and_add stamps 1 }
 
 (* [vp_by_id] is a dense table seeded with vps.(0) as filler, so a hole
    (an id inside the range that no VP carries) holds a VP whose own id

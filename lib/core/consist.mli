@@ -32,8 +32,6 @@ exception Unknown_vp of int
 
 val create : Hoiho_itdk.Dataset.t -> t
 
-val dataset : t -> Hoiho_itdk.Dataset.t
-
 val router_rtts : t -> Hoiho_itdk.Router.t -> (Hoiho_itdk.Vp.t * float) list
 (** The RTT vector used for consistency testing. *)
 

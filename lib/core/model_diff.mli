@@ -45,13 +45,10 @@ val diff : Learned_io.t -> Learned_io.t -> t
     entries (compared in stable sorted order) differ; metrics blocks
     are ignored — two learns of the same corpus diff empty. *)
 
-val to_json : t -> Hoiho_util.Json.t
-(** Deterministic JSON view (suffixes and hints in sorted order; cities
-    identified by {!Hoiho_geodb.City.key}). *)
-
 val encode : t -> string
-(** Stable compact rendering of {!to_json}: equal diffs encode to
-    equal bytes. *)
+(** Stable compact JSON rendering (suffixes and hints in sorted order;
+    cities identified by {!Hoiho_geodb.City.key}): equal diffs encode
+    to equal bytes. *)
 
 val render_text : t -> string
 (** Human view, one suffix per stanza: a header line with totals, then

@@ -20,9 +20,6 @@ type t = {
   n_labels : int;  (** how many trailing labels form the name *)
 }
 
-val atp : counts -> int
-val ppv : counts -> float
-
 val learn : suffix:string -> Hoiho_itdk.Router.t list -> t option
 (** Learn from the routers (only those with ≥2 hostnames under the
     suffix train; single-interface routers participate in uniqueness

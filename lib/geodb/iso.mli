@@ -9,9 +9,6 @@ val country_name : string -> string option
 
 val is_country : string -> bool
 
-val canonical_country : string -> string option
-(** Maps aliases to the canonical ISO code: ["uk"] becomes ["gb"]. *)
-
 val country_equiv : string -> string -> bool
 (** True when the two codes denote the same country ("uk" ≡ "gb"). *)
 
@@ -21,6 +18,3 @@ val state_name : cc:string -> string -> string option
 
 val is_any_state : string -> bool
 (** True if the code is a subdivision of any covered country. *)
-
-val all_states : (string * string * string) list
-(** (country, code, name) triples. *)

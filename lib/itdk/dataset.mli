@@ -27,7 +27,6 @@ val vp : t -> int -> Vp.t
 
 val n_routers : t -> int
 val n_with_hostname : t -> int
-val n_with_rtt : t -> int
 
 val n_responsive : t -> int
 (** Routers with ping RTT samples (the "w/ RTT" row of table 1;

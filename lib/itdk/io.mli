@@ -3,8 +3,6 @@
     everything the learning method consumes (and the generator's ground
     truth, so experiments can be re-run from a saved file). *)
 
-val write : out_channel -> Dataset.t -> unit
-
 val to_string : Dataset.t -> string
 
 val read : in_channel -> Dataset.t

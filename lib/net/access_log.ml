@@ -51,8 +51,6 @@ let create ?(max_bytes = 16 * 1024 * 1024) path =
         }
   | exception Sys_error msg -> Error msg
 
-let path t = t.lpath
-
 (* under the writer lock: rename the full file to <path>.1 (replacing
    any previous rotation — the budget is the live file plus one
    predecessor) and start fresh *)

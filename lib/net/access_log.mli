@@ -48,7 +48,5 @@ val log : t -> entry -> unit
     a crash loses at most the in-flight line. Write failures are
     swallowed: logging must never take the serving path down. *)
 
-val path : t -> string
-
 val close : t -> unit
 (** Flush and close. Idempotent; [log] after [close] is a no-op. *)

@@ -142,8 +142,6 @@ let create ?(max_batch = 64) ?(max_wait_ms = 1.0) ?(max_pending = 1024)
   t.worker <- Some (Domain.spawn (fun () -> worker_loop t));
   t
 
-let pending t = locked t.qm (fun () -> t.pending)
-
 let submit t keys =
   match keys with
   | [] -> Ok []

@@ -44,9 +44,6 @@ val submit :
     Answers come back in the order the keys were given. An empty list
     returns [Ok []] immediately. *)
 
-val pending : 'a t -> int
-(** Hostnames currently queued (diagnostic). *)
-
 val stop : 'a t -> unit
 (** Drain every queued ticket, then join the batcher domain.
     Subsequent {!submit}s return [Error `Stopped]. Idempotent. *)

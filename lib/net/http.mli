@@ -79,8 +79,6 @@ val pct_encode : string -> string
 (** Conservative encoding for query values: alphanumerics and
     [-._~] verbatim, everything else as [%XX]. *)
 
-val status_text : int -> string
-
 val response :
   ?headers:(string * string) list ->
   ?content_type:string ->

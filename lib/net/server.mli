@@ -87,9 +87,9 @@ type config = {
   model_path : string option;  (** snapshot to re-read on reload *)
   objectives : Hoiho_obs.Health.objective list option;
       (** SLO objectives for the health monitor (what [--slo FILE]
-          supplies via {!Slo.load}); [None] uses
-          {!Hoiho_obs.Health.default_objectives}, generous enough that
-          a clean server evaluates [Ok]. *)
+          supplies via {!Slo.load}); [None] uses the default
+          objectives of {!Hoiho_obs.Health.create_monitor}, generous
+          enough that a clean server evaluates [Ok]. *)
   health_bucket_ms : float;  (** health window bucket width *)
   health_nbuckets : int;
       (** health window ring length; span = bucket × ring *)

@@ -27,10 +27,6 @@ type t = {
   nbuckets : int;
 }
 
-val metrics : string list
-(** The measurement names an objective may budget: [latency_p50_ms],
-    [latency_p99_ms], [error_rate], [shed_rate], [calibration_drift]. *)
-
 val max_buckets : int
 (** 120: each bucket is one {!Hoiho_obs.Histo} (about 4 KB) in each of
     the monitor's four windows, so 120 buckets cost about 2 MB; on the

@@ -39,10 +39,6 @@ type t = {
 val role_pool : string array
 (** Role strings operators use ("cr", "gw", "bb", ...). *)
 
-val junk_pool : string array
-(** Non-geographic tokens, including the IATA collisions the paper calls
-    out ("gig", "eth", "cpe") and HLOC blocklist examples. *)
-
 val render :
   Hoiho_util.Prng.t ->
   template ->

@@ -41,10 +41,6 @@ val generate : config -> Hoiho_itdk.Dataset.t * Truth.t
     [Pipeline.run ~db:(Truth.db truth)] so it can interpret hints for
     synthetic towns. *)
 
-val make_vps : Hoiho_util.Prng.t -> Hoiho_geodb.Db.t -> int -> Hoiho_itdk.Vp.t array
-(** VPs placed in distinct population-weighted cities, named
-    "iata-cc" Ark-style. *)
-
 val router_hostnames :
   Hoiho_util.Prng.t ->
   Oper.t ->

@@ -73,13 +73,10 @@ val add_attr : string -> string -> unit
 (** Attach a key/value pair to the calling domain's innermost live
     span. No-op when disabled or outside any span. *)
 
-val current : unit -> int option
-(** Id of the calling domain's innermost live span. *)
-
 val fanout_parent : unit -> parent
 (** The parent to pass to spans created on other domains on this
-    span's behalf: [Span (current ())] when inside a span, [Root]
-    otherwise. *)
+    span's behalf: [Span id] of the calling domain's innermost live
+    span when inside one, [Root] otherwise. *)
 
 type ctx
 (** A captured span context: the innermost live span at capture time. *)
@@ -110,21 +107,17 @@ val spans : unit -> span list
 val dropped : unit -> int
 (** Spans discarded because their shard's ring was full. *)
 
-type tree = { node : span; children : tree list }
-
-val forest : ?include_sched:bool -> span list -> tree list
-(** Parent-link reconstruction. Orphans (parent dropped or never
-    recorded) surface as roots. [include_sched] defaults to [false]:
+val canonical : ?include_sched:bool -> span list -> string
+(** A timestamp-free canonical rendering of the span forest, rebuilt
+    from the parent links: every node is [name {k=v ...}] and siblings
+    are sorted by their full rendered subtree, so two runs with the
+    same logical structure produce byte-identical strings regardless
+    of domain scheduling. Orphans (parent dropped or never recorded)
+    surface as roots. [include_sched] defaults to [false]:
     ["sched"]-category spans are pruned (with their subtrees
     reattached to the nearest kept ancestor — scheduling spans never
     have deterministic children by construction, so in practice this
-    only removes leaves). *)
-
-val canonical : ?include_sched:bool -> span list -> string
-(** A timestamp-free canonical rendering of {!forest}: every node is
-    [name {k=v ...}] and siblings are sorted by their full rendered
-    subtree, so two runs with the same logical structure produce
-    byte-identical strings regardless of domain scheduling. *)
+    only removes leaves); {!render_text} takes it too. *)
 
 val render_text : ?include_sched:bool -> span list -> string
 (** Human-readable indented tree with per-span durations — the

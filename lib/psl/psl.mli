@@ -6,9 +6,6 @@
     the Mozilla Public Suffix List needed for realistic router hostnames
     and extracts the registration suffix of a hostname. *)
 
-val public_suffixes : string list
-(** Embedded effective-TLD list (e.g. "com", "net.au", "co.uk"). *)
-
 val is_public_suffix : string -> bool
 
 val registered_suffix : string -> string option

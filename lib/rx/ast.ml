@@ -2,54 +2,20 @@ type greed = Greedy | Possessive
 
 type cls = { neg : bool; ranges : (char * char) list }
 
+type atom = Lit of char | Cls of cls | Any
+
 type node =
   | Lit of char
   | Cls of cls
   | Any
   | Bol
   | Eol
-  | Rep of node * int * int option * greed
+  | Rep of atom * int * int option * greed
   | Grp of t
-  | Alt of t list
 
 and t = node list
 
-let cls_of_string body =
-  let n = String.length body in
-  let neg = n > 0 && body.[0] = '^' in
-  let start = if neg then 1 else 0 in
-  let ranges = ref [] in
-  let i = ref start in
-  let read_char () =
-    (* interpret one (possibly escaped) character at !i, advancing *)
-    if body.[!i] = '\\' && !i + 1 < n then begin
-      let c = body.[!i + 1] in
-      i := !i + 2;
-      match c with
-      | 'd' -> `Class ('0', '9')
-      | 'n' -> `Char '\n'
-      | 't' -> `Char '\t'
-      | c -> `Char c
-    end
-    else begin
-      let c = body.[!i] in
-      incr i;
-      `Char c
-    end
-  in
-  while !i < n do
-    match read_char () with
-    | `Class (a, b) -> ranges := (a, b) :: !ranges
-    | `Char a ->
-        if !i + 1 < n && body.[!i] = '-' && body.[!i + 1] <> ']' then begin
-          incr i;
-          match read_char () with
-          | `Char b -> ranges := (a, b) :: !ranges
-          | `Class _ -> invalid_arg "cls_of_string: range to a class"
-        end
-        else ranges := (a, a) :: !ranges
-  done;
-  { neg; ranges = List.rev !ranges }
+let node_of_atom : atom -> node = function Lit c -> Lit c | Cls c -> Cls c | Any -> Any
 
 let cls_mem { neg; ranges } c =
   let inside = List.exists (fun (a, b) -> c >= a && c <= b) ranges in
@@ -66,13 +32,10 @@ let digit = { neg = false; ranges = [ ('0', '9') ] }
 let lower = { neg = false; ranges = [ ('a', 'z') ] }
 let not_char c = { neg = true; ranges = [ (c, c) ] }
 
-let rec count_groups t = List.fold_left (fun acc n -> acc + groups_in n) 0 t
-
-and groups_in = function
-  | Lit _ | Cls _ | Any | Bol | Eol -> 0
-  | Rep (n, _, _, _) -> groups_in n
-  | Grp inner -> 1 + count_groups inner
-  | Alt alts -> List.fold_left (fun acc a -> acc + count_groups a) 0 alts
+let rec count_groups t =
+  List.fold_left
+    (fun acc n -> match n with Grp inner -> acc + 1 + count_groups inner | _ -> acc)
+    0 t
 
 let escape_lit c =
   match c with
@@ -106,6 +69,11 @@ let cls_to_string { neg; ranges } =
     Buffer.contents buf
   end
 
+let atom_to_string : atom -> string = function
+  | Lit c -> escape_lit c
+  | Cls c -> cls_to_string c
+  | Any -> "."
+
 let rec to_string t = String.concat "" (List.map node_to_string t)
 
 and node_to_string = function
@@ -114,8 +82,7 @@ and node_to_string = function
   | Any -> "."
   | Bol -> "^"
   | Eol -> "$"
-  | Rep (n, min, max, greed) ->
-      let base = node_to_string n in
+  | Rep (a, min, max, greed) ->
       let quant =
         match (min, max) with
         | 0, Some 1 -> "?"
@@ -126,8 +93,7 @@ and node_to_string = function
         | n, Some m -> Printf.sprintf "{%d,%d}" n m
       in
       let suffix = match greed with Greedy -> "" | Possessive -> "+" in
-      base ^ quant ^ suffix
+      atom_to_string a ^ quant ^ suffix
   | Grp inner -> "(" ^ to_string inner ^ ")"
-  | Alt alts -> "(?:" ^ String.concat "|" (List.map to_string alts) ^ ")"
 
 let equal (a : t) (b : t) = a = b

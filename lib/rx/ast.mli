@@ -1,11 +1,13 @@
-(** Abstract syntax for the regex dialect used by Hoiho-generated
-    naming-convention regexes (figures 7 and 13 of the paper).
+(** Abstract syntax for the regex dialect the Hoiho learner emits and
+    the paper's published regexes use (figures 7 and 13).
 
     The dialect covers: anchors [^]/[$], literals, [.], character classes
     (with ranges, negation, and [\d] inside classes), capture groups,
-    alternation, and the quantifiers [?], [*], [+], [{n}], [{n,m}],
-    [{n,}], plus possessive variants [*+] and [++] that never give back
-    characters on backtracking. *)
+    and the quantifiers [?], [*], [+], [{n}], [{n,m}], [{n,}], plus
+    possessive variants [*+] and [++] that never give back characters
+    on backtracking. A quantifier repeats one character ({!atom}), never
+    a group, and there is no alternation: the type admits nothing else,
+    which is what lets {!Engine} bound every match. *)
 
 type greed =
   | Greedy  (** backtracking quantifier *)
@@ -16,23 +18,25 @@ type cls = {
   ranges : (char * char) list;  (** inclusive ranges; singletons as [(c, c)] *)
 }
 
+(** What a quantifier may repeat: one character. The constructors
+    share their names with {!node}'s; the expected type picks one. *)
+type atom = Lit of char | Cls of cls | Any
+
 type node =
   | Lit of char
   | Cls of cls
   | Any  (** [.] — any character *)
   | Bol  (** [^] — start of string *)
   | Eol  (** [$] — end of string *)
-  | Rep of node * int * int option * greed
-      (** [Rep (n, min, max, g)]; [max = None] means unbounded *)
+  | Rep of atom * int * int option * greed
+      (** [Rep (a, min, max, g)]; [max = None] means unbounded *)
   | Grp of t  (** capture group; numbered left to right from 1 *)
-  | Alt of t list  (** alternation of sequences *)
 
 and t = node list
 (** A regex is a sequence of nodes. *)
 
-val cls_of_string : string -> cls
-(** [cls_of_string "a-z\\d"] builds a class from the body syntax used
-    between brackets. Leading [^] negates. *)
+val node_of_atom : atom -> node
+(** The atom standing alone, unrepeated. *)
 
 val cls_mem : cls -> char -> bool
 (** Membership test honoring negation. *)

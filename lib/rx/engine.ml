@@ -2,10 +2,9 @@
    COMPILE time, so the matcher is one closure-free recursive function
    over pure data — no per-exec continuation closures, and [t] stays
    safely comparable with polymorphic equality (results-identity checks
-   compare whole pipelines, candidates included). The continuation
-   instruction is shared across alternation branches, and a general
-   repetition's body ends in the constant [ILoop] rather than pointing
-   back at its [IRep], so the program is a DAG, never a cycle. *)
+   compare whole pipelines, candidates included). The dialect has no
+   alternation and repeats single characters only, so the program is
+   a chain: every instruction has exactly one continuation. *)
 type atom = ALit of char | ACls of Bytes.t | AAny
 
 type instr =
@@ -16,28 +15,21 @@ type instr =
   | IAny of instr
   | IBol of instr
   | IEol of instr
-  | IGrpStart of int * instr  (* continues into the inner chain *)
+  | IGrpStart of int * instr
   | IGrpEnd of int * instr
-  | IAlt of instr array
-  | IRepG1 of atom * int * int * instr
-      (* greedy repetition of a width-1 atom; max_int encodes
-         "unbounded" *)
-  | IRepP1 of atom * int * int * instr  (* possessive, width-1 atom *)
-  | IRep of rep
-      (* any other repetition: over a group, an alternation, or
-         anything containing another repetition *)
-  | ILoop  (* end of a [rep] body: resume the innermost repetition *)
+  (* a repetition of [atom]: [row] numbers its slice of the failure
+     memo, and [max = max_int] encodes "unbounded" *)
+  | IGreedy of { row : int; atom : atom; min : int; max : int; next : instr }
+  | IPossessive of { row : int; atom : atom; min : int; max : int; next : instr }
 
-and rep = { body : instr; min : int; max : int; next : instr }
-
-type t = { instr : instr; ngroups : int; ast : Ast.t; pf : Prefilter.t }
+type t = { instr : instr; ngroups : int; nreps : int; ast : Ast.t; pf : Prefilter.t }
 
 let compile ast =
-  let atom = function
-    | Ast.Lit c -> Some (ALit c)
-    | Ast.Cls c -> Some (ACls (Ast.cls_bitmap c))
-    | Ast.Any -> Some AAny
-    | _ -> None
+  let nreps = ref 0 in
+  let of_atom : Ast.atom -> atom = function
+    | Ast.Lit c -> ALit c
+    | Ast.Cls c -> ACls (Ast.cls_bitmap c)
+    | Ast.Any -> AAny
   in
   (* groups number left to right, outside in, as in conventional
      engines, but linking runs right to left: [g] is the number of the
@@ -63,27 +55,15 @@ let compile ast =
     | Ast.Bol -> IBol next
     | Ast.Eol -> IEol next
     | Ast.Grp inner -> IGrpStart (g, link (g + 1) inner (IGrpEnd (g, next)))
-    | Ast.Alt alts ->
-        let rec branches g = function
-          | [] -> []
-          | a :: rest -> link g a next :: branches (g + Ast.count_groups a) rest
-        in
-        IAlt (Array.of_list (branches g alts))
-    | Ast.Rep (body, min, max, greed) -> (
-        let max = Option.value max ~default:max_int in
-        match (atom body, greed) with
-        | Some a, Ast.Greedy -> IRepG1 (a, min, max, next)
-        | Some a, Ast.Possessive -> IRepP1 (a, min, max, next)
-        (* a possessive quantifier over anything wider degrades to
-           greedy, so every group the match consumed has real offsets *)
-        | None, _ -> IRep { body = node g body ILoop; min; max; next })
+    | Ast.Rep (a, min, max, greed) -> (
+        let row = !nreps and atom = of_atom a and max = Option.value max ~default:max_int in
+        incr nreps;
+        match greed with
+        | Ast.Greedy -> IGreedy { row; atom; min; max; next }
+        | Ast.Possessive -> IPossessive { row; atom; min; max; next })
   in
-  {
-    instr = link 0 ast IAccept;
-    ngroups = Ast.count_groups ast;
-    ast;
-    pf = Prefilter.analyze ast;
-  }
+  let instr = link 0 ast IAccept in
+  { instr; ngroups = Ast.count_groups ast; nreps = !nreps; ast; pf = Prefilter.analyze ast }
 
 let compile_string s = Result.map compile (Parse.parse s)
 
@@ -92,7 +72,6 @@ let compile_exn s =
   | Ok t -> t
   | Error msg -> invalid_arg (Printf.sprintf "Rx.Engine.compile_exn: %s in %S" msg s)
 
-let ast t = t.ast
 let source t = Ast.to_string t.ast
 let group_count t = t.ngroups
 let prefilter t = t.pf
@@ -123,23 +102,20 @@ let subject_ok s =
    false)
 let prefilter_stats () = (Obs.count c_calls, Obs.count c_skips)
 
-(* the iteration frames of the general repetitions entered but not
-   yet left, innermost first: the repetition, the iterations it has
-   done and where the current one started *)
-type frames = Top | Iter of rep * int * int * frames
-
-(* per-match scratch state: one mutable record per domain ([mstate_of]
-   below), its fields overwritten per exec and its capture buffer
-   re-filled for each start offset, so matching allocates nothing but
-   one frame per general-repetition iteration. [ncaps] is the prefix
-   of [caps] this pattern actually uses — the arena array may be
-   larger. *)
+(* per-search scratch state: one mutable record per domain
+   ([mstate_of] below), its fields overwritten per search, so matching
+   allocates nothing. A pattern uses the first [2 * ngroups] slots of
+   [caps] and the first [nreps * (slen + 1)] of [memo]; either arena
+   array may be larger. *)
 type mstate = {
   mutable str : string;
   mutable slen : int;
   mutable caps : int array;
-  mutable ncaps : int;
-  mutable frames : frames;
+  mutable memo : int array;
+      (* [memo.(row * (slen + 1) + pos) = gen]: repetition [row]'s
+         continuation failed from [pos] in this search *)
+  mutable gen : int;  (* bumped per search, which empties the memo *)
+  mutable record : bool;  (* false only in the memo-free reference search *)
 }
 
 let str_at s n pos lit =
@@ -154,16 +130,37 @@ let str_at s n pos lit =
 
 (* --- the matcher ---
 
-   [run] interprets the compile-time-linked [instr] DAG: the
-   continuation of every node is a field of the node, so the runtime
-   state is (instr, pos) on the OCaml stack plus the frame stack of
-   the general repetitions in progress. *)
+   [run] interprets the compile-time-linked [instr] chain; its whole
+   state is (instr, pos), since no instruction loops back. So whether
+   the match succeeds from a state depends on nothing else, and the
+   failed ones are worth remembering: every repetition records in the
+   memo each continuation position that failed and never tries it
+   again in the same search (the idea of RE2's bit-state backtracker).
+   Captures need no undo on failure: every group lies on every path to
+   [IAccept], so the successful path writes each slot last. *)
 
 let matches_atom a s pos =
   match a with
   | ALit c -> String.unsafe_get s pos = c
   | ACls bm -> Bytes.unsafe_get bm (Char.code (String.unsafe_get s pos)) <> '\000'
   | AAny -> true
+
+(* where a repetition of at most [max] from [pos] must stop *)
+let limit st max pos = if max >= st.slen - pos then st.slen else pos + max
+
+let rec eat s a limit pos =
+  if pos < limit && matches_atom a s pos then eat s a limit (pos + 1) else pos
+
+(* an unbounded greedy repetition stops eating at the first position
+   the memo marks: its continuations are tried from the right, so a
+   mark at [q] means every continuation from [q] to the end of the
+   atom's run has failed, and with no upper bound the loop entered
+   anywhere in that range reaches only those. It returns the last
+   position worth trying. *)
+let rec eat_live st a base pos =
+  if Array.unsafe_get st.memo (base + pos) = st.gen then pos - 1
+  else if pos < st.slen && matches_atom a st.str pos then eat_live st a base (pos + 1)
+  else pos
 
 let rec run st i pos =
   match i with
@@ -180,75 +177,38 @@ let rec run st i pos =
   | IBol next -> pos = 0 && run st next pos
   | IEol next -> pos = st.slen && run st next pos
   | IGrpStart (g, next) ->
-      let caps = st.caps in
-      let s0 = caps.(2 * g) and e0 = caps.((2 * g) + 1) in
-      caps.(2 * g) <- pos;
-      let ok = run st next pos in
-      if not ok then begin
-        caps.(2 * g) <- s0;
-        caps.((2 * g) + 1) <- e0
-      end;
-      ok
+      st.caps.(2 * g) <- pos;
+      run st next pos
   | IGrpEnd (g, next) ->
       st.caps.((2 * g) + 1) <- pos;
       run st next pos
-  | IAlt branches -> run_alt st branches pos 0
-  | IRepG1 (a, mn, mx, next) ->
-      (* the dominant repetition shape ([a-z]+, \d+, [^.]+ over a
-         hostname): consume maximally, then retreat one character at a
-         time *)
-      let limit = if mx >= st.slen - pos then st.slen else pos + mx in
-      let hi = run_eat st.str a limit pos in
-      let lo = pos + mn in
-      hi >= lo && run_back st next lo hi
-  | IRepP1 (a, mn, mx, next) ->
-      let limit = if mx >= st.slen - pos then st.slen else pos + mx in
-      let pos' = run_eat st.str a limit pos in
-      pos' - pos >= mn && run st next pos'
-  | IRep r -> run_rep st r 0 pos
-  | ILoop -> (
-      match st.frames with
-      | Iter (r, count, start, up) as frame ->
-          st.frames <- up;
-          (* an iteration that matched nothing counts toward the
-             minimum; once the minimum is met it ends the repetition,
-             keeping its captures (the rule of Perl and Python's re),
-             so a nullable body cannot loop forever *)
-          let ok =
-            if pos = start && count + 1 >= r.min then run st r.next pos
-            else run_rep st r (count + 1) pos
-          in
-          st.frames <- frame;
-          ok
-      | Top -> false (* unreachable: an [ILoop] only ends a [rep] body *))
+  | IGreedy { row; atom; min; max; next } ->
+      (* consume maximally, then retreat one character at a time *)
+      let base = row * (st.slen + 1) in
+      let hi =
+        if max = max_int then eat_live st atom base pos
+        else eat st.str atom (limit st max pos) pos
+      in
+      let lo = pos + min in
+      hi >= lo && run_back st next base lo hi
+  | IPossessive { row; atom; min; max; next } ->
+      let pos' = eat st.str atom (limit st max pos) pos in
+      pos' - pos >= min && attempt st next (row * (st.slen + 1)) pos'
 
-and run_alt st branches pos j =
-  j < Array.length branches
-  && (run st branches.(j) pos || run_alt st branches pos (j + 1))
+and run_back st next base lo p =
+  attempt st next base p || (p > lo && run_back st next base lo (p - 1))
 
-and run_eat s a limit pos =
-  if pos < limit && matches_atom a s pos then run_eat s a limit (pos + 1)
-  else pos
+(* the continuation at [p], unless the memo has it as failed; a
+   failure is recorded *)
+and attempt st next base p =
+  let key = base + p in
+  Array.unsafe_get st.memo key <> st.gen
+  && (run st next p
+     ||
+     (if st.record then Array.unsafe_set st.memo key st.gen;
+      false))
 
-and run_back st next lo p =
-  run st next p || (p > lo && run_back st next lo (p - 1))
-
-(* greedy: one more iteration first, the continuation after *)
-and run_rep st r count pos =
-  (count < r.max
-  &&
-  let up = st.frames in
-  st.frames <- Iter (r, count, pos, up);
-  let ok = run st r.body pos in
-  st.frames <- up;
-  ok)
-  || (count >= r.min && run st r.next pos)
-
-let exec_at t st start =
-  Array.fill st.caps 0 st.ncaps (-1);
-  st.frames <- Top;
-  run st t.instr start
-
+let exec_at t st start = run st t.instr start
 let anchored t = t.pf.Prefilter.anchored
 
 (* the unfiltered reference search: retry at every start offset *)
@@ -344,20 +304,28 @@ let search t st =
 (* per-domain match arena: exec'ing a pattern is not re-entrant within
    one domain (no callback runs inside [search], and [extract] reads
    the captures before any further exec), so one mutable state record
-   per domain serves every call. Each [exec_at] attempt re-fills the
-   first [ncaps] capture slots and empties the frame stack, which
-   doubles as the arena reset. *)
+   per domain serves every call. Each search re-fills the pattern's
+   capture slots and bumps [gen], which empties the memo: the
+   arena reset is O(groups), whatever the memo's size. The memo keeps
+   across a search's start offsets, since a state's outcome does not
+   depend on where the match began. *)
 let mstate_arena : mstate Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { str = ""; slen = 0; caps = [||]; ncaps = 0; frames = Top })
+      { str = ""; slen = 0; caps = [||]; memo = [||]; gen = 0; record = true })
 
-let mstate_of t s =
-  let want = 2 * t.ngroups in
+let mstate_of ~record t s =
   let st = Domain.DLS.get mstate_arena in
+  let want = 2 * t.ngroups in
   if Array.length st.caps < want then st.caps <- Array.make (max want 16) (-1);
+  Array.fill st.caps 0 want (-1);
+  let slen = String.length s in
+  let cells = t.nreps * (slen + 1) in
+  if Array.length st.memo < cells then
+    st.memo <- Array.make (max cells (2 * Array.length st.memo)) 0;
   st.str <- s;
-  st.slen <- String.length s;
-  st.ncaps <- want;
+  st.slen <- slen;
+  st.gen <- st.gen + 1;
+  st.record <- record;
   st
 
 let extract t st =
@@ -372,7 +340,7 @@ let extract t st =
 module Trace = Hoiho_obs.Trace
 
 let exec_raw t s =
-  let st = mstate_of t s in
+  let st = mstate_of ~record:true t s in
   if search t st then Some (extract t st) else None
 
 (* tracing exec is far too hot to span every call; when tracing is on,
@@ -392,11 +360,11 @@ let exec t s =
 let exec_unfiltered t s =
   if not (subject_ok s) then None
   else
-    let st = mstate_of t s in
+    let st = mstate_of ~record:false t s in
     if try_every t st then Some (extract t st) else None
 
 let matches t s =
   subject_ok s
   &&
-  let st = mstate_of t s in
+  let st = mstate_of ~record:true t s in
   search t st

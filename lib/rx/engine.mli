@@ -1,32 +1,38 @@
-(** Backtracking matcher with capture groups.
+(** Backtracking matcher with capture groups, bounded in time.
 
     {!compile} links the AST into one instruction program: each
     instruction holds its continuation, so matching is one recursive
     interpreter over pure data, and a compiled regex stays an acyclic
-    value that [=] can compare. A repetition of a single-character
-    atom (literal, class, [.]) is matched by position arithmetic.
-    Every other repetition — over a group, an alternation, or anything
-    containing another repetition — runs its body once per iteration
-    on a stack of iteration frames (iterations done, start position),
-    greedy: one more iteration first, the continuation after.
+    value that [=] can compare. The {!Ast} dialect repeats only single
+    characters and has no alternation, so the program is a chain and a
+    repetition is matched by position arithmetic: a greedy one eats
+    maximally and retreats one character at a time, a possessive one
+    eats maximally and never gives back.
 
-    An iteration that matches nothing counts toward the repetition's
-    minimum; once the minimum is met it ends the repetition, keeping
-    that iteration's captures. This is the rule Perl and Python's [re]
-    follow: [^(a?){2}b$] matches ["ab"], and [^(a|)+b$] on ["aab"]
-    captures [""] in its group.
+    With no iteration state, whether the match succeeds from a given
+    (instruction, position) depends on nothing else, so each search
+    records the continuation positions that failed in a per-domain
+    memo, indexed by (repetition, position), and never tries one twice
+    (the idea of RE2's bit-state backtracker).
 
-    Possessive quantifiers are honored for single-character atoms,
-    which is the only way the Hoiho generator emits them; a possessive
-    quantifier over a wider atom — including a capture group, e.g.
-    [([a-z])++] — degrades to greedy, so any group it contains still
-    records the text of its last iteration.
+    {b Time bound.} For a subject of [n] bytes (at most
+    {!max_subject_len}) and a pattern of [m] characters, one search
+    enters each (instruction, position) pair at most once, so it runs
+    at most [m × (n + 1)] instruction steps. Repetitions add character
+    tests as they eat: an unbounded greedy one tests its minimum, plus
+    positions no earlier entry has tested (at most [n + 1] of those per
+    search); a bounded or possessive one retests up to [min(max, n)]
+    characters per entry. So a search costs [O(m × n²)] at worst, and
+    [O(m × n)] for the learner's shapes ([.+], [\d+], [[^.]+],
+    [[a-z]{3}]); never exponential. The memo takes
+    [repetitions × (n + 1)] ints on each domain that searches.
 
     Every compiled pattern carries a {!Prefilter.t}: [exec] first scans
     the input for the pattern's required literal substring and bails —
     or seeds the start offset — before entering the backtracker. The
-    prefiltered search is observationally identical to the exhaustive
-    one ({!exec_unfiltered} exists to check exactly that). *)
+    prefiltered, memoized search is observationally identical to the
+    exhaustive, memo-free one ({!exec_unfiltered} exists to check
+    exactly that). *)
 
 type t
 (** A compiled regex. *)
@@ -38,9 +44,6 @@ val compile_string : string -> (t, string) result
 
 val compile_exn : string -> t
 (** Like {!compile_string} but raises [Invalid_argument]. *)
-
-val ast : t -> Ast.t
-(** The AST this regex was compiled from. *)
 
 val source : t -> string
 (** Concrete syntax (via {!Ast.to_string}). *)
@@ -56,14 +59,17 @@ val exec : t -> string -> string option array option
 (** [exec re s] attempts a match. Anchors [^]/[$] bind to the string
     boundaries; an unanchored pattern may match anywhere. On success the
     array holds the text of each capture group in left-to-right order
-    (index 0 is group 1); a group inside an unused alternation branch is
-    [None]. Never raises: any byte sequence is a valid subject, and a
-    subject over {!max_subject_len} is simply no match. *)
+    (index 0 is group 1); every group takes part in every match, so
+    each slot is [Some]. Never raises: any byte sequence is a valid
+    subject, and a subject over {!max_subject_len} is simply no
+    match. *)
 
 val exec_unfiltered : t -> string -> string option array option
-(** {!exec} with the literal prefilter disabled: the backtracker is
-    retried at every start offset. For differential testing and
-    benchmarking; agrees with {!exec} on every input. *)
+(** {!exec} with neither the literal prefilter nor the failure memo:
+    the backtracker is retried at every start offset and explores every
+    path, so the time bound above does not hold. The reference for
+    differential testing and benchmarking; agrees with {!exec} on every
+    input. *)
 
 val matches : t -> string -> bool
 (** [exec t s <> None] without materializing capture strings. *)

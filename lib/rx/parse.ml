@@ -6,34 +6,69 @@ let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else No
 
 let advance st = st.pos <- st.pos + 1
 
+let errf fmt = Printf.ksprintf (fun msg -> raise (Err msg)) fmt
+
 let expect st c =
   match peek st with
   | Some x when x = c -> advance st
-  | _ -> raise (Err (Printf.sprintf "expected '%c' at position %d" c st.pos))
+  | _ -> errf "expected '%c' at position %d" c st.pos
 
-let parse_class_body st =
-  (* positioned just after '['; consumes through ']' *)
-  let buf = Buffer.create 8 in
-  let rec go () =
+(* the character after a backslash at [st.pos - 1]: [\d] is the digit
+   class, [\n] and [\t] the control characters, escaped punctuation
+   the character itself; any other escaped letter or digit ([\w],
+   [\b], [\1], ...) means something else in other dialects, so it is
+   refused rather than read as itself *)
+let escape st =
+  match peek st with
+  | None -> errf "dangling backslash at position %d" (st.pos - 1)
+  | Some c -> (
+      advance st;
+      match c with
+      | 'd' -> `Digit
+      | 'n' -> `Char '\n'
+      | 't' -> `Char '\t'
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9') as c ->
+          errf "unsupported escape '\\%c' at position %d" c (st.pos - 2)
+      | c -> `Char c)
+
+(* positioned just after '['; consumes through ']' *)
+let parse_class st =
+  let member () =
     match peek st with
-    | None -> raise (Err "unterminated character class")
-    | Some ']' -> advance st
+    | None -> errf "unterminated character class"
     | Some '\\' ->
         advance st;
-        (match peek st with
-        | None -> raise (Err "dangling backslash in class")
-        | Some c ->
-            advance st;
-            Buffer.add_char buf '\\';
-            Buffer.add_char buf c);
-        go ()
+        escape st
     | Some c ->
         advance st;
-        Buffer.add_char buf c;
-        go ()
+        `Char c
   in
-  go ();
-  Ast.cls_of_string (Buffer.contents buf)
+  let neg = peek st = Some '^' in
+  if neg then advance st;
+  let rec go acc =
+    if peek st = Some ']' then begin
+      advance st;
+      List.rev acc
+    end
+    else
+      match member () with
+      | `Digit -> go (('0', '9') :: acc)
+      | `Char a ->
+          (* a '-' right before the closing ']' is a literal dash *)
+          let next_is_close =
+            st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = ']'
+          in
+          if peek st = Some '-' && not next_is_close then begin
+            let at = st.pos in
+            advance st;
+            match member () with
+            | `Digit -> errf "range to a class at position %d" at
+            | `Char b when b < a -> errf "reversed range %c-%c at position %d" a b at
+            | `Char b -> go ((a, b) :: acc)
+          end
+          else go ((a, a) :: acc)
+  in
+  { Ast.neg; ranges = go [] }
 
 let max_count = 1024
 
@@ -41,25 +76,16 @@ let max_count = 1024
    [Failure] from [int_of_string] *)
 let parse_int st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when c >= '0' && c <= '9' ->
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  if st.pos = start then raise (Err "expected integer in quantifier");
+  while match peek st with Some '0' .. '9' -> true | _ -> false do
+    advance st
+  done;
+  if st.pos = start then errf "expected integer in quantifier at position %d" start;
   match int_of_string_opt (String.sub st.src start (st.pos - start)) with
   | Some n when n <= max_count -> n
-  | _ ->
-      raise
-        (Err
-           (Printf.sprintf "quantifier count at position %d exceeds the limit of %d"
-              start max_count))
+  | _ -> errf "quantifier count at position %d exceeds the limit of %d" start max_count
 
+(* positioned just after '{' *)
 let parse_brace_quant st =
-  (* positioned just after '{' *)
   let min = parse_int st in
   match peek st with
   | Some '}' ->
@@ -74,107 +100,90 @@ let parse_brace_quant st =
       | _ ->
           let max = parse_int st in
           expect st '}';
-          if max < min then raise (Err "quantifier max below min");
+          if max < min then errf "quantifier max below min";
           (min, Some max))
-  | _ -> raise (Err "malformed {n,m} quantifier")
+  | _ -> errf "malformed {n,m} quantifier"
 
-let escaped_atom c =
-  match c with
-  | 'd' -> Ast.Cls Ast.digit
-  | 'n' -> Ast.Lit '\n'
-  | 't' -> Ast.Lit '\t'
-  | c -> Ast.Lit c
-
-let rec parse_alt st =
-  let first = parse_seq st in
-  let rec go acc =
+(* the quantifier at the cursor, if any; a trailing '+' makes it
+   possessive *)
+let quantifier st =
+  let bounds =
     match peek st with
-    | Some '|' ->
+    | Some '?' ->
         advance st;
-        go (parse_seq st :: acc)
-    | _ -> List.rev acc
+        Some (0, Some 1)
+    | Some '*' ->
+        advance st;
+        Some (0, None)
+    | Some '+' ->
+        advance st;
+        Some (1, None)
+    | Some '{' ->
+        advance st;
+        Some (parse_brace_quant st)
+    | _ -> None
   in
-  match go [ first ] with [ single ] -> single | many -> [ Ast.Alt many ]
+  Option.map
+    (fun (min, max) ->
+      if peek st = Some '+' then begin
+        advance st;
+        (min, max, Ast.Possessive)
+      end
+      else (min, max, Ast.Greedy))
+    bounds
 
-and parse_seq st =
+(* an anchor or a group: the dialect repeats single characters only *)
+let unquantified st node =
+  match peek st with
+  | Some (('?' | '*' | '+' | '{') as c) ->
+      errf "quantifier '%c' at position %d repeats %s; only one character may repeat" c
+        st.pos
+        (match node with Ast.Grp _ -> "a group" | _ -> "an anchor")
+  | _ -> node
+
+let rec parse_seq st =
   let rec go acc =
     match peek st with
-    | None | Some '|' | Some ')' -> List.rev acc
-    | Some _ ->
-        let item = parse_item st in
-        go (item :: acc)
+    | None | Some ')' -> List.rev acc
+    | Some _ -> go (parse_item st :: acc)
   in
   go []
 
 and parse_item st =
-  let atom = parse_atom st in
   match peek st with
-  | Some '?' ->
-      advance st;
-      quantified st atom 0 (Some 1)
-  | Some '*' ->
-      advance st;
-      quantified st atom 0 None
-  | Some '+' ->
-      advance st;
-      quantified st atom 1 None
-  | Some '{' ->
-      advance st;
-      let min, max = parse_brace_quant st in
-      quantified st atom min max
-  | _ -> atom
-
-and quantified st atom min max =
-  (* a trailing '+' makes the quantifier possessive *)
-  let greed =
-    match peek st with
-    | Some '+' ->
-        advance st;
-        Ast.Possessive
-    | _ -> Ast.Greedy
-  in
-  match atom with
-  | Ast.Bol | Ast.Eol -> raise (Err "cannot quantify an anchor")
-  | atom -> Ast.Rep (atom, min, max, greed)
-
-and parse_atom st =
-  match peek st with
-  | None -> raise (Err "unexpected end of pattern")
   | Some '^' ->
       advance st;
-      Ast.Bol
+      unquantified st Ast.Bol
   | Some '$' ->
       advance st;
-      Ast.Eol
+      unquantified st Ast.Eol
+  | Some '(' ->
+      advance st;
+      if peek st = Some '?' then errf "'(?' at position %d: only capture groups" (st.pos - 1);
+      let inner = parse_seq st in
+      expect st ')';
+      unquantified st (Ast.Grp inner)
+  | _ -> (
+      let atom = parse_char st in
+      match quantifier st with
+      | Some (min, max, greed) -> Ast.Rep (atom, min, max, greed)
+      | None -> Ast.node_of_atom atom)
+
+(* one character: a literal, an escape, a class or '.' *)
+and parse_char st : Ast.atom =
+  match peek st with
+  | None -> errf "unexpected end of pattern"
   | Some '.' ->
       advance st;
       Ast.Any
   | Some '[' ->
       advance st;
-      Ast.Cls (parse_class_body st)
+      Ast.Cls (parse_class st)
   | Some '\\' -> (
       advance st;
-      match peek st with
-      | None -> raise (Err "dangling backslash")
-      | Some c ->
-          advance st;
-          escaped_atom c)
-  | Some '(' -> (
-      advance st;
-      let capturing =
-        if peek st = Some '?' then begin
-          advance st;
-          expect st ':';
-          false
-        end
-        else true
-      in
-      let inner = parse_alt st in
-      expect st ')';
-      if capturing then Ast.Grp inner
-      else match inner with [ (Ast.Alt _ as a) ] -> a | seq -> Ast.Alt [ seq ])
-  | Some (('*' | '+' | '?' | '{' | ')' | '|') as c) ->
-      raise (Err (Printf.sprintf "unexpected '%c' at position %d" c st.pos))
+      match escape st with `Digit -> Ast.Cls Ast.digit | `Char c -> Ast.Lit c)
+  | Some '|' -> errf "alternation '|' at position %d is not in the dialect" st.pos
+  | Some (('*' | '+' | '?' | '{' | ')') as c) -> errf "unexpected '%c' at position %d" c st.pos
   | Some c ->
       advance st;
       Ast.Lit c
@@ -182,7 +191,7 @@ and parse_atom st =
 let parse s =
   let st = { src = s; pos = 0 } in
   try
-    let ast = parse_alt st in
+    let ast = parse_seq st in
     if st.pos < String.length s then
       Error (Printf.sprintf "trailing input at position %d" st.pos)
     else Ok ast

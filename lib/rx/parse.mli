@@ -1,16 +1,23 @@
-(** Parser for the concrete regex dialect.
+(** Parser for the concrete regex dialect of {!Ast}.
 
-    Supported syntax: literals; [\\] escapes ([\\.], [\\d], [\\\\], ...);
-    [.] ; [\[...\]] classes with ranges, negation, and [\\d]; [( )] capture
-    groups; [(?: )] non-capturing groups; [|] alternation; anchors [^] and
-    [$]; quantifiers [?], [*], [+], [{n}], [{n,}], [{n,m}] with counts
-    up to {!max_count}; possessive [*+] and [++]. *)
+    Supported syntax: literals; [\\] escapes of punctuation ([\\.],
+    [\\-], [\\\\], ...) and [\\d], [\\n], [\\t]; [.] ; [\[...\]] classes
+    with ranges, negation, and [\\d]; [( )] capture groups; anchors
+    [^] and [$]; quantifiers [?], [*], [+], [{n}], [{n,}], [{n,m}] with
+    counts up to {!max_count}, and possessive [*+] and [++], each
+    after one character, class or [.].
+
+    Anything else is an [Error], never a guess: [|], [(?:...)], a
+    quantifier after [)] or an anchor, an escaped letter or digit
+    other than [\\d], [\\n], [\\t] (so [\\w] or [\\b] is refused, not
+    read as the letter), a range ending in a class ([\[a-\\d\]]) and a
+    reversed range ([\[z-a\]]). *)
 
 val max_count : int
 (** 1024, the longest subject {!Engine} matches
-    ([Engine.max_subject_len]): a larger count could only be met by
-    empty iterations, each one a stack frame of the matcher, so
-    [{n}], [{n,}] and [{n,m}] with a count above it are an [Error]. *)
+    ([Engine.max_subject_len]): a repetition consumes one subject byte
+    per count, so a larger count could never be met, and [{n}],
+    [{n,}] and [{n,m}] with a count above it are an [Error]. *)
 
 val parse : string -> (Ast.t, string) result
 (** [parse s] returns the AST, or [Error msg] describing the first

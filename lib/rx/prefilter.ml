@@ -9,8 +9,7 @@
      [offset] from the match start (then its occurrences enumerate the
      only start offsets worth trying);
    - [extras]: further literals that must also appear somewhere, from
-     other mandatory runs and from alternations whose every branch
-     shares a common substring;
+     other mandatory runs;
    - a [tail] literal pinned at a fixed distance from the END of the
      subject, for patterns anchored with [$] (the dominant shape here:
      every learned regex ends in a literal domain suffix);
@@ -37,31 +36,14 @@ type t = {
   needs_digit : bool;  (* some mandatory atom matches only digits *)
 }
 
-let none =
-  {
-    anchored = false;
-    required = "";
-    offset = None;
-    extras = [];
-    tail = None;
-    needs_digit = false;
-  }
-
 (* --- static widths --- *)
 
 let rec node_width = function
   | Ast.Lit _ | Ast.Cls _ | Ast.Any -> Some 1
   | Ast.Bol | Ast.Eol -> Some 0
-  | Ast.Rep (n, min, max, _) -> (
-      match max with
-      | Some m when m = min -> (
-          match node_width n with Some w -> Some (w * min) | None -> None)
-      | _ -> None)
+  | Ast.Rep (_, min, Some max, _) when max = min -> Some min
+  | Ast.Rep _ -> None
   | Ast.Grp inner -> seq_width inner
-  | Ast.Alt alts -> (
-      match List.map seq_width alts with
-      | [] -> Some 0
-      | w :: ws -> if List.for_all (( = ) w) ws then w else None)
 
 and seq_width nodes =
   List.fold_left
@@ -128,133 +110,59 @@ type walk = {
   mutable digit : bool;  (* saw a mandatory digit-only atom *)
 }
 
-let fresh_walk pos =
-  { runs = []; buf = Buffer.create 16; run_off = None; pos; digit = false }
-
 let flush w =
   if Buffer.length w.buf > 0 then begin
     w.runs <- (Buffer.contents w.buf, w.run_off) :: w.runs;
     Buffer.clear w.buf
   end
 
-let advance w = function
-  | Some d -> w.pos <- (match w.pos with Some p -> Some (p + d) | None -> None)
-  | None -> w.pos <- None
+let advance w d = w.pos <- Option.map (( + ) d) w.pos
 
 let add_lit w c =
   if Buffer.length w.buf = 0 then w.run_off <- w.pos;
   Buffer.add_char w.buf c;
-  advance w (Some 1)
+  advance w 1
 
-(* repeating a fixed sub-pattern more than this many times is unrolled
-   no further; runs just break there *)
+(* a character repeated more than this many times is unrolled no
+   further; runs just break there *)
 let max_unroll = 8
 
-(* literals an alternation requires: a substring common to the mandatory
-   runs of EVERY branch. Candidates are substrings of the first branch's
-   runs, longest first; a match through any branch contains one of that
-   branch's mandatory runs, hence the common substring. Bounded work:
-   literals are capped before substring enumeration. *)
-let max_common_src = 24
-
-let common_of_branches = function
-  | [] | [ _ ] -> None
-  | first :: rest ->
-      if List.exists (fun lits -> lits = []) rest || first = [] then None
-      else begin
-        let cap s =
-          if String.length s <= max_common_src then s
-          else String.sub s 0 max_common_src
-        in
-        let subs =
-          List.concat_map
-            (fun lit ->
-              let lit = cap lit in
-              let n = String.length lit in
-              let out = ref [] in
-              for len = n downto 2 do
-                for i = 0 to n - len do
-                  out := String.sub lit i len :: !out
-                done
-              done;
-              List.rev !out)
-            first
-          |> List.sort_uniq compare
-          |> List.sort (fun a b -> compare (String.length b) (String.length a))
-        in
-        List.find_opt
-          (fun c ->
-            List.for_all
-              (fun lits -> List.exists (fun l -> contains ~needle:c l) lits)
-              rest)
-          subs
-      end
-
-let rec walk_node w node =
-  match node with
+(* one character of every match *)
+let walk_atom w : Ast.atom -> unit = function
   | Ast.Lit c -> add_lit w c
   | Ast.Cls c ->
       if cls_all_digits c then w.digit <- true;
       flush w;
-      advance w (Some 1)
+      advance w 1
   | Ast.Any ->
       flush w;
-      advance w (Some 1)
+      advance w 1
+
+let rec walk_node w = function
+  | Ast.Lit c -> walk_atom w (Ast.Lit c)
+  | Ast.Cls c -> walk_atom w (Ast.Cls c)
+  | Ast.Any -> walk_atom w Ast.Any
   | Ast.Bol | Ast.Eol -> flush w
   | Ast.Grp inner -> List.iter (walk_node w) inner
-  | Ast.Alt alts ->
-      flush w;
-      (* analyze each branch independently: a literal common to every
-         branch is required by the alternation as a whole, and a digit
-         mandatory in every branch is mandatory here too *)
-      (match alts with
-      | [] -> ()
-      | _ ->
-          let subs =
-            List.map
-              (fun branch ->
-                let sw = fresh_walk None in
-                List.iter (walk_node sw) branch;
-                flush sw;
-                sw)
-              alts
-          in
-          if List.for_all (fun sw -> sw.digit) subs then w.digit <- true;
-          (match common_of_branches (List.map (fun sw -> List.rev_map fst sw.runs) subs) with
-          | Some lit -> w.runs <- (lit, None) :: w.runs
-          | None -> ()));
-      advance w (node_width node)
-  | Ast.Rep (n, min, max, _) -> (
-      match max with
-      | Some m when m = min ->
-          (* exactly [min] mandatory copies, contiguous *)
-          if min >= 1 && min <= max_unroll then
-            for _ = 1 to min do
-              walk_node w n
-            done
-          else begin
-            (if min >= 1 then
-               (* not unrolled, but one mandatory copy still pins a
-                  digit requirement *)
-               let sw = fresh_walk None in
-               walk_node sw n;
-               if sw.digit then w.digit <- true);
-            flush w;
-            advance w (node_width node)
-          end
-      | _ ->
-          (* [min] mandatory copies followed by a variable tail *)
-          if min >= 1 && min <= max_unroll then
-            for _ = 1 to min do
-              walk_node w n
-            done
-          else if min >= 1 then begin
-            let sw = fresh_walk None in
-            walk_node sw n;
-            if sw.digit then w.digit <- true
-          end;
-          flush w;
-          w.pos <- None)
+  | Ast.Rep (a, min, max, _) ->
+      (* [min] mandatory copies, contiguous: unrolled when few, else
+         a fixed-width gap that still pins a digit requirement *)
+      if min >= 1 && min <= max_unroll then
+        for _ = 1 to min do
+          walk_atom w a
+        done
+      else begin
+        (match a with
+        | Ast.Cls c when min >= 1 && cls_all_digits c -> w.digit <- true
+        | _ -> ());
+        flush w;
+        advance w min
+      end;
+      (* a variable tail ends the run and the known offset *)
+      if max <> Some min then begin
+        flush w;
+        w.pos <- None
+      end
 
 (* --- tail extraction --- *)
 
@@ -283,10 +191,8 @@ let tail_of ast =
         | Ast.Lit c -> Buffer.add_char buf c
         | Ast.Bol | Ast.Eol -> ()
         | Ast.Grp inner -> List.iter node (List.rev inner)
-        | Ast.Rep (inner, min, Some m, _) when m = min && min <= max_unroll ->
-            for _ = 1 to min do
-              node inner
-            done
+        | Ast.Rep (Ast.Lit c, min, Some m, _) when m = min && min <= max_unroll ->
+            Buffer.add_string buf (String.make min c)
         | other -> (
             match node_width other with
             | Some w ->
@@ -310,7 +216,9 @@ let max_extras = 2
 
 let analyze (ast : Ast.t) =
   let anchored = match ast with Ast.Bol :: _ -> true | _ -> false in
-  let w = fresh_walk (Some 0) in
+  let w =
+    { runs = []; buf = Buffer.create 16; run_off = None; pos = Some 0; digit = false }
+  in
   List.iter (walk_node w) ast;
   flush w;
   let runs = List.rev w.runs in

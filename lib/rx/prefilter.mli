@@ -5,10 +5,10 @@
     [required] literal appearing verbatim in every match (when it sits
     at a statically known distance from the match start, [offset], its
     occurrences enumerate the only start offsets the backtracker needs
-    to try); further [extras] literals, including substrings common to
-    every branch of an alternation; a [tail] literal pinned at a fixed
-    distance from the subject's end for [$]-terminated patterns; and a
-    [needs_digit] flag when some mandatory atom matches only digits.
+    to try); further [extras] literals from the other mandatory runs;
+    a [tail] literal pinned at a fixed distance from the subject's end
+    for [$]-terminated patterns; and a [needs_digit] flag when some
+    mandatory atom matches only digits.
     {!Engine.exec} checks these before entering the backtracker and
     rejects most non-matching inputs outright.
 
@@ -33,14 +33,7 @@ type t = {
       (** some mandatory atom matches only ASCII digits *)
 }
 
-val none : t
-
 val analyze : Ast.t -> t
-
-val node_width : Ast.node -> int option
-(** Statically known width of a node in characters, if fixed. *)
-
-val seq_width : Ast.t -> int option
 
 val find : needle:string -> string -> int -> int
 (** [find ~needle hay start] is the index of the first occurrence of

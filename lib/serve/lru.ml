@@ -37,7 +37,6 @@ let create ?(shards = 8) ~capacity () =
   }
 
 let shards t = Array.length t.shard_arr
-let capacity t = Array.length t.shard_arr * t.shard_arr.(0).cap
 
 (* FNV-1a, 64-bit: deterministic in the key bytes alone, so shard
    placement never depends on process or domain state *)

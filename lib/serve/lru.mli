@@ -25,7 +25,6 @@ val create : ?shards:int -> capacity:int -> unit -> 'v t
     (default 8; both clamped to at least 1). *)
 
 val shards : 'v t -> int
-val capacity : 'v t -> int
 
 val shard_of : 'v t -> string -> int
 (** The shard index a key maps to — deterministic in the key bytes. *)

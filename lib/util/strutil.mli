@@ -22,9 +22,6 @@ val has_empty_dns_label : string -> bool
     empty label. Malformed names like ["a..b.net"] must be skipped, not
     force-fit, by label-positional methods (DRoP-style). *)
 
-val split_on : char -> string -> string list
-(** Like [String.split_on_char] but drops empty fields. *)
-
 val split_labels : string -> string list
 (** Split a hostname into dot-separated labels, dropping empties. *)
 

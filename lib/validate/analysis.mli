@@ -66,9 +66,6 @@ val table5 : ?top:int -> Hoiho.Pipeline.t -> learned_freq list
 
 (** {1 Figures 10 and 11} *)
 
-val vp_proximity_ms : Hoiho.Pipeline.t -> Hoiho_geodb.City.t -> float
-(** Best-case RTT from the closest VP to a location. *)
-
 val fig10a : Hoiho.Pipeline.t -> float list
 (** Per learned geohint: best-case RTT (ms) from the closest VP to the
     learned location. *)

@@ -1,3 +1,5 @@
+module Ast = Hoiho_rx.Ast
+
 type inst =
   | IChar of Bytes.t option  (** class membership bitmap; [None] = any char *)
   | ILit of char
@@ -9,14 +11,13 @@ type inst =
 
 type t = { prog : inst array; match_pc : int }
 
-let rec node_supported = function
-  | Ast.Lit _ | Ast.Cls _ | Ast.Any | Ast.Bol | Ast.Eol -> true
-  | Ast.Rep (_, _, _, Ast.Possessive) -> false
-  | Ast.Rep (n, _, _, Ast.Greedy) -> node_supported n
-  | Ast.Grp inner -> supported inner
-  | Ast.Alt alts -> List.for_all supported alts
-
-and supported ast = List.for_all node_supported ast
+let rec supported ast =
+  List.for_all
+    (function
+      | Ast.Rep (_, _, _, Ast.Possessive) -> false
+      | Ast.Grp inner -> supported inner
+      | _ -> true)
+    ast
 
 (* emit instructions into a growable array so jump targets can be
    patched after their destinations are known *)
@@ -36,32 +37,25 @@ let compile ast =
     !len - 1
   in
   let patch idx inst = !buf.(idx) <- inst in
-  let rec seq nodes = List.iter node nodes
-  and node = function
+  let atom : Ast.atom -> unit = function
     | Ast.Lit c -> ignore (emit (ILit c))
     | Ast.Cls c -> ignore (emit (IChar (Some (Ast.cls_bitmap c))))
     | Ast.Any -> ignore (emit (IChar None))
+  in
+  let rec seq nodes = List.iter node nodes
+  and node = function
+    | Ast.Lit c -> atom (Ast.Lit c)
+    | Ast.Cls c -> atom (Ast.Cls c)
+    | Ast.Any -> atom Ast.Any
     | Ast.Bol -> ignore (emit IBol)
     | Ast.Eol -> ignore (emit IEol)
     | Ast.Grp inner -> seq inner
-    | Ast.Alt alts -> alt alts
-    | Ast.Rep (n, min, max, _) -> rep n min max
-  and alt = function
-    | [] -> ()
-    | [ single ] -> seq single
-    | first :: rest ->
-        let split = emit (IJump (-1)) (* placeholder, becomes ISplit *) in
-        seq first;
-        let jump_end = emit (IJump (-1)) in
-        let rest_start = !len in
-        patch split (ISplit (split + 1, rest_start));
-        alt rest;
-        patch jump_end (IJump !len)
-  and rep n min max =
+    | Ast.Rep (a, min, max, _) -> rep a min max
+  and rep a min max =
     (* unroll: min mandatory copies, then (max-min) optional copies or a
        star loop *)
     for _ = 1 to min do
-      node n
+      atom a
     done;
     match max with
     | Some m ->
@@ -70,14 +64,14 @@ let compile ast =
         for _ = 1 to m - min do
           let split = emit (IJump (-1)) in
           skips := split :: !skips;
-          node n
+          atom a
         done;
         let after = !len in
         List.iter (fun s -> patch s (ISplit (s + 1, after))) !skips
     | None ->
         (* star: L: split(L+1, after); body; jump L; after: *)
         let split = emit (IJump (-1)) in
-        node n;
+        atom a;
         ignore (emit (IJump split));
         patch split (ISplit (split + 1, !len))
   in

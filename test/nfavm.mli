@@ -1,9 +1,12 @@
 (** A second, independent matcher: Thompson NFA simulation (Pike-VM
-    style, without captures).
+    style, without captures), over the {!Hoiho_rx.Ast} dialect.
 
-    Exists for differential testing of {!Engine}: the two
-    implementations share nothing beyond the AST, so agreement on
-    random patterns and inputs is strong evidence both are right.
+    Exists only for differential testing of {!Hoiho_rx.Engine}, which
+    is why it lives with the tests: no library, binary or benchmark
+    calls it. The two implementations share nothing beyond the AST, so
+    agreement on random patterns and inputs is strong evidence both are
+    right.
+
     Matching is boolean and unanchored (like [Engine.exec] on a pattern
     without [^]), linear in [length input * program size] — no
     backtracking blowup.
@@ -14,10 +17,10 @@
 
 type t
 
-val supported : Ast.t -> bool
+val supported : Hoiho_rx.Ast.t -> bool
 (** False when the pattern contains a possessive quantifier. *)
 
-val compile : Ast.t -> t
+val compile : Hoiho_rx.Ast.t -> t
 (** Raises [Invalid_argument] on unsupported patterns. *)
 
 val matches : t -> string -> bool

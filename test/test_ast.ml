@@ -3,21 +3,27 @@ module Parse = Hoiho_rx.Parse
 
 let tc = Helpers.tc
 
+(* the class a bracket body parses to *)
+let cls_of_string body =
+  match Parse.parse_exn ("[" ^ body ^ "]") with
+  | [ Ast.Cls c ] -> c
+  | _ -> Alcotest.failf "[%s] is not one class" body
+
 let test_cls_of_string () =
-  let c = Ast.cls_of_string "a-z" in
+  let c = cls_of_string "a-z" in
   Alcotest.(check bool) "m in a-z" true (Ast.cls_mem c 'm');
   Alcotest.(check bool) "5 not in a-z" false (Ast.cls_mem c '5');
-  let neg = Ast.cls_of_string "^." in
+  let neg = cls_of_string "^." in
   Alcotest.(check bool) "negated dot excludes dot" false (Ast.cls_mem neg '.');
   Alcotest.(check bool) "negated dot includes a" true (Ast.cls_mem neg 'a');
-  let multi = Ast.cls_of_string "a-z\\d" in
+  let multi = cls_of_string "a-z\\d" in
   Alcotest.(check bool) "letters" true (Ast.cls_mem multi 'q');
   Alcotest.(check bool) "digits" true (Ast.cls_mem multi '7');
   Alcotest.(check bool) "dash excluded" false (Ast.cls_mem multi '-')
 
 let test_cls_literal_dash () =
   (* a dash before the closing bracket is a literal *)
-  let c = Ast.cls_of_string "a-" in
+  let c = cls_of_string "a-" in
   Alcotest.(check bool) "a member" true (Ast.cls_mem c 'a');
   Alcotest.(check bool) "dash member" true (Ast.cls_mem c '-');
   Alcotest.(check bool) "b not member" false (Ast.cls_mem c 'b')
@@ -31,10 +37,10 @@ let test_helpers () =
 let test_count_groups () =
   Alcotest.(check int) "flat" 2
     (Ast.count_groups (Parse.parse_exn {|(a)(b)c|}));
-  Alcotest.(check int) "nested and alternated" 3
-    (Ast.count_groups (Parse.parse_exn {|((a)|x(b))|}));
-  Alcotest.(check int) "inside rep" 1
-    (Ast.count_groups (Parse.parse_exn {|(ab)+|}))
+  Alcotest.(check int) "nested" 3
+    (Ast.count_groups (Parse.parse_exn {|((a)x(b))|}));
+  Alcotest.(check int) "beside a repetition" 1
+    (Ast.count_groups (Parse.parse_exn {|(ab)c+|}))
 
 let test_escaping_roundtrip () =
   (* every special character must survive print -> parse -> print *)

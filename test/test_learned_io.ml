@@ -555,11 +555,13 @@ let json_decoders_name_the_path () =
 (* --- seeded mutations over the three decoders ---
 
    From a valid snapshot, event stream and SLO file: truncate, flip a
-   byte, give a value the wrong type, drop a field, or inflate a regex
-   quantifier (a number, in documents without regexes). Event and SLO
-   decoding must never raise. A snapshot that still parses as JSON
-   must never be answered through decode's catch-all fence: every
-   defect in it is a typed Schema or version error. *)
+   byte, give a value the wrong type, drop a field, inflate a regex
+   quantifier (a number, in documents without regexes), or rewrite a
+   regex into a form outside the dialect. Event and SLO decoding must
+   never raise. A snapshot that still parses as JSON must never be
+   answered through decode's catch-all fence: every defect in it is a
+   typed Schema or version error, and a regex outside the dialect is a
+   Schema error at its [source]. *)
 
 module Delta = Hoiho.Delta
 module Slo = Hoiho_net.Slo
@@ -584,7 +586,7 @@ let sample_slo =
       {"metric": "latency_p99_ms", "max": 250},
       {"metric": "error_rate", "max": 0.05, "fail_ratio": 3.0}]}|}
 
-type mutation = Truncate | Flip | Retype | Drop | Inflate
+type mutation = Truncate | Flip | Retype | Drop | Inflate | Refuse
 
 let mutation_name = function
   | Truncate -> "truncate"
@@ -592,6 +594,7 @@ let mutation_name = function
   | Retype -> "retype"
   | Drop -> "drop"
   | Inflate -> "inflate"
+  | Refuse -> "refuse"
 
 (* the pre-order positions of the nodes [pick] selects, and a rewrite
    of the node at one position *)
@@ -629,6 +632,22 @@ let inflate_source s =
   | Some i -> String.sub s 0 i ^ huge_count ^ String.sub s (i + 1) (String.length s - i - 1)
   | None -> "^a" ^ huge_count ^ s
 
+(* a form the parser refuses, keeping the source's capture groups (so
+   a parser that accepted it would decode the snapshot): a repeated
+   group, alternation, an escaped letter, a range ending in a class,
+   a reversed range *)
+let refuse_source rand s =
+  let rest = String.sub s 1 (String.length s - 1) (* after the '^' *) in
+  match Random.State.int rand 5 with
+  | 0 -> (
+      match String.index_opt s ')' with
+      | Some i -> String.sub s 0 (i + 1) ^ "+" ^ String.sub s (i + 1) (String.length s - i - 1)
+      | None -> "^(?:r)+" ^ rest)
+  | 1 -> s ^ "|x"
+  | 2 -> {|^\w*|} ^ rest
+  | 3 -> {|^[a-\d]?|} ^ rest
+  | _ -> "^[z-a]?" ^ rest
+
 let mutate rand mutation doc =
   let any l = List.nth l (Random.State.int rand (List.length l)) in
   let tree f = match Json.parse doc with Ok j -> Json.to_string (f j) | Error _ -> doc in
@@ -658,12 +677,13 @@ let mutate rand mutation doc =
                  let victim = fst (any fields) in
                  Json.Obj (List.filter (fun (n, _) -> n <> victim) fields)
              | j -> j))
-  | Inflate ->
+  | Inflate | Refuse ->
       tree (fun j ->
           let has_source = function
             | Json.Obj fields -> List.mem_assoc "source" fields
             | _ -> false
           in
+          let rewrite = if mutation = Inflate then inflate_source else refuse_source rand in
           if positions has_source j <> [] then
             at has_source
               (function
@@ -671,7 +691,7 @@ let mutate rand mutation doc =
                     Json.Obj
                       (List.map
                          (function
-                           | "source", Json.String s -> ("source", Json.String (inflate_source s))
+                           | "source", Json.String s -> ("source", Json.String (rewrite s))
                            | field -> field)
                          fields)
                 | j -> j)
@@ -687,7 +707,7 @@ let decoders_survive_mutation =
     Gen.(
       tup4 gen_model
         (oneofl [ `Snapshot; `Events; `Slo ])
-        (oneofl [ Truncate; Flip; Retype; Drop; Inflate ])
+        (oneofl [ Truncate; Flip; Retype; Drop; Inflate; Refuse ])
         int)
   in
   let print (m, target, mutation, seed) =
@@ -709,9 +729,18 @@ let decoders_survive_mutation =
              true
          | `Snapshot -> (
              let input = mutate rand mutation (Learned_io.encode m) in
+             let has_cand =
+               List.exists (fun (sm : Learned_io.suffix_model) -> sm.cands <> []) m.suffixes
+             in
              match (Json.parse input, Learned_io.decode input) with
              | Ok _, Error (Learned_io.Syntax msg) ->
                  Test.fail_reportf "parsed as JSON, yet decoded through the fence: %s" msg
+             | _, Error (Learned_io.Schema e)
+               when mutation = Refuse && has_cand
+                    && not (String.ends_with ~suffix:".source" e.Json.path) ->
+                 Test.fail_reportf "refused regex reported at %s, not at its source" e.Json.path
+             | _, Ok _ when mutation = Refuse && has_cand ->
+                 Test.fail_reportf "a regex outside the dialect decoded:\n%s" input
              | _ -> true)))
 
 let suites =

@@ -43,10 +43,10 @@ let gen_atom =
   QCheck.Gen.(
     oneof
       [
-        map (fun c -> Ast.Lit c) gen_lower;
-        return (Ast.Lit '.');
-        map (fun c -> Ast.Cls c) gen_cls;
-        return Ast.Any;
+        map (fun c : Ast.atom -> Ast.Lit c) gen_lower;
+        return (Ast.Lit '.' : Ast.atom);
+        map (fun c : Ast.atom -> Ast.Cls c) gen_cls;
+        return (Ast.Any : Ast.atom);
       ])
 
 let gen_node =
@@ -54,7 +54,7 @@ let gen_node =
     gen_atom >>= fun atom ->
     oneof
       [
-        return atom;
+        return (Ast.node_of_atom atom);
         map
           (fun (min, extra) -> Ast.Rep (atom, min, Some (min + extra), Ast.Greedy))
           (pair (int_range 0 3) (int_range 0 3));
@@ -74,25 +74,20 @@ let gen_ast =
 
 let arb_ast = QCheck.make ~print:Ast.to_string gen_ast
 
-(* capture-heavy variant: repetitions (possessive included) wrapped
-   around capture groups, and nested groups — the shapes where capture
+(* capture-heavy variant: groups around repetitions (possessive
+   included), and nested groups — the shapes where capture
    bookkeeping, not just the match decision, can go wrong *)
 let gen_caps_node =
   QCheck.Gen.(
     gen_atom >>= fun atom ->
+    let rep greed (min, extra) = Ast.Grp [ Ast.Rep (atom, min, Some (min + extra), greed) ] in
     oneof
       [
-        return atom;
+        return (Ast.node_of_atom atom);
         map (fun inner -> Ast.Grp inner) (list_size (int_range 1 2) gen_node);
-        return (Ast.Rep (Ast.Grp [ atom ], 1, None, Ast.Possessive));
-        map
-          (fun (min, extra) ->
-            Ast.Rep (Ast.Grp [ atom ], min, Some (min + extra), Ast.Possessive))
-          (pair (int_range 0 2) (int_range 1 3));
-        map
-          (fun (min, extra) ->
-            Ast.Rep (Ast.Grp [ atom ], min, Some (min + extra), Ast.Greedy))
-          (pair (int_range 0 2) (int_range 1 3));
+        return (Ast.Grp [ Ast.Rep (atom, 1, None, Ast.Possessive) ]);
+        map (rep Ast.Possessive) (pair (int_range 0 2) (int_range 1 3));
+        map (rep Ast.Greedy) (pair (int_range 0 2) (int_range 1 3));
         map (fun inner -> Ast.Grp [ Ast.Grp inner ]) (list_size (int_range 1 2) gen_node);
       ])
 
@@ -104,40 +99,17 @@ let gen_ast_caps =
 (* greedy-only variant for differential testing against the NFA engine,
    which cannot express possessive quantifiers *)
 let rec degreed_node = function
-  | Ast.Rep (n, min, max, _) -> Ast.Rep (degreed_node n, min, max, Ast.Greedy)
+  | Ast.Rep (a, min, max, _) -> Ast.Rep (a, min, max, Ast.Greedy)
   | Ast.Grp inner -> Ast.Grp (List.map degreed_node inner)
-  | Ast.Alt alts -> Ast.Alt (List.map (List.map degreed_node) alts)
-  | atom -> atom
+  | node -> node
 
-(* nodes that also repeat groups and alternations, with repetitions
-   nested inside: the shapes only the general repetition runs. Group
-   bodies and branches may be empty or nullable, so iterations that
-   match nothing occur. Only the outer level repeats a group: repeated
-   groups inside repeated groups make patterns ambiguous enough for
-   one 12-byte case to backtrack for seconds. *)
+(* runs of repetitions inside groups nested up to two deep: one
+   repetition's continuation is the next one's entry, the shape the
+   matcher's failure memo prunes *)
 let gen_nested_node =
   QCheck.Gen.(
-    (* a group, or a two-branch alternation, of up to two [g] nodes *)
-    let wrapped g =
-      let seq = list_size (int_range 0 2) g in
-      oneof
-        [
-          map (fun inner -> Ast.Grp inner) seq;
-          map2 (fun a b -> Ast.Alt [ a; b ]) seq seq;
-        ]
-    in
-    let body = wrapped (frequency [ (2, gen_node); (1, wrapped gen_node) ]) in
-    frequency
-      [
-        (2, gen_node);
-        (1, body);
-        ( 2,
-          map2
-            (fun body (min, max) -> Ast.Rep (body, min, max, Ast.Greedy))
-            body
-            (oneofl
-               [ (0, Some 1); (0, None); (1, None); (2, None); (2, Some 2); (1, Some 3) ]) );
-      ])
+    let group g = map (fun inner -> Ast.Grp inner) (list_size (int_range 0 3) g) in
+    frequency [ (3, gen_node); (1, group (frequency [ (3, gen_node); (1, group gen_node) ])) ])
 
 let gen_greedy_ast =
   QCheck.Gen.(
@@ -145,7 +117,7 @@ let gen_greedy_ast =
       (oneof
          [
            gen_ast;
-           list_size (int_range 1 3) gen_nested_node >>= fun body ->
+           list_size (int_range 1 5) gen_nested_node >>= fun body ->
            oneofl [ body; (Ast.Bol :: body) @ [ Ast.Eol ] ];
          ]))
 
@@ -196,9 +168,9 @@ let prop_possessive_subset s =
 (* the two engines must agree on match existence *)
 let prop_engines_agree (ast, input) =
   let backtracker = Engine.compile ast in
-  let nfa = Hoiho_rx.Nfavm.compile ast in
+  let nfa = Nfavm.compile ast in
   let a = Engine.matches backtracker input in
-  let b = Hoiho_rx.Nfavm.matches nfa input in
+  let b = Nfavm.matches nfa input in
   if a = b then true
   else
     QCheck.Test.fail_reportf "engine=%b nfa=%b for %s on %S" a b

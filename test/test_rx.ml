@@ -18,27 +18,39 @@ let check_match re s expected () =
 
 (* --- parser --- *)
 
+(* [re] is an [Error] from the parser, and so from [compile_string],
+   never an exception *)
+let check_refused re =
+  match Parse.parse re with
+  | Ok ast -> Alcotest.failf "expected parse error for %S, got %s" re (Ast.to_string ast)
+  | exception e -> Alcotest.failf "%S raised %s" re (Printexc.to_string e)
+  | Error _ -> (
+      match Engine.compile_string re with
+      | Ok _ -> Alcotest.failf "%S compiled" re
+      | Error _ -> ())
+
+let refused res () = List.iter check_refused res
+
 let test_parse_errors () =
-  let bad =
+  List.iter check_refused
     [
       "a{2,1}"; "("; ")"; "[abc"; "*a"; "a{"; "\\"; "a|*";
-      (* counts past max_int, and past the bound that keeps an
-         empty-iteration repetition off the matcher's stack *)
+      (* counts past max_int, and past the longest subject *)
       "a{99999999999999999999}";
       "a{1,99999999999999999999}";
-      Printf.sprintf "^(a?){%d}b$" (Parse.max_count + 1);
-    ]
-  in
-  List.iter
-    (fun re ->
-      match Parse.parse re with
-      | Ok _ -> Alcotest.failf "expected parse error for %S" re
-      | Error _ -> ()
-      | exception e -> Alcotest.failf "%S raised %s" re (Printexc.to_string e))
-    bad;
+      Printf.sprintf "^a{%d}b$" (Parse.max_count + 1);
+      (* a range must run between two characters, upwards *)
+      {|[a-\d]|}; "[z-a]";
+      (* escaped letters mean something else in other dialects *)
+      {|^\w+\.example\.net$|}; {|\s|}; {|\b|}; {|[\w]|}; {|\1|};
+      (* only characters repeat *)
+      "^*"; "$+"; "()?";
+    ];
   Alcotest.(check bool) "the count bound is within the subject bound" true
     (Parse.max_count <= Engine.max_subject_len);
-  check_match (Printf.sprintf "^(a?){%d}b$" Parse.max_count) "b" (Some "") ()
+  check_match (Printf.sprintf "^a{0,%d}b$" Parse.max_count) "aab" (Some "") ();
+  (* escaped punctuation is the character itself *)
+  check_match {|^\-\(\\$|} {|-(\|} (Some "") ()
 
 let test_parse_roundtrip () =
   let res =
@@ -46,9 +58,8 @@ let test_parse_roundtrip () =
       {|^.+\.([a-z]{3})\d+\.([a-z]{2})\.[a-z]{3}\.zayo\.com$|};
       {|^[^\.]+\.([a-z]+)\d*\.([a-z]{2})\.alter\.net$|};
       {|^\d+\.[a-z]+\d+\.([a-z]{6})[a-z\d]++\.alter\.net$|};
-      {|^(a|bb|ccc)x?$|};
+      {|^((a)bb(c))x?$|};
       {|[a-z]{2,4}|};
-      {|(?:ab|cd)+|};
     ]
   in
   List.iter
@@ -57,14 +68,16 @@ let test_parse_roundtrip () =
       let printed = Ast.to_string ast in
       let ast2 = Parse.parse_exn printed in
       Alcotest.(check bool) (re ^ " roundtrip") true (Ast.equal ast ast2))
-    res
+    res;
+  (* alternation and non-capturing groups are not in the dialect *)
+  refused [ {|^(a|bb|ccc)x?$|}; {|(?:ab|cd)+|} ] ()
 
 let test_group_count () =
   let count re = Engine.group_count (Engine.compile_exn re) in
   Alcotest.(check int) "none" 0 (count "abc");
   Alcotest.(check int) "two" 2 (count {|(a)(b)|});
   Alcotest.(check int) "nested" 2 (count {|((a)b)|});
-  Alcotest.(check int) "in alternation" 2 (count {|(a)|(b)|})
+  refused [ {|(a)|(b)|} ] ()
 
 (* --- matching semantics --- *)
 
@@ -90,10 +103,11 @@ let test_bounded_rep2 = check_match {|^a{2,3}$|} "aaaa" None
 let test_open_rep = check_match {|^a{2,}$|} "aaaaa" (Some "")
 let test_exact_rep_fail = check_match {|^[a-z]{3}$|} "ab" None
 
-let test_alternation = check_match {|^(cat|dog)$|} "dog" (Some "dog")
-let test_alternation_order = check_match {|^(a|ab)c$|} "abc" (Some "ab")
+(* the dialect has no alternation: these are refused at parse *)
+let test_alternation = refused [ {|^(cat|dog)$|} ]
+let test_alternation_order = refused [ {|^(a|ab)c$|} ]
 let test_nested_groups = check_match {|^((a+)(b+))$|} "aabb" (Some "aabb,aa,bb")
-let test_unused_branch_group = check_match {|^(a)|(b)$|} "a" (Some "a,_")
+let test_unused_branch_group = refused [ {|^(a)|(b)$|} ]
 
 let test_backtracking = check_match {|^(.+)\.([a-z]+)$|} "a.b.c" (Some "a.b,c")
 let test_greedy = check_match {|^([a-z]+)([a-z])$|} "abcd" (Some "abc,d")
@@ -102,32 +116,46 @@ let test_possessive_blocks_backtrack = check_match {|^[a-z]++z$|} "abcz" None
 let test_possessive_ok = check_match {|^[a-z]++\d$|} "abc1" (Some "")
 let test_possessive_star = check_match {|^a*+b$|} "aaab" (Some "")
 
-(* regression: a possessive repetition over a capture group must not
-   take the group-stripping fast path — the group records the last
-   consumed char (possessiveness degrades to greedy, captures intact) *)
-let test_possessive_group_captures = check_match {|^([a-z])++$|} "abc" (Some "c")
-let test_possessive_group_captures2 = check_match {|^([a-z])++\d$|} "abc1" (Some "c")
+(* a quantifier repeats one character, never a group: these are
+   refused at parse *)
+let test_possessive_group_captures = refused [ {|^([a-z])++$|} ]
+let test_possessive_group_captures2 = refused [ {|^([a-z])++\d$|} ]
+let test_possessive_nested_group_captures = refused [ {|^(([a-z])([a-z]))++$|} ]
 
-let test_possessive_nested_group_captures =
-  check_match {|^(([a-z])([a-z]))++$|} "abcd" (Some "cd,c,d")
+(* a repetition of a one-character atom cannot match nothing per
+   iteration, so the empty-iteration rules have nothing to decide:
+   every such pattern repeats a group or alternates *)
+let test_empty_iterations =
+  refused
+    [
+      {|^(a*)+b$|}; {|^(a?){2}b$|}; {|^(?:a|)+b$|}; {|^((a)|)+b$|}; {|^(?:(a)|b?)+c$|};
+    ]
 
-(* iterations that match nothing: one counts toward the minimum, and
-   once the minimum is met it ends the repetition, keeping its own
-   captures. The expected captures are what Python's re returns. *)
-let empty_iteration_cases =
+(* the failure memo bounds every search: shapes that backtrack
+   polynomially without it, on subjects that almost match. The
+   exponential shapes repeat a group or alternate, and are refused. *)
+let time_bound_cases =
   [
-    ({|^(a*)+b$|}, "b", Some "");
-    ({|^(a*)+b$|}, "aab", Some "");
-    ({|^(a?){2}b$|}, "ab", Some "");
-    ({|^(a?){2}b$|}, "b", Some "");
-    ({|^(?:a|)+b$|}, "b", Some "");
-    ({|^((a)|)+b$|}, "ab", Some ",a");
-    ({|^((a)|)+b$|}, "b", Some ",_");
-    ({|^(?:(a)|b?)+c$|}, "abc", Some "a");
+    ({|^.*.*.*.*[xy]$|}, 256);
+    ({|^[a-z]+[a-z]+[a-z]+[a-z]+[a-z]+[xy]$|}, 128);
+    ("^" ^ String.concat "" (List.init 16 (fun _ -> ".*")) ^ "[xy]$", Engine.max_subject_len);
   ]
 
-let test_empty_iterations () =
-  List.iter (fun (re, s, expected) -> check_match re s expected ()) empty_iteration_cases
+let test_time_bound () =
+  refused [ {|^(a+)+[bc]$|}; {|^(a|a)+[bc]$|} ] ();
+  List.iter
+    (fun (re, n) ->
+      let t = Engine.compile_exn re in
+      let subject = String.make n 'a' in
+      let t0 = Unix.gettimeofday () in
+      let r = Engine.exec t subject in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "%s on %d a's: no match" re n) true (r = None);
+      if dt > 0.2 then Alcotest.failf "%s on %d a's took %.3f s (bound 0.2 s)" re n dt;
+      (* and one character more makes it match *)
+      Alcotest.(check bool) (re ^ " matches with the last byte") true
+        (Engine.matches t (String.make (n - 1) 'a' ^ "x")))
+    time_bound_cases
 
 let test_unanchored_search = check_match {|b+|} "aabbaa" (Some "")
 let test_empty_pattern = check_match "" "anything" (Some "")
@@ -192,23 +220,23 @@ let test_prefilter_analysis () =
     (true, ".zayo.com", None);
   check "fixed rep unrolled" {|^a{3}b$|} (true, "aaab", Some 0);
   check "offset after fixed-width atoms" {|^[a-z]{2}-ix$|} (true, "-ix", Some 2);
-  check "length tie prefers leftmost" {|^ab(c|d)ef$|} (true, "ab", Some 0);
+  check "length tie prefers leftmost" {|^ab[cd]ef$|} (true, "ab", Some 0);
   check "no required literal" {|^([a-z]{3})\d+$|} (true, "", None)
 
 let test_prefilter_shapes () =
-  (* alternation: "core" is common to both branches and must survive as
-     a scannable literal (required or extra) *)
-  let p = pf {|^ae\d\.(core1|core2)\.example\.com$|} in
-  let lits = p.Prefilter.required :: p.Prefilter.extras in
-  Alcotest.(check bool) "alt common literal extracted" true
-    (List.exists (fun l -> Prefilter.contains ~needle:"core" l) lits);
+  (* the alternation shapes of the wider dialect are refused at parse *)
+  refused [ {|^ae\d\.(core1|core2)\.example\.com$|}; {|^(xe\d|ge\d\d)\.example$|} ] ();
+  (* extras: a mandatory run that is neither [required] nor the tail *)
+  let p = pf {|^ae\d\.core\d\.example\.com$|} in
+  Alcotest.(check bool) "second run kept as an extra" true
+    (List.mem ".core" p.Prefilter.extras);
   (* needs_digit: set by a mandatory digit-only atom, not an optional one *)
   Alcotest.(check bool) "mandatory digit flagged" true
     (pf {|^[a-z]+\d{2}\.example$|}).Prefilter.needs_digit;
   Alcotest.(check bool) "optional digit not flagged" false
     (pf {|^[a-z]+\d*$|}).Prefilter.needs_digit;
-  Alcotest.(check bool) "digit in every alt branch flagged" true
-    (pf {|^(xe\d|ge\d\d)\.example$|}).Prefilter.needs_digit;
+  Alcotest.(check bool) "digit in a group flagged" true
+    (pf {|^(xe\d)\.example$|}).Prefilter.needs_digit;
   (* tail: a $-terminated pattern pins its last literal at a fixed
      distance from the subject end *)
   Alcotest.(check (option (pair string int)))
@@ -297,8 +325,6 @@ let arb_caps =
 
 (* --- Nfavm --- *)
 
-module Nfavm = Hoiho_rx.Nfavm
-
 let nfa_matches re s =
   Nfavm.matches (Nfavm.compile (Parse.parse_exn re)) s
 
@@ -308,7 +334,7 @@ let test_nfa_basics () =
   Alcotest.(check bool) "anchored" true (nfa_matches "^ab$" "ab");
   Alcotest.(check bool) "anchored fail" false (nfa_matches "^ab$" "xab");
   Alcotest.(check bool) "class rep" true (nfa_matches {|^[a-z]{3}\d+$|} "lhr15");
-  Alcotest.(check bool) "alternation" true (nfa_matches "^(cat|dog)$" "dog");
+  Alcotest.(check bool) "group" true (nfa_matches "^([cd]o[gt])s?$" "dogs");
   Alcotest.(check bool) "star empty" true (nfa_matches "^a*$" "");
   Alcotest.(check bool) "bounded" false (nfa_matches "^a{2,3}$" "aaaa")
 
@@ -325,11 +351,11 @@ let test_nfa_rejects_possessive () =
     (fun () -> ignore (Nfavm.compile (Parse.parse_exn {|^[a-z]++$|})))
 
 let test_nfa_no_blowup () =
-  (* the classic backtracking bomb runs in linear time on the NFA *)
-  let re = Parse.parse_exn "^(a|a)(a|a)(a|a)(a|a)(a|a)(a|a)(a|a)(a|a)(a|a)(a|a)b$" in
+  (* a backtracking bomb of the dialect runs in linear time on the NFA *)
+  let re = Parse.parse_exn "^[a-z]+[a-z]+[a-z]+[a-z]+[a-z]+[a-z]+[a-z]+[a-z]+b$" in
   let t = Nfavm.compile re in
   Alcotest.(check bool) "mismatch detected quickly" false
-    (Nfavm.matches t "aaaaaaaaaac");
+    (Nfavm.matches t (String.make 200 'a' ^ "c"));
   Alcotest.(check bool) "program compiled" true (Nfavm.program_size t > 10)
 
 let suites =
@@ -385,6 +411,7 @@ let suites =
         tc "possessive group captures before tail" test_possessive_group_captures2;
         tc "possessive nested group captures" test_possessive_nested_group_captures;
         tc "iterations that match nothing" test_empty_iterations;
+        tc "time bound on backtracking shapes" test_time_bound;
         tc "unanchored search" test_unanchored_search;
         tc "empty pattern" test_empty_pattern;
       ] );
