@@ -697,15 +697,11 @@ let perf () =
      wall-clock overhead *)
   Obs.reset ();
   let _, untraced_ms = time (fun () -> Pipeline.run ~db ~jobs ds) in
-  let module Trace = Hoiho_obs.Trace in
   Obs.reset ();
-  Trace.configure ~shards:16 ~capacity:(1 lsl 18) ();
-  Trace.set_enabled true;
-  let _, traced_ms = time (fun () -> Pipeline.run ~db ~jobs ds) in
-  Trace.set_enabled false;
-  let trace_spans = List.length (Trace.spans ()) in
-  let trace_dropped = Trace.dropped () in
-  Trace.configure ();
+  let (_, traced_ms), spans, trace_dropped =
+    Hoiho_obs.Trace.collect (fun () -> time (fun () -> Pipeline.run ~db ~jobs ds))
+  in
+  let trace_spans = List.length spans in
   let trace_overhead = (traced_ms -. untraced_ms) /. untraced_ms in
   gate ?unenforced:full_run_only "tracing" (trace_overhead < 0.10)
     (Printf.sprintf

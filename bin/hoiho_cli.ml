@@ -28,26 +28,26 @@ let trace_arg =
            Chrome trace-event JSON, loadable in Perfetto or \
            chrome://tracing.")
 
-(* enable tracing around [f], then export the collected spans; the
-   write happens even when [f] raises so a failed run still leaves a
-   trace to look at *)
+(* collect the spans of [f], then export them; the write happens even
+   when [f] raises so a failed run still leaves a trace to look at *)
 let with_trace trace_out f =
   match trace_out with
   | None -> f ()
   | Some path ->
-      Trace.set_enabled true;
-      Trace.clear ();
-      let finish () =
-        Trace.set_enabled false;
-        let spans = Trace.spans () in
-        Hoiho_obs.Obs.write_file_atomic path (Trace.to_chrome_json spans);
-        Printf.eprintf "hoiho: wrote %d span(s) to %s%s\n"
-          (List.length spans) path
-          (match Trace.dropped () with
-          | 0 -> ""
-          | n -> Printf.sprintf " (%d dropped: ring full)" n)
+      let result, spans, dropped =
+        Trace.collect (fun () ->
+            match f () with
+            | v -> Ok v
+            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
       in
-      Fun.protect ~finally:finish f
+      Hoiho_obs.Obs.write_file_atomic path (Trace.to_chrome_json ~dropped spans);
+      Printf.eprintf "hoiho: wrote %d span(s) to %s%s\n" (List.length spans) path
+        (match dropped with
+        | 0 -> ""
+        | n -> Printf.sprintf " (%d dropped: collector full)" n);
+      (match result with
+      | Ok v -> v
+      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
 
 let preset_conv =
   let parse s =
@@ -785,17 +785,10 @@ let explain_cmd =
   in
   let run model_path min_conf hostname =
     let serve = Hoiho_serve.Serve.create (load_model_or_die model_path) in
-    (* the decision trace IS the span tree of this one geolocate call:
-       PSL split, cache probe, each candidate regex with its capture
-       groups and decoded hint, the dictionary consultation (collision
-       losers included), and the final answer with provenance *)
-    Trace.set_enabled true;
-    Trace.clear ();
-    let answer = Hoiho_serve.Serve.geolocate_conf serve hostname in
-    Trace.set_enabled false;
+    let answer, trace = Hoiho_serve.Serve.explain serve hostname in
     print_answer ?min_conf hostname answer;
     print_newline ();
-    print_string (Trace.render_text (Trace.spans ()))
+    print_string trace
   in
   Cmd.v
     (Cmd.info "explain"

@@ -9,6 +9,10 @@
    - every hostname of the pinned golden subset (EXPECTED, the same
      file the apply smoke diffs against) is served with the pinned
      answer — the socket path agrees with the apply path;
+   - `hoiho explain` and GET /explain print the same decision trace
+     for one pinned hostname: the lines after the blank line agree
+     once the "(x.xxx ms)" durations are stripped (the answer lines
+     differ by design: "%-50s" padding on the CLI, tabs on the wire);
    - GET /metrics parses as OpenMetrics enough to matter: hoiho_
      samples present, "# EOF" terminator last;
    - SIGTERM produces a clean exit: status 0 and the shutdown line on
@@ -46,6 +50,26 @@ let parse_expected path =
    with End_of_file -> close_in_noerr ic);
   List.rev !lines
 
+let explain_host = "100ge1-4.core2.fra12.he.net"
+
+(* an explain output's trace: the lines after the first blank one,
+   each minus its "  (x.xxx ms)" duration *)
+let trace_lines out =
+  let rec after_blank = function "" :: l -> l | _ :: l -> after_blank l | [] -> [] in
+  List.map
+    (fun l ->
+      match String.rindex_opt l '(' with
+      | Some i when i >= 2 && String.ends_with ~suffix:" ms)" l -> String.sub l 0 (i - 2)
+      | _ -> l)
+    (after_blank (String.split_on_char '\n' out))
+
+let cli_explain cli model h =
+  let ic = Unix.open_process_args_in cli [| cli; "explain"; "--model"; model; h |] in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> die "%s explain --model %s %s failed" cli model h
+
 let () =
   let cli, model, expected =
     match Sys.argv with
@@ -58,6 +82,7 @@ let () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
   let golden = parse_expected expected in
   if golden = [] then die "expected file %s is empty" expected;
+  let printed = trace_lines (cli_explain cli model explain_host) in
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let pid =
     Unix.create_process cli
@@ -79,6 +104,13 @@ let () =
       if body <> answer ^ "\n" then
         fail_daemon pid "/geolocate?h=%s: served %S, pinned %S" h body answer)
     golden;
+  (* one explain vocabulary: the CLI's trace is the daemon's *)
+  let status, body = request port ("/explain?h=" ^ explain_host) in
+  if status <> 200 then fail_daemon pid "/explain?h=%s: status %d" explain_host status;
+  let served = trace_lines body in
+  if served = [] || served <> printed then
+    fail_daemon pid "/explain?h=%s and `hoiho explain` differ:\n%s\n---\n%s" explain_host
+      (String.concat "\n" served) (String.concat "\n" printed);
   (* metrics exposition *)
   let status, body = request port "/metrics" in
   if status <> 200 then fail_daemon pid "/metrics: status %d" status;
@@ -95,6 +127,7 @@ let () =
   if not (contains rest "shut down cleanly") then
     die "daemon exited 0 but without the clean-shutdown line (got %S)" rest;
   Printf.printf
-    "serve_check: OK — %d golden hostnames served on port %d, metrics \
-     exposition complete, clean SIGTERM shutdown\n"
+    "serve_check: OK — %d golden hostnames served on port %d, one explain \
+     trace on the CLI and the wire, metrics exposition complete, clean \
+     SIGTERM shutdown\n"
     (List.length golden) port

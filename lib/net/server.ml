@@ -7,7 +7,6 @@ module Strutil = Hoiho_util.Strutil
 module Engine = Hoiho_rx.Engine
 module Pool = Hoiho_obs.Pool
 module Obs = Hoiho_obs.Obs
-module Trace = Hoiho_obs.Trace
 module Health = Hoiho_obs.Health
 module Window = Hoiho_obs.Window
 module Histo = Hoiho_obs.Histo
@@ -79,7 +78,6 @@ type t = {
   (* producers currently inside a request handler; the batcher's
      coalescing hint *)
   active : int Atomic.t;
-  explain_mutex : Mutex.t;
   (* serializes model swaps (see [swap]); [serve] is written and
      [corpus] read or written only under it *)
   swap_mutex : Mutex.t;
@@ -222,39 +220,41 @@ let respond ctx fd ?(headers = []) ?content_type ~status body =
 
 (* --- handlers --- *)
 
+let bad_min_conf ctx fd =
+  respond ctx fd ~status:400 "invalid min_conf (want a float in [0,1])\n"
+
+(* the query of the one-hostname endpoints: a valid ?min_conf= and an
+   ?h= that passes the boundary *)
+let with_hostname ctx fd req k =
+  match (min_conf_param req, Http.query_param req "h") with
+  | Error `Bad_min_conf, _ -> bad_min_conf ctx fd
+  | Ok _, None -> respond ctx fd ~status:400 "missing query parameter h\n"
+  | Ok min_conf, Some raw -> (
+      match boundary raw with
+      | Error `Invalid -> respond ctx fd ~status:400 "invalid hostname\n"
+      | Ok key -> k min_conf key)
+
 let handle_geolocate t ctx fd req =
-  match min_conf_param req with
-  | Error `Bad_min_conf ->
-      respond ctx fd ~status:400 "invalid min_conf (want a float in [0,1])\n"
-  | Ok min_conf -> (
-      match Http.query_param req "h" with
-      | None -> respond ctx fd ~status:400 "missing query parameter h\n"
-      | Some raw -> (
-          match boundary raw with
-          | Error `Invalid -> respond ctx fd ~status:400 "invalid hostname\n"
-          | Ok key -> (
-              ctx.batch <- 1;
-              (* read-only probe, before submit: the answer below may
-                 itself populate the cache *)
-              ctx.cache_hit <- Serve.cached (Atomic.get t.serve) key;
-              match Batcher.submit t.batcher [ key ] with
-              | Ok [ answer ] ->
-                  ctx.confidence <- Some answer.Serve.confidence;
-                  respond ctx fd ~status:200
-                    (render_answer ?min_conf answer ^ "\n")
-              | Ok _ -> respond ctx fd ~status:500 "internal error\n"
-              | Error `Overloaded ->
-                  ctx.shed <- true;
-                  respond ctx fd
-                    ~headers:[ ("Retry-After", "1") ]
-                    ~status:503 "overloaded, retry later\n"
-              | Error (`Stopped | `Failed) ->
-                  respond ctx fd ~status:503 "shutting down\n")))
+  with_hostname ctx fd req @@ fun min_conf key ->
+  ctx.batch <- 1;
+  (* read-only probe, before submit: the answer below may itself
+     populate the cache *)
+  ctx.cache_hit <- Serve.cached (Atomic.get t.serve) key;
+  match Batcher.submit t.batcher [ key ] with
+  | Ok [ answer ] ->
+      ctx.confidence <- Some answer.Serve.confidence;
+      respond ctx fd ~status:200 (render_answer ?min_conf answer ^ "\n")
+  | Ok _ -> respond ctx fd ~status:500 "internal error\n"
+  | Error `Overloaded ->
+      ctx.shed <- true;
+      respond ctx fd
+        ~headers:[ ("Retry-After", "1") ]
+        ~status:503 "overloaded, retry later\n"
+  | Error (`Stopped | `Failed) -> respond ctx fd ~status:503 "shutting down\n"
 
 let handle_batch t ctx fd req =
   match min_conf_param req with
-  | Error `Bad_min_conf ->
-      respond ctx fd ~status:400 "invalid min_conf (want a float in [0,1])\n"
+  | Error `Bad_min_conf -> bad_min_conf ctx fd
   | Ok min_conf ->
   let lines =
     String.split_on_char '\n' req.Http.body
@@ -304,62 +304,12 @@ let handle_batch t ctx fd req =
         respond ctx fd ~status:200 (Buffer.contents buf)
   end
 
-(* the /explain decision trace: serialize explains (the tracer is
-   process-global) and render only the span tree rooted at this
-   application, so concurrent traffic that records spans while tracing
-   is briefly enabled cannot leak into the answer *)
 let handle_explain t ctx fd req =
-  match Http.query_param req "h" with
-  | None -> respond ctx fd ~status:400 "missing query parameter h\n"
-  | Some raw -> (
-      match boundary raw with
-      | Error `Invalid -> respond ctx fd ~status:400 "invalid hostname\n"
-      | Ok key ->
-          let answer, rendered =
-            Mutex.lock t.explain_mutex;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock t.explain_mutex)
-              (fun () ->
-                let was = Trace.enabled () in
-                Trace.set_enabled true;
-                Trace.clear ();
-                let answer =
-                  Serve.geolocate_uncached_conf (Atomic.get t.serve) key
-                in
-                Trace.set_enabled was;
-                let spans = Trace.spans () in
-                (* keep the apply root for [key] and its subtree *)
-                let root =
-                  List.find_opt
-                    (fun (s : Trace.span) ->
-                      s.Trace.name = "apply"
-                      && s.Trace.parent = None
-                      && List.assoc_opt "hostname" s.Trace.attrs = Some key)
-                    spans
-                in
-                let mine =
-                  match root with
-                  | None -> []
-                  | Some root ->
-                      let keep = Hashtbl.create 64 in
-                      Hashtbl.add keep root.Trace.id ();
-                      (* spans are sorted by start time, parents first *)
-                      List.filter
-                        (fun (s : Trace.span) ->
-                          s.Trace.id = root.Trace.id
-                          ||
-                          match s.Trace.parent with
-                          | Some p when Hashtbl.mem keep p ->
-                              Hashtbl.add keep s.Trace.id ();
-                              true
-                          | _ -> false)
-                        spans
-                in
-                (answer, Trace.render_text mine))
-          in
-          ctx.confidence <- Some answer.Serve.confidence;
-          respond ctx fd ~status:200
-            (Printf.sprintf "%s\t%s\n\n%s" key (render_answer answer) rendered))
+  with_hostname ctx fd req @@ fun min_conf key ->
+  let answer, trace = Serve.explain (Atomic.get t.serve) key in
+  ctx.confidence <- Some answer.Serve.confidence;
+  respond ctx fd ~status:200
+    (Printf.sprintf "%s\t%s\n\n%s" key (render_answer ?min_conf answer) trace)
 
 let handle_metrics ctx fd =
   (* the Prometheus text-exposition content type — scrapers content-
@@ -672,12 +622,6 @@ let handle_connection t fd =
                     ~endpoint:(req.Http.meth ^ " " ^ req.Http.path)
                 in
                 let ok =
-                  Trace.with_span "net.request" ~cat:"net"
-                    ~attrs:
-                      [
-                        ("request_id", ctx.rid); ("endpoint", ctx.endpoint);
-                      ]
-                  @@ fun () ->
                   match dispatch t ctx fd req with
                   | () -> true
                   | exception _ ->
@@ -820,7 +764,6 @@ let start ?(config = default_config) ?corpus model =
       stop_flag = Atomic.make false;
       reload_flag = Atomic.make false;
       active;
-      explain_mutex = Mutex.create ();
       swap_mutex = Mutex.create ();
       corpus;
       accepters = [];

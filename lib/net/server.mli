@@ -17,8 +17,10 @@
       [hostname<TAB>answer] line per input line, in order (["!invalid"]
       for names rejected at the boundary).
     - [GET /explain?h=HOSTNAME] — the answer plus the rendered
-      decision trace of this one application (uncached): the [apply]
-      span subtree {!Hoiho.Apply.apply} records.
+      decision trace of this one application (uncached):
+      {!Hoiho_serve.Serve.explain}, the same function [hoiho explain]
+      prints. Explains run concurrently, each collecting only its own
+      spans.
     - [GET /metrics] — OpenMetrics exposition of the process registry
       ([text/plain; version=0.0.4; charset=utf-8]).
     - [GET /healthz] — the evaluated health state (DESIGN.md §14):
@@ -65,9 +67,9 @@
     drift monitor compares served confidences against.
 
     Observability: every response carries an [X-Request-Id] header
-    (the client's, when sane, else a generated one), which is also a
-    span attribute on the per-request ["net.request"] trace span.
-    With [access_log] set, every response appends one
+    (the client's, when sane, else a generated one). The daemon
+    records no spans except inside an explain. With [access_log] set,
+    every response appends one
     {!Access_log.entry} JSON line. A {!Hoiho_obs.Health.monitor}
     aggregates per-request latency/error/shed/confidence into rolling
     windows; the housekeeping domain re-evaluates it continuously and

@@ -28,7 +28,6 @@ let counter name =
 let incr c = ignore (Atomic.fetch_and_add c.ccell 1)
 let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c.ccell n)
 let count c = Atomic.get c.ccell
-let set_counter c n = Atomic.set c.ccell n
 
 let gauge name =
   registered gauges name (fun gname -> { gname; gcell = Atomic.make 0 })

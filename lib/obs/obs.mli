@@ -29,10 +29,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val count : counter -> int
 
-val set_counter : counter -> int -> unit
-(** Overwrite a counter's value: the reset hook for a layer that owns
-    its counters (e.g. {!Hoiho_obs.Trace.clear} zeroes the span counters). *)
-
 (** {1 Gauges} — high-water marks: [observe_gauge] keeps the maximum
     value ever reported, lock-free via compare-and-set. *)
 

@@ -11,87 +11,68 @@ type span = {
   domain : int;
 }
 
-(* the whole subsystem hides behind this one flag: every public entry
-   point loads it first and falls through to the untraced path, so a
-   disabled build pays one Atomic.get per call site *)
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let set_enabled v = Atomic.set enabled_flag v
-
 let c_recorded = Obs.counter "trace.spans_recorded"
 let c_dropped = Obs.counter "trace.spans_dropped"
 
-(* --- bounded lock-sharded ring collector ---
+(* --- bounded collectors ---
 
-   Completed spans land in one of [shards] rings, picked by the
-   recording domain's id so concurrent workers rarely contend on the
-   same lock. A full ring drops the incoming span (never overwrites):
-   parents complete after their children, so drop-newest sheds whole
-   subtrees from the top rather than punching holes in the middle. *)
+   A collector keeps the first [capacity] spans to complete and counts
+   the rest as dropped, never overwriting: parents complete after
+   their children, so drop-newest sheds whole subtrees from the top
+   rather than punching holes in the middle. The bound is the memory
+   guard; the list grows with what is recorded, so a collector costs
+   nothing up front. *)
 
-type shard = {
-  lock : Mutex.t;
-  mutable buf : span option array;
-  mutable len : int;
+let capacity = 65536
+
+type collector = {
+  used : int Atomic.t;  (* slots claimed, dropped spans included *)
+  kept : span list Atomic.t;
 }
 
-type collector = { shards : shard array }
+let make_collector () = { used = Atomic.make 0; kept = Atomic.make [] }
 
-let make_collector ~shards ~capacity =
-  let shards = max 1 shards in
-  let per = max 1 ((capacity + shards - 1) / shards) in
-  {
-    shards =
-      Array.init shards (fun _ ->
-          { lock = Mutex.create (); buf = Array.make per None; len = 0 });
-  }
+let rec push cell sp =
+  let l = Atomic.get cell in
+  if not (Atomic.compare_and_set cell l (sp :: l)) then push cell sp
 
-let collector = ref (make_collector ~shards:8 ~capacity:65536)
-
-let configure ?(shards = 8) ?(capacity = 65536) () =
-  collector := make_collector ~shards ~capacity
-
-let clear () =
-  Array.iter
-    (fun sh ->
-      Mutex.lock sh.lock;
-      Array.fill sh.buf 0 (Array.length sh.buf) None;
-      sh.len <- 0;
-      Mutex.unlock sh.lock)
-    !collector.shards;
-  Obs.set_counter c_recorded 0;
-  Obs.set_counter c_dropped 0
-
-let record sp =
-  let c = !collector in
-  let sh = c.shards.(sp.domain mod Array.length c.shards) in
-  Mutex.lock sh.lock;
-  if sh.len < Array.length sh.buf then begin
-    sh.buf.(sh.len) <- Some sp;
-    sh.len <- sh.len + 1;
-    Mutex.unlock sh.lock;
+let record c sp =
+  if Atomic.fetch_and_add c.used 1 < capacity then begin
+    push c.kept sp;
     Obs.incr c_recorded
   end
-  else begin
-    Mutex.unlock sh.lock;
-    Obs.incr c_dropped
-  end
+  else Obs.incr c_dropped
 
-let dropped () = Obs.count c_dropped
+let collected c =
+  List.sort (fun a b -> compare (a.t_start_ns, a.id) (b.t_start_ns, b.id)) (Atomic.get c.kept)
 
-let spans () =
-  let acc = ref [] in
-  Array.iter
-    (fun sh ->
-      Mutex.lock sh.lock;
-      for i = sh.len - 1 downto 0 do
-        match sh.buf.(i) with Some sp -> acc := sp :: !acc | None -> ()
-      done;
-      Mutex.unlock sh.lock)
-    !collector.shards;
-  List.sort (fun a b -> compare (a.t_start_ns, a.id) (b.t_start_ns, b.id)) !acc
+let dropped_of c = max 0 (Atomic.get c.used - capacity)
 
-(* --- live spans and the per-domain stack --- *)
+(* --- what records ---
+
+   The process-wide collector records while [set_enabled true] holds,
+   and a [collect] call records into its own collector. [recording]
+   counts both (the switch counts one while on), so when it reads 0
+   nothing records anywhere, and every entry point returns after that
+   one atomic load. *)
+
+let global = make_collector ()
+let global_on = Atomic.make false
+let recording = Atomic.make 0
+let enabled () = Atomic.get recording > 0
+
+let set_enabled v =
+  if Atomic.exchange global_on v <> v then
+    ignore (Atomic.fetch_and_add recording (if v then 1 else -1))
+
+let clear () =
+  Atomic.set global.used 0;
+  Atomic.set global.kept []
+
+let spans () = collected global
+let dropped () = dropped_of global
+
+(* --- live spans and the per-domain state --- *)
 
 type live = {
   lid : int;
@@ -100,113 +81,126 @@ type live = {
   lcat : string;
   lstart : int64;
   mutable lattrs : (string * string) list;  (* reversed *)
+  lsink : collector;  (* fixed when the span opens *)
 }
 
 let next_id = Atomic.make 1
 let fresh_id () = Atomic.fetch_and_add next_id 1
 
-let stack_key : live list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* a span context: [outer], the parent of spans opened on an empty
+   stack, and the collector of the enclosing [collect], if any *)
+type ctx = { outer : int option; sink : collector option }
 
-(* ambient parent: the span context a pool job was submitted under,
-   installed by [with_ctx] on whichever domain executes the job. It is
-   consulted only when the domain's own stack is empty, so synchronous
-   nesting always wins. *)
-let ambient_key : int option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let no_ctx = { outer = None; sink = None }
 
+(* each domain's stack of live spans and the context installed around
+   the work it runs ([collect], or a pool job's [with_ctx]). The
+   context's [outer] is consulted only when the stack is empty, so
+   synchronous nesting always wins. *)
+type dstate = { mutable stack : live list; mutable ctx : ctx }
+
+let state_key = Domain.DLS.new_key (fun () -> { stack = []; ctx = no_ctx })
+
+(* where a span opened now goes: the enclosing [collect]'s collector,
+   else the process-wide one while it is switched on *)
+let sink st =
+  match st.ctx.sink with
+  | Some _ as c -> c
+  | None -> if Atomic.get global_on then Some global else None
+
+let innermost st = match st.stack with l :: _ -> Some l.lid | [] -> st.ctx.outer
 let now_ns () = Monotonic_clock.now ()
 
 type parent = Stack | Root | Span of int
 
-let current () =
-  if not (enabled ()) then None
-  else
-    match !(Domain.DLS.get stack_key) with
-    | l :: _ -> Some l.lid
-    | [] -> !(Domain.DLS.get ambient_key)
-
 let fanout_parent () =
-  match current () with Some id -> Span id | None -> Root
+  if not (enabled ()) then Root
+  else match innermost (Domain.DLS.get state_key) with Some id -> Span id | None -> Root
 
 (* --- span-context propagation across pool fan-out --- *)
 
-type ctx = int option
+let capture () =
+  if not (enabled ()) then no_ctx
+  else
+    let st = Domain.DLS.get state_key in
+    { outer = innermost st; sink = st.ctx.sink }
 
-let capture () = current ()
+(* run [f] with [ctx] installed and the domain's own live spans masked:
+   a helping submitter runs other batches' jobs from inside its own
+   live spans, and those jobs must nest under the span they were
+   SUBMITTED from, into the collector they were submitted under *)
+let install ctx f =
+  let st = Domain.DLS.get state_key in
+  let saved_stack = st.stack and saved_ctx = st.ctx in
+  st.stack <- [];
+  st.ctx <- ctx;
+  Fun.protect
+    ~finally:(fun () ->
+      st.stack <- saved_stack;
+      st.ctx <- saved_ctx)
+    f
 
-let with_ctx ctx f =
-  if not (enabled ()) then f ()
-  else begin
-    let stack = Domain.DLS.get stack_key in
-    let amb = Domain.DLS.get ambient_key in
-    let saved_stack = !stack and saved_amb = !amb in
-    (* mask the executing domain's own stack: a helping submitter runs
-       other batches' jobs from inside its own live spans, and those
-       jobs must nest under the span they were SUBMITTED from, not
-       under whatever the executor happened to be doing *)
-    stack := [];
-    amb := ctx;
+let with_ctx ctx f = if not (enabled ()) then f () else install ctx f
+
+let collect f =
+  let c = make_collector () in
+  Atomic.incr recording;
+  let v =
     Fun.protect
-      ~finally:(fun () ->
-        stack := saved_stack;
-        amb := saved_amb)
-      f
-  end
+      ~finally:(fun () -> Atomic.decr recording)
+      (fun () -> install { outer = None; sink = Some c } f)
+  in
+  (v, collected c, dropped_of c)
 
 let domain_id () = (Domain.self () :> int)
 
 let with_span ?(cat = "work") ?(parent = Stack) ?(attrs = []) name f =
   if not (enabled ()) then f ()
-  else begin
-    let stack = Domain.DLS.get stack_key in
-    let parent_id =
-      match parent with
-      | Stack -> (
-          match !stack with
-          | l :: _ -> Some l.lid
-          | [] -> !(Domain.DLS.get ambient_key))
-      | Root -> None
-      | Span id -> Some id
-    in
-    let live =
-      {
-        lid = fresh_id ();
-        lparent = parent_id;
-        lname = name;
-        lcat = cat;
-        lstart = now_ns ();
-        lattrs = List.rev attrs;
-      }
-    in
-    stack := live :: !stack;
-    Fun.protect
-      ~finally:(fun () ->
-        (match !stack with
-        | l :: rest when l == live -> stack := rest
-        | _ ->
-            (* a callee escaped its span (e.g. an effect); drop down to
-               self-repair rather than corrupt the stack *)
-            stack := List.filter (fun l -> not (l == live)) !stack);
-        record
+  else
+    let st = Domain.DLS.get state_key in
+    match sink st with
+    | None -> f ()
+    | Some lsink ->
+        let live =
           {
-            id = live.lid;
-            parent = live.lparent;
-            name = live.lname;
-            cat = live.lcat;
-            t_start_ns = live.lstart;
-            t_end_ns = now_ns ();
-            attrs = List.rev live.lattrs;
-            domain = domain_id ();
-          })
-      f
-  end
+            lid = fresh_id ();
+            lparent =
+              (match parent with Stack -> innermost st | Root -> None | Span id -> Some id);
+            lname = name;
+            lcat = cat;
+            lstart = now_ns ();
+            lattrs = List.rev attrs;
+            lsink;
+          }
+        in
+        st.stack <- live :: st.stack;
+        Fun.protect
+          ~finally:(fun () ->
+            (match st.stack with
+            | l :: rest when l == live -> st.stack <- rest
+            | stack ->
+                (* a callee escaped its span (e.g. an effect); drop down
+                   to self-repair rather than corrupt the stack *)
+                st.stack <- List.filter (fun l -> not (l == live)) stack);
+            record live.lsink
+              {
+                id = live.lid;
+                parent = live.lparent;
+                name = live.lname;
+                cat = live.lcat;
+                t_start_ns = live.lstart;
+                t_end_ns = now_ns ();
+                attrs = List.rev live.lattrs;
+                domain = domain_id ();
+              })
+          f
 
 let add_attr key value =
   if enabled () then
-    match !(Domain.DLS.get stack_key) with
-    | live :: _ -> live.lattrs <- (key, value) :: live.lattrs
-    | [] -> ()
+    let st = Domain.DLS.get state_key in
+    match st.stack with
+    | live :: _ when Option.is_some (sink st) -> live.lattrs <- (key, value) :: live.lattrs
+    | _ -> ()
 
 (* deterministic subject sampling for hot call sites: Hashtbl.hash is a
    pure function of the bytes, so the sampled set depends only on the
@@ -289,8 +283,9 @@ let render_text ?include_sched sps =
 
 (* --- Chrome trace-event export --- *)
 
-let to_chrome_json ?epoch_ms sps =
+let to_chrome_json ?epoch_ms ?dropped:n sps =
   let epoch_ms = match epoch_ms with Some v -> v | None -> Obs.epoch_ms () in
+  let n = match n with Some n -> n | None -> dropped () in
   let t0 =
     List.fold_left
       (fun acc s -> if s.t_start_ns < acc then s.t_start_ns else acc)
@@ -324,6 +319,6 @@ let to_chrome_json ?epoch_ms sps =
            Json.Obj
              [
                ("trace_start_epoch_ms", Json.Float epoch_ms);
-               ("dropped_spans", Json.Int (dropped ()));
+               ("dropped_spans", Json.Int n);
              ] );
        ])

@@ -1,6 +1,6 @@
 exception Err of string
 
-type state = { src : string; mutable pos : int }
+type state = { src : string; mutable pos : int; mutable reps : int }
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
@@ -71,6 +71,7 @@ let parse_class st =
   { Ast.neg; ranges = go [] }
 
 let max_count = 1024
+let max_reps = 256
 
 (* a count past [max_count] (or past [max_int]) is an error, never a
    [Failure] from [int_of_string] *)
@@ -165,8 +166,14 @@ and parse_item st =
       unquantified st (Ast.Grp inner)
   | _ -> (
       let atom = parse_char st in
+      let at = st.pos in
       match quantifier st with
-      | Some (min, max, greed) -> Ast.Rep (atom, min, max, greed)
+      | Some (min, max, greed) ->
+          st.reps <- st.reps + 1;
+          if st.reps > max_reps then
+            errf "quantifier at position %d exceeds the limit of %d per pattern" at
+              max_reps;
+          Ast.Rep (atom, min, max, greed)
       | None -> Ast.node_of_atom atom)
 
 (* one character: a literal, an escape, a class or '.' *)
@@ -189,7 +196,7 @@ and parse_char st : Ast.atom =
       Ast.Lit c
 
 let parse s =
-  let st = { src = s; pos = 0 } in
+  let st = { src = s; pos = 0; reps = 0 } in
   try
     let ast = parse_seq st in
     if st.pos < String.length s then

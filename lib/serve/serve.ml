@@ -63,18 +63,14 @@ let geolocate_uncached_conf t hostname =
   Obs.incr c_applied;
   Apply.apply t.db t.index (Hoiho_util.Strutil.normalize_hostname hostname)
 
+let explain t hostname =
+  let answer, spans, _ = Trace.collect (fun () -> geolocate_uncached_conf t hostname) in
+  (answer, Trace.render_text spans)
+
 let geolocate_conf t hostname =
   Obs.incr c_applied;
   let key = Hoiho_util.Strutil.normalize_hostname hostname in
-  Trace.with_span "serve.geolocate" ~attrs:[ ("hostname", key) ]
-  @@ fun () ->
-  let probe () =
-    Trace.with_span "serve.cache" @@ fun () ->
-    let r = Lru.find t.cache key in
-    Trace.add_attr "outcome" (match r with Some _ -> "hit" | None -> "miss");
-    r
-  in
-  match probe () with
+  match Lru.find t.cache key with
   | Some answer ->
       Obs.incr c_hits;
       answer

@@ -14,11 +14,10 @@
     (hostnames answered, cached or not). {!apply_batch} wall time lands
     in the [serve.batch_ms] histogram.
 
-    When {!Hoiho_obs.Trace} is enabled the serving path emits decision
-    traces: [serve.geolocate]/[serve.cache] around the cached path,
+    Under {!Hoiho_obs.Trace.collect} the serving path emits spans:
     [serve.batch] around a batch, and per application the [apply]
-    subtree {!Hoiho.Apply.apply} records — the tree [hoiho explain]
-    renders.
+    subtree {!Hoiho.Apply.apply} records. {!explain} is the one
+    decision trace, [hoiho explain] and [GET /explain] alike.
 
     Determinism: {!apply_batch} produces results — and cache-work
     counters — identical at any [jobs] setting: the cache is probed
@@ -65,6 +64,12 @@ val geolocate_conf : t -> string -> answer
 
 val geolocate_uncached_conf : t -> string -> answer
 (** The pure apply path, bypassing the cache (still never raises). *)
+
+val explain : t -> string -> answer * string
+(** The uncached answer and its decision trace: the [apply] span tree
+    of this one application, collected by {!Hoiho_obs.Trace.collect}
+    (so concurrent explains and other traffic never mix in) and
+    rendered by {!Hoiho_obs.Trace.render_text}. *)
 
 val apply_batch :
   ?jobs:int ->

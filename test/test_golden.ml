@@ -189,10 +189,8 @@ let test_snapshot_serves_identically () =
   Alcotest.(check bool) "jobs=1 and jobs=4 identical" true (seq = par);
   let uncached = Serve.create model in
   let traced f =
-    Trace.clear ();
-    Trace.set_enabled true;
-    Fun.protect ~finally:(fun () -> Trace.set_enabled false) (fun () -> ignore (f ()));
-    Trace.canonical (Trace.spans ())
+    let _, spans, _ = Trace.collect f in
+    Trace.canonical spans
   in
   List.iter
     (fun (h, (answer : Serve.answer)) ->

@@ -561,9 +561,11 @@ let json_decoders_name_the_path () =
    never raise. A snapshot that still parses as JSON must never be
    answered through decode's catch-all fence: every defect in it is a
    typed Schema or version error, and a regex outside the dialect is a
-   Schema error at its [source]. *)
+   Schema error at its [source]. A mutant that decodes must serve
+   without raising. *)
 
 module Delta = Hoiho.Delta
+module Serve = Hoiho_serve.Serve
 module Slo = Hoiho_net.Slo
 module Rtts = Hoiho_itdk.Rtts
 
@@ -635,10 +637,11 @@ let inflate_source s =
 (* a form the parser refuses, keeping the source's capture groups (so
    a parser that accepted it would decode the snapshot): a repeated
    group, alternation, an escaped letter, a range ending in a class,
-   a reversed range *)
+   a reversed range, one quantifier too many *)
 let refuse_source rand s =
   let rest = String.sub s 1 (String.length s - 1) (* after the '^' *) in
-  match Random.State.int rand 5 with
+  match Random.State.int rand 6 with
+  | 5 -> "^" ^ String.concat "" (List.init (Hoiho_rx.Parse.max_reps + 1) (fun _ -> "a?")) ^ rest
   | 0 -> (
       match String.index_opt s ')' with
       | Some i -> String.sub s 0 (i + 1) ^ "+" ^ String.sub s (i + 1) (String.length s - i - 1)
@@ -702,6 +705,18 @@ let mutate rand mutation doc =
               (fun _ -> if Random.State.bool rand then Json.Int max_int else Json.Float 1e300)
               j)
 
+(* the serving half: a mutant that decodes is served, over the golden
+   corpus's hostnames and one name under each of its suffixes (so its
+   regexes run), and explained, without raising *)
+let serve_decoded (m : Learned_io.t) =
+  let hostnames =
+    List.map (fun (sm : Learned_io.suffix_model) -> "ae1-2.cr3.lhr4." ^ sm.suffix) m.suffixes
+    @ List.map fst (Test_net.corpus_lines ())
+  in
+  let s = Serve.create m in
+  ignore (Serve.apply_batch s hostnames);
+  ignore (Serve.explain s (List.hd hostnames))
+
 let decoders_survive_mutation =
   let gen =
     Gen.(
@@ -741,6 +756,9 @@ let decoders_survive_mutation =
                  Test.fail_reportf "refused regex reported at %s, not at its source" e.Json.path
              | _, Ok _ when mutation = Refuse && has_cand ->
                  Test.fail_reportf "a regex outside the dialect decoded:\n%s" input
+             | _, Ok decoded ->
+                 serve_decoded decoded;
+                 true
              | _ -> true)))
 
 let suites =

@@ -21,6 +21,7 @@ module Delta = Hoiho.Delta
 module Serve = Hoiho_serve.Serve
 module City = Hoiho_geodb.City
 module Obs = Hoiho_obs.Obs
+module Trace = Hoiho_obs.Trace
 module Router = Hoiho_itdk.Router
 module Dataset = Hoiho_itdk.Dataset
 module Psl = Hoiho_psl.Psl
@@ -566,14 +567,23 @@ let test_min_conf () =
       in
       Alcotest.(check int) "negative under floor status" 200 status;
       Alcotest.(check string) "negative answer stays -" "-\t0.000\n" body;
+      (* /explain takes the same floor on its answer line *)
+      let status, body, _ =
+        request port ("/explain?h=" ^ Http.pct_encode h ^ "&min_conf=1.0")
+      in
+      Alcotest.(check int) "explain min_conf=1 status" 200 status;
+      let first_line = List.hd (String.split_on_char '\n' body) in
+      Alcotest.(check string) "explain below floor is !low-confidence"
+        (h ^ "\t!low-confidence\t" ^ conf_str) first_line;
       List.iter
-        (fun bad ->
+        (fun (endpoint, bad) ->
           let status, _, _ =
             request port
-              ("/geolocate?h=" ^ Http.pct_encode h ^ "&min_conf=" ^ bad)
+              ("/" ^ endpoint ^ "?h=" ^ Http.pct_encode h ^ "&min_conf=" ^ bad)
           in
-          Alcotest.(check int) ("min_conf=" ^ bad ^ " is 400") 400 status)
-        [ "nan"; "2.0"; "-0.5"; "abc"; "" ])
+          Alcotest.(check int) (endpoint ^ " min_conf=" ^ bad ^ " is 400") 400 status)
+        (List.map (fun bad -> ("geolocate", bad)) [ "nan"; "2.0"; "-0.5"; "abc"; "" ]
+        @ [ ("explain", "banana") ]))
 
 (* deterministic shedding at the socket level: a batch bigger than the
    admission bound must be refused with 503 + Retry-After, and the
@@ -665,6 +675,94 @@ let test_metrics_and_explain () =
               || contains (i + 1))
          in
          contains 0))
+
+(* a rendered decision trace minus its "  (x.xxx ms)" durations *)
+let strip_durations body =
+  String.split_on_char '\n' body
+  |> List.map (fun l ->
+         match String.rindex_opt l '(' with
+         | Some i when i >= 2 && String.ends_with ~suffix:" ms)" l
+                       && String.sub l (i - 2) 2 = "  " ->
+             String.sub l 0 (i - 2)
+         | _ -> l)
+  |> String.concat "\n"
+
+(* Explains run per call (DESIGN.md §10): at jobs 4, four explain
+   clients beside a /geolocate client each get exactly what a lone
+   explain of the same name gets, durations aside, with its apply tree.
+   The process-wide collector gains nothing and loses nothing, and
+   trace.spans_recorded never decreases. *)
+let test_concurrent_explains () =
+  let _, model, _ = Lazy.force fixture in
+  let lines = corpus_lines () in
+  let hosts = List.filteri (fun i _ -> i < 8) (List.map fst lines) in
+  let recorded () = Obs.count (Obs.counter "trace.spans_recorded") in
+  with_server ~config:{ small_config with Server.jobs = 4 } model (fun _ port ->
+      let explain h =
+        let status, body, _ = request port ("/explain?h=" ^ Http.pct_encode h) in
+        if status <> 200 then Alcotest.failf "/explain?h=%s: status %d" h status;
+        strip_durations body
+      in
+      let lone = List.map (fun h -> (h, explain h)) hosts in
+      List.iter
+        (fun (h, body) ->
+          if not (List.mem "apply" (String.split_on_char '\n' body)) then
+            Alcotest.failf "lone explain of %s has no apply tree:\n%s" h body)
+        lone;
+      (* [clients] explain clients x [rounds], beside one /geolocate
+         client; returns the bodies that differ from the lone ones *)
+      let storm ~rounds =
+        let stop = Atomic.make false in
+        let geolocate =
+          Domain.spawn (fun () ->
+              let rec go = function
+                | _ when Atomic.get stop -> ()
+                | [] -> go lines
+                | (h, _) :: rest ->
+                    ignore (request port ("/geolocate?h=" ^ Http.pct_encode h));
+                    go rest
+              in
+              go lines)
+        in
+        let client k =
+          Domain.spawn (fun () ->
+              let bad = ref [] and last = ref (recorded ()) in
+              for r = 0 to rounds - 1 do
+                let h, expected = List.nth lone ((k + r) mod List.length lone) in
+                let body = explain h in
+                if body <> expected then bad := (h, body) :: !bad;
+                let now = recorded () in
+                if now < !last then
+                  bad := (h, Printf.sprintf "spans_recorded fell %d -> %d" !last now) :: !bad;
+                last := now
+              done;
+              !bad)
+        in
+        let clients = List.init 4 client in
+        let bad = List.concat_map Domain.join clients in
+        Atomic.set stop true;
+        Domain.join geolocate;
+        bad
+      in
+      let check_storm what bad =
+        match bad with
+        | [] -> ()
+        | (h, body) :: _ ->
+            Alcotest.failf "%s: %d explain(s) differ from a lone explain; %s gave:\n%s"
+              what (List.length bad) h body
+      in
+      Trace.clear ();
+      check_storm "4 clients x 50" (storm ~rounds:50);
+      Alcotest.(check int) "the process-wide collector stays empty" 0
+        (List.length (Trace.spans ()));
+      Trace.set_enabled true;
+      Trace.with_span "marker" (fun () -> ());
+      Trace.set_enabled false;
+      check_storm "beside a recorded span" (storm ~rounds:5);
+      Alcotest.(check (list string)) "a span recorded before the explains survives them"
+        [ "marker" ]
+        (List.map (fun (sp : Trace.span) -> sp.Trace.name) (Trace.spans ()));
+      Trace.clear ())
 
 (* --- POST /observe: incremental relearn over the wire --- *)
 
@@ -1354,6 +1452,8 @@ let suites =
         Helpers.tc "reload semantics" test_reload_semantics;
         Helpers.tc "metrics and explain over the wire"
           test_metrics_and_explain;
+        Helpers.tc "concurrent explains match lone ones at jobs 4"
+          test_concurrent_explains;
         Helpers.tc "observe relearns mid-stream on a keep-alive connection"
           test_observe_relearn_mid_stream;
         Helpers.tc "observe without a corpus" test_observe_unconfigured;

@@ -15,7 +15,6 @@ let contains haystack needle =
 
 let test_counter_basics () =
   let c = Obs.counter "test.obs.counter_basics" in
-  Obs.set_counter c 0;
   Obs.incr c;
   Obs.add c 4;
   Alcotest.(check int) "incr + add" 5 (Obs.count c);
@@ -27,7 +26,6 @@ let test_counter_parallel () =
   (* counters must be exact under the domain pool, not approximately
      right: 8 lanes x 4000 bumps, no lost updates *)
   let c = Obs.counter "test.obs.counter_parallel" in
-  Obs.set_counter c 0;
   let pool = Pool.get 8 in
   Pool.parallel_for pool 32 (fun _ ->
       for _ = 1 to 1000 do
@@ -91,7 +89,7 @@ let test_snapshot_sorted_and_json () =
 
 let test_find_counter () =
   let c = Obs.counter "test.obs.find" in
-  Obs.set_counter c 7;
+  Obs.add c 7;
   let snap = Obs.snapshot () in
   Alcotest.(check (option int)) "present" (Some 7)
     (Obs.find_counter snap "test.obs.find");
@@ -111,7 +109,6 @@ let read_file path =
    emitter ran or not, and always carries the run's closing values *)
 let test_emitter_final_write () =
   let c = Obs.counter "test.obs.emitter_final" in
-  Obs.set_counter c 0;
   let with_om = Filename.temp_file "hoiho_obs" ".om" in
   let without_om = Filename.temp_file "hoiho_obs" ".om" in
   Fun.protect

@@ -45,10 +45,15 @@ let test_parse_errors () =
       {|^\w+\.example\.net$|}; {|\s|}; {|\b|}; {|[\w]|}; {|\1|};
       (* only characters repeat *)
       "^*"; "$+"; "()?";
+      (* one quantifier past the per-pattern limit *)
+      "^" ^ String.concat "" (List.init (Parse.max_reps + 1) (fun _ -> "a*")) ^ "$";
     ];
   Alcotest.(check bool) "the count bound is within the subject bound" true
     (Parse.max_count <= Engine.max_subject_len);
   check_match (Printf.sprintf "^a{0,%d}b$" Parse.max_count) "aab" (Some "") ();
+  check_match
+    ("^" ^ String.concat "" (List.init Parse.max_reps (fun _ -> "a?")) ^ "b$")
+    "aab" (Some "") ();
   (* escaped punctuation is the character itself *)
   check_match {|^\-\(\\$|} {|-(\|} (Some "") ()
 

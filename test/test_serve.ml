@@ -254,16 +254,7 @@ let test_traced_fanout_nests_under_batch () =
   in
   let run jobs =
     let s = Serve.create model in
-    Trace.set_enabled false;
-    Trace.configure ();
-    Trace.set_enabled true;
-    let spans =
-      Fun.protect
-        ~finally:(fun () -> Trace.set_enabled false)
-        (fun () ->
-          ignore (Serve.apply_batch ~jobs s names);
-          Trace.spans ())
-    in
+    let _, spans, dropped = Trace.collect (fun () -> Serve.apply_batch ~jobs s names) in
     let named n = List.filter (fun (sp : Trace.span) -> sp.Trace.name = n) spans in
     let batch =
       match named "serve.batch" with
@@ -283,12 +274,11 @@ let test_traced_fanout_nests_under_batch () =
       (Printf.sprintf "jobs=%d: fanned out iff jobs > 1" jobs)
       (jobs > 1)
       (named "pool.batch" <> []);
-    Alcotest.(check int) "no drops" 0 (Trace.dropped ());
+    Alcotest.(check int) "no drops" 0 dropped;
     Trace.canonical spans
   in
   let c1 = run 1 in
   let c4 = run 4 in
-  Trace.configure ();
   Alcotest.(check bool) "jobs=1 and jobs=4 canonical forests equal" true (c1 = c4)
 
 let suites =

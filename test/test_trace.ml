@@ -1,9 +1,10 @@
-(* Span tracing (DESIGN.md §10): nesting and attribute mechanics, the
-   drop-newest ring contract, both export formats (Chrome trace-event
+(* Span tracing (DESIGN.md §10), all of it through [Trace.collect]:
+   nesting and attribute mechanics, the drop-newest contract, a collect
+   that sees only its own call, both export formats (Chrome trace-event
    JSON validated by the repo's own strict parser; OpenMetrics text),
    the cross-jobs determinism contract — canonical span trees identical
-   at jobs=1 and jobs=4 — and never-raise with tracing ENABLED under
-   the same adversarial hostname generator the chaos/props suites use. *)
+   at jobs=1 and jobs=4 — and a never-raising [Serve.explain] under the
+   same adversarial hostname generator the chaos/props suites use. *)
 
 module Trace = Hoiho_obs.Trace
 module Obs = Hoiho_obs.Obs
@@ -17,18 +18,10 @@ let tc = Helpers.tc
 let q ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-(* scope the process-wide collector to one test case: fresh (optionally
-   resized) collector in, disabled and emptied out — tracing must never
-   leak into the other suites *)
-let with_tracing ?shards ?capacity f =
-  Trace.set_enabled false;
-  Trace.configure ?shards ?capacity ();
-  Trace.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.set_enabled false;
-      Trace.configure ())
-    f
+(* the spans [f] opens, in a collector of the call's own *)
+let collected f =
+  let _, spans, _ = Trace.collect f in
+  spans
 
 let find_span name spans =
   match List.find_opt (fun (s : Trace.span) -> s.Trace.name = name) spans with
@@ -38,67 +31,119 @@ let find_span name spans =
 (* --- mechanics --- *)
 
 let test_nesting_and_attrs () =
-  with_tracing (fun () ->
-      let v =
+  let v, spans, dropped =
+    Trace.collect (fun () ->
         Trace.with_span "outer" ~attrs:[ ("k", "v") ] (fun () ->
             Trace.with_span "inner" (fun () ->
                 Trace.add_attr "x" "1";
-                42))
-      in
-      Alcotest.(check int) "with_span is transparent" 42 v;
-      let spans = Trace.spans () in
-      Alcotest.(check int) "two spans" 2 (List.length spans);
-      let outer = find_span "outer" spans and inner = find_span "inner" spans in
-      Alcotest.(check (option int)) "outer is a root" None outer.Trace.parent;
-      Alcotest.(check (option int))
-        "inner nests under outer" (Some outer.Trace.id) inner.Trace.parent;
-      Alcotest.(check (list (pair string string)))
-        "outer attrs" [ ("k", "v") ] outer.Trace.attrs;
-      Alcotest.(check (list (pair string string)))
-        "add_attr lands on innermost" [ ("x", "1") ] inner.Trace.attrs;
-      List.iter
-        (fun (s : Trace.span) ->
-          Alcotest.(check bool)
-            "monotonic interval" true
-            (Int64.compare s.Trace.t_end_ns s.Trace.t_start_ns >= 0))
-        spans)
+                42)))
+  in
+  Alcotest.(check int) "with_span is transparent" 42 v;
+  Alcotest.(check int) "two spans" 2 (List.length spans);
+  Alcotest.(check int) "none dropped" 0 dropped;
+  let outer = find_span "outer" spans and inner = find_span "inner" spans in
+  Alcotest.(check (option int)) "outer is a root" None outer.Trace.parent;
+  Alcotest.(check (option int))
+    "inner nests under outer" (Some outer.Trace.id) inner.Trace.parent;
+  Alcotest.(check (list (pair string string)))
+    "outer attrs" [ ("k", "v") ] outer.Trace.attrs;
+  Alcotest.(check (list (pair string string)))
+    "add_attr lands on innermost" [ ("x", "1") ] inner.Trace.attrs;
+  List.iter
+    (fun (s : Trace.span) ->
+      Alcotest.(check bool)
+        "monotonic interval" true
+        (Int64.compare s.Trace.t_end_ns s.Trace.t_start_ns >= 0))
+    spans
 
 let test_disabled_records_nothing () =
-  Trace.set_enabled false;
-  Trace.configure ();
+  Trace.clear ();
+  Alcotest.(check bool) "nothing records" false (Trace.enabled ());
   let v = Trace.with_span "ghost" (fun () -> Trace.add_attr "a" "b"; 7) in
   Alcotest.(check int) "still transparent" 7 v;
   Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.spans ()))
 
 let test_span_survives_raise () =
-  with_tracing (fun () ->
-      (try Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
-      let _ = find_span "boom" (Trace.spans ()) in
-      ())
+  let spans =
+    collected (fun () ->
+        try Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ())
+  in
+  ignore (find_span "boom" spans)
 
 let test_explicit_parent () =
-  with_tracing (fun () ->
-      let parent = ref Trace.Root in
-      Trace.with_span "root" (fun () -> parent := Trace.fanout_parent ());
-      (* simulate a pool domain: no live stack, explicit parent *)
-      Trace.with_span ~parent:!parent "child" (fun () -> ());
-      let spans = Trace.spans () in
-      let root = find_span "root" spans and child = find_span "child" spans in
-      Alcotest.(check (option int))
-        "fanout parent wires the tree" (Some root.Trace.id) child.Trace.parent)
+  let spans =
+    collected (fun () ->
+        let parent = ref Trace.Root in
+        Trace.with_span "root" (fun () -> parent := Trace.fanout_parent ());
+        (* simulate a pool domain: no live stack, explicit parent *)
+        Trace.with_span ~parent:!parent "child" (fun () -> ()))
+  in
+  let root = find_span "root" spans and child = find_span "child" spans in
+  Alcotest.(check (option int))
+    "fanout parent wires the tree" (Some root.Trace.id) child.Trace.parent
+
+(* a collector keeps the first 65536 spans (trace.mli) *)
+let capacity = 65536
 
 let test_ring_drops_newest () =
-  with_tracing ~shards:1 ~capacity:4 (fun () ->
-      for i = 1 to 10 do
-        Trace.with_span (Printf.sprintf "s%d" i) (fun () -> ())
-      done;
-      let spans = Trace.spans () in
-      Alcotest.(check int) "ring holds capacity" 4 (List.length spans);
-      Alcotest.(check int) "rest counted as dropped" 6 (Trace.dropped ());
-      (* drop-newest: the FIRST completed spans survive, so parents
-         (which complete after their children) are the ones at risk —
-         and the determinism contract requires dropped = 0 *)
-      Alcotest.(check string) "oldest survive" "s1" (find_span "s1" spans).Trace.name)
+  let (), spans, dropped =
+    Trace.collect (fun () ->
+        for i = 1 to capacity + 6 do
+          Trace.with_span (Printf.sprintf "s%d" i) (fun () -> ())
+        done)
+  in
+  Alcotest.(check int) "collector holds capacity" capacity (List.length spans);
+  Alcotest.(check int) "rest counted as dropped" 6 dropped;
+  (* drop-newest: the FIRST completed spans survive, so parents
+     (which complete after their children) are the ones at risk —
+     and the determinism contract requires dropped = 0 *)
+  Alcotest.(check (list string)) "oldest survive" [ "s1"; "s2"; "s3"; "s4" ]
+    (List.filteri (fun i _ -> i < 4) (List.map (fun (s : Trace.span) -> s.Trace.name) spans));
+  Alcotest.(check string) "the last kept is the capacity-th"
+    (Printf.sprintf "s%d" capacity)
+    (List.nth spans (capacity - 1)).Trace.name
+
+(* a collect sees only its own call: not a span another domain opens
+   meanwhile, not the process-wide collector's, and it neither clears
+   nor adds to the process-wide collector *)
+let test_collect_is_scoped () =
+  Trace.clear ();
+  Trace.set_enabled true;
+  Trace.with_span "global.before" (fun () -> ());
+  let recorded_before = Obs.count (Obs.counter "trace.spans_recorded") in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Trace.with_span "global.beside" (fun () -> Atomic.set started true)
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join other;
+        Trace.set_enabled false)
+      (fun () ->
+        collected (fun () ->
+            for _ = 1 to 200 do
+              Trace.with_span "mine" (fun () -> ())
+            done))
+  in
+  Alcotest.(check (list string)) "only the call's spans" [ "mine" ]
+    (List.sort_uniq compare (List.map (fun (s : Trace.span) -> s.Trace.name) spans));
+  Alcotest.(check int) "all of them" 200 (List.length spans);
+  let global = Trace.spans () in
+  Alcotest.(check bool) "the process-wide span is kept" true
+    (List.exists (fun (s : Trace.span) -> s.Trace.name = "global.before") global);
+  Alcotest.(check bool) "no collected span leaks into it" false
+    (List.exists (fun (s : Trace.span) -> s.Trace.name = "mine") global);
+  Alcotest.(check bool) "spans_recorded only grows" true
+    (Obs.count (Obs.counter "trace.spans_recorded") >= recorded_before + 200);
+  Trace.clear ()
 
 let test_sampling_is_deterministic () =
   let subjects = List.init 1000 (Printf.sprintf "host%d.example.net") in
@@ -114,32 +159,34 @@ let test_sampling_is_deterministic () =
 (* --- exporters --- *)
 
 let test_chrome_json_parses () =
-  with_tracing (fun () ->
-      Trace.with_span "outer" ~attrs:[ ("quote", {|a"b|}); ("ctl", "x\ny\t\xc3\xa9") ]
-        (fun () -> Trace.with_span "inner" (fun () -> ()));
-      let doc = Trace.to_chrome_json ~epoch_ms:0.0 (Trace.spans ()) in
-      match Json.parse doc with
-      | Error e -> Alcotest.failf "chrome json does not parse: %s" e
-      | Ok json ->
-          let events =
-            match Json.member "traceEvents" json with
-            | Some (Json.List evs) -> evs
-            | _ -> Alcotest.fail "missing traceEvents list"
-          in
-          Alcotest.(check int) "one event per span" 2 (List.length events);
-          List.iter
-            (fun ev ->
-              (match Json.member "ph" ev with
-              | Some (Json.String "X") -> ()
-              | _ -> Alcotest.fail "events must be complete-duration (ph=X)");
-              match (Json.member "ts" ev, Json.member "dur" ev) with
-              | Some (Json.Float _ | Json.Int _), Some (Json.Float _ | Json.Int _)
-                -> ()
-              | _ -> Alcotest.fail "ts/dur must be numeric")
-            events;
-          (match Json.member "otherData" json with
-          | Some (Json.Obj _) -> ()
-          | _ -> Alcotest.fail "missing otherData"))
+  let spans =
+    collected (fun () ->
+        Trace.with_span "outer" ~attrs:[ ("quote", {|a"b|}); ("ctl", "x\ny\t\xc3\xa9") ]
+          (fun () -> Trace.with_span "inner" (fun () -> ())))
+  in
+  let doc = Trace.to_chrome_json ~epoch_ms:0.0 spans in
+  match Json.parse doc with
+  | Error e -> Alcotest.failf "chrome json does not parse: %s" e
+  | Ok json ->
+      let events =
+        match Json.member "traceEvents" json with
+        | Some (Json.List evs) -> evs
+        | _ -> Alcotest.fail "missing traceEvents list"
+      in
+      Alcotest.(check int) "one event per span" 2 (List.length events);
+      List.iter
+        (fun ev ->
+          (match Json.member "ph" ev with
+          | Some (Json.String "X") -> ()
+          | _ -> Alcotest.fail "events must be complete-duration (ph=X)");
+          match (Json.member "ts" ev, Json.member "dur" ev) with
+          | Some (Json.Float _ | Json.Int _), Some (Json.Float _ | Json.Int _)
+            -> ()
+          | _ -> Alcotest.fail "ts/dur must be numeric")
+        events;
+      (match Json.member "otherData" json with
+      | Some (Json.Obj _) -> ()
+      | _ -> Alcotest.fail "missing otherData")
 
 let test_openmetrics_shape () =
   Obs.reset ();
@@ -171,11 +218,8 @@ let test_canonical_tree_jobs_invariant () =
     (Pipeline.run ~db:(Hoiho_netsim.Truth.db truth) ~jobs ds).Pipeline.results
   in
   let run jobs =
-    with_tracing (fun () ->
-        let results = learn jobs in
-        Trace.set_enabled false;
-        let dropped = Trace.dropped () in
-        (Trace.canonical (Trace.spans ()), dropped, results))
+    let results, spans, dropped = Trace.collect (fun () -> learn jobs) in
+    (Trace.canonical spans, dropped, results)
   in
   let c1, d1, r1 = run 1 in
   let c4, d4, r4 = run 4 in
@@ -217,14 +261,11 @@ let explain_fixture =
 
 let prop_explain_never_raises h =
   let serve = Lazy.force explain_fixture in
-  with_tracing (fun () ->
-      match (Serve.geolocate_conf serve h).Serve.city with
-      | Some _ | None ->
-          (* the full explain path: geolocate, then render the trace *)
-          Trace.set_enabled false;
-          let spans = Trace.spans () in
-          String.length (Trace.render_text spans) >= 0
-          && String.length (Trace.to_chrome_json ~epoch_ms:0.0 spans) > 0)
+  let _, trace = Serve.explain serve h in
+  (* the apply spans carry the raw bytes into the JSON export *)
+  let _, spans, dropped = Trace.collect (fun () -> Serve.geolocate_uncached_conf serve h) in
+  String.length trace >= 0
+  && String.length (Trace.to_chrome_json ~epoch_ms:0.0 ~dropped spans) > 0
 
 let suites =
   [
@@ -235,6 +276,7 @@ let suites =
         tc "span recorded when f raises" test_span_survives_raise;
         tc "explicit fan-out parent" test_explicit_parent;
         tc "ring drops newest, counts drops" test_ring_drops_newest;
+        tc "collect is scoped to its call" test_collect_is_scoped;
         tc "subject sampling is deterministic" test_sampling_is_deterministic;
         tc "chrome export parses strictly" test_chrome_json_parses;
         tc "openmetrics exposition shape" test_openmetrics_shape;
