@@ -43,16 +43,80 @@ type stats = {
 
 exception Err of error
 
+let event_id = function
+  | Upsert r -> r.Router.id
+  | Remove id -> id
+  | Add_hostname { router; _ }
+  | Remove_hostname { router; _ }
+  | Set_hostnames { router; _ }
+  | Set_rtts { router; _ } ->
+      router
+
+(* What a replay knows besides the final corpus: every id whose router
+   an event changed, added or retired, with its final router ([None]
+   once it has left). Only these routers can have moved between suffix
+   groups, so a relearn regroups them alone. *)
+type replay = {
+  corpus : Dataset.t;
+  dirty : string list;
+  changed : (int, Router.t option) Hashtbl.t;
+}
+
+(* The new router array, the one allocation proportional to the corpus:
+   the old array's runs between the edited positions are blitted, each
+   edit ([pos], [Some r] to replace, [None] to drop) is applied, and
+   the appended routers follow. *)
+let write_routers old edits added =
+  let n =
+    Array.length old + List.length added
+    - List.length (List.filter (fun (_, edit) -> Option.is_none edit) edits)
+  in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n (if Array.length old > 0 then old.(0) else List.hd added) in
+    let rec go src dst = function
+      | [] ->
+          let k = Array.length old - src in
+          Array.blit old src out dst k;
+          List.iteri (fun i r -> out.(dst + k + i) <- r) added
+      | (pos, edit) :: rest -> (
+          Array.blit old src out dst (pos - src);
+          let dst = dst + pos - src in
+          match edit with
+          | Some r ->
+              out.(dst) <- r;
+              go (pos + 1) (dst + 1) rest
+          | None -> go (pos + 1) dst rest)
+    in
+    go 0 0 edits;
+    out
+  end
+
 (* The dirty set is conservative on purpose: a touched router marks the
    registered suffixes of its hostnames both before and after the
    change, so a hostname moving between suffixes dirties the group it
    left as well as the one it joined. Structural no-ops (an event that
    leaves the router bit-identical) mark nothing — replaying the same
-   observation must not trigger a relearn. *)
-let apply (ds : Dataset.t) events =
-  let tbl = Hashtbl.create (Array.length ds.Dataset.routers) in
-  Array.iter (fun (r : Router.t) -> Hashtbl.replace tbl r.Router.id r)
-    ds.Dataset.routers;
+   observation must not trigger a relearn.
+
+   Every table here is sized by the events, not the corpus: one pass
+   finds where the routers the events name sit, the events replay over
+   those routers alone, and one more pass writes the new array. *)
+let replay (ds : Dataset.t) events =
+  let routers = ds.Dataset.routers in
+  let named = Hashtbl.create 16 in
+  List.iter (fun ev -> Hashtbl.replace named (event_id ev) ()) events;
+  (* the position of each named router the corpus holds, and by id the
+     current router of each one alive *)
+  let pos = Hashtbl.create 16 and tbl = Hashtbl.create 16 in
+  if Hashtbl.length named > 0 then
+    Array.iteri
+      (fun i (r : Router.t) ->
+        if Hashtbl.mem named r.Router.id then begin
+          Hashtbl.replace pos r.Router.id i;
+          Hashtbl.replace tbl r.Router.id r
+        end)
+      routers;
   (* the order is built once, after the last event: the original ids
      never removed, in place, then the new ones by their last append. A
      removed id that comes back is new again. *)
@@ -112,33 +176,60 @@ let apply (ds : Dataset.t) events =
         let old = get i router in
         update old { old with Router.ping_rtts = ping; Router.trace_rtts = trace }
   in
-  match List.iteri step events with
-  | () ->
-      let kept =
-        List.filter_map
-          (fun (r : Router.t) ->
-            if Hashtbl.mem removed r.Router.id then None
-            else Some (Hashtbl.find tbl r.Router.id))
-          (Array.to_list ds.Dataset.routers)
+  List.iteri step events;
+  let changed = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun id () ->
+      let final = Hashtbl.find_opt tbl id in
+      let moved =
+        Hashtbl.mem removed id || Hashtbl.mem appended id
+        ||
+        match (Hashtbl.find_opt pos id, final) with
+        | Some i, Some r -> routers.(i) != r
+        | _ -> false
       in
-      let added =
-        Hashtbl.fold (fun id k acc -> (k, id) :: acc) appended []
-        |> List.sort compare
-        |> List.map (fun (_, id) -> Hashtbl.find tbl id)
-      in
-      let routers = Array.of_list (kept @ added) in
-      let links =
-        Array.of_list
-          (List.filter
-             (fun (a, b) -> Hashtbl.mem tbl a && Hashtbl.mem tbl b)
-             (Array.to_list ds.Dataset.links))
-      in
-      let ds' =
-        Dataset.make ~links ~label:ds.Dataset.label ~routers ~vps:ds.Dataset.vps
-          ()
-      in
-      let dirty = List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) dirty []) in
-      Ok (ds', dirty)
+      if moved then Hashtbl.replace changed id final)
+    named;
+  let dirty = List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) dirty []) in
+  if Hashtbl.length changed = 0 then { corpus = ds; dirty; changed }
+  else begin
+    let edits =
+      Hashtbl.fold
+        (fun id i acc ->
+          if Hashtbl.mem removed id then (i, None) :: acc
+          else
+            match Hashtbl.find_opt changed id with
+            | Some final -> (i, final) :: acc
+            | None -> acc)
+        pos []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    in
+    let added =
+      Hashtbl.fold (fun id k acc -> (k, id) :: acc) appended []
+      |> List.sort compare
+      |> List.map (fun (_, id) -> Hashtbl.find tbl id)
+    in
+    let routers' = write_routers routers edits added in
+    (* links are copied only when a router left for good *)
+    let gone id = Hashtbl.mem removed id && not (Hashtbl.mem tbl id) in
+    let links =
+      if Hashtbl.fold (fun id () n -> n || gone id) removed false then
+        Array.of_seq
+          (Seq.filter
+             (fun (a, b) -> not (gone a || gone b))
+             (Array.to_seq ds.Dataset.links))
+      else ds.Dataset.links
+    in
+    let corpus =
+      Dataset.make ~links ~label:ds.Dataset.label ~routers:routers'
+        ~vps:ds.Dataset.vps ()
+    in
+    { corpus; dirty; changed }
+  end
+
+let apply ds events =
+  match replay ds events with
+  | r -> Ok (r.corpus, r.dirty)
   | exception Err e -> Error e
 
 (* Diff two corpora into an event stream that [apply old] replays into
@@ -350,15 +441,79 @@ let index_results results =
     results;
   tbl
 
+module Smap = Map.Make (String)
+
+(* The suffix groups of the corpus [relearn_model] returned last, keyed
+   by that corpus's physical identity, as [Consist] keeps the RTT memo
+   of the [t] it used last. The value is immutable, so two domains
+   relearning one corpus at once each build their own next groups. A
+   relearn of that corpus regroups only the routers its events changed;
+   any other corpus is grouped from scratch. *)
+type carried = { corpus : Dataset.t; groups : Router.t list Smap.t }
+
+let carried : carried option Atomic.t = Atomic.make None
+
+(* The groups of [r.corpus] from those of the corpus it was replayed
+   from: a clean group has no changed router in it, before or after,
+   so it stays as it is. A dirty group keeps its unchanged members and
+   gains the changed routers whose suffixes now name it, in the new
+   corpus order, which one pass over the new array gives. *)
+let regroup groups (r : replay) =
+  if r.dirty = [] then groups
+  else begin
+    (* id -> the dirty groups the router with that id is in now *)
+    let joins = Hashtbl.create 64 in
+    let join id s =
+      Hashtbl.replace joins id
+        (s :: Option.value (Hashtbl.find_opt joins id) ~default:[])
+    in
+    List.iter
+      (fun s ->
+        List.iter
+          (fun (x : Router.t) ->
+            if not (Hashtbl.mem r.changed x.Router.id) then join x.Router.id s)
+          (Option.value (Smap.find_opt s groups) ~default:[]))
+      r.dirty;
+    Hashtbl.iter
+      (fun id final ->
+        Option.iter (fun x -> List.iter (join id) (Router.suffixes x)) final)
+      r.changed;
+    (* suffix -> the dirty group's routers, last first *)
+    let rev_groups = Hashtbl.create 16 in
+    Array.iter
+      (fun (x : Router.t) ->
+        match Hashtbl.find_opt joins x.Router.id with
+        | None -> ()
+        | Some ss ->
+            List.iter
+              (fun s ->
+                Hashtbl.replace rev_groups s
+                  (x :: Option.value (Hashtbl.find_opt rev_groups s) ~default:[]))
+              ss)
+      r.corpus.Dataset.routers;
+    List.fold_left
+      (fun groups s ->
+        match Hashtbl.find_opt rev_groups s with
+        | Some rev -> Smap.add s (List.rev rev) groups
+        | None -> Smap.remove s groups)
+      groups r.dirty
+  end
+
 let relearn_model ?jobs ~(model : Learned_io.t) ~(corpus : Dataset.t) events =
-  match apply corpus events with
-  | Error e -> Error e
-  | Ok (ds, dirty) ->
+  match replay corpus events with
+  | exception Err e -> Error e
+  | r ->
+      let groups =
+        match Atomic.get carried with
+        | Some c when c.corpus == corpus -> regroup c.groups r
+        | _ ->
+            List.fold_left
+              (fun groups (s, routers) -> Smap.add s routers groups)
+              Smap.empty (Dataset.by_suffix r.corpus)
+      in
+      Atomic.set carried (Some { corpus = r.corpus; groups });
       let db = Learned_io.db model in
-      let consist = Consist.create ds in
-      let groups = Dataset.by_suffix ds in
-      let dirty_set = Hashtbl.create 16 in
-      List.iter (fun s -> Hashtbl.replace dirty_set s ()) dirty;
+      let consist = Consist.create r.corpus in
       let prior =
         match Apply.index model.Learned_io.suffixes with
         | Ok index -> index
@@ -367,19 +522,27 @@ let relearn_model ?jobs ~(model : Learned_io.t) ~(corpus : Dataset.t) events =
               (Printf.sprintf "Delta.relearn_model: duplicate suffix model %S"
                  suffix)
       in
-      let todo = List.filter (fun (s, _) -> Hashtbl.mem dirty_set s) groups in
-      let fresh_by_suffix = index_results (recompute consist db ?jobs todo) in
-      (* assemble in by_suffix order — the order of_pipeline would emit
-         for a batch learn of the final corpus. A clean suffix absent
-         from the model stays absent: the batch learn it came from
-         produced no servable NC for it, and its group is unchanged. *)
-      let suffixes =
+      let todo =
         List.filter_map
-          (fun (s, _) ->
-            if Hashtbl.mem dirty_set s then
-              Pipeline.suffix_model_of_result (Hashtbl.find fresh_by_suffix s)
-            else Apply.find prior s)
-          groups
+          (fun s -> Option.map (fun routers -> (s, routers)) (Smap.find_opt s groups))
+          r.dirty
+      in
+      let fresh = index_results (recompute consist db ?jobs todo) in
+      (* assembled in suffix order, the order of_pipeline emits for a
+         batch learn of the final corpus. A clean suffix absent from the
+         model stays absent: the batch learn it came from produced no
+         servable NC for it, and its group is unchanged. *)
+      let suffixes =
+        List.rev
+          (Smap.fold
+             (fun s _ acc ->
+               let sm =
+                 match Hashtbl.find_opt fresh s with
+                 | Some res -> Pipeline.suffix_model_of_result res
+                 | None -> Apply.find prior s
+               in
+               match sm with Some sm -> sm :: acc | None -> acc)
+             groups [])
       in
       let model' =
         {
@@ -401,10 +564,10 @@ let relearn_model ?jobs ~(model : Learned_io.t) ~(corpus : Dataset.t) events =
       let stats =
         {
           events = List.length events;
-          dirty;
+          dirty = r.dirty;
           groups_relearned = List.length todo;
-          groups_reused = List.length groups - List.length todo;
+          groups_reused = Smap.cardinal groups - List.length todo;
         }
       in
       bump_counters stats;
-      Ok (model', ds, stats)
+      Ok (model', r.corpus, stats)

@@ -64,7 +64,16 @@ val apply :
     order is preserved: removals filter in place, upserts of existing
     ids replace in place, new routers append — so replaying the same
     events always yields the same corpus, byte for byte. Links touching
-    removed routers are dropped; VPs and label are unchanged. *)
+    a router that left (removed, not upserted again) are dropped; VPs
+    and label are unchanged.
+
+    The work is sized by the events: one pass over the routers finds
+    the ones the events name, and the new router array, written in one
+    more pass, is the only allocation proportional to the corpus. The
+    link array is copied only when a router left. A stream that changes
+    no router (empty, or structural no-ops only) returns its input
+    corpus itself, physically. Router ids must be distinct
+    ({!Hoiho_itdk.Dataset.t}). *)
 
 val events_between :
   Hoiho_itdk.Dataset.t -> Hoiho_itdk.Dataset.t -> event list
@@ -110,10 +119,26 @@ val relearn_model :
     {!Learned_io.of_pipeline} produce), or an earlier [relearn_model]
     result with the corpus it returned. Applies the events, relearns
     dirty groups against the model's own dictionary, and splices fresh
-    suffix models over the carried-over ones in final-corpus order.
+    suffix models over the carried-over ones, sorted by suffix.
     The result encodes byte-identically to
     [of_pipeline (Pipeline.run ~db final_corpus)] with both metrics
     blocks normalized to [{}] (the returned model's metrics are already
     [{}] — incremental work-rates would be misleading provenance).
     Also returns the final corpus for the caller to retain as the next
-    relearn's base. *)
+    relearn's base.
+
+    Carried groups: the suffix groups of the corpus returned last are
+    kept in one process-wide slot, keyed by that corpus's physical
+    identity. A relearn handed that corpus back (the daemon's next
+    [/observe], a chained replay) does not group the corpus again: it
+    takes the registered suffixes of the routers its events changed
+    alone, and every other router's membership from the groups it was
+    in. It costs the events, the dirty groups and three passes over
+    the router array (find the named routers, write the new array,
+    write the dirty groups in corpus order); an empty stream costs
+    none of these. Any other corpus, the first one a daemon hands in
+    among them, is grouped from scratch
+    ({!Hoiho_itdk.Dataset.by_suffix}). The slot holds immutable
+    groups, so relearns on several domains at once stay correct; the
+    result never depends on which path ran. An embedded dictionary is
+    still rebuilt on every relearn. *)

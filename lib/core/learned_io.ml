@@ -352,6 +352,7 @@ let decode s =
 let of_pipeline (p : Pipeline.t) =
   let suffixes =
     List.filter_map Pipeline.suffix_model_of_result p.Pipeline.results
+    |> List.sort (fun a b -> String.compare a.suffix b.suffix)
   in
   let dictionary =
     (* Db.default is memoized, so physical equality identifies it *)

@@ -39,7 +39,11 @@ type dictionary =
 
 type t = {
   dictionary : dictionary;
-  suffixes : suffix_model list;  (** in training order *)
+  suffixes : suffix_model list;
+      (** sorted by suffix name ({!of_pipeline}, and
+          {!Delta.relearn_model} in the same order), so equal models
+          list them alike whatever order the learn grouped them in.
+          Decoding keeps the order a file holds. *)
   calibration : float array option;
       (** the model's expected confidence-decile profile
           ({!Confidence.expected_profile} of the suffixes' stats),
@@ -87,10 +91,10 @@ val sorted_entries : Learned.t -> Learned.entry list
 val of_pipeline : Pipeline.t -> t
 (** Extract the servable model of a finished run: every suffix that
     selected an NC ({!Pipeline.suffix_model_of_result} of its
-    [results], so a record-updated [results] is honored), the learned
-    overlays, the dictionary (by reference when it is physically
-    {!Hoiho_geodb.Db.default}, embedded otherwise), and the run's
-    metrics snapshot. *)
+    [results], so a record-updated [results] is honored), sorted by
+    suffix name, the learned overlays, the dictionary (by reference
+    when it is physically {!Hoiho_geodb.Db.default}, embedded
+    otherwise), and the run's metrics snapshot. *)
 
 val db : t -> Hoiho_geodb.Db.t
 (** Resolve {!dictionary} to a database. Rebuilding an [Embedded]

@@ -5,6 +5,12 @@
 type t = {
   label : string;  (** e.g. "Aug '20 IPv4" *)
   routers : Router.t array;
+      (** one router per id, in corpus order. No code writes into this
+          array after {!make}: a change to a corpus is a new [t] with
+          a new array ({!Hoiho.Delta.apply}), so a value computed from
+          a corpus can be memoized on its physical identity, as
+          {!Hoiho.Delta.relearn_model} does with its suffix groups.
+          {!Io.read} refuses two routers with one id. *)
   vps : Vp.t array;
   links : (int * int) array;
       (** router adjacencies observed in traceroute, by router id —
@@ -34,8 +40,12 @@ val n_responsive : t -> int
 
 val by_suffix : t -> (string * Router.t list) list
 (** Routers grouped by the registered suffix of their hostnames; a
-    router with hostnames under several suffixes appears in each group.
-    Sorted by descending group size. *)
+    router with hostnames under several suffixes appears in each group,
+    and each group lists its routers in corpus order. Sorted by
+    descending group size, ties in hash-table order: a consumer that
+    spends one draw of a seeded generator per group in this order (the
+    DRoP baseline's staleness) depends on it, so it stays as it is. A
+    snapshot does not: it sorts its suffixes by name. *)
 
 val summary : t -> string
 (** Table 1-style one-line summary. *)

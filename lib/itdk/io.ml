@@ -237,6 +237,25 @@ let read_source src =
   let vps = ref [] and links = ref [] and routers = ref [] in
   let ping = Rtts.builder () and trace = Rtts.builder () in
   let current = ref None in
+  (* Router ids must be distinct: while they increase, as a writer
+     that numbers routers in order emits them, one comparison per
+     router proves it; from the first id that does not, the ids read
+     so far go into a table, and each later one is looked up there. *)
+  let last_id = ref min_int and seen = ref None in
+  let distinct id =
+    let check tbl =
+      if Hashtbl.mem tbl id then malformed "duplicate router id %d" id;
+      Hashtbl.replace tbl id ()
+    in
+    match !seen with
+    | None when id > !last_id -> last_id := id
+    | None ->
+        let tbl = Hashtbl.create 1024 in
+        List.iter (fun (r : Router.t) -> Hashtbl.replace tbl r.Router.id ()) !routers;
+        seen := Some tbl;
+        check tbl
+    | Some tbl -> check tbl
+  in
   let flush () =
     (match !current with
     | None -> ()
@@ -282,6 +301,7 @@ let read_source src =
     | "router" ->
         let id = int_field src "router id" in
         flush ();
+        distinct id;
         current := Some { id; hostnames = []; asn = None; truth = None; hints = [] }
     | "asn" -> (router "asn").asn <- Some (int_field src "ASN")
     | "host" ->

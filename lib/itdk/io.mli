@@ -18,8 +18,11 @@ val read : in_channel -> Dataset.t
     stdlib does.
     Raises [Failure "Itdk.Io.read: line N: ..."] on malformed input: an
     unknown or misplaced record, a missing or extra field, a number that
-    does not parse, a coordinate out of range, or a VP id beyond 32
-    bits. *)
+    does not parse, a coordinate out of range, a VP id beyond 32 bits,
+    or a router id an earlier router already has
+    (["duplicate router id ID"], at the second one's line). Ids that
+    increase cost one comparison per router to check; from the first
+    one that does not, every id goes into a table. *)
 
 val of_string : string -> Dataset.t
 (** {!read} over a string, the same reader with the whole input as its

@@ -68,11 +68,50 @@ let to_string v =
 
 (* --- parsing --- *)
 
+(* A path is built as the parser and the decoders descend and rendered
+   only when an error names it, so a success allocates one small node
+   per field or item and formats nothing. *)
+
+type path = Root | Key of path * string | Nth of path * int
+
+let root = Root
+
+let path_to_string p =
+  let buf = Buffer.create 32 in
+  let rec go = function
+    | Root -> Buffer.add_char buf '$'
+    | Key (p, k) ->
+        go p;
+        Buffer.add_char buf '.';
+        Buffer.add_string buf k
+    | Nth (p, i) ->
+        go p;
+        Printf.bprintf buf "[%d]" i
+  in
+  go p;
+  Buffer.contents buf
+
+type error = { path : string; expected : string; got : string }
+
+let error_to_string e = Printf.sprintf "%s: expected %s, got %s" e.path e.expected e.got
+
 exception Fail of string
+
+let max_depth = 128
 
 let parse input =
   let n = String.length input in
   let pos = ref 0 in
+  let too_deep what path depth =
+    raise
+      (Fail
+         (error_to_string
+            {
+              path = path_to_string path;
+              expected = Printf.sprintf "at most %d nested lists and objects" max_depth;
+              got = Printf.sprintf "%s at depth %d, offset %d" what (depth + 1) !pos;
+            }))
+  in
   let fail msg = raise (Fail (Printf.sprintf "%s at offset %d" msg !pos)) in
   let peek () = if !pos < n then Some input.[!pos] else None in
   let advance () = incr pos in
@@ -216,7 +255,8 @@ let parse input =
           | Some f -> Float f
           | None -> fail (Printf.sprintf "bad number %S" s))
   in
-  let rec parse_value () =
+  (* the value at [path], inside [depth] lists and objects *)
+  let rec parse_value path depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -224,6 +264,8 @@ let parse input =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> String (parse_string ())
+    | Some '[' when depth = max_depth -> too_deep "a list" path depth
+    | Some '{' when depth = max_depth -> too_deep "an object" path depth
     | Some '[' ->
         advance ();
         skip_ws ();
@@ -232,11 +274,13 @@ let parse input =
           List []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let item i = parse_value (Nth (path, i)) (depth + 1) in
+          let items = ref [ item 0 ] and i = ref 1 in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := parse_value () :: !items;
+            items := item !i :: !items;
+            incr i;
             skip_ws ()
           done;
           expect ']';
@@ -255,7 +299,7 @@ let parse input =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (Key (path, k)) (depth + 1) in
             (k, v)
           in
           let fields = ref [ field () ] in
@@ -272,7 +316,7 @@ let parse input =
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value Root 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage after document";
     v
@@ -315,34 +359,7 @@ let rec equal a b =
            ka
   | _ -> false
 
-(* --- decoding ---
-
-   A path is built as a decoder descends and rendered only when an
-   error names it, so a successful decode allocates one small node per
-   field or item and formats nothing. *)
-
-type path = Root | Key of path * string | Nth of path * int
-
-let root = Root
-
-let path_to_string p =
-  let buf = Buffer.create 32 in
-  let rec go = function
-    | Root -> Buffer.add_char buf '$'
-    | Key (p, k) ->
-        go p;
-        Buffer.add_char buf '.';
-        Buffer.add_string buf k
-    | Nth (p, i) ->
-        go p;
-        Printf.bprintf buf "[%d]" i
-  in
-  go p;
-  Buffer.contents buf
-
-type error = { path : string; expected : string; got : string }
-
-let error_to_string e = Printf.sprintf "%s: expected %s, got %s" e.path e.expected e.got
+(* --- decoding --- *)
 
 type 'a decoder = path -> t -> ('a, error) result
 

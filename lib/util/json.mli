@@ -29,11 +29,20 @@ val to_string : t -> string
     printing. Strings are escaped per RFC 8259; non-finite floats
     render as [null] (JSON has no representation for them). *)
 
+val max_depth : int
+(** 128: the most lists and objects {!parse} lets enclose one another.
+    The deepest document the tree writes, a snapshot, nests 8 deep, and
+    an event stream 4. *)
+
 val parse : string -> (t, string) result
 (** Strict parse of a complete JSON document. The whole input must be
     consumed (trailing whitespace allowed); anything else — truncation,
     trailing garbage, bad escapes, malformed numbers — is an [Error]
-    naming the byte offset. Never raises. *)
+    naming the byte offset. A list or object nested deeper than
+    {!max_depth} is an [Error] too, rendered as an {!error}
+    ({!error_to_string}) at the path of the container that holds it,
+    so the parser recurses at most {!max_depth} levels whatever the
+    input. Never raises. *)
 
 val kind : t -> string
 (** "null", "bool", "int", "float", "string", "list" or "object" — for

@@ -8,10 +8,12 @@
    of the final corpus — at jobs 1 and at jobs 4, with identical stats,
    and also when the stream is relearned in two chained steps, the way
    the daemon chains POST /observe. A 500-case qcheck property holds
-   this over seeded random event streams; the table-driven cases pin
-   the conservative dirty-set contract, corpus order preservation, the
-   wire codec, and the serving-side negative-cache invalidation that
-   makes the incremental swap sound. *)
+   this over seeded random event streams; its second step runs on the
+   suffix groups the first step's relearn carried over with the corpus
+   it returned. The table-driven cases pin the conservative dirty-set
+   contract, corpus order preservation, the regrouping of carried
+   groups, the wire codec, and the serving-side negative-cache
+   invalidation that makes the incremental swap sound. *)
 
 module Delta = Hoiho.Delta
 module Pipeline = Hoiho.Pipeline
@@ -165,7 +167,8 @@ let prop_incremental_equals_batch (seed, split) =
   check "incremental (jobs 1)" m1;
   check "incremental (jobs 4)" m4;
   (* the same stream in two steps: the first step's model and corpus
-     are the second's prior *)
+     are the second's prior, so the second regroups only what its
+     events changed, on the groups the first carried over *)
   let k = split mod (List.length events + 1) in
   let m_mid, corpus_mid, _ =
     relearn ~jobs:2 ~model ~corpus:ds (List.filteri (fun i _ -> i < k) events)
@@ -302,13 +305,35 @@ let test_dirty_sets () =
       ( "structurally equal upsert is a no-op",
         [ Delta.Upsert r0 ],
         [] );
+      ("an empty stream is a no-op", [], []);
     ]
   in
   List.iter
     (fun (name, events, expected) ->
-      let _, dirty = apply_ok ds events in
-      Alcotest.(check (list string)) name expected dirty)
+      let ds', dirty = apply_ok ds events in
+      Alcotest.(check (list string)) name expected dirty;
+      (* a stream that changes no router returns its input itself *)
+      if expected = [] then Alcotest.(check bool) (name ^ ": input returned") true (ds' == ds))
     cases
+
+(* the link array is copied only when a router leaves for good, and
+   then without that router's links *)
+let test_links_follow_leavers () =
+  let ds, _, _ = Lazy.force fixture in
+  let a, _ = ds.Dataset.links.(0) in
+  let r = Array.find_opt (fun (r : Router.t) -> r.Router.id = a) ds.Dataset.routers |> Option.get in
+  let touches (x, y) = x = a || y = a in
+  let rtts = Delta.Set_rtts { router = a; ping = Hoiho_itdk.Rtts.empty; trace = r.Router.trace_rtts } in
+  let ds', _ = apply_ok ds [ rtts ] in
+  Alcotest.(check bool) "no router left: the links are shared" true
+    (ds'.Dataset.links == ds.Dataset.links);
+  let ds', _ = apply_ok ds [ Delta.Remove a; Delta.Upsert r ] in
+  Alcotest.(check bool) "removed and upserted again: the links are shared" true
+    (ds'.Dataset.links == ds.Dataset.links);
+  let ds', _ = apply_ok ds [ Delta.Remove a ] in
+  Alcotest.(check (list (pair int int))) "a router left: its links go, the rest stay"
+    (List.filter (fun l -> not (touches l)) (Array.to_list ds.Dataset.links))
+    (Array.to_list ds'.Dataset.links)
 
 let test_unknown_router () =
   let ds, routers, _ = Helpers.iata_fixture () in
@@ -476,6 +501,93 @@ let test_relearn_model_matches_batch () =
   Alcotest.(check string) "snapshot-level incremental ≡ batch"
     (enc_batch db corpus') (enc model')
 
+(* --- carried groups: relearns chained on the corpus a relearn returned --- *)
+
+(* Each case is relearned in two chained steps, the second on the
+   corpus (and so the suffix groups) the first returned, and the final
+   model must encode as a batch learn of the final corpus does. *)
+let test_chained_regroup () =
+  let ds, db, model = Lazy.force fixture in
+  let routers = Array.to_list ds.Dataset.routers in
+  let suffix_of (r : Router.t) =
+    match r.Router.hostnames with
+    | h :: _ -> Hoiho_psl.Psl.registered_suffix h
+    | [] -> None
+  in
+  let groups = Dataset.by_suffix ds in
+  let first = List.find (fun r -> suffix_of r <> None) routers in
+  let first_suffix = Option.get (suffix_of first) in
+  (* a group the first named router is not in: its members all come
+     later in corpus order *)
+  let later, _ = List.find (fun (_, rs) -> not (List.memq first rs)) groups in
+  let _, small_members =
+    List.fold_left
+      (fun (s, rs) (s', rs') -> if List.length rs' < List.length rs then (s', rs') else (s, rs))
+      (List.hd groups) groups
+  in
+  let member = List.hd (List.assoc later groups) in
+  let other = List.find (fun (r : Router.t) -> suffix_of r = Some first_suffix && r != first) routers in
+  let rtts (r : Router.t) =
+    Delta.Set_rtts
+      { router = r.Router.id;
+        ping = Hoiho_itdk.Rtts.map (fun v ms -> (v, ms +. 0.5)) r.Router.ping_rtts;
+        trace = r.Router.trace_rtts }
+  in
+  let cases =
+    [
+      ( "an early router renamed into a later group",
+        [ rtts other ],
+        [ Delta.Set_hostnames
+            { router = first.Router.id; hostnames = [ "xe-0.cr1.lhr1." ^ later ] } ] );
+      ( "a group member removed, then upserted again",
+        [ Delta.Remove member.Router.id ],
+        [ Delta.Upsert member ] );
+      ( "a dirty group that ends up empty",
+        List.map (fun (r : Router.t) -> Delta.Remove r.Router.id) (List.tl small_members),
+        [ Delta.Remove (List.hd small_members).Router.id; rtts other ] );
+    ]
+  in
+  List.iter
+    (fun (name, step1, step2) ->
+      let m1, c1, _ = ok_or_fail (Delta.relearn_model ~jobs:1 ~model ~corpus:ds step1) in
+      let m2, c2, stats = ok_or_fail (Delta.relearn_model ~jobs:2 ~model:m1 ~corpus:c1 step2) in
+      (* links are not compared: a router that left takes its links
+         with it, and one upserted again in a later step comes back
+         without them *)
+      let c2', _ = apply_ok ds (step1 @ step2) in
+      Alcotest.(check bool) (name ^ ": routers as one apply") true
+        (c2.Dataset.routers = c2'.Dataset.routers);
+      Alcotest.(check string) (name ^ ": incremental ≡ batch") (enc_batch db c2) (enc m2);
+      Alcotest.(check int) (name ^ ": every group counted once")
+        (List.length (Dataset.by_suffix c2))
+        (stats.Delta.groups_relearned + stats.Delta.groups_reused))
+    cases
+
+(* A relearn of an empty stream on the corpus a relearn returned
+   regroups nothing: it allocates a small fraction of what grouping
+   that corpus does. The model uses the default dictionary, which is
+   resolved once per process; an embedded one is rebuilt per relearn. *)
+let test_empty_relearn_allocates_little () =
+  let ds, _, _ = Lazy.force fixture in
+  let model = Learned_io.of_pipeline (Pipeline.run ~jobs:1 ds) in
+  let r0 = ds.Dataset.routers.(0) in
+  let m1, c1, _ =
+    ok_or_fail
+      (Delta.relearn_model ~jobs:1 ~model ~corpus:ds
+         [ Delta.Set_rtts { router = r0.Router.id; ping = Hoiho_itdk.Rtts.empty;
+                            trace = r0.Router.trace_rtts } ])
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let relearn = words (fun () -> Delta.relearn_model ~jobs:1 ~model:m1 ~corpus:c1 []) in
+  let grouping = words (fun () -> Dataset.by_suffix c1) in
+  if relearn >= grouping /. 10.0 then
+    Alcotest.failf "an empty relearn allocated %.0f words, grouping the corpus %.0f" relearn
+      grouping
+
 (* --- satellite 4: negative-cache invalidation on incremental swap --- *)
 
 let test_serve_negative_cache_invalidation () =
@@ -538,6 +650,7 @@ let suites =
     ( "delta",
       [
         Helpers.tc "conservative dirty sets" test_dirty_sets;
+        Helpers.tc "links follow the routers that left" test_links_follow_leavers;
         Helpers.tc "unknown router is a typed error" test_unknown_router;
         Helpers.tc "corpus order is preserved" test_corpus_order_preserved;
         Helpers.tc "events_between round-trips" test_events_between_roundtrip;
@@ -545,6 +658,8 @@ let suites =
         Helpers.tc "load_events refuses an oversized file" test_load_events_oversized;
         Helpers.tc "relearn stats and counters" test_relearn_stats_and_counters;
         Helpers.tc "relearn_model matches batch" test_relearn_model_matches_batch;
+        Helpers.tc "chained relearns regroup what changed" test_chained_regroup;
+        Helpers.tc "an empty relearn allocates little" test_empty_relearn_allocates_little;
         Helpers.tc "negative cache invalidated on incremental swap"
           test_serve_negative_cache_invalidation;
         qcheck_equivalence;

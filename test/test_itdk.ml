@@ -147,6 +147,26 @@ let test_io_errors_name_the_line () =
           then Alcotest.failf "%S: got %S, want %S...%S" text msg prefix fragment)
     malformed_rows
 
+(* Two routers with one id are one router too many: a relearn finds
+   routers by id, so it would rewrite both slots with one event. The
+   id check is one comparison while ids increase and a table once they
+   stop; either way the second one's line is named. *)
+let test_io_duplicate_ids () =
+  let refused text line id =
+    match Io.of_string text with
+    | _ -> Alcotest.failf "%S: accepted" text
+    | exception Failure msg ->
+        Alcotest.(check string) "error" (Printf.sprintf "Itdk.Io.read: line %d: duplicate router id %d" line id) msg
+  in
+  refused "itdk dup\nrouter 1\nhost a.cr1.lhr1.x.net\nrouter 1\nhost b.cr1.fra1.y.net\n" 4 1;
+  refused "router 5\nrouter 3\nrouter 4\nrouter 3\n" 4 3;
+  refused "router 2\nrouter 7\nrouter 1\nrouter 7\n" 4 7;
+  let ids text =
+    Array.to_list (Array.map (fun (r : Router.t) -> r.Router.id) (Io.of_string text).Dataset.routers)
+  in
+  Alcotest.(check (list int)) "distinct ids in any order load" [ 5; 3; 4; -1 ]
+    (ids "router 5\nrouter 3\nrouter 4\nrouter -1\n")
+
 (* The packed layout, pinned: a router read with k samples reaches no
    more than 2k words plus a constant (the boxed pairs it replaced took
    8 per sample). *)
@@ -327,6 +347,7 @@ let suites =
         tc "preserves truth" test_io_preserves_truth;
         tc "rejects garbage" test_io_rejects_garbage;
         tc "errors name the line" test_io_errors_name_the_line;
+        tc "duplicate router ids are refused" test_io_duplicate_ids;
         tc "packed layout" test_io_packed_layout;
         tc "line ends" test_io_line_ends;
         tc "file roundtrip" test_io_file_roundtrip;

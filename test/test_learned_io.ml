@@ -557,8 +557,12 @@ let json_decoders_name_the_path () =
    From a valid snapshot, event stream and SLO file: truncate, flip a
    byte, give a value the wrong type, drop a field, inflate a regex
    quantifier (a number, in documents without regexes), or rewrite a
-   regex into a form outside the dialect. Event and SLO decoding must
-   never raise. A snapshot that still parses as JSON must never be
+   regex into a form outside the dialect. Three more keep the document
+   well-typed, so their mutants usually decode and reach serving:
+   another letter for one literal of a regex, another name or country
+   for a city, another support count or agreement in a suffix's stats
+   (another int, in documents without such a node). Event and SLO
+   decoding must never raise. A snapshot that still parses as JSON must never be
    answered through decode's catch-all fence: every defect in it is a
    typed Schema or version error, and a regex outside the dialect is a
    Schema error at its [source]. A mutant that decodes must serve
@@ -588,7 +592,7 @@ let sample_slo =
       {"metric": "latency_p99_ms", "max": 250},
       {"metric": "error_rate", "max": 0.05, "fail_ratio": 3.0}]}|}
 
-type mutation = Truncate | Flip | Retype | Drop | Inflate | Refuse
+type mutation = Truncate | Flip | Retype | Drop | Inflate | Refuse | Literal | City | Stat
 
 let mutation_name = function
   | Truncate -> "truncate"
@@ -597,6 +601,9 @@ let mutation_name = function
   | Drop -> "drop"
   | Inflate -> "inflate"
   | Refuse -> "refuse"
+  | Literal -> "literal"
+  | City -> "city"
+  | Stat -> "stat"
 
 (* the pre-order positions of the nodes [pick] selects, and a rewrite
    of the node at one position *)
@@ -651,11 +658,64 @@ let refuse_source rand s =
   | 3 -> {|^[a-\d]?|} ^ rest
   | _ -> "^[z-a]?" ^ rest
 
+(* a regex literal replaced by another letter: an unescaped letter of
+   the source, so the result is usually still in the dialect *)
+let retouch_literal rand s =
+  let letters =
+    List.filter
+      (fun i -> s.[i] >= 'a' && s.[i] <= 'z' && (i = 0 || s.[i - 1] <> '\\'))
+      (List.init (String.length s) Fun.id)
+  in
+  match letters with
+  | [] -> s
+  | l ->
+      let i = List.nth l (Random.State.int rand (List.length l)) in
+      String.mapi (fun j c -> if j = i then Char.chr (97 + Random.State.int rand 26) else c) s
+
+let has_field name = function Json.Obj fields -> List.mem_assoc name fields | _ -> false
+
+(* the field [name] of an object, rewritten by [f] *)
+let retouch_field name f = function
+  | Json.Obj fields -> Json.Obj (List.map (fun (n, v) -> (n, if n = name then f v else v)) fields)
+  | j -> j
+
 let mutate rand mutation doc =
   let any l = List.nth l (Random.State.int rand (List.length l)) in
   let tree f = match Json.parse doc with Ok j -> Json.to_string (f j) | Error _ -> doc in
   let at pick f j = match positions pick j with [] -> j | ps -> rewrite (any ps) f j in
+  (* a document without the node a well-typed mutation aims at gets
+     another int in one of its int fields, still well-typed *)
+  let or_int pick f j =
+    if positions pick j <> [] then at pick f j
+    else at (function Json.Int _ -> true | _ -> false) (fun _ -> Json.Int (Random.State.int rand 100)) j
+  in
   match mutation with
+  | Literal ->
+      tree
+        (or_int (has_field "source")
+           (retouch_field "source" (function
+             | Json.String src -> Json.String (retouch_literal rand src)
+             | v -> v)))
+  | City ->
+      (* another name or country for one city of the dictionary or of
+         a learned entry, so its key names a place nobody learned *)
+      tree
+        (or_int
+           (fun j -> has_field "name" j && has_field "cc" j)
+           (fun j ->
+             retouch_field (any [ "name"; "cc"; "state" ])
+               (fun _ -> Json.String (any [ "london"; "gb"; "ca"; ""; "zz"; "paris|fr" ]))
+               j))
+  | Stat ->
+      (* a support count (negative too) or an agreement in [0,1] *)
+      tree
+        (or_int (has_field "rtt_agreement") (fun j ->
+             retouch_field
+               (any [ "tp"; "fp"; "fn"; "unk"; "rtt_agreement" ])
+               (function
+                 | Json.Float _ -> Json.Float (Random.State.float rand 1.0)
+                 | _ -> Json.Int (Random.State.int rand 2000 - 5))
+               j))
   | Truncate -> String.sub doc 0 (Random.State.int rand (String.length doc))
   | Flip ->
       let b = Bytes.of_string doc in
@@ -682,22 +742,13 @@ let mutate rand mutation doc =
              | j -> j))
   | Inflate | Refuse ->
       tree (fun j ->
-          let has_source = function
-            | Json.Obj fields -> List.mem_assoc "source" fields
-            | _ -> false
-          in
+          let has_source = has_field "source" in
           let rewrite = if mutation = Inflate then inflate_source else refuse_source rand in
           if positions has_source j <> [] then
             at has_source
-              (function
-                | Json.Obj fields ->
-                    Json.Obj
-                      (List.map
-                         (function
-                           | "source", Json.String s -> ("source", Json.String (rewrite s))
-                           | field -> field)
-                         fields)
-                | j -> j)
+              (retouch_field "source" (function
+                | Json.String s -> Json.String (rewrite s)
+                | v -> v))
               j
           else
             at
@@ -722,7 +773,7 @@ let decoders_survive_mutation =
     Gen.(
       tup4 gen_model
         (oneofl [ `Snapshot; `Events; `Slo ])
-        (oneofl [ Truncate; Flip; Retype; Drop; Inflate; Refuse ])
+        (oneofl [ Truncate; Flip; Retype; Drop; Inflate; Refuse; Literal; City; Stat ])
         int)
   in
   let print (m, target, mutation, seed) =

@@ -964,6 +964,25 @@ let test_reload_during_observe () =
             "-\t0.000\n" (geolocate port)))
     [ 0.0; 0.01; 0.02; 0.04; 0.06; 0.09 ]
 
+(* a body nested deeper than Json.max_depth is a 400 naming the limit,
+   and the daemon keeps serving *)
+let test_observe_too_deep () =
+  let p, model, _ = Lazy.force fixture in
+  let pinned_h, pinned_e = List.hd (corpus_lines ()) in
+  with_server ~config:small_config ~corpus:p.Pipeline.dataset model (fun _ port ->
+      let d = Hoiho_util.Json.max_depth + 1 in
+      let status, body, _ =
+        request ~meth:"POST" ~body:(String.make d '[' ^ String.make d ']') port "/observe"
+      in
+      Alcotest.(check int) "too deep is 400" 400 status;
+      Alcotest.(check bool) "400 names the depth limit" true
+        (Helpers.contains body
+           (Printf.sprintf "expected at most %d nested lists and objects"
+              Hoiho_util.Json.max_depth));
+      let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode pinned_h) in
+      Alcotest.(check int) "still serving" 200 status;
+      Alcotest.(check string) "same answer" (pinned_e ^ "\n") body)
+
 let test_observe_unconfigured () =
   let _, model, _ = Lazy.force fixture in
   with_server ~config:small_config model (fun _ port ->
@@ -1457,6 +1476,7 @@ let suites =
         Helpers.tc "observe relearns mid-stream on a keep-alive connection"
           test_observe_relearn_mid_stream;
         Helpers.tc "observe without a corpus" test_observe_unconfigured;
+        Helpers.tc "observe refuses a body nested too deep" test_observe_too_deep;
         Helpers.tc "reload during an observe relearn is kept"
           test_reload_during_observe;
         Helpers.tc "chaos clients" test_chaos_clients;

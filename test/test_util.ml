@@ -1,6 +1,7 @@
 module Prng = Hoiho_util.Prng
 module Strutil = Hoiho_util.Strutil
 module Stat = Hoiho_util.Stat
+module Json = Hoiho_util.Json
 
 let tc = Helpers.tc
 
@@ -188,8 +189,38 @@ let test_fraction_pct () =
   Alcotest.(check (float 1e-9)) "pct" 25.0 (Stat.pct 1 4);
   Alcotest.(check (float 1e-9)) "pct zero denom" 0.0 (Stat.pct 1 0)
 
+(* --- Json nesting depth --- *)
+
+let nested d = String.make d '[' ^ String.make d ']'
+let repeat k s = String.concat "" (List.init k (fun _ -> s))
+
+let test_json_depth_cap () =
+  let m = Json.max_depth in
+  Alcotest.(check bool) "max_depth lists parse" true (Result.is_ok (Json.parse (nested m)));
+  let deep_error what path offset =
+    Printf.sprintf "%s: expected at most %d nested lists and objects, got %s at depth %d, offset %d"
+      path m what (m + 1) offset
+  in
+  Alcotest.(check (result reject string)) "one list deeper"
+    (Error (deep_error "a list" ("$" ^ repeat m "[0]") m))
+    (Result.map ignore (Json.parse (nested (m + 1))));
+  (* the path names keys and indices on the way down *)
+  let doc = {|{"a":[1,2,|} ^ nested (m - 1) ^ "]}" in
+  Alcotest.(check (result reject string)) "keys and indices in the path"
+    (Error (deep_error "a list" ("$.a[2]" ^ repeat (m - 2) "[0]") (String.length {|{"a":[1,2,|} + m - 2)))
+    (Result.map ignore (Json.parse doc));
+  let objects k = repeat k {|{"k":|} ^ "1" ^ String.make k '}' in
+  Alcotest.(check bool) "max_depth objects parse" true (Result.is_ok (Json.parse (objects m)));
+  Alcotest.(check (result reject string)) "one object deeper"
+    (Error (deep_error "an object" ("$" ^ repeat m ".k") (5 * m)))
+    (Result.map ignore (Json.parse (objects (m + 1))));
+  (* a 1 MiB body, the HTTP cap, of nested lists *)
+  Alcotest.(check bool) "524,288 nested lists are an error" true
+    (Result.is_error (Json.parse (nested 524_288)))
+
 let suites =
   [
+    ("util.json", [ tc "nesting deeper than max_depth is an error" test_json_depth_cap ]);
     ( "util.prng",
       [
         tc "determinism" test_determinism;
