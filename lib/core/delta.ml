@@ -210,10 +210,13 @@ let replay (ds : Dataset.t) events =
       |> List.map (fun (_, id) -> Hashtbl.find tbl id)
     in
     let routers' = write_routers routers edits added in
-    (* links are copied only when a router left for good *)
-    let gone id = Hashtbl.mem removed id && not (Hashtbl.mem tbl id) in
+    (* a removed router takes its links with it, even when a later
+       event upserts its id again: an upsert carries no links, so one
+       stream and the same events in chained steps agree. Links are
+       copied only when a router was removed. *)
+    let gone id = Hashtbl.mem removed id in
     let links =
-      if Hashtbl.fold (fun id () n -> n || gone id) removed false then
+      if Hashtbl.length removed > 0 then
         Array.of_seq
           (Seq.filter
              (fun (a, b) -> not (gone a || gone b))

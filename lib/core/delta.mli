@@ -64,8 +64,10 @@ val apply :
     order is preserved: removals filter in place, upserts of existing
     ids replace in place, new routers append — so replaying the same
     events always yields the same corpus, byte for byte. Links touching
-    a router that left (removed, not upserted again) are dropped; VPs
-    and label are unchanged.
+    a removed router are dropped, also when a later event upserts its
+    id again, since an upsert carries no links: one stream and the same
+    events split over chained calls leave the same links. VPs and label
+    are unchanged.
 
     The work is sized by the events: one pass over the routers finds
     the ones the events name, and the new router array, written in one

@@ -61,7 +61,9 @@ let to_string ds =
    record goes straight into the router being built. RTT samples land
    in two packed builders reused from router to router, so no sample
    exists as a list cell, tuple and boxed float on its way into the
-   dataset, and no line, nor any number spelled as the writer spells
+   dataset; an RTT spelled as the writer spells it goes in as its count
+   of 10^-4 ms ticks, without becoming a float at all. No line, no
+   [ping] or [trace] tag, nor any number spelled as the writer spells
    it, exists as a string. *)
 
 exception Malformed of string
@@ -147,6 +149,22 @@ let field src =
   past src e (Bytes.get src.buf e);
   Bytes.sub_string src.buf i (e - i)
 
+(* whether the line's first field is [tag], moving past it if so; the
+   comparison stops at the line's newline at the latest, as no tag
+   holds one *)
+let rec tag_from buf i tag j =
+  j = String.length tag || (Bytes.get buf (i + j) = tag.[j] && tag_from buf i tag (j + 1))
+
+let tag_is src tag =
+  let e = src.pos + String.length tag in
+  tag_from src.buf src.pos tag 0
+  &&
+  match Bytes.get src.buf e with
+  | (' ' | '\n') as c ->
+      past src e c;
+      true
+  | _ -> false
+
 (* the rest of the line, spaces and all *)
 let rest src =
   if src.pos > src.stop then ""
@@ -157,7 +175,7 @@ let rest src =
     Bytes.sub_string src.buf i (e - i)
 
 (* Numbers are parsed in place, by the scan that finds the field's end.
-   The two fast paths take the spellings the writer emits and compute
+   The fast paths take the spellings the writer emits and compute
    exactly what the stdlib would; any other spelling (a sign [+], [_],
    a base prefix, an exponent, [nan], [.5], [5.], more digits) goes to
    [int_of_string_opt]/[float_of_string_opt] on a copy, so the accepted
@@ -194,6 +212,24 @@ let rec fast_float src d j m p =
       float_of_int m /. pow10.(if p < 0 then 0 else j - p - 1)
   | _ -> nan
 
+let tick_scale = [| 10000; 1000; 100; 10; 1 |]
+
+(* digits[.digits] with at most 4 decimals: the count of 10^-4 ms ticks
+   it spells, [m] being the value of the digits from [d] to [j] and [p]
+   the index of the point or -1. Any other spelling (a sign, a fifth
+   decimal) returns -1 and leaves the field to [float_field]. [m] stops
+   growing at 2^31, so the count stays below 2^53 and [float k /. 1e4]
+   is one correctly rounded division of the rational strtod rounds. *)
+let rec fast_ticks src d j m p =
+  match Bytes.get src.buf j with
+  | '0' .. '9' as c when m < 1 lsl 31 ->
+      fast_ticks src d (j + 1) ((m * 10) + Char.code c - 48) p
+  | '.' when p < 0 && j > d -> fast_ticks src d (j + 1) m j
+  | (' ' | '\n') as c when j > d && p <> j - 1 && (p < 0 || j - p <= 5) ->
+      past src j c;
+      m * tick_scale.(if p < 0 then 0 else j - p - 1)
+  | _ -> -1
+
 (* where the field's digits start: past a leading '-' *)
 let digits_start src =
   if src.pos > src.stop then malformed "missing field";
@@ -216,6 +252,12 @@ let float_field src what =
   else
     let f = field src in
     match float_of_string_opt f with Some x -> x | None -> malformed "bad %s %S" what f
+
+(* the field as a count of 10^-4 ms ticks, or -1, leaving it unread,
+   when it is not spelled as [fast_ticks] takes it *)
+let ticks_field src =
+  if src.pos > src.stop then malformed "missing field";
+  fast_ticks src src.pos src.pos 0 (-1)
 
 let coord_fields src =
   let lat = float_field src "latitude" in
@@ -282,13 +324,19 @@ let read_source src =
     | Some ({ truth = Some t; _ } as p) -> (p, t)
     | _ -> malformed "%s outside truth" tag
   in
+  (* an RTT of at most four decimals goes in as its tick count *)
   let sample builder tag =
     ignore (router tag);
     let vp = int_field src "VP id" in
-    Rtts.add builder vp (float_field src "RTT")
+    let k = ticks_field src in
+    if k >= 0 then Rtts.add_ticks builder vp k
+    else Rtts.add builder vp (float_field src "RTT")
   in
+  (* the two tags of nearly every line are matched in place *)
   let record () =
-    match field src with
+    if tag_is src "ping" then sample ping "ping"
+    else if tag_is src "trace" then sample trace "trace"
+    else match field src with
     | "itdk" -> label := rest src
     | "vp" ->
         let id = int_field src "VP id" in
@@ -307,8 +355,6 @@ let read_source src =
     | "host" ->
         let p = router "host" in
         p.hostnames <- field src :: p.hostnames
-    | "ping" -> sample ping "ping"
-    | "trace" -> sample trace "trace"
     | "truth" ->
         let p = router "truth" in
         let coord = coord_fields src in

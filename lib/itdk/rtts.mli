@@ -1,8 +1,26 @@
 (** A router's RTT samples from one measurement channel: (vp id, min RTT
-    ms) pairs in observation order, packed into one immutable string of
-    12 bytes per sample: the VP id as an int32, then the RTT's float64
-    bits, in native byte order (the packed form never leaves the
-    process; files carry text).
+    ms) pairs in observation order, packed into one immutable string in
+    native byte order (the packed form never leaves the process; files
+    carry text). There are two layouts:
+
+    - 6 bytes per sample: the VP id as a uint16, then the RTT as an
+      int32 count [k] of 10{^-4} ms ticks, read back as
+      [float k /. 1e4]. The corpus text keeps four decimals, so every
+      sample a reader loads fits here.
+    - 12 bytes per sample after one tag byte: the VP id as an int32,
+      then the RTT's float64 bits. A value takes this layout, for all
+      its samples, when one of them does not fit the first: unrounded
+      generator output, a negative, [-0.0], non-finite or five-decimal
+      RTT, a VP id outside [0, 65535].
+
+    A value uses the 6-byte layout exactly when every one of its
+    samples has [0 <= vp < 65536] and an RTT bit-identical to
+    [float k /. 1e4] for some [0 <= k < 2{^31}] (the empty value
+    included). The layout depends only on the samples, never on how
+    they arrived, and every sample reads back bit for bit. So two
+    values are structurally equal exactly when they hold the same
+    samples bit for bit, and [=] and [compare] on routers keep
+    working.
 
     A [(int * float) list] would cost 64 bytes per sample (cons cell,
     tuple, boxed float) and three heap blocks the major GC marks on
@@ -11,9 +29,7 @@
     heap.
 
     There is no mutator: a value is read-only once built, so routers
-    can be shared across domains as they are (DESIGN.md §5). Two values
-    are structurally equal exactly when they hold the same samples bit
-    for bit, so [=] and [compare] on routers keep working. *)
+    can be shared across domains as they are (DESIGN.md §5). *)
 
 type t
 
@@ -58,6 +74,14 @@ val builder : unit -> builder
 
 val add : builder -> int -> float -> unit
 (** Raises [Invalid_argument] when the VP id does not fit in 32 bits. *)
+
+val add_ticks : builder -> int -> int -> unit
+(** [add_ticks b vp k] builds what [add b vp (float k /. 1e4)] builds,
+    for any [k]. While the samples so far fit the 6-byte layout and
+    [0 <= vp < 65536] and [0 <= k < 2{^31}], it stores [k] as it is,
+    with no float, division or exactness test: the reader hands it
+    every RTT written with at most four decimals. Raises
+    [Invalid_argument] as {!add} does. *)
 
 val contents : builder -> t
 (** An exact-size copy of the samples added since the last {!clear}. *)

@@ -316,8 +316,9 @@ let test_dirty_sets () =
       if expected = [] then Alcotest.(check bool) (name ^ ": input returned") true (ds' == ds))
     cases
 
-(* the link array is copied only when a router leaves for good, and
-   then without that router's links *)
+(* the link array is copied only when a router is removed, and then
+   without that router's links, also when the stream upserts it again:
+   an upsert carries no links *)
 let test_links_follow_leavers () =
   let ds, _, _ = Lazy.force fixture in
   let a, _ = ds.Dataset.links.(0) in
@@ -327,13 +328,37 @@ let test_links_follow_leavers () =
   let ds', _ = apply_ok ds [ rtts ] in
   Alcotest.(check bool) "no router left: the links are shared" true
     (ds'.Dataset.links == ds.Dataset.links);
+  let rest = List.filter (fun l -> not (touches l)) (Array.to_list ds.Dataset.links) in
   let ds', _ = apply_ok ds [ Delta.Remove a; Delta.Upsert r ] in
-  Alcotest.(check bool) "removed and upserted again: the links are shared" true
-    (ds'.Dataset.links == ds.Dataset.links);
+  Alcotest.(check (list (pair int int))) "removed and upserted again: its links go" rest
+    (Array.to_list ds'.Dataset.links);
   let ds', _ = apply_ok ds [ Delta.Remove a ] in
-  Alcotest.(check (list (pair int int))) "a router left: its links go, the rest stay"
-    (List.filter (fun l -> not (touches l)) (Array.to_list ds.Dataset.links))
+  Alcotest.(check (list (pair int int))) "a router left: its links go, the rest stay" rest
     (Array.to_list ds'.Dataset.links)
+
+(* A loaded router's RTTs are in the reader's 6-byte layout; the same
+   samples decoded from an event stream must build the same value, or
+   the no-op test ([old <> r]) would see a change and dirty its
+   suffixes. *)
+let test_loaded_rtts_over_the_wire () =
+  let ds, _, _ = Lazy.force fixture in
+  let loaded = Hoiho_itdk.Io.of_string (Hoiho_itdk.Io.to_string ds) in
+  let r =
+    Array.to_list loaded.Dataset.routers
+    |> List.find (fun (r : Router.t) ->
+           r.Router.hostnames <> [] && not (Hoiho_itdk.Rtts.is_empty r.Router.ping_rtts))
+  in
+  let wire =
+    Delta.events_to_string
+      [ Delta.Set_rtts
+          { router = r.Router.id; ping = r.Router.ping_rtts; trace = r.Router.trace_rtts } ]
+  in
+  let events =
+    match Delta.events_of_string wire with Ok e -> e | Error msg -> Alcotest.fail msg
+  in
+  let ds', dirty = apply_ok loaded events in
+  Alcotest.(check (list string)) "nothing dirty" [] dirty;
+  Alcotest.(check bool) "input returned" true (ds' == loaded)
 
 let test_unknown_router () =
   let ds, routers, _ = Helpers.iata_fixture () in
@@ -551,12 +576,11 @@ let test_chained_regroup () =
     (fun (name, step1, step2) ->
       let m1, c1, _ = ok_or_fail (Delta.relearn_model ~jobs:1 ~model ~corpus:ds step1) in
       let m2, c2, stats = ok_or_fail (Delta.relearn_model ~jobs:2 ~model:m1 ~corpus:c1 step2) in
-      (* links are not compared: a router that left takes its links
-         with it, and one upserted again in a later step comes back
-         without them *)
       let c2', _ = apply_ok ds (step1 @ step2) in
       Alcotest.(check bool) (name ^ ": routers as one apply") true
         (c2.Dataset.routers = c2'.Dataset.routers);
+      Alcotest.(check (list (pair int int))) (name ^ ": links as one apply")
+        (Array.to_list c2'.Dataset.links) (Array.to_list c2.Dataset.links);
       Alcotest.(check string) (name ^ ": incremental ≡ batch") (enc_batch db c2) (enc m2);
       Alcotest.(check int) (name ^ ": every group counted once")
         (List.length (Dataset.by_suffix c2))
@@ -651,6 +675,8 @@ let suites =
       [
         Helpers.tc "conservative dirty sets" test_dirty_sets;
         Helpers.tc "links follow the routers that left" test_links_follow_leavers;
+        Helpers.tc "a loaded router's own rtts over the wire are a no-op"
+          test_loaded_rtts_over_the_wire;
         Helpers.tc "unknown router is a typed error" test_unknown_router;
         Helpers.tc "corpus order is preserved" test_corpus_order_preserved;
         Helpers.tc "events_between round-trips" test_events_between_roundtrip;

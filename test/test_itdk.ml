@@ -167,9 +167,10 @@ let test_io_duplicate_ids () =
   Alcotest.(check (list int)) "distinct ids in any order load" [ 5; 3; 4; -1 ]
     (ids "router 5\nrouter 3\nrouter 4\nrouter -1\n")
 
-(* The packed layout, pinned: a router read with k samples reaches no
-   more than 2k words plus a constant (the boxed pairs it replaced took
-   8 per sample). *)
+(* The packed layout, pinned: a router read with k samples of at most
+   four decimals reaches no more than k words plus a constant, so its
+   samples take 6 bytes each (12 would be 1.5k words; the boxed pairs
+   the packing replaced took 8 per sample). *)
 let test_io_packed_layout () =
   let k = 1000 in
   let buf = Buffer.create (k * 16) in
@@ -181,8 +182,8 @@ let test_io_packed_layout () =
   let r = ds.Dataset.routers.(0) in
   Alcotest.(check int) "samples" k (Rtts.length r.Router.ping_rtts);
   let words = Obj.reachable_words (Obj.repr r) in
-  if words > (2 * k) + 32 then
-    Alcotest.failf "router with %d samples reaches %d words (> 2k + 32)" k words
+  if words > k + 32 then
+    Alcotest.failf "router with %d samples reaches %d words (> k + 32)" k words
 
 let test_io_file_roundtrip () =
   let ds = make_ds () in
@@ -227,9 +228,14 @@ let test_io_load_closes_on_failure () =
 (* --- in-place numbers against the stdlib ---
 
    The reader parses plain decimals in place and hands every other
-   spelling to the stdlib. Whatever the spelling, a one-router corpus
-   must read to the stdlib's value, bit for bit, or fail exactly when
-   the stdlib rejects, with the reader's message for that field. *)
+   spelling to the stdlib; an RTT of at most four decimals goes into
+   its router as a tick count without becoming a float. Whatever the
+   spelling, a one-router corpus must read to the stdlib's value, bit
+   for bit, in the packed value [Rtts.of_list] builds from it, or fail
+   exactly when the stdlib rejects, with the reader's message for that
+   field. In the tick path, this property fails on a digit count that
+   may overflow (15-digit RTTs), and "errors name the line" on a read
+   past the buffer on a [ping] line without its RTT. *)
 
 let gen_digits n = QCheck.Gen.(string_size ~gen:(char_range '0' '9') (return n))
 
@@ -290,9 +296,12 @@ let read text = match Io.of_string text with ds -> Ok ds | exception Failure msg
 let prop_float_spelling f =
   match (float_of_string_opt f, read ("router 1\nping 7 " ^ f ^ "\n")) with
   | Some x, Ok ds ->
-      let got = snd (List.hd (Rtts.to_list ds.Dataset.routers.(0).Router.ping_rtts)) in
-      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float got)
-      || QCheck.Test.fail_reportf "%S: read %h, stdlib %h" f got x
+      let rtts = ds.Dataset.routers.(0).Router.ping_rtts in
+      let got = snd (List.hd (Rtts.to_list rtts)) in
+      (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float got)
+      || QCheck.Test.fail_reportf "%S: read %h, stdlib %h" f got x)
+      && (rtts = Rtts.of_list [ (7, x) ]
+         || QCheck.Test.fail_reportf "%S: read value differs from Rtts.of_list [(7, %h)]" f x)
   | None, Error msg ->
       msg = Printf.sprintf "Itdk.Io.read: line 2: bad RTT %S" f
       || QCheck.Test.fail_reportf "%S: message %S" f msg
@@ -328,6 +337,245 @@ let qcheck_numbers =
          prop_int_spelling);
   ]
 
+(* --- both Rtts layouts against a list reference ---
+
+   A value packs 6 bytes per sample when every sample is a tick count
+   with a 16-bit VP id, 12 after a tag byte otherwise. In either layout
+   every sample must read back bit for bit, equal values must mean
+   bitwise-equal samples, and each reader must agree with its list
+   counterpart. *)
+
+let bits = Int64.bits_of_float
+let same_sample (v, x) (w, y) = v = w && Int64.equal (bits x) (bits y)
+let same_samples a b = List.length a = List.length b && List.for_all2 same_sample a b
+
+(* the layout rule, read off the corpus text: an RTT is a tick count
+   when its four-decimal spelling reads back as it, bit for bit, and
+   the count is below 2^31 *)
+let compact_rule l =
+  List.for_all
+    (fun (vp, ms) ->
+      vp >= 0 && vp < 65536 && Float.is_finite ms && (not (Float.sign_bit ms))
+      && ms < 214748.3648
+      && Int64.equal (bits (float_of_string (Printf.sprintf "%.4f" ms))) (bits ms))
+    l
+
+(* the words a packed value of [n] >= 1 samples reaches: a string of
+   6n bytes, or of 12n + 1 *)
+let packed_words n ~compact = ((if compact then 6 * n else (12 * n) + 1) / 8) + 2
+
+let gen_tick_ms =
+  QCheck.Gen.(
+    map
+      (fun k -> float_of_int k /. 1e4)
+      (frequency
+         [ (4, int_range 0 3_000_000); (2, int_range 0 0x7fff_ffff);
+           (1, oneofl [ 0; 0x7fff_ffff ]) ]))
+
+let gen_any_ms =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, gen_tick_ms);
+        (2, map Int64.float_of_bits int64);
+        (2, float_range (-300.0) 300.0);
+        ( 1,
+          oneofl
+            [ -0.0; 0.0; nan; infinity; neg_infinity; 214748.3648; -1.5; 12.34567; 1e-5;
+              Float.succ 1.5 ] );
+      ])
+
+let gen_compact_vp = QCheck.Gen.(frequency [ (6, int_range 0 300); (1, oneofl [ 0; 65535 ]) ])
+
+let gen_vp =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range 0 300);
+        ( 1,
+          oneofl
+            [ 0; 65535; 65536; -1; Int32.to_int Int32.max_int; Int32.to_int Int32.min_int ] );
+      ])
+
+let gen_compact_samples = QCheck.Gen.(list_size (int_range 1 12) (pair gen_compact_vp gen_tick_ms))
+
+(* half the lists fit the 6-byte layout by construction; the others mix
+   every kind of sample *)
+let gen_samples =
+  QCheck.Gen.(
+    oneof [ gen_compact_samples; list_size (int_range 0 12) (pair gen_vp gen_any_ms) ])
+
+(* a list equal to [a] or one step from it: a sample with another VP
+   id, sign, last bit or ulp, one sample fewer or more *)
+let gen_variant a =
+  let open QCheck.Gen in
+  let tweaks =
+    [ (fun (v, x) -> (v lxor 1, x)); (fun (v, x) -> (v, -.x)); (fun (v, x) -> (v, Float.succ x));
+      (fun (v, x) -> (v, Int64.float_of_bits (Int64.logxor (bits x) 1L))) ]
+  in
+  let n = List.length a in
+  let tweak =
+    let* i = int_bound (max 0 (n - 1)) in
+    let* tweak = oneofl tweaks in
+    return (List.mapi (fun j s -> if j = i then tweak s else s) a)
+  in
+  frequency
+    [
+      (2, return a);
+      (3, tweak);
+      (1, return (List.filteri (fun j _ -> j < n - 1) a));
+      (1, map (fun s -> a @ [ s ]) (pair gen_vp gen_any_ms));
+    ]
+
+(* a sample given as a tick count or as milliseconds *)
+type item = Ticks of int * int | Ms of int * float
+
+let gen_items =
+  QCheck.Gen.(
+    list_size (int_range 0 12)
+      (frequency
+         [
+           ( 3,
+             map2
+               (fun vp k -> Ticks (vp, k))
+               gen_vp
+               (frequency
+                  [ (3, int_range 0 0x7fff_ffff);
+                    (1, oneofl [ 0; 0x7fff_ffff; 0x8000_0000; -1; -5; 1 lsl 40 ]) ]) );
+           (1, map (fun (vp, ms) -> Ms (vp, ms)) (pair gen_vp gen_any_ms));
+         ]))
+
+type layout_case = {
+  samples : (int * float) list;
+  variant : (int * float) list;
+  items : item list;
+  compact : (int * float) list;
+  nb : int;
+  holes : int;
+  slack : float;
+  exact : bool;
+}
+
+let gen_layout_case =
+  QCheck.Gen.(
+    let* samples = gen_samples in
+    let* variant = gen_variant samples in
+    let* items = gen_items in
+    let* compact = gen_compact_samples in
+    let* nb = frequency [ (4, oneofl [ 0; 1; 150; 301 ]); (1, return 65536) ] in
+    let* holes = int_range 0 7 in
+    let* slack = oneofl [ 0.0; 0.5; 1.0; -1.0 ] in
+    let* exact = bool in
+    return { samples; variant; items; compact; nb; holes; slack; exact })
+
+let print_samples l =
+  String.concat "; " (List.map (fun (v, x) -> Printf.sprintf "(%d, %h)" v x) l)
+
+let print_layout_case c =
+  Printf.sprintf "samples [%s]\nvariant [%s]\ncompact [%s]\nnb %d, holes %d, slack %g, exact %b"
+    (print_samples c.samples) (print_samples c.variant) (print_samples c.compact) c.nb c.holes
+    c.slack c.exact
+
+(* bounds in [0, 300) with a nan hole every eighth id, offset by
+   [holes]; when [exact], each sampled id's bound is its last sample's
+   RTT plus [slack], so that sample meets it with nothing to spare *)
+let bounds c =
+  let b =
+    Float.Array.init c.nb (fun i ->
+        if (i + c.holes) mod 8 = 0 then nan else float_of_int (((i * 37) + c.holes) mod 300))
+  in
+  if c.exact then
+    List.iter (fun (v, m) -> if v >= 0 && v < c.nb then Float.Array.set b v (m +. c.slack)) c.samples;
+  b
+
+let ref_first_below l ~slack bound =
+  let nb = Float.Array.length bound in
+  let rec go i = function
+    | [] -> -1
+    | (v, m) :: rest ->
+        if v < 0 || v >= nb || not (m +. slack >= Float.Array.get bound v) then i
+        else go (i + 1) rest
+  in
+  go 0 l
+
+let ref_min = function
+  | [] -> None
+  | s :: rest ->
+      Some (List.fold_left (fun ((_, bm) as best) ((_, m) as x) -> if m < bm then x else best) s rest)
+
+let same_option same a b =
+  match (a, b) with None, None -> true | Some x, Some y -> same x y | _ -> false
+
+let maps =
+  [ ("identity", fun v x -> (v, x)); ("to one tick value", fun v _ -> (v land 0xffff, 1.5));
+    ("negate", fun v x -> (v, -.x)); ("next vp", fun v x -> (v lxor 1, x +. 0.5)) ]
+
+let prop_layouts c =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let l = c.samples in
+  let t = Rtts.of_list l in
+  let n = List.length l in
+  let words t = Obj.reachable_words (Obj.repr t) in
+  (same_samples (Rtts.to_list t) l || fail "to_list (of_list l) <> l")
+  && (n = 0 || words t = packed_words n ~compact:(compact_rule l)
+     || fail "%d samples reach %d words; the rule says %s" n (words t)
+          (if compact_rule l then "6 bytes each" else "12 bytes each"))
+  && Rtts.length t = n
+  && (let u = Rtts.of_list c.variant in
+      let same = same_samples l c.variant in
+      ((t = u) = same && (compare t u = 0) = same)
+      || fail "of_list equality %b, compare %d, samples equal %b" (t = u) (compare t u) same)
+  && List.for_all
+       (fun id ->
+         same_option (fun x y -> Int64.equal (bits x) (bits y)) (Rtts.find_opt t id)
+           (List.assoc_opt id l)
+         || fail "find_opt %d" id)
+       (List.map fst l @ [ 65536; -2 ])
+  && (same_option same_sample (Rtts.min t) (ref_min l) || fail "min")
+  && (let f v x = v land 1 = 0 || x > 150.0 in
+      let kept = List.filter (fun (v, x) -> f v x) l in
+      (Rtts.for_all f t = List.for_all (fun (v, x) -> f v x) l || fail "for_all")
+      && (same_samples (Rtts.to_list (Rtts.filter f t)) kept || fail "filter")
+      && (Rtts.filter f t = Rtts.of_list kept || fail "filter builds another layout"))
+  && List.for_all
+       (fun (name, f) ->
+         let mapped = List.map (fun (v, x) -> f v x) l in
+         (same_samples (Rtts.to_list (Rtts.map f t)) mapped || fail "map %s" name)
+         && (Rtts.map f t = Rtts.of_list mapped || fail "map %s builds another layout" name))
+       maps
+  && (let bound = bounds c in
+      let got = Rtts.first_below t ~slack:c.slack bound
+      and want = ref_first_below l ~slack:c.slack bound in
+      got = want || fail "first_below: %d, reference %d" got want)
+  && (let b = Rtts.builder () and b' = Rtts.builder () in
+      List.iter
+        (function
+          | Ticks (vp, k) ->
+              Rtts.add_ticks b vp k;
+              Rtts.add b' vp (float_of_int k /. 1e4)
+          | Ms (vp, ms) ->
+              Rtts.add b vp ms;
+              Rtts.add b' vp ms)
+        c.items;
+      (Rtts.contents b = Rtts.contents b' || fail "add_ticks builds another value than add")
+      && begin
+           (* the builder, cleared while it holds a 12-byte value,
+              packs 6-byte samples again *)
+           Rtts.add b 0 (-0.0);
+           Rtts.clear b;
+           List.iter (fun (vp, ms) -> Rtts.add b vp ms) c.compact;
+           let v = Rtts.contents b in
+           (v = Rtts.of_list c.compact
+           && words v = packed_words (List.length c.compact) ~compact:true)
+           || fail "a cleared builder does not pack 6-byte samples"
+         end)
+
+let qcheck_layouts =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"rtts layouts agree with the list reference"
+       (QCheck.make ~print:print_layout_case gen_layout_case)
+       prop_layouts)
+
 let suites =
   [
     ( "itdk",
@@ -339,6 +587,7 @@ let suites =
         tc "by_suffix" test_by_suffix;
         tc "vp lookup" test_vp_lookup;
         tc "summary" test_summary_mentions_label;
+        qcheck_layouts;
       ] );
     ( "itdk.io",
       [
