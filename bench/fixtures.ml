@@ -46,14 +46,6 @@ let sound_rtts vps (loc : Coord.t) =
 let router vps id c hostnames =
   Router.make id ~hostnames
     ~ping_rtts:(Hoiho_itdk.Rtts.of_list (sound_rtts vps c.City.coord))
-    ~truth:
-      {
-        Router.city_key = City.key c;
-        coord = c.City.coord;
-        intended_hint = None;
-        stale = false;
-        hostname_hints = List.map (fun h -> (h, None)) hostnames;
-      }
 
 (* --- figure 13: an alter.net-style suffix mixing three formats --- *)
 

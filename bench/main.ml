@@ -373,7 +373,7 @@ let fig11 () =
 let ablation () =
   Report.section "Ablation: value of learning operator geohints (stage 4)";
   let ds, truth, _ = run_for aug20 in
-  let a = Analysis.ablation ~db:(Truth.db truth) ds ~suffixes:Oper.validation_suffixes in
+  let a = Analysis.ablation ds truth ~suffixes:Oper.validation_suffixes in
   let line (s : Validate.scores) =
     Printf.sprintf "correct %.1f%%  PPV %.1f%%" (Validate.tp_pct s)
       (100.0 *. Validate.ppv s)
@@ -401,8 +401,8 @@ let cai () =
 
 let stale () =
   Report.section "Stale-hostname detection (section 7, Zhang 2006 mitigation)";
-  let _, _, p = run_for aug20 in
-  let a = Analysis.stale_accuracy p in
+  let _, truth, p = run_for aug20 in
+  let a = Analysis.stale_accuracy p truth in
   Report.note "flagged %d hostnames as stale across all usable NCs" a.Hoiho.Stale.flagged;
   Report.note "truly stale among flagged: %d (precision %.1f%%)" a.Hoiho.Stale.true_stale
     (100.0 *. Hoiho.Stale.precision a);
@@ -468,7 +468,7 @@ let spoof () =
     let agg =
       List.fold_left
         (fun (tp, total) suffix ->
-          let gts = Validate.ground_truth_hostnames dataset ~suffix in
+          let gts = Validate.ground_truth_hostnames dataset truth ~suffix in
           let s =
             Validate.score
               (fun gt -> Pipeline.geolocate p gt.Validate.hostname)
@@ -518,7 +518,7 @@ let names () =
 
 let tbg () =
   Report.section "TBG: naming-convention anchors geolocating adjacent routers";
-  let _, _, p = run_for aug20 in
+  let _, truth, p = run_for aug20 in
   let inferences, n_anchors = Hoiho.Tbg.coverage_gain p in
   Report.note "anchors (routers geolocated by usable NCs): %d" n_anchors;
   Report.note "additional routers geolocated via anchored neighbors: %d"
@@ -526,14 +526,9 @@ let tbg () =
   let correct =
     List.filter
       (fun (inf : Hoiho.Tbg.inference) ->
-        match
-          Array.find_opt
-            (fun (r : Router.t) -> r.Router.id = inf.Hoiho.Tbg.router_id)
-            p.Pipeline.dataset.Dataset.routers
-        with
-        | Some { Router.truth = Some t; _ } ->
-            Validate.correct inf.Hoiho.Tbg.city t.Router.coord
-        | _ -> false)
+        match Truth.router truth inf.Hoiho.Tbg.router_id with
+        | Some t -> Validate.correct inf.Hoiho.Tbg.city t.Truth.coord
+        | None -> false)
       inferences
   in
   Report.note "of which within 40 km of the true location: %d (%.1f%%)"
@@ -997,7 +992,7 @@ let perf () =
      abstentions scored at zero confidence. *)
   let module Calibration = Hoiho_validate.Calibration in
   let calib =
-    Calibration.of_pipeline sweep_p1
+    Calibration.of_pipeline sweep_p1 sweep_truth
       ~suffixes:(Truth.geo_suffixes sweep_truth)
   in
   let calib_monotone = Calibration.monotone calib in

@@ -867,7 +867,7 @@ let calibrate_cmd =
     let ds, truth = Hoiho_netsim.Generate.generate config in
     let pipeline = Hoiho.Pipeline.run ~db:(Hoiho_netsim.Truth.db truth) ds in
     let suffixes = Hoiho_netsim.Truth.geo_suffixes truth in
-    let report = Hoiho_validate.Calibration.of_pipeline pipeline ~suffixes in
+    let report = Hoiho_validate.Calibration.of_pipeline pipeline truth ~suffixes in
     print_string (Hoiho_validate.Calibration.render_text report);
     match out with
     | None -> ()

@@ -287,10 +287,9 @@ let events_between (old_ds : Dataset.t) (new_ds : Dataset.t) =
 
 (* ---- wire format ----------------------------------------------------
    A JSON list of objects discriminated by "op". Only observable fields
-   travel: an upsert carries hostnames, ASN, and RTTs — never the
-   generator's ground truth, which is unavailable at observation time
-   by construction (§4 challenge 2). Decoding is strict and total;
-   errors name the offending event index. *)
+   travel: an upsert carries hostnames, ASN, and RTTs, which is all a
+   router record holds. Decoding is strict and total; errors name the
+   offending event index. *)
 
 let rtts_to_json rtts =
   Json.List

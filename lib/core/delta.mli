@@ -89,9 +89,8 @@ val events_between :
 val events_to_string : event list -> string
 (** Stable JSON wire form: a list of objects discriminated by ["op"].
     Only observable fields travel — an [Upsert] carries hostnames, ASN
-    and RTTs, never the generator's ground truth (unavailable at
-    observation time by construction), so a truth-bearing [Upsert] does
-    not round-trip its [truth] field. *)
+    and RTTs, the whole router record, so it round-trips a router
+    exactly. *)
 
 val events_of_string : string -> (event list, string) result
 (** Strict decode of the wire form. Any malformed input — not JSON,

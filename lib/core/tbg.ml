@@ -31,8 +31,17 @@ let anchors_of_pipeline (p : Pipeline.t) =
 let infer consist dataset (anchors : anchor list) =
   let anchored : (int, City.t) Hashtbl.t = Hashtbl.create 256 in
   List.iter (fun (a : anchor) -> Hashtbl.replace anchored a.router_id a.city) anchors;
-  let routers : (int, Router.t) Hashtbl.t = Hashtbl.create 1024 in
-  Array.iter (fun (r : Router.t) -> Hashtbl.replace routers r.Router.id r) dataset.Dataset.routers;
+  (* each router's neighbors, built in one pass over the links: latest
+     link first *)
+  let neighbors : (int, int list) Hashtbl.t = Hashtbl.create 1024 in
+  let add a b =
+    Hashtbl.replace neighbors a (b :: Option.value (Hashtbl.find_opt neighbors a) ~default:[])
+  in
+  Array.iter
+    (fun (a, b) ->
+      add a b;
+      if b <> a then add b a)
+    dataset.Dataset.links;
   Array.to_list dataset.Dataset.routers
   |> List.filter_map (fun (r : Router.t) ->
          if Hashtbl.mem anchored r.Router.id then None
@@ -40,7 +49,7 @@ let infer consist dataset (anchors : anchor list) =
            (* anchored neighbors whose location this router's own RTTs
               admit *)
            let candidates =
-             Dataset.neighbors dataset r.Router.id
+             Option.value (Hashtbl.find_opt neighbors r.Router.id) ~default:[]
              |> List.filter_map (fun nid ->
                     match Hashtbl.find_opt anchored nid with
                     | Some city when Consist.city_consistent consist r city ->

@@ -30,7 +30,8 @@ val infer :
   Consist.t -> Hoiho_itdk.Dataset.t -> anchor list -> inference list
 (** For every router without an anchor: collect anchored neighbors,
     keep the neighbor locations consistent with the router's own RTTs,
-    and pick the location shared by the most anchored neighbors. *)
+    and pick the location shared by the most anchored neighbors. The
+    links are indexed in one pass per call, not scanned per router. *)
 
 val coverage_gain : Pipeline.t -> inference list * int
 (** Convenience: anchors from the pipeline, inferences over its dataset,

@@ -8,12 +8,6 @@ type t = {
 let make ?(links = [||]) ~label ~routers ~vps () =
   { label; routers; vps; links }
 
-let neighbors t id =
-  Array.fold_left
-    (fun acc (a, b) ->
-      if a = id then b :: acc else if b = id then a :: acc else acc)
-    [] t.links
-
 let vp t id =
   match Array.find_opt (fun (v : Vp.t) -> v.id = id) t.vps with
   | Some v -> v

@@ -25,9 +25,6 @@ val make :
   unit ->
   t
 
-val neighbors : t -> int -> int list
-(** Router ids adjacent to the given router id. *)
-
 val vp : t -> int -> Vp.t
 (** Lookup by VP id. Raises [Not_found] for an unknown id. *)
 

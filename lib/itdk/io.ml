@@ -7,11 +7,11 @@
      host <hostname>
      ping <vp_id> <rtt_ms>
      trace <vp_id> <rtt_ms>
-     truth <lat> <lon> <stale:0|1> <city_key>
-     hint <intended_hint>
-     hosthint <hostname> <code|->
    A hostname never contains spaces; city keys contain '|' but no
-   spaces; labels may contain spaces and run to end of line. *)
+   spaces; labels may contain spaces and run to end of line. A VP id is
+   in 0..65535. Files written before the generator's ground truth left
+   the router record may carry [truth], [hint] and [hosthint] lines
+   inside a router; the reader skips them. *)
 
 module Coord = Hoiho_geo.Coord
 
@@ -32,21 +32,7 @@ let emit put (ds : Dataset.t) =
       | None -> ());
       List.iter (fun h -> pr "host %s\n" h) r.Router.hostnames;
       Rtts.iter (fun vp rtt -> pr "ping %d %.4f\n" vp rtt) r.Router.ping_rtts;
-      Rtts.iter (fun vp rtt -> pr "trace %d %.4f\n" vp rtt) r.Router.trace_rtts;
-      match r.Router.truth with
-      | None -> ()
-      | Some t ->
-          pr "truth %.6f %.6f %d %s\n" t.Router.coord.Coord.lat
-            t.Router.coord.Coord.lon
-            (if t.Router.stale then 1 else 0)
-            t.Router.city_key;
-          (match t.Router.intended_hint with
-          | Some hint -> pr "hint %s\n" hint
-          | None -> ());
-          List.iter
-            (fun (h, code) ->
-              pr "hosthint %s %s\n" h (Option.value code ~default:"-"))
-            t.Router.hostname_hints)
+      Rtts.iter (fun vp rtt -> pr "trace %d %.4f\n" vp rtt) r.Router.trace_rtts)
     ds.Dataset.routers
 
 let write oc ds = emit (output_string oc) ds
@@ -264,14 +250,11 @@ let coord_fields src =
   let lon = float_field src "longitude" in
   Coord.make ~lat ~lon
 
-(* the router under construction; lists newest first, [truth] without
-   its hostname hints *)
+(* the router under construction; hostnames newest first *)
 type partial = {
   id : int;
   mutable hostnames : string list;
   mutable asn : int option;
-  mutable truth : Router.truth option;
-  mutable hints : (string * string option) list;
 }
 
 let read_source src =
@@ -302,15 +285,9 @@ let read_source src =
     (match !current with
     | None -> ()
     | Some p ->
-        let truth =
-          Option.map
-            (fun t -> { t with Router.hostname_hints = List.rev p.hints })
-            p.truth
-        in
         routers :=
           Router.make p.id ~hostnames:(List.rev p.hostnames) ?asn:p.asn
             ~ping_rtts:(Rtts.contents ping) ~trace_rtts:(Rtts.contents trace)
-            ?truth
           :: !routers;
         Rtts.clear ping;
         Rtts.clear trace);
@@ -318,11 +295,6 @@ let read_source src =
   in
   let router tag =
     match !current with Some p -> p | None -> malformed "%s outside router" tag
-  in
-  let with_truth tag =
-    match !current with
-    | Some ({ truth = Some t; _ } as p) -> (p, t)
-    | _ -> malformed "%s outside truth" tag
   in
   (* an RTT of at most four decimals goes in as its tick count *)
   let sample builder tag =
@@ -339,7 +311,10 @@ let read_source src =
     else match field src with
     | "itdk" -> label := rest src
     | "vp" ->
+        (* the range the 6-byte RTT layout packs; the VP table of a
+           learn is as long as the largest id *)
         let id = int_field src "VP id" in
+        if id land 0xffff <> id then malformed "VP id %d outside 0..65535" id;
         let name = field src in
         let coord = coord_fields src in
         vps := Vp.make ~id ~name ~city_key:(field src) ~coord :: !vps
@@ -350,28 +325,14 @@ let read_source src =
         let id = int_field src "router id" in
         flush ();
         distinct id;
-        current := Some { id; hostnames = []; asn = None; truth = None; hints = [] }
+        current := Some { id; hostnames = []; asn = None }
     | "asn" -> (router "asn").asn <- Some (int_field src "ASN")
     | "host" ->
         let p = router "host" in
         p.hostnames <- field src :: p.hostnames
-    | "truth" ->
-        let p = router "truth" in
-        let coord = coord_fields src in
-        let stale = field src = "1" in
-        p.truth <-
-          Some
-            { Router.city_key = field src; coord; intended_hint = None; stale;
-              hostname_hints = [] };
-        p.hints <- []
-    | "hint" ->
-        let p, t = with_truth "hint" in
-        p.truth <- Some { t with Router.intended_hint = Some (field src) }
-    | "hosthint" ->
-        let p, _ = with_truth "hosthint" in
-        let h = field src in
-        let code = field src in
-        p.hints <- (h, if code = "-" then None else Some code) :: p.hints
+    | ("truth" | "hint" | "hosthint") as tag ->
+        ignore (router tag);
+        ignore (rest src)
     | tag -> malformed "unknown record %s" tag
   in
   let lineno = ref 0 in

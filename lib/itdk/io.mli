@@ -1,7 +1,9 @@
 (** Text serialization of datasets, in the spirit of the ITDK release
     format: a line-oriented, diff-friendly encoding that round-trips
-    everything the learning method consumes (and the generator's ground
-    truth, so experiments can be re-run from a saved file). *)
+    everything the learning method consumes, and only that: a router's
+    record holds what was measured ({!Router}). A file written while the
+    generator's ground truth still rode on the record loads as before,
+    its [truth], [hint] and [hosthint] lines skipped. *)
 
 val to_string : Dataset.t -> string
 
@@ -18,8 +20,9 @@ val read : in_channel -> Dataset.t
     stdlib does.
     Raises [Failure "Itdk.Io.read: line N: ..."] on malformed input: an
     unknown or misplaced record, a missing or extra field, a number that
-    does not parse, a coordinate out of range, a VP id beyond 32 bits,
-    or a router id an earlier router already has
+    does not parse, a coordinate out of range, a [vp] record whose id is
+    outside 0..65535 (the range {!Rtts} packs in 6 bytes), a sample's VP
+    id beyond 32 bits, or a router id an earlier router already has
     (["duplicate router id ID"], at the second one's line). Ids that
     increase cost one comparison per router to check; from the first
     one that does not, every id goes into a table. *)

@@ -1,22 +1,13 @@
-type truth = {
-  city_key : string;
-  coord : Hoiho_geo.Coord.t;
-  intended_hint : string option;
-  stale : bool;
-  hostname_hints : (string * string option) list;
-}
-
 type t = {
   id : int;
   hostnames : string list;
   asn : int option;
   ping_rtts : Rtts.t;
   trace_rtts : Rtts.t;
-  truth : truth option;
 }
 
-let make ?(hostnames = []) ?asn ?(ping_rtts = Rtts.empty) ?(trace_rtts = Rtts.empty) ?truth id =
-  { id; hostnames; asn; ping_rtts; trace_rtts; truth }
+let make ?(hostnames = []) ?asn ?(ping_rtts = Rtts.empty) ?(trace_rtts = Rtts.empty) id =
+  { id; hostnames; asn; ping_rtts; trace_rtts }
 
 let has_hostname t = t.hostnames <> []
 let has_rtt t = not (Rtts.is_empty t.ping_rtts && Rtts.is_empty t.trace_rtts)

@@ -3,21 +3,11 @@
     from vantage points (ping-based, and the sparser traceroute-observed
     RTTs that DRoP-style methods were limited to).
 
-    [truth] carries the generator's ground truth for synthetic datasets.
-    The learning pipeline never reads it; only validation and the
-    experiment harness do — mirroring the paper's use of operator
-    feedback that is unavailable at training time (§4 challenge 2). *)
-
-type truth = {
-  city_key : string;  (** where the router actually is *)
-  coord : Hoiho_geo.Coord.t;
-  intended_hint : string option;
-      (** the geohint string the operator meant to embed, if any *)
-  stale : bool;  (** hostname kept from a previous deployment (§4.3) *)
-  hostname_hints : (string * string option) list;
-      (** per hostname: the geohint code it embeds, [None] when the
-          hostname carries no geohint *)
-}
+    The record holds only what was measured. A synthetic dataset's
+    ground truth stays with its generator ([Hoiho_netsim.Truth], by
+    router id), out of reach of the learning pipeline by the library
+    graph — mirroring the paper's use of operator feedback that is
+    unavailable at training time (§4 challenge 2). *)
 
 type t = {
   id : int;
@@ -30,7 +20,6 @@ type t = {
       (** (vp id, min RTT ms) from followup ping measurements *)
   trace_rtts : Rtts.t;
       (** (vp id, min RTT ms) observed in traceroute only *)
-  truth : truth option;
 }
 
 val make :
@@ -38,7 +27,6 @@ val make :
   ?asn:int ->
   ?ping_rtts:Rtts.t ->
   ?trace_rtts:Rtts.t ->
-  ?truth:truth ->
   int ->
   t
 

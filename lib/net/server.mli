@@ -5,7 +5,12 @@
     Threading model: [jobs] accept domains share one listening socket;
     each accepted connection is served to completion (keep-alive) on
     its accept domain with a per-request read deadline, so a
-    slow-loris client costs at most one domain for one deadline. A
+    slow-loris client costs at most one domain for one deadline. So
+    does an idle keep-alive client: it holds its domain until the
+    deadline, and [jobs] of them leave none to accept a new client,
+    which then waits about one deadline for its first answer (4.8–5.2 s
+    behind one idle client at [jobs = 1], tiny model, 2-vCPU host).
+    ROADMAP's readiness-loop item lifts this limit. A
     batcher domain ({!Batcher}) coalesces concurrent lookups into
     {!Hoiho_serve.Serve.apply_batch} calls, and a housekeeping domain
     applies reload requests off the serving path.

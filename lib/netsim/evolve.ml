@@ -24,46 +24,33 @@ let default ~seed =
 
 (* replace a router's hostnames with a fresh rendering under [op]'s
    (possibly migrated) convention, keeping its RTT observations — the
-   router did not move, only its names changed *)
-let rerender rng (op : Oper.t) (site : Oper.site) (r : Router.t) =
+   router did not move, only its names changed, and its answer key with
+   them *)
+let rerender rng (op : Oper.t) (site : Oper.site) ((r : Router.t), (t : Truth.router)) =
   let named = Generate.router_hostnames rng op site in
   let hostnames = List.map (fun (h, _, _) -> h) named in
   let stale = List.exists (fun (_, _, st) -> st) named in
   let hostname_hints = List.map (fun (h, hint, _) -> (h, hint)) named in
-  let truth =
-    match r.Router.truth with
-    | Some t -> { t with Router.stale; hostname_hints }
-    | None ->
-        {
-          Router.city_key = City.key site.Oper.city;
-          coord = site.Oper.city.City.coord;
-          intended_hint =
-            (if site.Oper.code = "" then None else Some site.Oper.code);
-          stale;
-          hostname_hints;
-        }
-  in
-  { r with Router.hostnames; truth = Some truth }
+  ({ r with Router.hostnames }, Some { t with Truth.stale; hostname_hints })
 
 (* which operator and site a named router belongs to, via the suffix of
    its first hostname and its ground-truth city. Customer routers named
    under the provider's suffix resolve to the provider's site. *)
-let resolve truth (r : Router.t) =
-  match (r.Router.truth, r.Router.hostnames) with
-  | Some t, h :: _ -> (
+let resolve op_of (r : Router.t) answer =
+  match (answer, r.Router.hostnames) with
+  | Some (t : Truth.router), h :: _ -> (
       match Hoiho_psl.Psl.registered_suffix h with
       | None -> None
       | Some suffix -> (
-          match Truth.find truth suffix with
+          match Hashtbl.find_opt op_of suffix with
           | None -> None
           | Some op -> (
               match
                 List.find_opt
-                  (fun (s : Oper.site) ->
-                    City.key s.Oper.city = t.Router.city_key)
+                  (fun (s : Oper.site) -> City.key s.Oper.city = t.Truth.city_key)
                   op.Oper.sites
               with
-              | Some site -> Some (op, site)
+              | Some site -> Some (op, site, t)
               | None -> None)))
   | _ -> None
 
@@ -86,32 +73,31 @@ let epoch config (ds, truth) =
         else op)
       (Truth.ops truth)
   in
-  let truth' = Truth.make ~db ops in
+  let op_of = Hashtbl.create (List.length ops) in
+  List.iter (fun (op : Oper.t) -> Hashtbl.replace op_of op.Oper.suffix op) ops;
   let removed = Hashtbl.create 16 in
+  (* each router of the next epoch with its answer key, read from
+     [truth] and never written into it *)
   let survivors =
     List.filter_map
       (fun (r : Router.t) ->
-        match resolve truth' r with
-        | None -> Some r (* unnamed or unresolvable: carried over as-is *)
-        | Some (op, site) ->
+        let answer = Truth.router truth r.Router.id in
+        match resolve op_of r answer with
+        | None -> Some (r, answer) (* unnamed or unresolvable: carried over as-is *)
+        | Some (op, site, t) ->
             if Prng.float host_rng 1.0 < config.p_remove then begin
               Hashtbl.replace removed r.Router.id ();
               None
             end
             else if Hashtbl.mem migrated op.Oper.suffix then
-              Some (rerender host_rng op site r)
-            else if
-              (match r.Router.truth with
-              | Some t -> t.Router.stale
-              | None -> false)
-              && Prng.float host_rng 1.0 < config.p_decay
-            then
+              Some (rerender host_rng op site (r, t))
+            else if t.Truth.stale && Prng.float host_rng 1.0 < config.p_decay then
               (* stale-name decay: the leftover name from a previous
                  deployment finally gets corrected *)
-              Some (rerender host_rng { op with Oper.p_stale = 0.0 } site r)
+              Some (rerender host_rng { op with Oper.p_stale = 0.0 } site (r, t))
             else if Prng.float host_rng 1.0 < config.p_renumber then
-              Some (rerender host_rng op site r)
-            else Some r)
+              Some (rerender host_rng op site (r, t))
+            else Some (r, answer))
       (Array.to_list ds.Dataset.routers)
   in
   (* site growth: new routers appended at the end of the corpus with
@@ -131,13 +117,15 @@ let epoch config (ds, truth) =
             if Prng.float add_rng 1.0 < config.p_add then begin
               let id = !next_id in
               incr next_id;
-              Some (Generate.fresh_router add_rng ds.Dataset.vps ~id op site)
+              let r, t = Generate.fresh_router add_rng ds.Dataset.vps ~id op site in
+              Some (r, Some t)
             end
             else None)
           op.Oper.sites)
       ops
   in
-  let routers = Array.of_list (survivors @ additions) in
+  let next = survivors @ additions in
+  let routers = Array.of_list (List.map fst next) in
   let links =
     Array.of_list
       (List.filter
@@ -146,4 +134,7 @@ let epoch config (ds, truth) =
          (Array.to_list ds.Dataset.links))
   in
   ( Dataset.make ~links ~label:ds.Dataset.label ~routers ~vps:ds.Dataset.vps (),
-    truth' )
+    Truth.make ~db ops
+      (List.filter_map
+         (fun ((r : Router.t), t) -> Option.map (fun t -> (r.Router.id, t)) t)
+         next) )

@@ -35,6 +35,10 @@ val epoch :
   Hoiho_itdk.Dataset.t * Truth.t ->
   Hoiho_itdk.Dataset.t * Truth.t
 (** One epoch of drift. Deterministic in [config.seed] and the input.
-    Unnamed (and otherwise unresolvable) routers carry over untouched;
-    the returned {!Truth.t} reflects migrated conventions against the
-    same dictionary. *)
+    A router is resolved to its operator and site through its answer
+    key in the given {!Truth.t}; unnamed (and otherwise unresolvable)
+    routers carry over untouched. The returned {!Truth.t} is new: it
+    reflects migrated conventions against the same dictionary and holds
+    the answer key of every router of the new corpus. The given one is
+    left as it was, so the corpus may as well be one loaded from disk,
+    which carries no truth. *)

@@ -194,17 +194,17 @@ let fresh_router rng vps ~id (op : Oper.t) (site : Oper.site) =
   let responsive = Prng.float rng 1.0 < op.Oper.p_responsive in
   let truth =
     {
-      Router.city_key = City.key city;
+      Truth.city_key = City.key city;
       coord = loc;
       intended_hint = (if site.Oper.code = "" then None else Some site.Oper.code);
       stale;
       hostname_hints;
     }
   in
-  Router.make id ~hostnames ~asn
-    ~ping_rtts:(ping_rtts rng vps ~loc ~responsive)
-    ~trace_rtts:(trace_rtts rng vps ~loc)
-    ~truth
+  ( Router.make id ~hostnames ~asn
+      ~ping_rtts:(ping_rtts rng vps ~loc ~responsive)
+      ~trace_rtts:(trace_rtts rng vps ~loc),
+    truth )
 
 let routers_of_operator rng vps next_id (op : Oper.t) =
   let site_router_lists =
@@ -222,13 +222,13 @@ let routers_of_operator rng vps next_id (op : Oper.t) =
   List.iter
     (fun site_routers ->
       List.iteri
-        (fun i (r : Router.t) ->
+        (fun i ((r : Router.t), _) ->
           if i > 0 then
-            links := ((List.nth site_routers (i - 1)).Router.id, r.Router.id) :: !links)
+            links := ((fst (List.nth site_routers (i - 1))).Router.id, r.Router.id) :: !links)
         site_routers)
     site_router_lists;
   let rec backbone = function
-    | ({ Router.id = a; _ } :: _) :: (({ Router.id = b; _ } :: _) as next) :: rest ->
+    | (({ Router.id = a; _ }, _) :: _) :: ((({ Router.id = b; _ }, _) :: _) as next) :: rest ->
         links := (a, b) :: !links;
         backbone (next :: rest)
     | _ :: rest -> backbone rest
@@ -247,17 +247,17 @@ let unnamed_routers rng db vps next_id n p_responsive =
       let responsive = Prng.float rng 1.0 < p_responsive in
       let truth =
         {
-          Router.city_key = City.key city;
+          Truth.city_key = City.key city;
           coord = loc;
           intended_hint = None;
           stale = false;
           hostname_hints = [];
         }
       in
-      Router.make id
-        ~ping_rtts:(ping_rtts rng vps ~loc ~responsive)
-        ~trace_rtts:(trace_rtts rng vps ~loc)
-        ~truth)
+      ( Router.make id
+          ~ping_rtts:(ping_rtts rng vps ~loc ~responsive)
+          ~trace_rtts:(trace_rtts rng vps ~loc),
+        truth ))
 
 (* a VP whose access router spoofs responses: RTTs of 1-2 ms no matter
    how far the probed router is (§5.1.4) *)
@@ -305,7 +305,8 @@ let generate config =
   let unnamed =
     unnamed_routers router_rng db vps next_id n_unnamed config.p_responsive_unnamed
   in
-  let routers = Array.of_list (named @ unnamed) in
+  let with_truth = named @ unnamed in
+  let routers = Array.of_list (List.map fst with_truth) in
   let routers =
     if config.n_spoofing_vps = 0 then routers
     else begin
@@ -322,4 +323,4 @@ let generate config =
     end
   in
   ( Dataset.make ~label:config.label ~links:(Array.of_list links) ~routers ~vps (),
-    Truth.make ~db ops )
+    Truth.make ~db ops (List.map (fun ((r : Router.t), t) -> (r.Router.id, t)) with_truth) )

@@ -37,7 +37,8 @@ type config = {
 
 val generate : config -> Hoiho_itdk.Dataset.t * Truth.t
 (** Deterministic in [config.seed]. The returned {!Truth.t} carries the
-    (possibly town-expanded) dictionary; run the pipeline with
+    answer key of every router and the (possibly town-expanded)
+    dictionary; run the pipeline with
     [Pipeline.run ~db:(Truth.db truth)] so it can interpret hints for
     synthetic towns. *)
 
@@ -58,7 +59,7 @@ val fresh_router :
   id:int ->
   Oper.t ->
   Oper.site ->
-  Hoiho_itdk.Router.t
-(** A complete new router at a site: hostnames, RTT observations from
-    every VP, and ground truth. Exposed for {!Evolve} (site growth
-    between epochs). *)
+  Hoiho_itdk.Router.t * Truth.router
+(** A complete new router at a site: hostnames and RTT observations
+    from every VP, with its answer key. Exposed for {!Evolve} (site
+    growth between epochs). *)

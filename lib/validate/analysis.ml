@@ -12,6 +12,7 @@ module Ncsel = Hoiho.Ncsel
 module Evalx = Hoiho.Evalx
 module Learned = Hoiho.Learned
 module Cand = Hoiho.Cand
+module Truth = Hoiho_netsim.Truth
 
 (* --- tables 1 and 2 --- *)
 
@@ -344,15 +345,15 @@ let cai_feasibility (p : Pipeline.t) ~suffixes =
 
 (* --- stale-hostname detection --- *)
 
-let hostname_is_stale (r : Router.t) hostname =
-  match r.Router.truth with
+let hostname_is_stale truth (r : Router.t) hostname =
+  match Truth.router truth r.Router.id with
   | None -> false
   | Some t -> (
-      match List.assoc_opt hostname t.Router.hostname_hints with
-      | Some (Some code) -> t.Router.intended_hint <> Some code
+      match List.assoc_opt hostname t.Truth.hostname_hints with
+      | Some (Some code) -> t.Truth.intended_hint <> Some code
       | _ -> false)
 
-let stale_accuracy (p : Pipeline.t) =
+let stale_accuracy (p : Pipeline.t) truth =
   List.fold_left
     (fun (acc : Hoiho.Stale.accuracy) (r : Pipeline.suffix_result) ->
       match r.Pipeline.nc with
@@ -362,14 +363,14 @@ let stale_accuracy (p : Pipeline.t) =
             List.length
               (List.filter
                  (fun (f : Hoiho.Stale.flag) ->
-                   hostname_is_stale f.Hoiho.Stale.router f.Hoiho.Stale.hostname)
+                   hostname_is_stale truth f.Hoiho.Stale.router f.Hoiho.Stale.hostname)
                  flags)
           in
           let actual =
             List.length
               (List.filter
                  (fun (h : Evalx.hit) ->
-                   hostname_is_stale h.Evalx.sample.Hoiho.Apparent.router
+                   hostname_is_stale truth h.Evalx.sample.Hoiho.Apparent.router
                      h.Evalx.sample.Hoiho.Apparent.hostname)
                  nc.Ncsel.hits)
           in
@@ -389,11 +390,11 @@ type ablation = {
   without_learning : Validate.scores;
 }
 
-let score_pipeline (p : Pipeline.t) ~suffixes =
+let score_pipeline (p : Pipeline.t) truth ~suffixes =
   let scores =
     List.map
       (fun suffix ->
-        let gts = Validate.ground_truth_hostnames p.Pipeline.dataset ~suffix in
+        let gts = Validate.ground_truth_hostnames p.Pipeline.dataset truth ~suffix in
         Validate.score
           (fun (gt : Validate.gt_hostname) -> Pipeline.geolocate p gt.Validate.hostname)
           gts)
@@ -409,10 +410,11 @@ let score_pipeline (p : Pipeline.t) ~suffixes =
     { Validate.tp = 0; fp = 0; fn = 0 }
     scores
 
-let ablation ?db ds ~suffixes =
-  let with_l = Pipeline.run ?db ds in
-  let without_l = Pipeline.run ?db ~learn_geohints:false ds in
+let ablation ds truth ~suffixes =
+  let db = Truth.db truth in
+  let with_l = Pipeline.run ~db ds in
+  let without_l = Pipeline.run ~db ~learn_geohints:false ds in
   {
-    with_learning = score_pipeline with_l ~suffixes;
-    without_learning = score_pipeline without_l ~suffixes;
+    with_learning = score_pipeline with_l truth ~suffixes;
+    without_learning = score_pipeline without_l truth ~suffixes;
   }

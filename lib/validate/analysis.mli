@@ -100,7 +100,7 @@ val cai_feasibility : Hoiho.Pipeline.t -> suffixes:string list -> feasibility
 
 (** {1 Stale-hostname detection (§7)} *)
 
-val stale_accuracy : Hoiho.Pipeline.t -> Hoiho.Stale.accuracy
+val stale_accuracy : Hoiho.Pipeline.t -> Hoiho_netsim.Truth.t -> Hoiho.Stale.accuracy
 (** Run {!Hoiho.Stale.detect} over every usable NC and score the flags
     against generator ground truth. *)
 
@@ -112,9 +112,10 @@ type ablation = {
 }
 
 val ablation :
-  ?db:Hoiho_geodb.Db.t ->
   Hoiho_itdk.Dataset.t ->
+  Hoiho_netsim.Truth.t ->
   suffixes:string list ->
   ablation
-(** Run the pipeline twice — stage 4 enabled and disabled — and score
-    both against ground truth over the given suffixes. *)
+(** Run the pipeline twice — stage 4 enabled and disabled, both with
+    the truth's dictionary — and score both against ground truth over
+    the given suffixes. *)

@@ -70,12 +70,12 @@ let of_samples ?answered samples =
     buckets;
   }
 
-let of_pipeline (pipeline : Hoiho.Pipeline.t) ~suffixes =
+let of_pipeline (pipeline : Hoiho.Pipeline.t) truth ~suffixes =
   let answered = ref 0 in
   let samples =
     List.concat_map
       (fun suffix ->
-        Validate.ground_truth_hostnames pipeline.Hoiho.Pipeline.dataset ~suffix
+        Validate.ground_truth_hostnames pipeline.Hoiho.Pipeline.dataset truth ~suffix
         |> List.map (fun (gt : Validate.gt_hostname) ->
                match Hoiho.Pipeline.geolocate_conf pipeline gt.Validate.hostname with
                | Some city, confidence ->

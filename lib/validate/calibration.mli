@@ -45,7 +45,7 @@ val of_samples : ?answered:int -> sample list -> report
     pass the real count when the list mixes answers and abstentions. *)
 
 val of_pipeline :
-  Hoiho.Pipeline.t -> suffixes:string list -> report
+  Hoiho.Pipeline.t -> Hoiho_netsim.Truth.t -> suffixes:string list -> report
 (** The end-to-end harness: every ground-truth hostname of [suffixes]
     is scored with {!Hoiho.Pipeline.geolocate_conf}; answers become
     (confidence, within-40km) samples, abstentions (0.0, false). *)

@@ -27,19 +27,19 @@ type gt_hostname = {
   code : string;
 }
 
-let ground_truth_hostnames dataset ~suffix =
+let ground_truth_hostnames dataset truth ~suffix =
   Array.to_list dataset.Dataset.routers
   |> List.concat_map (fun (r : Router.t) ->
-         match r.Router.truth with
+         match Truth.router truth r.Router.id with
          | None -> []
-         | Some truth ->
+         | Some t ->
              List.filter_map
                (fun (hostname, hint) ->
                  match hint with
                  | Some code when Psl.registered_suffix hostname = Some suffix ->
-                     Some { hostname; router = r; true_coord = truth.Router.coord; code }
+                     Some { hostname; router = r; true_coord = t.Truth.coord; code }
                  | _ -> None)
-               truth.Router.hostname_hints)
+               t.Truth.hostname_hints)
 
 let score infer gts =
   List.fold_left
@@ -93,7 +93,7 @@ let compare_methods (pipeline : Hoiho.Pipeline.t) truth ~suffixes =
   in
   List.map
     (fun suffix ->
-      let gts = ground_truth_hostnames dataset ~suffix in
+      let gts = ground_truth_hostnames dataset truth ~suffix in
       {
         suffix;
         n = List.length gts;

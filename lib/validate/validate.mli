@@ -24,9 +24,10 @@ type gt_hostname = {
 }
 
 val ground_truth_hostnames :
-  Hoiho_itdk.Dataset.t -> suffix:string -> gt_hostname list
+  Hoiho_itdk.Dataset.t -> Hoiho_netsim.Truth.t -> suffix:string -> gt_hostname list
 (** Hostnames of a suffix that are known (from generator truth — the
-    stand-in for operator feedback) to contain a geohint. *)
+    stand-in for operator feedback) to contain a geohint, in corpus
+    order: the dataset's routers are looked up in the truth by id. *)
 
 val score :
   (gt_hostname -> Hoiho_geodb.City.t option) -> gt_hostname list -> scores

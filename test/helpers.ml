@@ -45,14 +45,6 @@ let router ~id ~at ~vps ?(hostnames = []) () =
     List.map (fun (v : Vp.t) -> (v.Vp.id, rtt_from v at.City.coord)) vps
   in
   Router.make id ~hostnames ~ping_rtts:(Hoiho_itdk.Rtts.of_list ping_rtts)
-    ~truth:
-      {
-        Router.city_key = City.key at;
-        coord = at.City.coord;
-        intended_hint = None;
-        stale = false;
-        hostname_hints = List.map (fun h -> (h, None)) hostnames;
-      }
 
 let dataset ?(label = "test") ?(links = []) routers vps =
   Dataset.make ~label

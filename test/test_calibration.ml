@@ -109,7 +109,7 @@ let test_pipeline_gate () =
   in
   let p = Pipeline.run ~db:(Truth.db truth) ds in
   let report =
-    Calibration.of_pipeline p ~suffixes:(Truth.geo_suffixes truth)
+    Calibration.of_pipeline p truth ~suffixes:(Truth.geo_suffixes truth)
   in
   Alcotest.(check bool) "ground truth is nontrivial" true
     (report.Calibration.total > 500);

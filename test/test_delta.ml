@@ -336,11 +336,10 @@ let test_links_follow_leavers () =
   Alcotest.(check (list (pair int int))) "a router left: its links go, the rest stay" rest
     (Array.to_list ds'.Dataset.links)
 
-(* A loaded router's RTTs are in the reader's 6-byte layout; the same
-   samples decoded from an event stream must build the same value, or
-   the no-op test ([old <> r]) would see a change and dirty its
-   suffixes. *)
-let test_loaded_rtts_over_the_wire () =
+(* A loaded router sent back through the wire as [event] of itself is
+   a structural no-op: nothing turns dirty and the corpus comes back as
+   it went in. *)
+let check_wire_noop event =
   let ds, _, _ = Lazy.force fixture in
   let loaded = Hoiho_itdk.Io.of_string (Hoiho_itdk.Io.to_string ds) in
   let r =
@@ -348,17 +347,27 @@ let test_loaded_rtts_over_the_wire () =
     |> List.find (fun (r : Router.t) ->
            r.Router.hostnames <> [] && not (Hoiho_itdk.Rtts.is_empty r.Router.ping_rtts))
   in
-  let wire =
-    Delta.events_to_string
-      [ Delta.Set_rtts
-          { router = r.Router.id; ping = r.Router.ping_rtts; trace = r.Router.trace_rtts } ]
-  in
   let events =
-    match Delta.events_of_string wire with Ok e -> e | Error msg -> Alcotest.fail msg
+    match Delta.events_of_string (Delta.events_to_string [ event r ]) with
+    | Ok e -> e
+    | Error msg -> Alcotest.fail msg
   in
   let ds', dirty = apply_ok loaded events in
   Alcotest.(check (list string)) "nothing dirty" [] dirty;
   Alcotest.(check bool) "input returned" true (ds' == loaded)
+
+(* A loaded router's RTTs are in the reader's 6-byte layout; the same
+   samples decoded from an event stream must build the same value, or
+   the no-op test ([old <> r]) would see a change and dirty its
+   suffixes. *)
+let test_loaded_rtts_over_the_wire () =
+  check_wire_noop (fun (r : Router.t) ->
+      Delta.Set_rtts
+        { router = r.Router.id; ping = r.Router.ping_rtts; trace = r.Router.trace_rtts })
+
+(* The router record is everything an upsert carries, so a loaded
+   router re-sent whole and unchanged dirties nothing either. *)
+let test_unchanged_upsert_over_the_wire () = check_wire_noop (fun r -> Delta.Upsert r)
 
 let test_unknown_router () =
   let ds, routers, _ = Helpers.iata_fixture () in
@@ -632,8 +641,7 @@ let test_serve_negative_cache_invalidation () =
       (fun (r : Router.t) ->
         Delta.Upsert
           (Router.make (r.Router.id + 1000) ~hostnames:r.Router.hostnames
-             ~ping_rtts:r.Router.ping_rtts ~trace_rtts:r.Router.trace_rtts
-             ?truth:r.Router.truth))
+             ~ping_rtts:r.Router.ping_rtts ~trace_rtts:r.Router.trace_rtts))
       new_routers
   in
   let p1 = Pipeline.run ~jobs:1 ds1 in
@@ -677,6 +685,8 @@ let suites =
         Helpers.tc "links follow the routers that left" test_links_follow_leavers;
         Helpers.tc "a loaded router's own rtts over the wire are a no-op"
           test_loaded_rtts_over_the_wire;
+        Helpers.tc "an unchanged upsert over the wire is a no-op"
+          test_unchanged_upsert_over_the_wire;
         Helpers.tc "unknown router is a typed error" test_unknown_router;
         Helpers.tc "corpus order is preserved" test_corpus_order_preserved;
         Helpers.tc "events_between round-trips" test_events_between_roundtrip;

@@ -254,22 +254,11 @@ let test_drift_events () =
         | Error msg -> Alcotest.failf "pinned drift events do not decode: %s" msg
       in
       Alcotest.(check bool) "drift is non-trivial" true (List.length events >= 10);
-      (* the wire is lossy in ground truth only (Delta doc): compare the
-         observable projection *)
-      let observable ds =
-        {
-          ds with
-          Dataset.routers =
-            Array.map
-              (fun (r : Router.t) -> { r with Router.truth = None })
-              ds.Dataset.routers;
-        }
-      in
       (match Delta.apply ds1 events with
       | Ok (replayed, dirty) ->
           Alcotest.(check bool)
-            "replaying the pinned events reproduces epoch 2 observables" true
-            (observable replayed = observable ds2);
+            "replaying the pinned events reproduces epoch 2" true
+            (replayed = ds2);
           Alcotest.(check bool) "drift dirties some suffixes" true (dirty <> [])
       | Error e ->
           Alcotest.failf "pinned drift events do not apply: %s"
@@ -325,7 +314,7 @@ let test_drift_calibration () =
   let _, ds2, truth2 = Lazy.force drift_fixture in
   let p2 = Pipeline.run ~db:(Truth.db truth2) ds2 in
   let report =
-    Calibration.of_pipeline p2 ~suffixes:(Truth.geo_suffixes truth2)
+    Calibration.of_pipeline p2 truth2 ~suffixes:(Truth.geo_suffixes truth2)
   in
   let rendered = Calibration.render_text report in
   match golden_dest "calibration_drift.txt" with

@@ -162,16 +162,23 @@ let test_multikind_operator () =
 
 let tiny () = Generate.generate (Presets.tiny ())
 
+(* the answer key of every router, in corpus order: a saved corpus
+   carries none, so the determinism checks compare it apart *)
+let answers ((ds : Dataset.t), truth) =
+  Array.map (fun (r : Router.t) -> Truth.router truth r.Router.id) ds.Dataset.routers
+
 let test_generation_deterministic () =
-  let ds1, _ = tiny () and ds2, _ = tiny () in
-  Alcotest.(check string) "same output" (Hoiho_itdk.Io.to_string ds1)
-    (Hoiho_itdk.Io.to_string ds2)
+  let g1 = tiny () and g2 = tiny () in
+  Alcotest.(check string) "same output" (Hoiho_itdk.Io.to_string (fst g1))
+    (Hoiho_itdk.Io.to_string (fst g2));
+  Alcotest.(check bool) "same answer key" true (answers g1 = answers g2)
 
 let test_seed_changes_output () =
-  let ds1, _ = Generate.generate (Presets.tiny ~seed:1 ()) in
-  let ds2, _ = Generate.generate (Presets.tiny ~seed:2 ()) in
+  let g1 = Generate.generate (Presets.tiny ~seed:1 ()) in
+  let g2 = Generate.generate (Presets.tiny ~seed:2 ()) in
   Alcotest.(check bool) "different" false
-    (Hoiho_itdk.Io.to_string ds1 = Hoiho_itdk.Io.to_string ds2)
+    (Hoiho_itdk.Io.to_string (fst g1) = Hoiho_itdk.Io.to_string (fst g2));
+  Alcotest.(check bool) "different answer keys" false (answers g1 = answers g2)
 
 let test_vps_distinct_cities () =
   let ds, _ = tiny () in
@@ -181,19 +188,19 @@ let test_vps_distinct_cities () =
 
 (* THE soundness invariant: every simulated RTT admits the true location *)
 let test_rtt_soundness () =
-  let ds, _ = tiny () in
+  let ds, truth = tiny () in
   let vp id = Array.find_opt (fun (v : Vp.t) -> v.Vp.id = id) ds.Dataset.vps in
   Array.iter
     (fun (r : Router.t) ->
-      match r.Router.truth with
-      | None -> ()
+      match Truth.router truth r.Router.id with
+      | None -> Alcotest.failf "router %d has no answer key" r.Router.id
       | Some t ->
           List.iter
             (fun (vp_id, rtt) ->
               match vp vp_id with
               | Some v ->
                   Alcotest.(check bool) "ping sound" true
-                    (rtt +. 1e-6 >= Lightrtt.min_rtt_ms v.Vp.coord t.Router.coord)
+                    (rtt +. 1e-6 >= Lightrtt.min_rtt_ms v.Vp.coord t.Truth.coord)
               | None -> Alcotest.fail "dangling vp id")
             (Rtts.to_list r.Router.ping_rtts @ Rtts.to_list r.Router.trace_rtts))
     ds.Dataset.routers
@@ -239,19 +246,19 @@ let test_truth_lookup () =
   Alcotest.(check bool) "geo suffixes nonempty" true (Truth.geo_suffixes truth <> [])
 
 let test_hostname_hints_recorded () =
-  let ds, _ = tiny () in
+  let ds, truth = tiny () in
   let some_hint = ref false in
   Array.iter
     (fun (r : Router.t) ->
-      match r.Router.truth with
+      match Truth.router truth r.Router.id with
       | Some t ->
           List.iter
             (fun (h, hint) ->
               Alcotest.(check bool) "hint hostname listed" true
                 (List.mem h r.Router.hostnames);
               if hint <> None then some_hint := true)
-            t.Router.hostname_hints
-      | None -> ())
+            t.Truth.hostname_hints
+      | None -> Alcotest.failf "router %d has no answer key" r.Router.id)
     ds.Dataset.routers;
   Alcotest.(check bool) "at least one embedded hint" true !some_hint
 

@@ -260,26 +260,33 @@ let small_config seed =
   }
 
 let prop_rtt_soundness seed =
-  let ds, _ = Hoiho_netsim.Generate.generate (small_config seed) in
+  let ds, truth = Hoiho_netsim.Generate.generate (small_config seed) in
   let vp id = Hoiho_itdk.Dataset.vp ds id in
   Array.for_all
     (fun (r : Hoiho_itdk.Router.t) ->
-      match r.Hoiho_itdk.Router.truth with
-      | None -> true
+      match Hoiho_netsim.Truth.router truth r.Hoiho_itdk.Router.id with
+      | None -> false
       | Some t ->
           List.for_all
             (fun (vp_id, rtt) ->
               rtt +. 1e-6
               >= Lightrtt.min_rtt_ms (vp vp_id).Hoiho_itdk.Vp.coord
-                   t.Hoiho_itdk.Router.coord)
+                   t.Hoiho_netsim.Truth.coord)
             (Hoiho_itdk.Rtts.to_list r.Hoiho_itdk.Router.ping_rtts
              @ Hoiho_itdk.Rtts.to_list r.Hoiho_itdk.Router.trace_rtts))
     ds.Hoiho_itdk.Dataset.routers
 
+(* the text carries no truth, so a loaded corpus must still find the
+   answer key of each of its routers by id *)
 let prop_io_roundtrip seed =
-  let ds, _ = Hoiho_netsim.Generate.generate (small_config seed) in
+  let ds, truth = Hoiho_netsim.Generate.generate (small_config seed) in
   let text = Hoiho_itdk.Io.to_string ds in
-  Hoiho_itdk.Io.to_string (Hoiho_itdk.Io.of_string text) = text
+  let loaded = Hoiho_itdk.Io.of_string text in
+  Hoiho_itdk.Io.to_string loaded = text
+  && Array.for_all
+       (fun (r : Hoiho_itdk.Router.t) ->
+         Hoiho_netsim.Truth.router truth r.Hoiho_itdk.Router.id <> None)
+       loaded.Hoiho_itdk.Dataset.routers
 
 (* --- packed RTT samples --- *)
 

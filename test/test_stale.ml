@@ -93,7 +93,7 @@ let test_end_to_end_precision () =
      hostnames *)
   let ds, truth = Hoiho_netsim.Generate.generate (Hoiho_netsim.Presets.tiny ()) in
   let p = Pipeline.run ~db:(Hoiho_netsim.Truth.db truth) ds in
-  let a = Hoiho_validate.Analysis.stale_accuracy p in
+  let a = Hoiho_validate.Analysis.stale_accuracy p truth in
   Alcotest.(check bool) "some flags" true (a.Stale.flagged > 0);
   Alcotest.(check bool) "precision >= 0.8" true (Stale.precision a >= 0.8)
 

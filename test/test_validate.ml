@@ -30,8 +30,8 @@ let test_correct_threshold () =
     (Validate.correct lon fra.City.coord)
 
 let test_ground_truth_hostnames () =
-  let ds, _, _ = Lazy.force shared in
-  let gts = Validate.ground_truth_hostnames ds ~suffix:"he.net" in
+  let ds, truth, _ = Lazy.force shared in
+  let gts = Validate.ground_truth_hostnames ds truth ~suffix:"he.net" in
   Alcotest.(check bool) "nonempty" true (gts <> []);
   List.iter
     (fun (gt : Validate.gt_hostname) ->
@@ -154,8 +154,8 @@ let test_table5 () =
     rows
 
 let test_ablation_shape () =
-  let ds, _, _ = Lazy.force shared in
-  let a = Analysis.ablation ds ~suffixes:Hoiho_netsim.Oper.validation_suffixes in
+  let ds, truth, _ = Lazy.force shared in
+  let a = Analysis.ablation ds truth ~suffixes:Hoiho_netsim.Oper.validation_suffixes in
   (* learning geohints must improve correct geolocations (§6.1: 94.0% vs 82.4%) *)
   Alcotest.(check bool) "learning helps" true
     (a.Analysis.with_learning.Validate.tp > a.Analysis.without_learning.Validate.tp)

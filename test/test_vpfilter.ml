@@ -30,12 +30,12 @@ let test_compatibility_scores_separate () =
     (spoofer < 0.75 && honest > 0.9 && spoofer < honest -. 0.2)
 
 let test_strip_restores_soundness () =
-  let ds, _ = Generate.generate (spoofed_config 3) in
+  let ds, truth = Generate.generate (spoofed_config 3) in
   let cleaned = Vpfilter.strip ds (Vpfilter.detect ds) in
   (* after stripping, every remaining RTT admits the true location *)
   Array.iter
     (fun (r : Router.t) ->
-      match r.Router.truth with
+      match Hoiho_netsim.Truth.router truth r.Router.id with
       | None -> ()
       | Some t ->
           Hoiho_itdk.Rtts.iter
@@ -43,7 +43,7 @@ let test_strip_restores_soundness () =
               let vp = Hoiho_itdk.Dataset.vp cleaned vp_id in
               Alcotest.(check bool) "sound after strip" true
                 (rtt +. 1e-6
-                >= Lightrtt.min_rtt_ms vp.Hoiho_itdk.Vp.coord t.Router.coord))
+                >= Lightrtt.min_rtt_ms vp.Hoiho_itdk.Vp.coord t.Hoiho_netsim.Truth.coord))
             r.Router.ping_rtts)
     cleaned.Hoiho_itdk.Dataset.routers
 
@@ -55,7 +55,7 @@ let test_filtering_recovers_accuracy () =
   let score dataset =
     let p = Hoiho.Pipeline.run ~db dataset in
     let gts =
-      Hoiho_validate.Validate.ground_truth_hostnames dataset ~suffix:"gtt.net"
+      Hoiho_validate.Validate.ground_truth_hostnames dataset truth ~suffix:"gtt.net"
     in
     let s =
       Hoiho_validate.Validate.score
