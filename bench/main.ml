@@ -386,10 +386,8 @@ let ablation () =
 
 let cai () =
   Report.section "Cai 2015: fraction of inferred locations outside CBG bounds";
-  let _, truth, p = run_for aug20 in
-  (* evaluate across every geohint-embedding suffix, as Cai probed
-     DRoP's full published dataset *)
-  let f = Analysis.cai_feasibility p ~suffixes:(Truth.geo_suffixes truth) in
+  let _, _, p = run_for aug20 in
+  let f = Analysis.cai_feasibility p in
   Report.paper_vs "DRoP locations outside feasible region" "46%"
     (Printf.sprintf "%.1f%% (of %d)" (100.0 *. f.Analysis.drop_infeasible) f.Analysis.n_drop);
   Report.paper_vs "Hoiho locations outside feasible region" "(small)"
@@ -722,56 +720,13 @@ let perf () =
       |> List.concat_map (fun (r : Router.t) -> r.Router.hostnames))
   in
   let module Server = Hoiho_net.Server in
+  let module Http = Hoiho_net.Http in
   let serve_rps ~jobs mutate =
     let cfg = mutate { Server.default_config with Server.jobs } in
     let server = Server.start ~config:cfg model in
     let port = Server.port server in
     let per_client = if !quick then 200 else 1000 in
     let nh = Array.length hosts in
-    let write_all fd s =
-      let n = String.length s in
-      let rec go off =
-        if off < n then
-          match Unix.write_substring fd s off (n - off) with
-          | w -> go (off + w)
-          | exception Unix.Unix_error (EINTR, _, _) -> go off
-      in
-      go 0
-    in
-    let find_crlfcrlf s =
-      let n = String.length s in
-      let rec go i =
-        if i + 3 >= n then None
-        else if
-          s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-        then Some i
-        else go (i + 1)
-      in
-      go 0
-    in
-    let content_length head =
-      let low = String.lowercase_ascii head in
-      let key = "content-length:" in
-      let rec find i =
-        if i + String.length key > String.length low then
-          failwith "serve bench: response without content-length"
-        else if String.sub low i (String.length key) = key then begin
-          let rest =
-            String.sub low
-              (i + String.length key)
-              (String.length low - i - String.length key)
-          in
-          let line =
-            match String.index_opt rest '\r' with
-            | Some e -> String.sub rest 0 e
-            | None -> rest
-          in
-          int_of_string (String.trim line)
-        end
-        else find (i + 1)
-      in
-      find 0
-    in
     let t0 = Obs.now_ms () in
     let clients =
       List.init jobs (fun cid ->
@@ -780,37 +735,15 @@ let perf () =
               Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
               (try Unix.setsockopt fd Unix.TCP_NODELAY true
                with Unix.Unix_error _ -> ());
-              let pending = ref "" in
-              let rbuf = Bytes.create 8192 in
-              let fill () =
-                match Unix.read fd rbuf 0 (Bytes.length rbuf) with
-                | 0 -> failwith "serve bench: server closed the connection"
-                | n -> pending := !pending ^ Bytes.sub_string rbuf 0 n
-                | exception Unix.Unix_error (EINTR, _, _) -> ()
-              in
-              let read_response () =
-                let rec hdr () =
-                  match find_crlfcrlf !pending with
-                  | Some i -> i
-                  | None ->
-                      fill ();
-                      hdr ()
-                in
-                let he = hdr () in
-                let clen = content_length (String.sub !pending 0 he) in
-                let total = he + 4 + clen in
-                while String.length !pending < total do
-                  fill ()
-                done;
-                pending :=
-                  String.sub !pending total (String.length !pending - total)
-              in
+              let reader = Http.reader_of_fd fd in
               for i = 0 to per_client - 1 do
                 let h = hosts.((cid + (i * jobs)) mod nh) in
-                write_all fd
-                  (Printf.sprintf "GET /geolocate?h=%s HTTP/1.1\r\nHost: b\r\n\r\n"
-                     (Hoiho_net.Http.pct_encode h));
-                read_response ()
+                Http.write_all fd
+                  (Http.request ~meth:"GET" ~headers:[ ("Host", "b") ]
+                     ("/geolocate?h=" ^ Http.pct_encode h));
+                match Http.read_response reader with
+                | Ok _ -> ()
+                | Error _ -> failwith "serve bench: no well-formed response"
               done;
               Unix.close fd))
     in

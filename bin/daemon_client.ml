@@ -1,7 +1,9 @@
-(* What the daemon smoke checks (serve_check, health_check) share: a
-   minimal HTTP client, reading the bound port off the daemon's stdout,
-   and the SIGTERM shutdown contract. Every failure exits 1 through
-   [die], prefixed with the running program's name. *)
+(* What the daemon smoke checks (serve_check, health_check) share: one
+   GET over [Http], reading the bound port off the daemon's stdout, and
+   the SIGTERM shutdown contract. Every failure exits 1 through [die],
+   prefixed with the running program's name. *)
+
+module Http = Hoiho_net.Http
 
 let prog = Filename.remove_extension (Filename.basename Sys.executable_name)
 
@@ -11,70 +13,6 @@ let die fmt =
       prerr_endline (prog ^ ": FAIL: " ^ m);
       exit 1)
     fmt
-
-(* --- minimal HTTP client (Connection: close per request) --- *)
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-  in
-  go 0
-
-let read_to_eof fd =
-  let buf = Bytes.create 4096 and b = Buffer.create 1024 in
-  let rec go () =
-    match Unix.read fd buf 0 4096 with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes b buf 0 n;
-        go ()
-    | exception Unix.Unix_error (EINTR, _, _) -> go ()
-    | exception
-        Unix.Unix_error ((EAGAIN | EWOULDBLOCK | ETIMEDOUT | ECONNRESET), _, _)
-      ->
-        ()
-  in
-  go ();
-  Buffer.contents b
-
-(* GET [target] from 127.0.0.1:[port]: (status, body), status 0 when
-   the response has no parsable status line *)
-let request port target =
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      (try
-         Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0
-       with Unix.Unix_error (e, _, _) ->
-         die "connect to 127.0.0.1:%d: %s" port (Unix.error_message e));
-      write_all fd
-        (Printf.sprintf "GET %s HTTP/1.1\r\nHost: c\r\nConnection: close\r\n\r\n"
-           target);
-      let raw = read_to_eof fd in
-      let status =
-        if String.length raw >= 12 && String.sub raw 0 9 = "HTTP/1.1 " then
-          Option.value ~default:0 (int_of_string_opt (String.sub raw 9 3))
-        else 0
-      in
-      let body =
-        let n = String.length raw in
-        let rec find i =
-          if i + 3 >= n then None
-          else if
-            raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r'
-            && raw.[i + 3] = '\n'
-          then Some (i + 4)
-          else find (i + 1)
-        in
-        match find 0 with Some i -> String.sub raw i (n - i) | None -> ""
-      in
-      (status, body))
 
 let contains haystack needle =
   let hn = String.length haystack and nn = String.length needle in
@@ -136,6 +74,34 @@ let fail_daemon pid fmt =
       ignore (Unix.waitpid [] pid);
       die "%s" m)
     fmt
+
+(* GET [target] from 127.0.0.1:[port] on a connection of its own:
+   (status, body), read by [Http.read_response]. A connect, write or
+   read failure fails the check through [fail_daemon pid], naming it. *)
+let request pid port target =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with _ -> ())
+    (fun () ->
+      (try
+         Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+         Http.write_all fd
+           (Http.request ~meth:"GET"
+              ~headers:[ ("Host", "c"); ("Connection", "close") ]
+              target)
+       with Unix.Unix_error (e, _, _) ->
+         fail_daemon pid "GET %s on port %d: %s" target port
+           (Unix.error_message e));
+      match Http.read_response (Http.reader_of_fd fd) with
+      | Ok r -> (r.Http.status, r.Http.body)
+      | Error e ->
+          fail_daemon pid "GET %s on port %d: %s" target port
+            (match e with
+            | Http.Closed -> "closed before a complete response"
+            | Http.Timeout -> "no complete response in time"
+            | Http.Bad_request m -> "malformed response: " ^ m
+            | Http.Too_large m -> "response over the bounds: " ^ m))
 
 (* SIGTERM must produce a clean exit before [deadline]: status 0,
    never a signal death *)

@@ -8,6 +8,9 @@
    Asserts, in order:
    - `hoiho health URL` against a listener that never accepts gives up
      on its own deadline and exits 2;
+   - against a listener that answers a status line and then trickles
+     one byte every 0.5 s, the probe's deadline covers the whole answer:
+     it exits 2 within 11 s;
    - a clean daemon under the tight SLO answers /healthz 200 "ok";
    - `hoiho health URL` (the CLI probe) exits 0 against it;
    - a burst of injected faults (404 storms tripping the error_rate
@@ -49,6 +52,15 @@ let run_probe ?daemon cli url =
   in
   wait ()
 
+(* a loopback listener on an ephemeral port, and its URL *)
+let listener () =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 8;
+  match Unix.getsockname fd with
+  | ADDR_INET (_, p) -> (fd, Printf.sprintf "http://127.0.0.1:%d" p)
+  | ADDR_UNIX _ -> die "listener has no port"
+
 let () =
   let cli, model, access_path, snapshot_path =
     match Sys.argv with
@@ -60,18 +72,41 @@ let () =
   (* phase 0: the kernel completes the handshake into the backlog of a
      listener that never accepts, so the probe's request is sent and
      never answered *)
-  let silent = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.bind silent (ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen silent 8;
-  let silent_url =
-    match Unix.getsockname silent with
-    | ADDR_INET (_, p) -> Printf.sprintf "http://127.0.0.1:%d" p
-    | ADDR_UNIX _ -> die "listener has no port"
-  in
+  let silent, silent_url = listener () in
   (match run_probe cli silent_url with
   | 2 -> ()
   | n -> die "probe of a listener that never accepts exited %d (want 2)" n);
   Unix.close silent;
+  (* phase 0b: a listener, on a domain of its own, answers a status
+     line and then one byte every 0.5 s for as long as the probe reads,
+     so each read beats the probe's socket timeout and only its
+     whole-answer deadline can end the probe *)
+  let trickle, trickle_url = listener () in
+  let trickler =
+    Domain.spawn (fun () ->
+        match Unix.select [ trickle ] [] [] 15.0 with
+        | [], _, _ -> ()
+        | _ ->
+            let fd, _ = Unix.accept trickle in
+            let rec drip s =
+              match Unix.write_substring fd s 0 (String.length s) with
+              | _ ->
+                  Unix.sleepf 0.5;
+                  drip "x"
+              | exception Unix.Unix_error _ -> ()
+            in
+            drip "HTTP/1.1 200 OK\r\n";
+            Unix.close fd)
+  in
+  let t0 = Unix.gettimeofday () in
+  (match run_probe cli trickle_url with
+  | 2 -> ()
+  | n -> die "probe of a trickled answer exited %d (want 2)" n);
+  let took = Unix.gettimeofday () -. t0 in
+  if took > 11.0 then
+    die "probe of a trickled answer took %.1f s (want at most 11 s)" took;
+  Domain.join trickler;
+  Unix.close trickle;
   (* a tight SLO: a short 2 s window so the state machine transitions
      fast, and an error_rate budget any 404 storm tramples *)
   let slo_path = Filename.temp_file "hoiho_health_slo" ".json" in
@@ -95,7 +130,7 @@ let () =
   let port = await_port out_r deadline in
   let url = Printf.sprintf "http://127.0.0.1:%d" port in
   (* phase 1: clean daemon is healthy, CLI probe agrees *)
-  let status, body = request port "/healthz" in
+  let status, body = request pid port "/healthz" in
   if status <> 200 || body <> "ok\n" then
     fail_daemon pid "clean /healthz: status %d body %S" status body;
   (match run_probe ~daemon:pid cli url with
@@ -104,9 +139,9 @@ let () =
   (* phase 2: fault injection — a 404 storm burns the error budget *)
   let n_faults = 40 in
   for _ = 1 to n_faults do
-    ignore (request port "/chaos-nonexistent")
+    ignore (request pid port "/chaos-nonexistent")
   done;
-  let status, body = request port "/healthz" in
+  let status, body = request pid port "/healthz" in
   if status <> 503 then
     fail_daemon pid "under fault load /healthz: status %d body %S (want 503)"
       status body;
@@ -115,7 +150,7 @@ let () =
   if not (contains body "error_rate") then
     fail_daemon pid "503 body does not name the burned objective: %S" body;
   (* snapshot /debug/slo while failing — the CI artifact *)
-  let status, slo_body = request port "/debug/slo" in
+  let status, slo_body = request pid port "/debug/slo" in
   if status <> 200 then fail_daemon pid "/debug/slo: status %d" status;
   if not (contains slo_body "\"state\":\"failing\"") then
     fail_daemon pid "/debug/slo does not report failing: %S" slo_body;
@@ -130,7 +165,7 @@ let () =
   let rec await_recovery () =
     if Unix.gettimeofday () > deadline then
       fail_daemon pid "daemon never recovered after the fault load stopped";
-    let status, body = request port "/healthz" in
+    let status, body = request pid port "/healthz" in
     if status = 200 && body = "ok\n" then ()
     else begin
       Unix.sleepf 0.3;
@@ -166,7 +201,7 @@ let () =
   if not (contains raw "\"degraded\":true") then
     die "access log never flagged a request served while degraded";
   Printf.printf
-    "health_check: OK — silent listener probe exit 2, healthz 200 -> 503 \
-     (error_rate named) -> 200 on port %d, CLI probe exit codes 0/1/0, %d \
-     access-log lines audited\n"
-    port (List.length lines)
+    "health_check: OK — silent listener probe exit 2, trickled answer \
+     probe exit 2 in %.1f s, healthz 200 -> 503 (error_rate named) -> 200 \
+     on port %d, CLI probe exit codes 0/1/0, %d access-log lines audited\n"
+    took port (List.length lines)

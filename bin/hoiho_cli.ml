@@ -652,11 +652,13 @@ let serve_cmd =
 
 (* --- health --- *)
 
-(* a deliberately tiny HTTP/1.1 client: one GET, read to EOF. The probe
-   must not share code with the daemon it is checking. Its socket gives
-   up after the daemon's default request deadline, so a daemon that
-   accepts but never answers cannot hang it. *)
-let probe_timeout_s = Hoiho_net.Server.default_config.request_timeout_s
+module Http = Hoiho_net.Http
+
+(* one GET /healthz, its answer read by [Http.read_response] under the
+   default limits: the whole answer within the deadline, a body of at
+   most 1 MiB. The socket's own timeouts bound each connect, write and
+   read, so a daemon that accepts but never answers cannot hang it. *)
+let probe_timeout_s = Http.default_limits.Http.deadline_ms /. 1000.0
 
 let probe_healthz url =
   let strip_prefix p s =
@@ -699,37 +701,12 @@ let probe_healthz url =
       Unix.setsockopt_float fd Unix.SO_SNDTIMEO probe_timeout_s;
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO probe_timeout_s;
       Unix.connect fd (Unix.ADDR_INET (addr, port));
-      let req =
-        Printf.sprintf
-          "GET /healthz HTTP/1.1\r\nHost: %s:%d\r\nConnection: close\r\n\r\n"
-          host port
-      in
-      let _ = Unix.write_substring fd req 0 (String.length req) in
-      let buf = Buffer.create 512 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            drain ()
-      in
-      drain ();
-      let raw = Buffer.contents buf in
-      let status =
-        try Scanf.sscanf raw "HTTP/1.1 %d" (fun s -> s) with _ -> 0
-      in
-      let body =
-        let n = String.length raw in
-        let rec find i =
-          if i + 4 > n then ""
-          else if String.sub raw i 4 = "\r\n\r\n" then
-            String.sub raw (i + 4) (n - i - 4)
-          else find (i + 1)
-        in
-        find 0
-      in
-      (status, String.trim body))
+      let host_header = ("Host", Printf.sprintf "%s:%d" host port) in
+      Http.write_all fd
+        (Http.request ~meth:"GET"
+           ~headers:[ host_header; ("Connection", "close") ]
+           "/healthz");
+      Http.read_response (Http.reader_of_fd fd))
 
 let health_cmd =
   let url =
@@ -742,29 +719,40 @@ let health_cmd =
              path is implied).")
   in
   let run url =
+    let fail fmt =
+      Printf.ksprintf
+        (fun m ->
+          Printf.eprintf "hoiho: health: %s %s\n" url m;
+          exit 2)
+        fmt
+    in
     match probe_healthz url with
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINPROGRESS), _, _) ->
-        Printf.eprintf "hoiho: health: %s did not answer within the %g s timeout\n"
-          url probe_timeout_s;
-        exit 2
-    | exception e ->
-        Printf.eprintf "hoiho: health: %s unreachable: %s\n" url
-          (Printexc.to_string e);
-        exit 2
-    | status, body ->
-        Printf.printf "%d %s\n" status body;
-        if status <> 200 then exit 1
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINPROGRESS), _, _)
+    | Error Http.Timeout ->
+        fail "did not answer within the %g s timeout" probe_timeout_s
+    | exception e -> fail "unreachable: %s" (Printexc.to_string e)
+    | Error Http.Closed -> fail "closed the connection before a complete answer"
+    | Error (Http.Bad_request m) -> fail "sent a malformed answer: %s" m
+    | Error (Http.Too_large m) -> fail "sent an answer over the bounds: %s" m
+    | Ok r ->
+        Printf.printf "%d %s\n" r.Http.status (String.trim r.Http.body);
+        if r.Http.status <> 200 then exit 1
   in
   Cmd.v
     (Cmd.info "health"
        ~doc:
          (Printf.sprintf
             "Probe a running daemon's /healthz and print the evaluated \
-             state. Exits 0 when healthy (200), 1 when degraded service \
-             reports failing (503), 2 when the daemon is unreachable or \
-             does not answer within %g s — ready for scripting and \
+             state. Exits 0 when healthy (200) and 1 on any other status \
+             (503 when degraded service reports failing). Exits 2 when \
+             the daemon is unreachable or its answer is not a bounded, \
+             well-formed HTTP response: the deadline of %g s covers the \
+             whole answer, not each read, and the body is capped at 1 \
+             MiB. A read already waiting at the deadline ends on its own \
+             %g s socket timeout, so the probe gives up within about %g s \
+             of sending its request. Ready for scripting and \
              orchestration liveness checks."
-            probe_timeout_s))
+            probe_timeout_s probe_timeout_s (2.0 *. probe_timeout_s)))
     Term.(const run $ url)
 
 (* --- explain --- *)

@@ -93,26 +93,26 @@ let () =
   let deadline = Unix.gettimeofday () +. 60.0 in
   let port = await_port out_r deadline in
   (* healthz *)
-  let status, body = request port "/healthz" in
+  let status, body = request pid port "/healthz" in
   if status <> 200 || body <> "ok\n" then
     fail_daemon pid "/healthz: status %d body %S" status body;
   (* golden subset over the socket *)
   List.iter
     (fun (h, answer) ->
-      let status, body = request port ("/geolocate?h=" ^ h) in
+      let status, body = request pid port ("/geolocate?h=" ^ h) in
       if status <> 200 then fail_daemon pid "/geolocate?h=%s: status %d" h status;
       if body <> answer ^ "\n" then
         fail_daemon pid "/geolocate?h=%s: served %S, pinned %S" h body answer)
     golden;
   (* one explain vocabulary: the CLI's trace is the daemon's *)
-  let status, body = request port ("/explain?h=" ^ explain_host) in
+  let status, body = request pid port ("/explain?h=" ^ explain_host) in
   if status <> 200 then fail_daemon pid "/explain?h=%s: status %d" explain_host status;
   let served = trace_lines body in
   if served = [] || served <> printed then
     fail_daemon pid "/explain?h=%s and `hoiho explain` differ:\n%s\n---\n%s" explain_host
       (String.concat "\n" served) (String.concat "\n" printed);
   (* metrics exposition *)
-  let status, body = request port "/metrics" in
+  let status, body = request pid port "/metrics" in
   if status <> 200 then fail_daemon pid "/metrics: status %d" status;
   if not (contains body "hoiho_net_requests_total") then
     fail_daemon pid "/metrics: no hoiho_net_requests_total sample";
@@ -123,7 +123,7 @@ let () =
   then fail_daemon pid "/metrics: missing \"# EOF\" terminator";
   (* clean shutdown on SIGTERM *)
   terminate pid deadline;
-  let rest = read_to_eof out_r in
+  let rest = In_channel.input_all (Unix.in_channel_of_descr out_r) in
   if not (contains rest "shut down cleanly") then
     die "daemon exited 0 but without the clean-shutdown line (got %S)" rest;
   Printf.printf

@@ -154,14 +154,8 @@ let tag_hostname consist db ~suffix router hostname =
                 let locations =
                   let narrowed =
                     List.filter
-                      (fun c ->
-                        (match cc with
-                        | Some (_, code) -> Dicts.cc_matches c code
-                        | None -> true)
-                        &&
-                        match state with
-                        | Some (_, code) -> Dicts.state_matches c code
-                        | None -> true)
+                      (Dicts.in_region ~cc:(Option.map snd cc)
+                         ~state:(Option.map snd state))
                       consistent
                   in
                   if narrowed <> [] then narrowed else consistent

@@ -21,3 +21,7 @@ let state_matches (city : City.t) token =
   | None -> false
 
 let region_matches city token = cc_matches city token || state_matches city token
+
+let in_region ~cc ~state city =
+  (match cc with Some code -> cc_matches city code | None -> true)
+  && match state with Some code -> state_matches city code | None -> true

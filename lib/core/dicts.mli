@@ -15,3 +15,8 @@ val state_matches : Hoiho_geodb.City.t -> string -> bool
 
 val region_matches : Hoiho_geodb.City.t -> string -> bool
 (** Either of the above. *)
+
+val in_region :
+  cc:string option -> state:string option -> Hoiho_geodb.City.t -> bool
+(** Does the city match the extracted country code and state code,
+    where each is given? With neither given, every city does. *)

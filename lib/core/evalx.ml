@@ -48,16 +48,7 @@ let resolve_explained db ?learned (ex : Plan.extraction) =
   | None ->
       let cities = Dicts.lookup db ex.Plan.hint_type ex.Plan.hint in
       let narrowed =
-        List.filter
-          (fun c ->
-            (match ex.Plan.cc with
-            | Some code -> Dicts.cc_matches c code
-            | None -> true)
-            &&
-            match ex.Plan.state with
-            | Some code -> Dicts.state_matches c code
-            | None -> true)
-          cities
+        List.filter (Dicts.in_region ~cc:ex.Plan.cc ~state:ex.Plan.state) cities
       in
       ((if narrowed <> [] then narrowed else cities), Dictionary)
 

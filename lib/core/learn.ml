@@ -86,13 +86,7 @@ let candidate_cities db (p : pending) =
   let by_name match_name =
     Db.fold_cities (fun city acc -> if match_name city then city :: acc else acc) db []
   in
-  let filter_region cities =
-    List.filter
-      (fun c ->
-        (match p.cc with Some code -> Dicts.cc_matches c code | None -> true)
-        && match p.state with Some code -> Dicts.state_matches c code | None -> true)
-      cities
-  in
+  let filter_region = List.filter (Dicts.in_region ~cc:p.cc ~state:p.state) in
   match p.hint_type with
   | Plan.Clli when String.length p.hint >= 6 ->
       let cityp = String.sub p.hint 0 4 in

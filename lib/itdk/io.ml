@@ -262,6 +262,8 @@ let read_source src =
   let vps = ref [] and links = ref [] and routers = ref [] in
   let ping = Rtts.builder () and trace = Rtts.builder () in
   let current = ref None in
+  (* VP ids must be distinct too; only [vp] lines look here *)
+  let vp_ids = Hashtbl.create 64 in
   (* Router ids must be distinct: while they increase, as a writer
      that numbers routers in order emits them, one comparison per
      router proves it; from the first id that does not, the ids read
@@ -315,6 +317,8 @@ let read_source src =
            learn is as long as the largest id *)
         let id = int_field src "VP id" in
         if id land 0xffff <> id then malformed "VP id %d outside 0..65535" id;
+        if Hashtbl.mem vp_ids id then malformed "duplicate VP id %d" id;
+        Hashtbl.replace vp_ids id ();
         let name = field src in
         let coord = coord_fields src in
         vps := Vp.make ~id ~name ~city_key:(field src) ~coord :: !vps

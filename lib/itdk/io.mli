@@ -21,11 +21,13 @@ val read : in_channel -> Dataset.t
     Raises [Failure "Itdk.Io.read: line N: ..."] on malformed input: an
     unknown or misplaced record, a missing or extra field, a number that
     does not parse, a coordinate out of range, a [vp] record whose id is
-    outside 0..65535 (the range {!Rtts} packs in 6 bytes), a sample's VP
-    id beyond 32 bits, or a router id an earlier router already has
-    (["duplicate router id ID"], at the second one's line). Ids that
-    increase cost one comparison per router to check; from the first
-    one that does not, every id goes into a table. *)
+    outside 0..65535 (the range {!Rtts} packs in 6 bytes) or an earlier
+    [vp] record already has (["duplicate VP id ID"]), a sample's VP id
+    beyond 32 bits, or a router id an earlier router already has
+    (["duplicate router id ID"]); a duplicate is named at the second
+    one's line. Only [vp] records consult the VP id table. Router ids
+    that increase cost one comparison per router to check; from the
+    first one that does not, every id goes into a table. *)
 
 val of_string : string -> Dataset.t
 (** {!read} over a string, the same reader with the whole input as its

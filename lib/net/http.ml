@@ -1,5 +1,11 @@
 module Obs = Hoiho_obs.Obs
 
+type response = {
+  status : int;
+  headers : (string * string) list;
+  body : string;
+}
+
 type request = {
   meth : string;
   target : string;
@@ -175,7 +181,7 @@ let parse_query q =
            | Some k, Some v -> Some (k, v)
            | _ -> None)
 
-(* --- request parsing --- *)
+(* --- message parsing --- *)
 
 let has_ctl s = String.exists (fun c -> Char.code c < 0x20 || c = '\x7f') s
 
@@ -184,13 +190,50 @@ let split_request_line line =
   | [ meth; target; version ] -> Some (meth, target, version)
   | _ -> None
 
-let lowercase_ascii_inplace = String.lowercase_ascii
+let bad m = raise (Read_error (Bad_request m))
+
+(* the whole message must arrive before one deadline *)
+let deadline limits =
+  if limits.deadline_ms = infinity then infinity
+  else Obs.now_ms () +. limits.deadline_ms
+
+(* header lines up to the empty one, names lowercased and values
+   trimmed, in order *)
+let read_headers r ~deadline ~limits =
+  let rec go n acc =
+    let line = read_line r ~deadline ~max_line:limits.max_line in
+    if line = "" then List.rev acc
+    else begin
+      if n >= limits.max_headers then
+        raise (Read_error (Too_large "too many headers"));
+      match String.index_opt line ':' with
+      | Some i when i > 0 ->
+          let name = String.lowercase_ascii (String.sub line 0 i) in
+          let value =
+            String.trim (String.sub line (i + 1) (String.length line - i - 1))
+          in
+          go (n + 1) ((name, value) :: acc)
+      | _ -> bad "malformed header"
+    end
+  in
+  go 0 []
+
+(* the body its [Content-Length] frames, [None] without one; a length
+   over [max_body] is refused before any body byte is read *)
+let read_body r ~deadline ~limits headers =
+  if List.mem_assoc "transfer-encoding" headers then
+    bad "transfer-encoding not supported";
+  match List.assoc_opt "content-length" headers with
+  | None -> None
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n > limits.max_body ->
+          raise (Read_error (Too_large "body too large"))
+      | Some n when n >= 0 -> Some (read_exact r ~deadline n)
+      | _ -> bad "malformed content-length")
 
 let read_request ?(limits = default_limits) r =
-  let deadline =
-    if limits.deadline_ms = infinity then infinity
-    else Obs.now_ms () +. limits.deadline_ms
-  in
+  let deadline = deadline limits in
   match
     (* the line between keep-alive requests: a clean close here is
        [Closed], not an error worth logging *)
@@ -201,51 +244,21 @@ let read_request ?(limits = default_limits) r =
       if line = "" then read_line r ~deadline ~max_line:limits.max_line
       else line
     in
-    if has_ctl line then raise (Read_error (Bad_request "control byte in request line"));
+    if has_ctl line then bad "control byte in request line";
     let meth, target, version =
       match split_request_line line with
       | Some x -> x
-      | None -> raise (Read_error (Bad_request "malformed request line"))
+      | None -> bad "malformed request line"
     in
     let http11 =
       match version with
       | "HTTP/1.1" -> true
       | "HTTP/1.0" -> false
-      | _ -> raise (Read_error (Bad_request "unsupported HTTP version"))
+      | _ -> bad "unsupported HTTP version"
     in
-    let headers = ref [] in
-    let rec read_headers n =
-      let line = read_line r ~deadline ~max_line:limits.max_line in
-      if line <> "" then begin
-        if n >= limits.max_headers then
-          raise (Read_error (Too_large "too many headers"));
-        (match String.index_opt line ':' with
-        | Some i when i > 0 ->
-            let name = lowercase_ascii_inplace (String.sub line 0 i) in
-            let value =
-              String.trim (String.sub line (i + 1) (String.length line - i - 1))
-            in
-            headers := (name, value) :: !headers
-        | _ -> raise (Read_error (Bad_request "malformed header")));
-        read_headers (n + 1)
-      end
-    in
-    read_headers 0;
-    let headers = List.rev !headers in
-    let find name = List.assoc_opt name headers in
-    if find "transfer-encoding" <> None then
-      raise (Read_error (Bad_request "transfer-encoding not supported"));
+    let headers = read_headers r ~deadline ~limits in
     let body =
-      match find "content-length" with
-      | None -> ""
-      | Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | None -> raise (Read_error (Bad_request "malformed content-length"))
-          | Some n when n < 0 ->
-              raise (Read_error (Bad_request "malformed content-length"))
-          | Some n when n > limits.max_body ->
-              raise (Read_error (Too_large "body too large"))
-          | Some n -> read_exact r ~deadline n)
+      Option.value (read_body r ~deadline ~limits headers) ~default:""
     in
     let path_raw, query =
       match String.index_opt target '?' with
@@ -258,11 +271,37 @@ let read_request ?(limits = default_limits) r =
     let path =
       match pct_decode path_raw with
       | Some p -> p
-      | None -> raise (Read_error (Bad_request "malformed path escape"))
+      | None -> bad "malformed path escape"
     in
     { meth; target; path; query; headers; body; http11 }
   with
   | req -> Ok req
+  | exception Read_error e -> Error e
+
+(* "HTTP/1.x NNN REASON"; the reason, possibly empty or absent, is
+   not kept *)
+let read_response r =
+  let limits = default_limits in
+  let deadline = deadline limits in
+  match
+    let line = read_line r ~deadline ~max_line:limits.max_line in
+    if has_ctl line then bad "control byte in status line";
+    let n = String.length line in
+    let digit i = i < n && line.[i] >= '0' && line.[i] <= '9' in
+    if
+      not
+        ((String.starts_with ~prefix:"HTTP/1.1 " line
+         || String.starts_with ~prefix:"HTTP/1.0 " line)
+        && digit 9 && digit 10 && digit 11
+        && (n = 12 || line.[12] = ' '))
+    then bad "malformed status line";
+    let status = int_of_string (String.sub line 9 3) in
+    let headers = read_headers r ~deadline ~limits in
+    match read_body r ~deadline ~limits headers with
+    | Some body -> { status; headers; body }
+    | None -> bad "response without content-length"
+  with
+  | resp -> Ok resp
   | exception Read_error e -> Error e
 
 let header req name = List.assoc_opt name req.headers
@@ -270,7 +309,7 @@ let header req name = List.assoc_opt name req.headers
 let keep_alive req =
   match header req "connection" with
   | Some v -> (
-      match lowercase_ascii_inplace (String.trim v) with
+      match String.lowercase_ascii (String.trim v) with
       | "close" -> false
       | "keep-alive" -> true
       | _ -> req.http11)
@@ -278,7 +317,33 @@ let keep_alive req =
 
 let query_param req name = List.assoc_opt name req.query
 
-(* --- responses --- *)
+(* --- writing --- *)
+
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then
+      match Unix.write_substring fd s off (n - off) with
+      | written -> go (off + written)
+      | exception Unix.Unix_error (EINTR, _, _) -> go off
+  in
+  go 0
+
+let add_headers b headers =
+  List.iter
+    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
+    headers
+
+let request ?(headers = []) ?(body = "") ~meth target =
+  let b = Buffer.create (String.length body + 128) in
+  Buffer.add_string b (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
+  add_headers b headers;
+  if body <> "" then
+    Buffer.add_string b
+      (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
+  Buffer.add_string b "\r\n";
+  Buffer.add_string b body;
+  Buffer.contents b
 
 let status_text = function
   | 200 -> "OK"
@@ -301,9 +366,7 @@ let response ?(headers = []) ?(content_type = "text/plain; charset=utf-8")
   Buffer.add_string b (Printf.sprintf "Content-Type: %s\r\n" content_type);
   Buffer.add_string b
     (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
-    headers;
+  add_headers b headers;
   Buffer.add_string b "\r\n";
   Buffer.add_string b body;
   Buffer.contents b

@@ -150,16 +150,6 @@ let count_status status =
   else if status >= 500 then Obs.incr c_server_err
   else if status >= 400 then Obs.incr c_client_err
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-  in
-  go 0
-
 (* --- per-request context ---
 
    One mutable record rides through dispatch so the response writer,
@@ -213,7 +203,7 @@ let make_ctx ~rid ~endpoint =
 let respond ctx fd ?(headers = []) ?content_type ~status body =
   count_status status;
   ctx.status <- status;
-  write_all fd
+  Http.write_all fd
     (Http.response
        ~headers:(("X-Request-Id", ctx.rid) :: headers)
        ?content_type ~status body)

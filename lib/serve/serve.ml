@@ -20,6 +20,7 @@ type t = {
   db : Hoiho_geodb.Db.t;
   index : Apply.index;
   cache : answer Lru.t;
+  retired : bool Atomic.t;  (* set once [rebuild] hands [cache] on *)
 }
 
 (* the one constructor: resolve the dictionary and index the suffixes
@@ -27,7 +28,8 @@ type t = {
    Learned_io.decode rejects; a hand-assembled one is refused here. *)
 let with_cache cache model =
   match Apply.index model.Learned_io.suffixes with
-  | Ok index -> { model; db = Learned_io.db model; index; cache }
+  | Ok index ->
+      { model; db = Learned_io.db model; index; cache; retired = Atomic.make false }
   | Error (_, suffix) ->
       invalid_arg
         (Printf.sprintf "Serve.create: duplicate suffix model %S" suffix)
@@ -43,8 +45,12 @@ let create ?(cache_capacity = 65536) ?(cache_shards = 8) model =
    always answer [None] under every model and survive too. The
    bugfix this encodes: a full-cache carry-over used to keep serving
    cached negatives for hostnames that the new model *can* now answer
-   (unknown in epoch 1, named in epoch 2). *)
+   (unknown in epoch 1, named in epoch 2). [t] is retired first, so a
+   batch still running on it takes back what it adds (see
+   [apply_batch]) and no answer of the old model outlives the
+   eviction. *)
 let rebuild ?(dirty = []) t model =
+  Atomic.set t.retired true;
   if dirty <> [] then begin
     let dirty_tbl = Hashtbl.create (List.length dirty) in
     List.iter (fun s -> Hashtbl.replace dirty_tbl s ()) dirty;
@@ -139,6 +145,16 @@ let apply_batch ?jobs ?(normalized = false) t hostnames =
       Hashtbl.replace answers key answer;
       Lru.add t.cache key answer)
     computed;
+  (* [rebuild] may have retired [t] while the misses were computed, and
+     its eviction may have run before these inserts: take them back (a
+     removed entry is only a miss). The retirement is set before the
+     eviction and read after the inserts, so every insert is caught by
+     one or the other. *)
+  if n_misses > 0 && Atomic.get t.retired then begin
+    let added = Hashtbl.create n_misses in
+    Array.iter (fun key -> Hashtbl.replace added key ()) misses;
+    ignore (Lru.remove_matching t.cache (Hashtbl.mem added))
+  end;
   List.map2 (fun hostname key -> (hostname, Hashtbl.find answers key)) hostnames keys
 
 let cache_length t = Lru.length t.cache

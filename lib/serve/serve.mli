@@ -53,8 +53,10 @@ val rebuild : ?dirty:string list -> t -> Hoiho.Learned_io.t -> t
     serving warm. Soundness is the caller's contract: an entry whose
     suffix is not listed must answer identically under the new model.
     With [dirty] omitted the cache carries over untouched (a swap known
-    to change nothing). For a full reload with unknown provenance use
-    {!create}, which starts cold. *)
+    to change nothing). The old server is retired: an {!apply_batch}
+    still running on it when [rebuild] evicts takes back the entries it
+    adds, so none of its answers outlives the eviction. For a full
+    reload with unknown provenance use {!create}, which starts cold. *)
 
 val model : t -> Hoiho.Learned_io.t
 

@@ -274,8 +274,7 @@ type feasibility = {
    the same as its hundreds of correctly-read hostnames. We group each
    method's inferences by (suffix, location) and call a location
    infeasible when no router it was inferred for admits it. *)
-let cai_feasibility (p : Pipeline.t) ~suffixes =
-  ignore suffixes;
+let cai_feasibility (p : Pipeline.t) =
   let db = p.Pipeline.db in
   let consist = p.Pipeline.consist in
   let drop_rules = Hoiho_baselines.Drop.learn db p.Pipeline.dataset in

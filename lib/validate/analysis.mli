@@ -90,13 +90,13 @@ type feasibility = {
   hoiho_infeasible : float;
 }
 
-val cai_feasibility : Hoiho.Pipeline.t -> suffixes:string list -> feasibility
+val cai_feasibility : Hoiho.Pipeline.t -> feasibility
 (** Fraction of each method's distinct inferred (suffix, location) pairs
     that violate the CBG-feasible region of the routers they were
     inferred for, over every hostname of the dataset (Cai probed DRoP's
     full published dataset). DRoP rules are learned fresh (no
     staleness), so the check measures interpretation quality, not
-    coverage. [suffixes] is kept for API symmetry and ignored. *)
+    coverage. *)
 
 (** {1 Stale-hostname detection (§7)} *)
 

@@ -269,7 +269,7 @@ let test_socket_matches_inproc () =
     |> String.concat ""
   in
   Test_net.with_server ~config:Test_net.small_config model (fun _ port ->
-      let status, body, _ =
+      let { Hoiho_net.Http.status; body; _ } =
         Test_net.request ~meth:"POST"
           ~body:(String.concat "\n" probes)
           port "/batch"

@@ -669,6 +669,9 @@ let test_serve_negative_cache_invalidation () =
     (match Obs.find_counter (Obs.snapshot ()) "serve.cache_invalidated" with
     | Some n -> n >= 1
     | None -> false);
+  (* a batch still running on the old server inserts after the
+     eviction: its epoch-1 negative must not reach the new server *)
+  ignore (Serve.apply_batch ~jobs:1 t1 [ newcorp_host ]);
   (* the regression: without invalidation this served the cached None *)
   let served = (Serve.geolocate_conf t2 newcorp_host).Serve.city in
   Alcotest.(check bool) "epoch-2 hostname now answers through the cache" true

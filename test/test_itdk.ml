@@ -162,6 +162,7 @@ let malformed_rows =
     ("router 1\nping 1 1e\n", 2, "bad RTT \"1e\"");
     ("router 1\nping 12345678901234567890 1.0\n", 2, "bad VP id \"12345678901234567890\"");
     ("router 1\nping 1  2.0\n", 2, "bad RTT \"\"");
+    ("itdk dup\nvp 0 a 1.0 0.0 x|y\nvp 0 b 50.0 8.0 x|z\nrouter 1\n", 3, "duplicate VP id 0");
   ]
 
 let test_io_errors_name_the_line () =

@@ -72,17 +72,7 @@ let corpus_lines () =
                String.sub line (i + 1) (String.length line - i - 1) )
          | None -> Alcotest.failf "golden corpus: malformed line %S" line)
 
-(* --- a small test HTTP client --- *)
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-  in
-  go 0
+(* --- the test client: Http's renderer, writer and response reader --- *)
 
 let connect port =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
@@ -94,138 +84,34 @@ let connect port =
      raise e);
   fd
 
-let read_to_eof fd =
-  let buf = Bytes.create 4096 and b = Buffer.create 1024 in
-  let rec go () =
-    match Unix.read fd buf 0 4096 with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes b buf 0 n;
-        go ()
-    | exception Unix.Unix_error (EINTR, _, _) -> go ()
-    | exception
-        Unix.Unix_error ((EAGAIN | EWOULDBLOCK | ETIMEDOUT | ECONNRESET), _, _)
-      ->
-        ()
-  in
-  go ();
-  Buffer.contents b
+let error_name = function
+  | Http.Closed -> "closed"
+  | Http.Timeout -> "timeout"
+  | Http.Bad_request m -> "bad request: " ^ m
+  | Http.Too_large m -> "too large: " ^ m
 
-let find_crlfcrlf s =
-  let n = String.length s in
-  let rec go i =
-    if i + 3 >= n then None
-    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-    then Some i
-    else go (i + 1)
-  in
-  go 0
+(* one request down [fd] and its response off [reader], which keeps
+   what follows a response for the next one (keep-alive). A failed
+   write is not the verdict: a daemon may answer and close before it
+   reads a whole request. A response Http cannot read fails the test. *)
+let exchange ?(meth = "GET") ?(body = "") ?(headers = []) fd reader target =
+  (try
+     Http.write_all fd
+       (Http.request ~meth ~body ~headers:(("Host", "t") :: headers) target)
+   with Unix.Unix_error _ -> ());
+  match Http.read_response reader with
+  | Ok resp -> resp
+  | Error e -> Alcotest.failf "%s %s: %s" meth target (error_name e)
 
-let parse_status raw =
-  if String.length raw >= 12 && String.sub raw 0 9 = "HTTP/1.1 " then
-    Option.value ~default:0 (int_of_string_opt (String.sub raw 9 3))
-  else 0
-
-let split_response raw =
-  let body =
-    match find_crlfcrlf raw with
-    | Some i -> String.sub raw (i + 4) (String.length raw - i - 4)
-    | None -> ""
-  in
-  (parse_status raw, body)
-
-(* one-shot request on its own connection *)
-let request ?(meth = "GET") ?(body = "") port target =
+(* one request on a connection of its own *)
+let request ?meth ?body ?(headers = []) port target =
   let fd = connect port in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with _ -> ())
     (fun () ->
-      let payload =
-        if meth = "GET" then
-          Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-            target
-        else
-          Printf.sprintf
-            "%s %s HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
-             Content-Length: %d\r\n\r\n%s"
-            meth target (String.length body) body
-      in
-      (try write_all fd payload with Unix.Unix_error _ -> ());
-      let raw = read_to_eof fd in
-      let status, body = split_response raw in
-      (status, body, raw))
-
-(* keep-alive client: many requests down one connection, responses
-   framed by Content-Length *)
-type kc = { fd : Unix.file_descr; mutable pending : string }
-
-let kc_connect port = { fd = connect port; pending = "" }
-let kc_close c = try Unix.close c.fd with _ -> ()
-
-let kc_fill c =
-  let buf = Bytes.create 4096 in
-  match Unix.read c.fd buf 0 4096 with
-  | 0 -> Alcotest.fail "keep-alive connection closed mid-response"
-  | n -> c.pending <- c.pending ^ Bytes.sub_string buf 0 n
-  | exception Unix.Unix_error (EINTR, _, _) -> ()
-
-let content_length head =
-  let low = String.lowercase_ascii head in
-  let key = "content-length:" in
-  let rec find i =
-    match String.index_from_opt low i 'c' with
-    | None -> Alcotest.fail "response without content-length"
-    | Some j ->
-        if
-          j + String.length key <= String.length low
-          && String.sub low j (String.length key) = key
-        then begin
-          let rest = String.sub low (j + String.length key)
-              (String.length low - j - String.length key) in
-          let line =
-            match String.index_opt rest '\r' with
-            | Some e -> String.sub rest 0 e
-            | None -> rest
-          in
-          match int_of_string_opt (String.trim line) with
-          | Some n -> n
-          | None -> Alcotest.fail "malformed content-length in response"
-        end
-        else find (j + 1)
-  in
-  find 0
-
-let kc_read_response c =
-  let rec header_end () =
-    match find_crlfcrlf c.pending with
-    | Some i -> i
-    | None ->
-        kc_fill c;
-        header_end ()
-  in
-  let he = header_end () in
-  let head = String.sub c.pending 0 he in
-  let clen = content_length head in
-  let total = he + 4 + clen in
-  while String.length c.pending < total do
-    kc_fill c
-  done;
-  let body = String.sub c.pending (he + 4) clen in
-  c.pending <-
-    String.sub c.pending total (String.length c.pending - total);
-  (parse_status head, body)
-
-let kc_request c target =
-  write_all c.fd (Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n\r\n" target);
-  kc_read_response c
-
-(* keep-alive POST: body framed by Content-Length, connection stays up *)
-let kc_post c target body =
-  write_all c.fd
-    (Printf.sprintf
-       "POST %s HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s" target
-       (String.length body) body);
-  kc_read_response c
+      exchange ?meth ?body
+        ~headers:(headers @ [ ("Connection", "close") ])
+        fd (Http.reader_of_fd fd) target)
 
 let with_server ?(config = Server.default_config) ?corpus model f =
   let t = Server.start ~config ?corpus model in
@@ -315,6 +201,125 @@ let test_http_body_and_pipelining () =
   match Http.read_request r with
   | Error Http.Closed -> ()
   | _ -> Alcotest.fail "expected Closed at end of stream"
+
+(* --- the client half: responses on literal bytes --- *)
+
+let parse_resp s = Http.read_response (Http.reader_of_string s)
+
+let test_http_read_response () =
+  let ok s =
+    match parse_resp s with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%S: %s" s (error_name e)
+  in
+  let r = ok "HTTP/1.0 200 OK\r\nContent-Length: 3\r\n\r\nok\n" in
+  Alcotest.(check (pair int string)) "HTTP/1.0" (200, "ok\n")
+    (r.Http.status, r.Http.body);
+  let r =
+    ok
+      "HTTP/1.1 503 Service Unavailable\r\nX-Request-Id:   abc-1  \r\n\
+       CONTENT-LENGTH: 0\r\n\r\n"
+  in
+  Alcotest.(check int) "HTTP/1.1, a reason phrase with spaces" 503
+    r.Http.status;
+  Alcotest.(check (list (pair string string))) "headers lowercased and trimmed"
+    [ ("x-request-id", "abc-1"); ("content-length", "0") ]
+    r.Http.headers;
+  Alcotest.(check int) "no reason phrase" 204
+    (ok "HTTP/1.1 204\r\nContent-Length: 0\r\n\r\n").Http.status;
+  (* the default bounds are inclusive: 64 headers, and a line of 8192
+     bytes before its LF *)
+  (match
+     parse_resp
+       ("HTTP/1.1 200 " ^ String.make 8178 'K' ^ "\r\n"
+       ^ String.concat "" (List.init 63 (Printf.sprintf "X-%d: 1\r\n"))
+       ^ "Content-Length: 0\r\n\r\n")
+   with
+  | Ok r ->
+      Alcotest.(check int) "64 headers, an 8192-byte status line" 200
+        r.Http.status
+  | Error e ->
+      Alcotest.failf "64 headers, an 8192-byte status line: %s" (error_name e));
+  (* the body is exactly Content-Length bytes; what follows stays in
+     the reader for the next call *)
+  let reader =
+    Http.reader_of_string
+      "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nok\njunk\r\n\r\n"
+  in
+  (match Http.read_response reader with
+  | Ok r -> Alcotest.(check string) "body stops at its length" "ok\n" r.Http.body
+  | Error e -> Alcotest.fail (error_name e));
+  match Http.read_response reader with
+  | Error (Http.Bad_request _) -> ()
+  | _ -> Alcotest.fail "the bytes after the body were not left for the next read"
+
+let test_http_response_rejects () =
+  let expect name input want =
+    match parse_resp input with
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error e ->
+        if error_name e <> want then
+          Alcotest.failf "%s: %s, want %s" name (error_name e) want
+  in
+  let bad what = "bad request: " ^ what in
+  (* no body byte follows: reading one would be [Closed] *)
+  expect "length over max_body"
+    "HTTP/1.1 200 OK\r\nContent-Length: 1048577\r\n\r\n"
+    "too large: body too large";
+  expect "no content-length" "HTTP/1.1 200 OK\r\n\r\nok\n"
+    (bad "response without content-length");
+  expect "negative content-length" "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n"
+    (bad "malformed content-length");
+  expect "non-numeric content-length"
+    "HTTP/1.1 200 OK\r\nContent-Length: two\r\n\r\nok"
+    (bad "malformed content-length");
+  expect "transfer-encoding"
+    "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 2\r\n\r\nok"
+    (bad "transfer-encoding not supported");
+  expect "65 headers"
+    ("HTTP/1.1 200 OK\r\n"
+    ^ String.concat "" (List.init 64 (Printf.sprintf "X-%d: 1\r\n"))
+    ^ "Content-Length: 0\r\n\r\n")
+    "too large: too many headers";
+  expect "a status line of 8193 bytes before its LF"
+    ("HTTP/1.1 200 " ^ String.make 8179 'K' ^ "\r\nContent-Length: 0\r\n\r\n")
+    "too large: line too long";
+  expect "control byte in status line" "HTTP/1.1 200 O\x01K\r\nContent-Length: 0\r\n\r\n"
+    (bad "control byte in status line");
+  List.iter
+    (fun line ->
+      expect line (line ^ "\r\nContent-Length: 0\r\n\r\n")
+        (bad "malformed status line"))
+    [ "HTTP/2 200 OK"; "HTTP/1.1 20 OK"; "HTTP/1.1 2000 OK"; "HTTP/1.1 2x0 OK";
+      "ICY 200 OK"; "200 OK" ];
+  expect "truncated body" "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc"
+    "closed";
+  expect "no bytes at all" "" "closed"
+
+(* each renderer's output is what the other half's reader parses *)
+let test_http_render_round_trip () =
+  (match
+     parse_str
+       (Http.request ~meth:"POST" ~headers:[ ("Host", "t") ] ~body:"a\nb" "/batch")
+   with
+  | Ok req ->
+      Alcotest.(check (list string)) "request" [ "POST"; "/batch"; "a\nb"; "3" ]
+        [ req.Http.meth; req.Http.path; req.Http.body;
+          Option.value (Http.header req "content-length") ~default:"-" ]
+  | Error e -> Alcotest.fail (error_name e));
+  (match parse_str (Http.request ~meth:"GET" "/healthz") with
+  | Ok req ->
+      Alcotest.(check (list (pair string string))) "a GET has no headers" []
+        req.Http.headers
+  | Error e -> Alcotest.fail (error_name e));
+  match
+    parse_resp (Http.response ~headers:[ ("Retry-After", "1") ] ~status:503 "busy\n")
+  with
+  | Ok r ->
+      Alcotest.(check (list string)) "response" [ "503"; "busy\n"; "1" ]
+        [ string_of_int r.Http.status; r.Http.body;
+          Option.value (List.assoc_opt "retry-after" r.Http.headers) ~default:"-" ]
+  | Error e -> Alcotest.fail (error_name e)
 
 let test_pct_codec () =
   Alcotest.(check (option string)) "decode" (Some "a /b")
@@ -419,19 +424,19 @@ let test_server_basics () =
     model
     (fun t port ->
       Alcotest.(check bool) "ephemeral port bound" true (port > 0);
-      let status, body, _ = request port "/healthz" in
+      let { Http.status; body; _ } = request port "/healthz" in
       Alcotest.(check int) "healthz status" 200 status;
       Alcotest.(check string) "healthz body" "ok\n" body;
-      let status, _, _ = request port "/nosuch" in
+      let { Http.status; _ } = request port "/nosuch" in
       Alcotest.(check int) "404" 404 status;
-      let status, _, _ = request ~meth:"DELETE" port "/healthz" in
+      let { Http.status; _ } = request ~meth:"DELETE" port "/healthz" in
       Alcotest.(check int) "405" 405 status;
-      let status, _, _ = request port "/geolocate" in
+      let { Http.status; _ } = request port "/geolocate" in
       Alcotest.(check int) "missing h is 400" 400 status;
-      let status, _, _ = request port "/geolocate?h=%20%20" in
+      let { Http.status; _ } = request port "/geolocate?h=%20%20" in
       Alcotest.(check int) "whitespace-only hostname is 400" 400 status;
       let oversized = String.make 1500 'a' in
-      let status, _, _ = request port ("/geolocate?h=" ^ oversized) in
+      let { Http.status; _ } = request port ("/geolocate?h=" ^ oversized) in
       Alcotest.(check int) "oversized hostname is 400" 400 status;
       (* double stop via Fun.protect + explicit: idempotent *)
       ignore t)
@@ -459,7 +464,7 @@ let test_boundary_parity () =
         (fun raw ->
           let city, conf = Pipeline.geolocate_conf p raw in
           let expected = render_conf city conf ^ "\n" in
-          let status, body, _ =
+          let { Http.status; body; _ } =
             request port ("/geolocate?h=" ^ Http.pct_encode raw)
           in
           Alcotest.(check int) ("status for " ^ raw) 200 status;
@@ -478,9 +483,10 @@ let test_corpus_over_socket_with_reload () =
     ~config:{ small_config with Server.model_path = Some model_path }
     model
     (fun _ port ->
-      let c = kc_connect port in
+      let fd = connect port in
+      let reader = Http.reader_of_fd fd in
       Fun.protect
-        ~finally:(fun () -> kc_close c)
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
         (fun () ->
           let half = List.length pinned / 2 in
           List.iteri
@@ -488,12 +494,12 @@ let test_corpus_over_socket_with_reload () =
               if i = half then begin
                 (* hot reload mid-pass, same snapshot: on a separate
                    connection, like a real operator would *)
-                let status, body, _ = request ~meth:"POST" port "/reload" in
+                let { Http.status; body; _ } = request ~meth:"POST" port "/reload" in
                 if status <> 200 then
                   Alcotest.failf "mid-pass reload failed (%d): %s" status body
               end;
-              let status, body =
-                kc_request c ("/geolocate?h=" ^ Http.pct_encode h)
+              let { Http.status; body; _ } =
+                exchange fd reader ("/geolocate?h=" ^ Http.pct_encode h)
               in
               Alcotest.(check int) ("status for " ^ h) 200 status;
               Alcotest.(check string) ("served answer for " ^ h)
@@ -512,7 +518,7 @@ let test_batch_endpoint () =
           (List.map fst hosts @ [ "bad..name"; "" ])
         ^ "\n"
       in
-      let status, resp, _ = request ~meth:"POST" ~body port "/batch" in
+      let { Http.status; body = resp; _ } = request ~meth:"POST" ~body port "/batch" in
       Alcotest.(check int) "batch status" 200 status;
       let expected =
         String.concat ""
@@ -520,7 +526,7 @@ let test_batch_endpoint () =
         ^ "bad..name\t!invalid\t0.000\n"
       in
       Alcotest.(check string) "line-aligned batch answers" expected resp;
-      let status, _, _ = request ~meth:"POST" ~body:"\n\n" port "/batch" in
+      let { Http.status; _ } = request ~meth:"POST" ~body:"\n\n" port "/batch" in
       Alcotest.(check int) "empty batch is 400" 400 status)
 
 (* ?min_conf=: the confidence floor is a server-side outcome, not a
@@ -540,7 +546,7 @@ let test_min_conf () =
     | None -> Alcotest.failf "pinned %S has no confidence column" expected
   in
   with_server ~config:small_config model (fun _ port ->
-      let status, body, _ =
+      let { Http.status; body; _ } =
         request port ("/geolocate?h=" ^ Http.pct_encode h ^ "&min_conf=0")
       in
       Alcotest.(check int) "min_conf=0 status" 200 status;
@@ -548,13 +554,13 @@ let test_min_conf () =
         body;
       (* scores are strictly < 1 (Laplace smoothing), so a floor of 1.0
          trips every answer *)
-      let status, body, _ =
+      let { Http.status; body; _ } =
         request port ("/geolocate?h=" ^ Http.pct_encode h ^ "&min_conf=1.0")
       in
       Alcotest.(check int) "min_conf=1 status" 200 status;
       Alcotest.(check string) "below-floor answer is !low-confidence"
         ("!low-confidence\t" ^ conf_str ^ "\n") body;
-      let status, resp, _ =
+      let { Http.status; body = resp; _ } =
         request ~meth:"POST" ~body:(h ^ "\n") port "/batch?min_conf=1.0"
       in
       Alcotest.(check int) "batch min_conf status" 200 status;
@@ -562,13 +568,13 @@ let test_min_conf () =
         (h ^ "\t!low-confidence\t" ^ conf_str ^ "\n") resp;
       (* a negative answer is not a claim, so the floor leaves it "-":
          no-geolocation stays distinguishable from low-confidence *)
-      let status, body, _ =
+      let { Http.status; body; _ } =
         request port "/geolocate?h=nosuch.example.invalid&min_conf=0.5"
       in
       Alcotest.(check int) "negative under floor status" 200 status;
       Alcotest.(check string) "negative answer stays -" "-\t0.000\n" body;
       (* /explain takes the same floor on its answer line *)
-      let status, body, _ =
+      let { Http.status; body; _ } =
         request port ("/explain?h=" ^ Http.pct_encode h ^ "&min_conf=1.0")
       in
       Alcotest.(check int) "explain min_conf=1 status" 200 status;
@@ -577,7 +583,7 @@ let test_min_conf () =
         (h ^ "\t!low-confidence\t" ^ conf_str) first_line;
       List.iter
         (fun (endpoint, bad) ->
-          let status, _, _ =
+          let { Http.status; _ } =
             request port
               ("/" ^ endpoint ^ "?h=" ^ Http.pct_encode h ^ "&min_conf=" ^ bad)
           in
@@ -598,18 +604,13 @@ let test_socket_shed_503 () =
       let body =
         String.concat "\n" (List.map fst (List.filteri (fun i _ -> i < 40) pinned))
       in
-      let status, _, raw = request ~meth:"POST" ~body port "/batch" in
+      let { Http.status; headers; _ } = request ~meth:"POST" ~body port "/batch" in
       Alcotest.(check int) "oversized batch is shed with 503" 503 status;
       Alcotest.(check bool) "Retry-After advertised" true
-        (let low = String.lowercase_ascii raw in
-         let rec contains i =
-           i + 11 <= String.length low
-           && (String.sub low i 11 = "retry-after" || contains (i + 1))
-         in
-         contains 0);
+        (List.mem_assoc "retry-after" headers);
       (* a request inside the bound still works *)
       let h, expected = List.hd pinned in
-      let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode h) in
+      let { Http.status; body; _ } = request port ("/geolocate?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "still serving" 200 status;
       Alcotest.(check string) "still correct" (expected ^ "\n") body)
 
@@ -622,19 +623,19 @@ let test_reload_semantics () =
     model
     (fun _ port ->
       (* a bad path must fail loudly and keep the old model serving *)
-      let status, _, _ =
+      let { Http.status; _ } =
         request ~meth:"POST" port "/reload?model=/no/such/model.json"
       in
       Alcotest.(check int) "reload of missing file is 500" 500 status;
-      let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode h) in
+      let { Http.status; body; _ } = request port ("/geolocate?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "old model still serving" 200 status;
       Alcotest.(check string) "old model still correct" (expected ^ "\n") body;
       (* the configured path reloads fine *)
-      let status, _, _ = request ~meth:"POST" port "/reload" in
+      let { Http.status; _ } = request ~meth:"POST" port "/reload" in
       Alcotest.(check int) "configured reload is 200" 200 status);
   (* no model path configured anywhere: reload is a 400 *)
   with_server ~config:small_config model (fun _ port ->
-      let status, _, _ = request ~meth:"POST" port "/reload" in
+      let { Http.status; _ } = request ~meth:"POST" port "/reload" in
       Alcotest.(check int) "unconfigured reload is 400" 400 status)
 
 let test_metrics_and_explain () =
@@ -646,9 +647,9 @@ let test_metrics_and_explain () =
     | None -> Alcotest.fail "corpus has no geolocated hostname"
   in
   with_server ~config:small_config model (fun _ port ->
-      let status, _, _ = request port ("/geolocate?h=" ^ Http.pct_encode h) in
+      let { Http.status; _ } = request port ("/geolocate?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "warm-up request" 200 status;
-      let status, body, _ = request port "/metrics" in
+      let { Http.status; body; _ } = request port "/metrics" in
       Alcotest.(check int) "metrics status" 200 status;
       Alcotest.(check bool) "exposes net counters" true
         (let needle = "hoiho_net_requests_total" in
@@ -661,7 +662,7 @@ let test_metrics_and_explain () =
       Alcotest.(check bool) "ends with # EOF" true
         (String.length body >= 6
         && String.sub body (String.length body - 6) 6 = "# EOF\n");
-      let status, body, _ = request port ("/explain?h=" ^ Http.pct_encode h) in
+      let { Http.status; body; _ } = request port ("/explain?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "explain status" 200 status;
       Alcotest.(check bool) "explain carries the answer" true
         (let prefix = Printf.sprintf "%s\t%s\n" h expected in
@@ -699,7 +700,7 @@ let test_concurrent_explains () =
   let recorded () = Obs.count (Obs.counter "trace.spans_recorded") in
   with_server ~config:{ small_config with Server.jobs = 4 } model (fun _ port ->
       let explain h =
-        let status, body, _ = request port ("/explain?h=" ^ Http.pct_encode h) in
+        let { Http.status; body; _ } = request port ("/explain?h=" ^ Http.pct_encode h) in
         if status <> 200 then Alcotest.failf "/explain?h=%s: status %d" h status;
         strip_durations body
       in
@@ -830,22 +831,24 @@ let test_observe_relearn_mid_stream () =
   let pinned_h, pinned_e = List.hd (corpus_lines ()) in
   with_server ~config:small_config ~corpus:p.Pipeline.dataset model
         (fun _ port ->
-          let c = kc_connect port in
+          let fd = connect port in
+          let reader = Http.reader_of_fd fd in
           Fun.protect
-            ~finally:(fun () -> kc_close c)
+            ~finally:(fun () -> try Unix.close fd with _ -> ())
             (fun () ->
+              let post body = exchange ~meth:"POST" ~body fd reader "/observe" in
               (* before: the epoch-2 name is unknown — and now cached *)
-              let status, body =
-                kc_request c ("/geolocate?h=" ^ Http.pct_encode probe)
+              let { Http.status; body; _ } =
+                exchange fd reader ("/geolocate?h=" ^ Http.pct_encode probe)
               in
               Alcotest.(check int) "pre-observe status" 200 status;
               Alcotest.(check string) "epoch-2 name unknown before observe"
                 "-\t0.000\n" body;
               (* malformed bodies: typed 400s, connection survives *)
-              let status, _ = kc_post c "/observe" "not json" in
+              let { Http.status; _ } = post "not json" in
               Alcotest.(check int) "malformed body is 400" 400 status;
-              let status, body =
-                kc_post c "/observe" {|[{"op":"remove","id":123456789}]|}
+              let { Http.status; body; _ } =
+                post {|[{"op":"remove","id":123456789}]|}
               in
               Alcotest.(check int) "unknown router is 400" 400 status;
               Alcotest.(check bool) "400 names the router id" true
@@ -857,22 +860,22 @@ let test_observe_relearn_mid_stream () =
                  in
                  contains 0);
               (* the real observe, same connection *)
-              let status, body = kc_post c "/observe" events_json in
+              let { Http.status; body; _ } = post events_json in
               if status <> 200 then
                 Alcotest.failf "observe failed (%d): %s" status body;
               Alcotest.(check bool) "observe reports relearn stats" true
                 (String.length body >= 9 && String.sub body 0 9 = "relearned");
               (* after, still the same connection: the swap answered the
                  cached-negative name (the serving-boundary bugfix) *)
-              let status, body =
-                kc_request c ("/geolocate?h=" ^ Http.pct_encode probe)
+              let { Http.status; body; _ } =
+                exchange fd reader ("/geolocate?h=" ^ Http.pct_encode probe)
               in
               Alcotest.(check int) "post-observe status" 200 status;
               Alcotest.(check string) "epoch-2 name answers after observe"
                 (expected_after ^ "\n") body;
               (* clean suffixes kept serving identically *)
-              let status, body =
-                kc_request c ("/geolocate?h=" ^ Http.pct_encode pinned_h)
+              let { Http.status; body; _ } =
+                exchange fd reader ("/geolocate?h=" ^ Http.pct_encode pinned_h)
               in
               Alcotest.(check int) "clean suffix status" 200 status;
               Alcotest.(check string) "clean suffix unchanged"
@@ -936,7 +939,7 @@ let test_reload_during_observe () =
   | Error e -> Alcotest.failf "events do not apply: %s" (Delta.error_to_string e));
   let events_json = Delta.events_to_string events in
   let geolocate port =
-    let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode probe) in
+    let { Http.status; body; _ } = request port ("/geolocate?h=" ^ Http.pct_encode probe) in
     Alcotest.(check int) "geolocate status" 200 status;
     body
   in
@@ -950,11 +953,13 @@ let test_reload_during_observe () =
                 request ~meth:"POST" ~body:events_json port "/observe")
           in
           Unix.sleepf delay_s;
-          let status, body, _ =
+          let { Http.status; body; _ } =
             request ~meth:"POST" port
               ("/reload?model=" ^ Http.pct_encode other_path)
           in
-          let observe_status, observe_body, _ = Domain.join observer in
+          let { Http.status = observe_status; body = observe_body; _ } =
+            Domain.join observer
+          in
           if status <> 200 then Alcotest.failf "reload failed (%d): %s" status body;
           if observe_status <> 200 then
             Alcotest.failf "observe failed (%d): %s" observe_status observe_body;
@@ -971,7 +976,7 @@ let test_observe_too_deep () =
   let pinned_h, pinned_e = List.hd (corpus_lines ()) in
   with_server ~config:small_config ~corpus:p.Pipeline.dataset model (fun _ port ->
       let d = Hoiho_util.Json.max_depth + 1 in
-      let status, body, _ =
+      let { Http.status; body; _ } =
         request ~meth:"POST" ~body:(String.make d '[' ^ String.make d ']') port "/observe"
       in
       Alcotest.(check int) "too deep is 400" 400 status;
@@ -979,14 +984,14 @@ let test_observe_too_deep () =
         (Helpers.contains body
            (Printf.sprintf "expected at most %d nested lists and objects"
               Hoiho_util.Json.max_depth));
-      let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode pinned_h) in
+      let { Http.status; body; _ } = request port ("/geolocate?h=" ^ Http.pct_encode pinned_h) in
       Alcotest.(check int) "still serving" 200 status;
       Alcotest.(check string) "same answer" (pinned_e ^ "\n") body)
 
 let test_observe_unconfigured () =
   let _, model, _ = Lazy.force fixture in
   with_server ~config:small_config model (fun _ port ->
-      let status, body, _ =
+      let { Http.status; body; _ } =
         request ~meth:"POST" ~body:"[]" port "/observe"
       in
       Alcotest.(check int) "observe without a corpus is 400" 400 status;
@@ -1126,21 +1131,20 @@ let run_plan port plan =
           | exception Unix.Unix_error (EINTR, _, _) -> send off
       in
       send 0;
-      if plan.expect_response then begin
-        let raw = read_to_eof fd in
-        let status = parse_status raw in
-        match plan.fault with
-        | Oversized_hostname | Control_bytes ->
+      if plan.expect_response then
+        match (plan.fault, Http.read_response (Http.reader_of_fd fd)) with
+        | (Oversized_hostname | Control_bytes), Ok { Http.status; _ } ->
             Alcotest.(check int)
               (net_fault_name plan.fault ^ " is rejected with 400")
               400 status
-        | Slow_loris ->
-            (* fast enough to finish inside the deadline → 200; too
-               slow → 408 or a silent close. Never a hang, never a 5xx. *)
-            if raw <> "" && status <> 200 && status <> 408 then
-              Alcotest.failf "slow_loris: unexpected status %d" status
-        | _ -> ()
-      end)
+        (* fast enough to finish inside the deadline → 200; too slow →
+           408 or a silent close. Never a hang, never a 5xx. *)
+        | Slow_loris, (Ok { Http.status = 200 | 408; _ } | Error Http.Closed) -> ()
+        | Slow_loris, Ok { Http.status; _ } ->
+            Alcotest.failf "slow_loris: unexpected status %d" status
+        | (Oversized_hostname | Control_bytes | Slow_loris), Error e ->
+            Alcotest.failf "%s: %s" (net_fault_name plan.fault) (error_name e)
+        | (Torn_request | Garbage), _ -> ())
 
 let test_chaos_clients () =
   let _, model, model_path = Lazy.force fixture in
@@ -1164,7 +1168,7 @@ let test_chaos_clients () =
           (* mid-reload traffic: swap the model while hostile clients
              are mid-connection *)
           if i mod 7 = 3 then begin
-            let status, _, _ = request ~meth:"POST" port "/reload" in
+            let { Http.status; _ } = request ~meth:"POST" port "/reload" in
             Alcotest.(check int) "reload under fire" 200 status
           end;
           run_plan port plan)
@@ -1173,7 +1177,7 @@ let test_chaos_clients () =
       Alcotest.(check bool) "plans are deterministic" true
         (net_plans ~n:25 7 = plans);
       (* after all that, the server still answers, correctly *)
-      let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode h) in
+      let { Http.status; body; _ } = request port ("/geolocate?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "alive after chaos" 200 status;
       Alcotest.(check string) "still correct after chaos" (expected ^ "\n") body)
 
@@ -1189,84 +1193,40 @@ let contains haystack needle =
   in
   go 0
 
-(* the value of [name] in a raw response's header block, lowercased name *)
-let header_value raw name =
-  let head =
-    match find_crlfcrlf raw with Some i -> String.sub raw 0 i | None -> raw
-  in
-  let lines = String.split_on_char '\n' head in
-  let key = String.lowercase_ascii name ^ ":" in
-  List.find_map
-    (fun line ->
-      let line = String.trim line in
-      if
-        String.length line > String.length key
-        && String.lowercase_ascii (String.sub line 0 (String.length key)) = key
-      then
-        Some
-          (String.trim
-             (String.sub line (String.length key)
-                (String.length line - String.length key)))
-      else None)
-    lines
-
-(* one-shot GET with extra request headers *)
-let request_h port target headers =
-  let fd = connect port in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      let extra =
-        String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers)
-      in
-      (try
-         write_all fd
-           (Printf.sprintf
-              "GET %s HTTP/1.1\r\nHost: t\r\n%sConnection: close\r\n\r\n"
-              target extra)
-       with Unix.Unix_error _ -> ());
-      let raw = read_to_eof fd in
-      let status, body = split_response raw in
-      (status, body, raw))
-
 (* satellite: the OpenMetrics exposition advertises its version *)
 let test_metrics_content_type () =
   let _, model, _ = Lazy.force fixture in
   with_server ~config:small_config model (fun _ port ->
-      let status, _, raw = request port "/metrics" in
+      let { Http.status; headers; _ } = request port "/metrics" in
       Alcotest.(check int) "metrics status" 200 status;
       Alcotest.(check (option string)) "openmetrics content type"
         (Some "text/plain; version=0.0.4; charset=utf-8")
-        (header_value raw "content-type"))
+        (List.assoc_opt "content-type" headers))
 
 let test_request_id () =
   let _, model, _ = Lazy.force fixture in
   with_server ~config:small_config model (fun _ port ->
       (* a sane client id is echoed verbatim *)
-      let _, _, raw = request_h port "/healthz" [ ("X-Request-Id", "abc-123") ] in
+      let rid ?headers target =
+        List.assoc_opt "x-request-id" (request ?headers port target).Http.headers
+      in
       Alcotest.(check (option string)) "client id echoed" (Some "abc-123")
-        (header_value raw "x-request-id");
+        (rid ~headers:[ ("X-Request-Id", "abc-123") ] "/healthz");
       (* no client id: the daemon mints one *)
-      let _, _, raw = request port "/healthz" in
-      (match header_value raw "x-request-id" with
+      (match rid "/healthz" with
       | Some rid ->
           Alcotest.(check bool) "generated id is hoiho-*" true
             (String.length rid > 6 && String.sub rid 0 6 = "hoiho-")
       | None -> Alcotest.fail "response without X-Request-Id");
       (* an insane id (control bytes / oversized) is replaced, not echoed *)
-      let _, _, raw =
-        request_h port "/healthz" [ ("X-Request-Id", String.make 300 'x') ]
-      in
-      (match header_value raw "x-request-id" with
+      (match rid ~headers:[ ("X-Request-Id", String.make 300 'x') ] "/healthz" with
       | Some rid ->
           Alcotest.(check bool) "oversized client id replaced" true
             (String.sub rid 0 6 = "hoiho-")
       | None -> Alcotest.fail "response without X-Request-Id");
       (* errors carry the id too *)
-      let _, _, raw = request_h port "/nosuch" [ ("X-Request-Id", "err-7") ] in
       Alcotest.(check (option string)) "404 still carries the id" (Some "err-7")
-        (header_value raw "x-request-id"))
+        (rid ~headers:[ ("X-Request-Id", "err-7") ] "/nosuch"))
 
 (* the chaos-driven health state machine over a live socket:
    ok -> degraded -> failing (503 naming the burned objective) -> ok
@@ -1284,7 +1244,7 @@ let test_healthz_transitions () =
     }
   in
   with_server ~config model (fun t port ->
-      let status, body, _ = request port "/healthz" in
+      let { Http.status; body; _ } = request port "/healthz" in
       Alcotest.(check int) "clean server is healthy" 200 status;
       Alcotest.(check string) "clean body" "ok\n" body;
       (* inject latency inside the budget's degraded band: burn 1.5 *)
@@ -1296,26 +1256,26 @@ let test_healthz_transitions () =
         done
       in
       inject 75.0;
-      let status, body, _ = request port "/healthz" in
+      let { Http.status; body; _ } = request port "/healthz" in
       Alcotest.(check int) "degraded is still 200" 200 status;
       Alcotest.(check bool) "degraded body" true (contains body "degraded:");
       Alcotest.(check bool) "degraded names the objective" true
         (contains body "latency_p99_ms");
       (* now burn far past fail_ratio *)
       inject 1000.0;
-      let status, body, _ = request port "/healthz" in
+      let { Http.status; body; _ } = request port "/healthz" in
       Alcotest.(check int) "failing is 503" 503 status;
       Alcotest.(check bool) "failing body" true (contains body "failing:");
       Alcotest.(check bool) "failing names the objective" true
         (contains body "latency_p99_ms");
       (* /debug/slo agrees while failing *)
-      let status, body, _ = request port "/debug/slo" in
+      let { Http.status; body; _ } = request port "/debug/slo" in
       Alcotest.(check int) "debug/slo status" 200 status;
       Alcotest.(check bool) "debug/slo reports failing" true
         (contains body "\"state\":\"failing\"");
       (* recovery: the bad samples age out of the 1 s span on their own *)
       Unix.sleepf 1.35;
-      let status, body, _ = request port "/healthz" in
+      let { Http.status; body; _ } = request port "/healthz" in
       Alcotest.(check int) "recovered" 200 status;
       Alcotest.(check string) "recovered body" "ok\n" body)
 
@@ -1324,14 +1284,14 @@ let test_debug_endpoints_strict_json () =
   let pinned = corpus_lines () in
   let h, _ = List.hd pinned in
   with_server ~config:small_config model (fun _ port ->
-      let status, _, _ = request port ("/geolocate?h=" ^ Http.pct_encode h) in
+      let { Http.status; _ } = request port ("/geolocate?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "warm-up request" 200 status;
       let check_json target keys =
-        let status, body, raw = request port target in
+        let { Http.status; body; headers; _ } = request port target in
         Alcotest.(check int) (target ^ " status") 200 status;
         Alcotest.(check (option string)) (target ^ " content type")
           (Some "application/json")
-          (header_value raw "content-type");
+          (List.assoc_opt "content-type" headers);
         match Json.parse body with
         | Error e -> Alcotest.failf "%s is not strict JSON: %s" target e
         | Ok json ->
@@ -1386,7 +1346,7 @@ let test_expected_calibration_served () =
   Alcotest.(check bool) "fixture model carries a calibration profile" true
     (model.Learned_io.calibration <> None);
   with_server ~config:small_config model (fun _ port ->
-      let _, body, _ = request port "/debug/windows" in
+      let body = (request port "/debug/windows").Http.body in
       Alcotest.(check bool) "expected profile exposed, not null" true
         (not (contains body "\"expected_calibration\":null")))
 
@@ -1397,11 +1357,11 @@ let test_access_log_over_the_wire () =
   let path = Filename.temp_file "hoiho_net_access" ".log" in
   let config = { small_config with Server.access_log = Some path } in
   with_server ~config model (fun _ port ->
-      let status, _, _ = request port ("/geolocate?h=" ^ Http.pct_encode h) in
+      let { Http.status; _ } = request port ("/geolocate?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "geolocate" 200 status;
-      let status, _, _ = request port "/healthz" in
+      let { Http.status; _ } = request port "/healthz" in
       Alcotest.(check int) "healthz" 200 status;
-      let status, _, _ = request port "/nosuch" in
+      let { Http.status; _ } = request port "/nosuch" in
       Alcotest.(check int) "404" 404 status);
   let ic = open_in_bin path in
   let raw = really_input_string ic (in_channel_length ic) in
@@ -1446,6 +1406,11 @@ let suites =
         Helpers.tc "keep-alive rules" test_http_keep_alive_rules;
         Helpers.tc "rejects malformed and oversized input" test_http_rejects;
         Helpers.tc "bodies and pipelining" test_http_body_and_pipelining;
+        Helpers.tc "reads responses" test_http_read_response;
+        Helpers.tc "response reader refuses malformed and oversized input"
+          test_http_response_rejects;
+        Helpers.tc "renderers round-trip through the readers"
+          test_http_render_round_trip;
         Helpers.tc "percent codec" test_pct_codec;
       ] );
     ( "net.batcher",
