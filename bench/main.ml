@@ -765,20 +765,23 @@ let perf () =
     best (fun c ->
         {
           c with
-          Server.objectives =
-            Some
-              [
-                {
-                  Hoiho_obs.Health.metric = "latency_p99_ms";
-                  max_value = 250.0;
-                  fail_ratio = 4.0;
-                };
-                {
-                  Hoiho_obs.Health.metric = "error_rate";
-                  max_value = 0.05;
-                  fail_ratio = 4.0;
-                };
-              ];
+          Server.slo =
+            {
+              Hoiho_net.Slo.default with
+              objectives =
+                [
+                  {
+                    Hoiho_obs.Health.metric = "latency_p99_ms";
+                    max_value = 250.0;
+                    fail_ratio = 4.0;
+                  };
+                  {
+                    Hoiho_obs.Health.metric = "error_rate";
+                    max_value = 0.05;
+                    fail_ratio = 4.0;
+                  };
+                ];
+            };
           access_log = Some access_path;
         })
   in

@@ -85,7 +85,6 @@ let request pid port target =
     (fun () ->
       (try
          Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
          Http.write_all fd
            (Http.request ~meth:"GET"
               ~headers:[ ("Host", "c"); ("Connection", "close") ]

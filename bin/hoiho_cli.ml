@@ -580,10 +580,10 @@ let serve_cmd =
     let model = load_model_or_die model_path in
     let slo =
       match slo with
-      | None -> None
+      | None -> Hoiho_net.Slo.default
       | Some path -> (
           match Hoiho_net.Slo.load path with
-          | Ok s -> Some s
+          | Ok s -> s
           | Error e ->
               Printf.eprintf "hoiho: cannot load SLO file %s: %s\n" path e;
               exit 1)
@@ -599,15 +599,7 @@ let serve_cmd =
         max_pending = max 1 max_pending;
         request_timeout_s = Float.max 0.05 timeout;
         model_path = Some model_path;
-        objectives = Option.map (fun s -> s.Hoiho_net.Slo.objectives) slo;
-        health_bucket_ms =
-          (match slo with
-          | Some s -> s.Hoiho_net.Slo.bucket_ms
-          | None -> Hoiho_net.Server.default_config.health_bucket_ms);
-        health_nbuckets =
-          (match slo with
-          | Some s -> s.Hoiho_net.Slo.nbuckets
-          | None -> Hoiho_net.Server.default_config.health_nbuckets);
+        slo;
         access_log;
       }
     in
@@ -656,8 +648,9 @@ module Http = Hoiho_net.Http
 
 (* one GET /healthz, its answer read by [Http.read_response] under the
    default limits: the whole answer within the deadline, a body of at
-   most 1 MiB. The socket's own timeouts bound each connect, write and
-   read, so a daemon that accepts but never answers cannot hang it. *)
+   most 1 MiB. The socket's send timeout bounds the connect and the
+   write, and [Http] bounds each read by the time the answer has left,
+   so a daemon that accepts but never answers cannot hang it. *)
 let probe_timeout_s = Http.default_limits.Http.deadline_ms /. 1000.0
 
 let probe_healthz url =
@@ -699,7 +692,6 @@ let probe_healthz url =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.setsockopt_float fd Unix.SO_SNDTIMEO probe_timeout_s;
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO probe_timeout_s;
       Unix.connect fd (Unix.ADDR_INET (addr, port));
       let host_header = ("Host", Printf.sprintf "%s:%d" host port) in
       Http.write_all fd
@@ -747,12 +739,10 @@ let health_cmd =
              (503 when degraded service reports failing). Exits 2 when \
              the daemon is unreachable or its answer is not a bounded, \
              well-formed HTTP response: the deadline of %g s covers the \
-             whole answer, not each read, and the body is capped at 1 \
-             MiB. A read already waiting at the deadline ends on its own \
-             %g s socket timeout, so the probe gives up within about %g s \
-             of sending its request. Ready for scripting and \
-             orchestration liveness checks."
-            probe_timeout_s probe_timeout_s (2.0 *. probe_timeout_s)))
+             whole answer, not each read, so the probe gives up within \
+             %g s of sending its request, and the body is capped at 1 \
+             MiB. Ready for scripting and orchestration liveness checks."
+            probe_timeout_s probe_timeout_s))
     Term.(const run $ url)
 
 (* --- explain --- *)

@@ -34,7 +34,7 @@ let () =
   | _ -> fail "pipeline.suffix_groups counter missing or zero");
   List.iter
     (fun name -> if counter name = None then fail "%s counter missing" name)
-    [ "ncsel.candidates_evaluated"; "pool.jobs_submitted"; "rx.prefilter_skips" ];
+    [ "ncsel.candidates_evaluated"; "pool.jobs_submitted"; "rx.backtrack_attempts" ];
   let summaries = List.map snd (section "histograms") in
   let summarized key = List.exists (fun h -> Json.member key h <> None) summaries in
   (* every run times at least the whole-run span and one suffix group *)

@@ -50,11 +50,11 @@ let build ~suffix body =
 let source_of ~suffix body = Ast.to_string (ast_of ~capture_fillers:false ~suffix body)
 
 let build_many ?(jobs = 1) ~suffix bodies =
-  (* rendering a body's source is cheap; compiling it (prefilter
-     analysis, class bitmaps) is not. Deduplicate on the rendered
-     source BEFORE compiling — the generation phases emit the same
-     pattern from many samples — then fan the distinct compiles out
-     over the shared pool. Keeps first occurrences in order, exactly
+  (* rendering a body's source is cheap; compiling it (linking the
+     instruction chain, class bitmaps) is not. Deduplicate on the
+     rendered source BEFORE compiling — the generation phases emit the
+     same pattern from many samples — then fan the distinct compiles
+     out over the shared pool. Keeps first occurrences in order, exactly
      like [dedup] over per-body [build] results. *)
   let seen = Hashtbl.create 64 in
   let distinct =

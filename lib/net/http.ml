@@ -53,12 +53,14 @@ let reader_of_string s =
 exception Read_error of error
 
 (* refill the buffer with at least one more byte; raises [Read_error]
-   on timeout/close. The per-request deadline is checked here: a
-   slow-loris client that keeps each single read under the socket
-   timeout still cannot stretch one request past [deadline]. *)
+   on timeout/close. The per-message deadline is enforced here: a
+   socket read may block only for the time the message has left, so a
+   slow-loris peer that trickles bytes cannot stretch one message past
+   [deadline]. *)
 let rec refill r ~deadline =
   if r.pos = r.len then begin
-    if Obs.now_ms () > deadline then raise (Read_error Timeout);
+    let left_ms = deadline -. Obs.now_ms () in
+    if left_ms < 0.0 then raise (Read_error Timeout);
     r.pos <- 0;
     r.len <- 0;
     match r.src with
@@ -70,7 +72,12 @@ let rec refill r ~deadline =
         r.spos <- r.spos + n;
         r.len <- n
     | Fd fd -> (
-        match Unix.read fd r.buf 0 (Bytes.length r.buf) with
+        match
+          (* an SO_RCVTIMEO of 0 means no timeout, hence the 1 ms floor *)
+          if deadline < infinity then
+            Unix.setsockopt_float fd SO_RCVTIMEO (Float.max 0.001 (left_ms /. 1000.0));
+          Unix.read fd r.buf 0 (Bytes.length r.buf)
+        with
         | 0 -> raise (Read_error Closed)
         | n -> r.len <- n
         | exception Unix.Unix_error (EINTR, _, _) -> refill r ~deadline

@@ -56,10 +56,11 @@ val default_limits : limits
 type reader
 
 val reader_of_fd : Unix.file_descr -> reader
-(** Buffered reader over a socket. The fd should carry an
-    [SO_RCVTIMEO] so a single blocking read cannot outlive the
-    message deadline by much; [Unix.EAGAIN]/[EWOULDBLOCK]/[ETIMEDOUT]
-    surface as {!Timeout}. *)
+(** Buffered reader over a socket. Under a finite deadline, each
+    blocking read first sets the socket's [SO_RCVTIMEO] to the time the
+    message has left (at least 1 ms), so no read outlives the deadline;
+    [Unix.EAGAIN]/[EWOULDBLOCK]/[ETIMEDOUT] surface as {!Timeout}. The
+    caller sets no receive timeout of its own. *)
 
 val reader_of_string : string -> reader
 (** In-memory reader for tests. *)

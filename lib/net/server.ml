@@ -41,9 +41,7 @@ type config = {
   max_pending : int;
   request_timeout_s : float;
   model_path : string option;
-  objectives : Health.objective list option;
-  health_bucket_ms : float;
-  health_nbuckets : int;
+  slo : Slo.t;
   access_log : string option;
 }
 
@@ -55,9 +53,7 @@ let default_config =
     max_pending = 1024;
     request_timeout_s = 5.0;
     model_path = None;
-    objectives = None;
-    health_bucket_ms = 5000.0;
-    health_nbuckets = 12;
+    slo = Slo.default;
     access_log = None;
   }
 
@@ -346,13 +342,8 @@ let do_reload t path =
       Obs.incr c_reloads;
       swapped
 
-let handle_reload t ctx fd req =
-  let path =
-    match Http.query_param req "model" with
-    | Some p when p <> "" -> Some p
-    | _ -> t.cfg.model_path
-  in
-  match path with
+let handle_reload t ctx fd =
+  match t.cfg.model_path with
   | None -> respond ctx fd ~status:400 "no model path configured\n"
   | Some path -> (
       match do_reload t path with
@@ -520,7 +511,7 @@ let dispatch t ctx fd (req : Http.request) =
   | "GET", "/geolocate" -> handle_geolocate t ctx fd req
   | "GET", "/explain" -> handle_explain t ctx fd req
   | "POST", "/batch" -> handle_batch t ctx fd req
-  | "POST", "/reload" -> handle_reload t ctx fd req
+  | "POST", "/reload" -> handle_reload t ctx fd
   | "POST", "/observe" -> handle_observe t ctx fd req
   | ("GET" | "POST" | "HEAD"), _ -> respond ctx fd ~status:404 "not found\n"
   | _ -> respond ctx fd ~status:405 "method not allowed\n"
@@ -530,9 +521,7 @@ let dispatch t ctx fd (req : Http.request) =
 let handle_connection t fd =
   Obs.incr c_conns;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.request_timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.request_timeout_s
+  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.request_timeout_s
    with Unix.Unix_error _ -> ());
   let limits =
     { Http.default_limits with Http.deadline_ms = t.cfg.request_timeout_s *. 1000.0 }
@@ -702,9 +691,8 @@ let start ?(config = default_config) ?corpus model =
   let serve = Atomic.make (Serve.create model) in
   let active = Atomic.make 0 in
   let monitor =
-    Health.create_monitor
-      ?objectives:config.objectives
-      ~bucket_ms:config.health_bucket_ms ~nbuckets:config.health_nbuckets ()
+    Health.create_monitor ~objectives:config.slo.Slo.objectives
+      ~bucket_ms:config.slo.Slo.bucket_ms ~nbuckets:config.slo.Slo.nbuckets
   in
   (* drift baseline: the served model's stored expected profile (None
      for pre-v3 snapshots — the drift measurement simply stays off) *)

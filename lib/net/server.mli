@@ -39,7 +39,10 @@
     - [GET /debug/windows] — strict JSON: per-window rolling stats
       (latency, errors, shed, confidence) plus the expected and
       observed calibration deciles behind the drift measurement.
-    - [POST /reload[?model=PATH]] — hot model reload, see below.
+    - [POST /reload] — hot reload of [config.model_path], the only
+      file a reload reads (a client cannot name another), see below;
+      [400] without a configured path, [500] naming the decode error
+      while the old model keeps serving.
     - [POST /observe] — a body of {!Hoiho.Delta} wire events: the
       daemon applies them to its retained corpus ([?corpus] of {!start}),
       incrementally relearns only the dirty suffix groups, and swaps
@@ -91,15 +94,12 @@ type config = {
   jobs : int;  (** accept domains; also the apply parallelism *)
   max_pending : int;  (** admission bound; beyond it requests get 503 *)
   request_timeout_s : float;  (** per-request read deadline *)
-  model_path : string option;  (** snapshot to re-read on reload *)
-  objectives : Hoiho_obs.Health.objective list option;
-      (** SLO objectives for the health monitor (what [--slo FILE]
-          supplies via {!Slo.load}); [None] uses the default
-          objectives of {!Hoiho_obs.Health.create_monitor}, generous
-          enough that a clean server evaluates [Ok]. *)
-  health_bucket_ms : float;  (** health window bucket width *)
-  health_nbuckets : int;
-      (** health window ring length; span = bucket × ring *)
+  model_path : string option;
+      (** the snapshot [POST /reload] and {!request_reload} re-read *)
+  slo : Slo.t;
+      (** objectives and window of the health monitor (what [--slo
+          FILE] supplies via {!Slo.load}); {!Slo.default} is generous
+          enough that a clean server evaluates [Ok] *)
   access_log : string option;
       (** JSON-lines access log path ({!Access_log}); [None] disables.
           An unwritable path fails {!start}. *)
@@ -107,12 +107,12 @@ type config = {
 
 val default_config : config
 (** 127.0.0.1:0, jobs = {!Hoiho_obs.Pool.default_jobs}, max_pending
-    1024, request_timeout_s 5.0, no model path, default objectives over
-    a 60 s window (5 s × 12 buckets), no access log. Request coalescing
-    uses {!Batcher.create}'s defaults: at most 64 hostnames per batch,
-    held open at most 1 ms. Request bodies are capped at
-    {!Http.default_limits}'s [max_body] (1 MiB), and an access log rotates
-    at {!Access_log.create}'s default (16 MiB). *)
+    1024, request_timeout_s 5.0, no model path, {!Slo.default} (default
+    objectives over a 60 s window of 12 buckets), no access log.
+    Request coalescing uses {!Batcher.create}'s defaults: at most 64
+    hostnames per batch, held open at most 1 ms. Request bodies are
+    capped at {!Http.default_limits}'s [max_body] (1 MiB), and an
+    access log rotates at {!Access_log.create}'s default (16 MiB). *)
 
 type t
 

@@ -11,6 +11,9 @@ let metrics =
   [ "latency_p50_ms"; "latency_p99_ms"; "error_rate"; "shed_rate";
     "calibration_drift" ]
 
+let default =
+  { objectives = Health.default_objectives; bucket_ms = 5000.0; nbuckets = 12 }
+
 let max_buckets = 120
 let max_file_bytes = 65536
 
@@ -46,7 +49,11 @@ let parse s =
         Json.root json
     in
     let* objectives = Json.field "objectives" (Json.list objective) Json.root json in
-    Ok (Option.value window_s ~default:60.0, Option.value nbuckets ~default:12, objectives)
+    let default_window_s = default.bucket_ms *. float_of_int default.nbuckets /. 1000.0 in
+    Ok
+      ( Option.value window_s ~default:default_window_s,
+        Option.value nbuckets ~default:default.nbuckets,
+        objectives )
   in
   match decoded with
   | Error e -> Error (Json.error_to_string e)

@@ -27,6 +27,11 @@ type t = {
   nbuckets : int;
 }
 
+val default : t
+(** What the daemon runs without [--slo], and where {!parse} takes an
+    absent [window_s] or [buckets] from: {!Hoiho_obs.Health.default_objectives}
+    over a 60 s window of 12 buckets. *)
+
 val max_buckets : int
 (** 120: each bucket is one {!Hoiho_obs.Histo} (about 4 KB) in each of
     the monitor's four windows, so 120 buckets cost about 2 MB; on the

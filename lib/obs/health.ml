@@ -80,8 +80,7 @@ type monitor = {
   profile : float array option Atomic.t;
 }
 
-let create_monitor ?(objectives = default_objectives) ?(bucket_ms = 5000.0)
-    ?(nbuckets = 12) () =
+let create_monitor ~objectives ~bucket_ms ~nbuckets =
   let w () = Window.create ~bucket_ms ~nbuckets () in
   {
     mobjectives = objectives;

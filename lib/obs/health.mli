@@ -42,6 +42,12 @@ type objective = {
           failing rather than merely degraded; must be > 1 *)
 }
 
+val default_objectives : objective list
+(** Deliberately generous: p99 ≤ 5000 ms, error rate ≤ 1.0, shed rate
+    ≤ 1.0, drift ≤ 0.5 with fail at 4×. A daemon run without [--slo]
+    only alarms in extremis; operators declare real budgets in an SLO
+    file. *)
+
 val evaluate :
   objectives:objective list -> measurements:(string * float) list -> state
 (** Pure: fold every objective over the measurement alist. An
@@ -54,13 +60,11 @@ val evaluate :
 type monitor
 
 val create_monitor :
-  ?objectives:objective list -> ?bucket_ms:float -> ?nbuckets:int -> unit -> monitor
-(** Defaults: deliberately generous objectives (p99 ≤ 5000 ms, error
-    rate ≤ 1.0, shed rate ≤ 1.0, drift ≤ 0.5 with fail at 4×), so a
-    daemon run without [--slo] only alarms in extremis (operators
-    declare real budgets in an SLO file); 12 buckets of 5000 ms (a 60 s
-    window). Four windows of [nbuckets + 1] {!Histo}s (about 4 KB
-    each): a ring slot costs about 16 KB, whatever the traffic. *)
+  objectives:objective list -> bucket_ms:float -> nbuckets:int -> monitor
+(** A monitor whose windows span [nbuckets] buckets of [bucket_ms]
+    ([Hoiho_net.Slo.default] holds the daemon's defaults). Four windows
+    of [nbuckets + 1] {!Histo}s (about 4 KB each): a ring slot costs
+    about 16 KB, whatever the traffic. *)
 
 val objectives : monitor -> objective list
 

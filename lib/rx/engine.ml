@@ -22,7 +22,7 @@ type instr =
   | IGreedy of { row : int; atom : atom; min : int; max : int; next : instr }
   | IPossessive of { row : int; atom : atom; min : int; max : int; next : instr }
 
-type t = { instr : instr; ngroups : int; nreps : int; ast : Ast.t; pf : Prefilter.t }
+type t = { instr : instr; ngroups : int; nreps : int; ast : Ast.t }
 
 let compile ast =
   let nreps = ref 0 in
@@ -63,7 +63,7 @@ let compile ast =
         | Ast.Possessive -> IPossessive { row; atom; min; max; next })
   in
   let instr = link 0 ast IAccept in
-  { instr; ngroups = Ast.count_groups ast; nreps = !nreps; ast; pf = Prefilter.analyze ast }
+  { instr; ngroups = Ast.count_groups ast; nreps = !nreps; ast }
 
 let compile_string s = Result.map compile (Parse.parse s)
 
@@ -74,25 +74,21 @@ let compile_exn s =
 
 let source t = Ast.to_string t.ast
 let group_count t = t.ngroups
-let prefilter t = t.pf
 
 module Obs = Hoiho_obs.Obs
 
 (* engine effectiveness counters, process-wide (see DESIGN.md §7):
-   [rx.exec_calls] counts prefiltered searches, [rx.prefilter_skips]
-   those rejected by the literal scan without running the backtracker,
-   and [rx.backtrack_attempts] the start offsets retried beyond each
-   search's first attempt *)
+   [rx.exec_calls] counts searches and [rx.backtrack_attempts] the
+   start offsets retried beyond each search's first attempt *)
 let c_calls = Obs.counter "rx.exec_calls"
-let c_skips = Obs.counter "rx.prefilter_skips"
 let c_backtracks = Obs.counter "rx.backtrack_attempts"
 let c_oversized = Obs.counter "rx.oversized_inputs"
 
 (* DNS caps a name at 255 octets; anything longer is garbage (or an
    attack on the backtracker) and is rejected before any matching.
    Generous headroom over the RFC limit so escaped/decorated forms
-   still match. Applied identically to the prefiltered and unfiltered
-   search paths, which must stay behaviorally equivalent. *)
+   still match. Applied identically to the memoized search and the
+   memo-free reference, which must stay behaviorally equivalent. *)
 let max_subject_len = 1024
 
 let subject_ok s =
@@ -100,7 +96,10 @@ let subject_ok s =
   ||
   (Obs.incr c_oversized;
    false)
-let prefilter_stats () = (Obs.count c_calls, Obs.count c_skips)
+
+(* kept for bench/perf, which reads a skip count beside the calls;
+   with one search nothing is skipped *)
+let prefilter_stats () = (Obs.count c_calls, 0)
 
 (* per-search scratch state: one mutable record per domain
    ([mstate_of] below), its fields overwritten per search, so matching
@@ -208,98 +207,22 @@ and attempt st next base p =
      (if st.record then Array.unsafe_set st.memo key st.gen;
       false))
 
-let exec_at t st start = run st t.instr start
-let anchored t = t.pf.Prefilter.anchored
+let anchored t = match t.ast with Ast.Bol :: _ -> true | _ -> false
 
-(* the unfiltered reference search: retry at every start offset *)
-let try_every t st =
-  let anchored = anchored t in
-  let rec try_from retries start =
-    if start > st.slen then (retries, false)
-    else if exec_at t st start then (retries, true)
-    else if anchored then (retries, false)
-    else try_from (retries + 1) (start + 1)
-  in
-  let retries, ok = try_from 0 0 in
-  Obs.add c_backtracks retries;
-  ok
-
-let has_digit s =
-  let n = String.length s in
-  let rec go i =
-    i < n
-    &&
-    let c = String.unsafe_get s i in
-    (c >= '0' && c <= '9') || go (i + 1)
-  in
-  go 0
-
-(* the global necessary conditions — tail literal at a fixed distance
-   from the subject's end, extra required literals, mandatory digit —
-   hold wherever the match starts, so they run once per subject before
-   any start-offset enumeration *)
-let prefilter_plausible pf s slen =
-  (match pf.Prefilter.tail with
-  | Some (lit, dist) ->
-      Prefilter.matches_at ~needle:lit s (slen - dist - String.length lit)
-  | None -> true)
-  && ((not pf.Prefilter.needs_digit) || has_digit s)
-  && (match pf.Prefilter.extras with
-     | [] -> true
-     | extras -> List.for_all (fun l -> Prefilter.contains ~needle:l s) extras)
-
-(* prefiltered search; must accept exactly the same strings, with the
-   same captures, as [try_every] *)
+(* the one search: an anchored pattern is tried at position 0, any
+   other at every start offset, all under one memo (see [mstate_arena]) *)
 let search t st =
   Obs.incr c_calls;
-  let pf = t.pf in
-  let s = st.str in
-  if not (prefilter_plausible pf s st.slen) then begin
-    Obs.incr c_skips;
-    false
-  end
-  else if pf.Prefilter.required = "" then try_every t st
-  else if anchored t then begin
-    let plausible =
-      match pf.Prefilter.offset with
-      | Some d -> Prefilter.matches_at ~needle:pf.Prefilter.required s d
-      | None -> Prefilter.contains ~needle:pf.Prefilter.required s
-    in
-    if not plausible then begin
-      Obs.incr c_skips;
-      false
+  let last = if anchored t then 0 else st.slen in
+  let rec from start =
+    let ok = run st t.instr start in
+    if ok || start = last then begin
+      Obs.add c_backtracks start;
+      ok
     end
-    else exec_at t st 0
-  end
-  else begin
-    match pf.Prefilter.offset with
-    | Some d -> (
-        (* a match starting at p places the literal at p + d, so the
-           literal's occurrences enumerate every viable start *)
-        match Prefilter.find ~needle:pf.Prefilter.required s 0 with
-        | -1 ->
-            Obs.incr c_skips;
-            false
-        | first ->
-            let attempts = ref 0 in
-            let rec scan i =
-              i >= 0
-              && ((i >= d
-                  &&
-                  (incr attempts;
-                   exec_at t st (i - d)))
-                 || scan (Prefilter.find ~needle:pf.Prefilter.required s (i + 1)))
-            in
-            let ok = scan first in
-            Obs.add c_backtracks (max 0 (!attempts - 1));
-            ok)
-    | None ->
-        if not (Prefilter.contains ~needle:pf.Prefilter.required s) then begin
-          Obs.incr c_skips;
-          false
-        end
-        else try_every t st
-  end
+    else from (start + 1)
+  in
+  from 0
 
 (* per-domain match arena: exec'ing a pattern is not re-entrant within
    one domain (no callback runs inside [search], and [extract] reads
@@ -339,8 +262,8 @@ let extract t st =
 
 module Trace = Hoiho_obs.Trace
 
-let exec_raw t s =
-  let st = mstate_of ~record:true t s in
+let exec_raw ~record t s =
+  let st = mstate_of ~record t s in
   if search t st then Some (extract t st) else None
 
 (* tracing exec is far too hot to span every call; when tracing is on,
@@ -352,16 +275,12 @@ let exec t s =
     Trace.with_span "rx.exec"
       ~attrs:[ ("regex", source t); ("subject", s) ]
       (fun () ->
-        let r = exec_raw t s in
+        let r = exec_raw ~record:true t s in
         Trace.add_attr "matched" (string_of_bool (r <> None));
         r)
-  else exec_raw t s
+  else exec_raw ~record:true t s
 
-let exec_unfiltered t s =
-  if not (subject_ok s) then None
-  else
-    let st = mstate_of ~record:false t s in
-    if try_every t st then Some (extract t st) else None
+let exec_memo_free t s = if not (subject_ok s) then None else exec_raw ~record:false t s
 
 let matches t s =
   subject_ok s

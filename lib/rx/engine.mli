@@ -27,12 +27,12 @@
     [[a-z]{3}]); never exponential. The memo takes
     [repetitions × (n + 1)] ints on each domain that searches.
 
-    Every compiled pattern carries a {!Prefilter.t}: [exec] first scans
-    the input for the pattern's required literal substring and bails —
-    or seeds the start offset — before entering the backtracker. The
-    prefiltered, memoized search is observationally identical to the
-    exhaustive, memo-free one ({!exec_unfiltered} exists to check
-    exactly that). *)
+    {b One search.} A pattern anchored with [^] is tried at position 0
+    only; any other pattern at every start offset, under the same memo,
+    since whether a state succeeds does not depend on where the match
+    began. So the bound above covers the whole search, not one start.
+    Hoiho's learned regexes are anchored at both ends on their suffix,
+    and run only on hostnames of that suffix. *)
 
 type t
 (** A compiled regex. *)
@@ -52,7 +52,7 @@ val group_count : t -> int
 
 val max_subject_len : int
 (** Subjects longer than this (1024 bytes — 4× the DNS name limit) are
-    rejected by {!exec}, {!exec_unfiltered} and {!matches} without
+    rejected by {!exec}, {!exec_memo_free} and {!matches} without
     entering the backtracker, counted under [rx.oversized_inputs]. *)
 
 val exec : t -> string -> string option array option
@@ -64,23 +64,17 @@ val exec : t -> string -> string option array option
     subject, and a subject over {!max_subject_len} is simply no
     match. *)
 
-val exec_unfiltered : t -> string -> string option array option
-(** {!exec} with neither the literal prefilter nor the failure memo:
-    the backtracker is retried at every start offset and explores every
-    path, so the time bound above does not hold. The reference for
-    differential testing and benchmarking; agrees with {!exec} on every
-    input. *)
+val exec_memo_free : t -> string -> string option array option
+(** {!exec} with no failure memo: every path is tried, so the time
+    bound above does not hold. The reference the memoized search is
+    checked against in differential tests; agrees with {!exec} on
+    every input. *)
 
 val matches : t -> string -> bool
 (** [exec t s <> None] without materializing capture strings. *)
 
-val prefilter : t -> Prefilter.t
-(** The literal prefilter computed at compile time. *)
-
 val prefilter_stats : unit -> int * int
-(** [(calls, skips)] accumulated process-wide across all patterns:
-    total prefiltered searches, and searches rejected by the literal
-    scan alone (no backtracking attempted). Thread-safe. Backed by the
-    {!Hoiho_obs.Obs} registry counters [rx.exec_calls] and
-    [rx.prefilter_skips] (the registry also tracks
-    [rx.backtrack_attempts]); this accessor remains for convenience. *)
+(** [(calls, 0)]: the process-wide [rx.exec_calls] count of searches,
+    beside a skip count that is always 0. The literal prefilter that
+    once skipped searches is gone; this pair stays only because the
+    frozen benchmark harness reads it. *)

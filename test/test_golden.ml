@@ -35,6 +35,12 @@ module Evolve = Hoiho_netsim.Evolve
 module Truth = Hoiho_netsim.Truth
 module Calibration = Hoiho_validate.Calibration
 module Trace = Hoiho_obs.Trace
+module Apparent = Hoiho.Apparent
+module Regen = Hoiho.Regen
+module Cand = Hoiho.Cand
+module Ast = Hoiho_rx.Ast
+module Parse = Hoiho_rx.Parse
+module Engine = Hoiho_rx.Engine
 
 let corpus_path = "golden/corpus.tsv"
 let max_per_suffix = 2
@@ -302,6 +308,51 @@ let test_drift_model_diff () =
       Alcotest.(check bool) "diff JSON encodes" true
         (String.length (Model_diff.encode d) > 2)
 
+(* Every regex Hoiho learns is anchored at both ends on its suffix: [^],
+   a body, the literal [.SUFFIX], then [$] (§5.3, figures 7 and 13).
+   The regex engine tries such a pattern at position 0 only. Checked
+   for every suffix group of the fixture, over each candidate the
+   generation phases build and the filler-capturing variant phase 3
+   runs, and over the regexes the model keeps. *)
+let test_regex_shape () =
+  let ds, p = Lazy.force fixture in
+  let check ~suffix source =
+    let lit = "." ^ suffix in
+    let tail =
+      List.init (String.length lit) (fun i -> (Ast.Lit lit.[i] : Ast.node)) @ [ Ast.Eol ]
+    in
+    match Parse.parse source with
+    | Error e -> Alcotest.failf "%s does not parse: %s" source e
+    | Ok ast ->
+        let n = List.length ast and k = List.length tail in
+        if
+          not
+            (n > k && List.hd ast = Ast.Bol
+            && Ast.equal (List.filteri (fun i _ -> i >= n - k) ast) tail)
+        then Alcotest.failf "%s is not ^, a body, the literal .%s, then $" source suffix
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (suffix, routers) ->
+      let tagged =
+        Apparent.build_samples p.Pipeline.consist p.Pipeline.db ~suffix routers
+        |> List.filter (fun (s : Apparent.sample) -> s.Apparent.tags <> [])
+      in
+      List.iter
+        (fun (c : Cand.t) ->
+          check ~suffix c.Cand.source;
+          check ~suffix (Engine.source (fst (Cand.analysis_regex c)));
+          incr checked)
+        (Regen.candidates ~suffix tagged))
+    (Dataset.by_suffix ds);
+  let model = Learned_io.of_pipeline p in
+  List.iter
+    (fun (sm : Learned_io.suffix_model) ->
+      List.iter (fun (c : Learned_io.cand) -> check ~suffix:sm.suffix c.source) sm.cands)
+    model.Learned_io.suffixes;
+  Alcotest.(check bool) "candidates and model regexes checked" true
+    (!checked > 0 && model.Learned_io.suffixes <> [])
+
 (* Calibration under drift: the reliability table of the epoch-2 model
    against epoch-2 ground truth is pinned — a readable early warning
    when confidence scores decalibrate as the simulated world shifts —
@@ -342,5 +393,6 @@ let suites =
         Helpers.tc "drift event stream is pinned and replays" test_drift_events;
         Helpers.tc "drift model diff is pinned" test_drift_model_diff;
         Helpers.tc "drift-epoch calibration is pinned" test_drift_calibration;
+        Helpers.tc "every regex is anchored on its suffix" test_regex_shape;
       ] );
   ]

@@ -169,7 +169,11 @@ let test_render () =
 let test_default_objectives_clean_server_ok () =
   (* a fresh monitor with zero traffic must evaluate Ok: /healthz's
      "ok" body on a clean daemon is pinned by test_net and serve_check *)
-  let m = Health.create_monitor () in
+  let d = Slo.default in
+  let m =
+    Health.create_monitor ~objectives:d.Slo.objectives ~bucket_ms:d.Slo.bucket_ms
+      ~nbuckets:d.Slo.nbuckets
+  in
   Alcotest.(check int) "clean monitor Ok" 0
     (Health.state_to_int (Health.evaluate_monitor m ~now_ms:0.0))
 
@@ -193,7 +197,10 @@ let test_decile_histogram_and_drift () =
     (Health.drift ~expected:lo ~observed:hi)
 
 let test_monitor_measurements () =
-  let m = Health.create_monitor ~bucket_ms:100.0 ~nbuckets:10 () in
+  let m =
+    Health.create_monitor ~objectives:Health.default_objectives ~bucket_ms:100.0
+      ~nbuckets:10
+  in
   for i = 0 to 9 do
     Health.record_request m
       ~now_ms:(float_of_int (i * 50))
@@ -213,7 +220,7 @@ let test_monitor_drift_gating_and_degraded () =
   let m =
     Health.create_monitor
       ~objectives:[ obj "calibration_drift" 0.2 2.5 ]
-      ~bucket_ms:100.0 ~nbuckets:10 ()
+      ~bucket_ms:100.0 ~nbuckets:10
   in
   (* expected: everything in the top decile; observed: bottom decile *)
   let expected = deciles_of [ 0.95 ] in
@@ -243,7 +250,7 @@ let test_monitor_recovery () =
   let m =
     Health.create_monitor
       ~objectives:[ obj "error_rate" 0.1 2.0 ]
-      ~bucket_ms:100.0 ~nbuckets:4 ()
+      ~bucket_ms:100.0 ~nbuckets:4
   in
   for i = 0 to 9 do
     Health.record_request m ~now_ms:(float_of_int (i * 10)) ~latency_ms:1.0
@@ -261,7 +268,10 @@ let test_monitor_recovery () =
    of every window is written in both phases, so both have each slot's
    [max] boxed. *)
 let test_monitor_bounded_memory () =
-  let m = Health.create_monitor ~bucket_ms:100.0 ~nbuckets:12 () in
+  let m =
+    Health.create_monitor ~objectives:Health.default_objectives ~bucket_ms:100.0
+      ~nbuckets:12
+  in
   let span = 1200.0 in
   let feed ~t0 lo hi =
     for i = lo to hi - 1 do

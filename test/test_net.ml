@@ -76,9 +76,7 @@ let corpus_lines () =
 
 let connect port =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  (try
-     Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0
+  (try Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port))
    with e ->
      (try Unix.close fd with _ -> ());
      raise e);
@@ -616,23 +614,43 @@ let test_socket_shed_503 () =
 
 let test_reload_semantics () =
   let _, model, model_path = Lazy.force fixture in
-  let pinned = corpus_lines () in
-  let h, expected = List.hd pinned in
+  let h, expected =
+    match List.find_opt (fun (_, e) -> not (is_negative e)) (corpus_lines ()) with
+    | Some pinned -> pinned
+    | None -> Alcotest.fail "corpus has no geolocated hostname"
+  in
+  let geolocate port =
+    let { Http.status; body; _ } = request port ("/geolocate?h=" ^ Http.pct_encode h) in
+    Alcotest.(check int) "geolocate status" 200 status;
+    body
+  in
+  (* a configured path that cannot be read fails loudly and keeps the
+     old model serving *)
+  with_server
+    ~config:{ small_config with Server.model_path = Some "/no/such/model.json" }
+    model
+    (fun _ port ->
+      let { Http.status; _ } = request ~meth:"POST" port "/reload" in
+      Alcotest.(check int) "reload of missing file is 500" 500 status;
+      Alcotest.(check string) "old model still correct" (expected ^ "\n") (geolocate port));
+  (* the configured path reloads fine, and is the only file a reload
+     reads: a client naming another snapshot reloads the configured one *)
+  let other_path = Filename.temp_file "hoiho_net_empty" ".hoiho.json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove other_path with Sys_error _ -> ())
+  @@ fun () ->
+  Learned_io.save other_path { model with Learned_io.suffixes = [] };
   with_server
     ~config:{ small_config with Server.model_path = Some model_path }
     model
     (fun _ port ->
-      (* a bad path must fail loudly and keep the old model serving *)
-      let { Http.status; _ } =
-        request ~meth:"POST" port "/reload?model=/no/such/model.json"
+      let { Http.status; body; _ } =
+        request ~meth:"POST" port ("/reload?model=" ^ Http.pct_encode other_path)
       in
-      Alcotest.(check int) "reload of missing file is 500" 500 status;
-      let { Http.status; body; _ } = request port ("/geolocate?h=" ^ Http.pct_encode h) in
-      Alcotest.(check int) "old model still serving" 200 status;
-      Alcotest.(check string) "old model still correct" (expected ^ "\n") body;
-      (* the configured path reloads fine *)
-      let { Http.status; _ } = request ~meth:"POST" port "/reload" in
-      Alcotest.(check int) "configured reload is 200" 200 status);
+      Alcotest.(check int) "configured reload is 200" 200 status;
+      Alcotest.(check string) "the configured model is reloaded"
+        ("reloaded " ^ model_path ^ "\n") body;
+      Alcotest.(check string) "configured model still correct" (expected ^ "\n")
+        (geolocate port));
   (* no model path configured anywhere: reload is a 400 *)
   with_server ~config:small_config model (fun _ port ->
       let { Http.status; _ } = request ~meth:"POST" port "/reload" in
@@ -881,9 +899,10 @@ let test_observe_relearn_mid_stream () =
               Alcotest.(check string) "clean suffix unchanged"
                 (pinned_e ^ "\n") body))
 
-(* A reload that lands while an /observe relearns. OTHER is the served
-   snapshot minus the probe hostname's suffix model, and the observed
-   events dirty every group but that suffix. Whichever swap goes first,
+(* A reload that lands while an /observe relearns. The daemon serves
+   the fixture snapshot, and its configured model path holds OTHER: that
+   snapshot minus the probe hostname's suffix model. The observed events
+   dirty every group but that suffix. Whichever swap goes first,
    the probe's suffix model then comes from OTHER (reloaded, or carried
    over clean by a relearn of OTHER), so once both requests return the
    probe answers "-" as OTHER does. The reload is sent at several
@@ -945,7 +964,10 @@ let test_reload_during_observe () =
   in
   List.iter
     (fun delay_s ->
-      with_server ~config:small_config ~corpus:ds model (fun _ port ->
+      with_server
+        ~config:{ small_config with Server.model_path = Some other_path }
+        ~corpus:ds model
+        (fun _ port ->
           Alcotest.(check string) "the served model answers the probe"
             (probe_expected ^ "\n") (geolocate port);
           let observer =
@@ -953,10 +975,7 @@ let test_reload_during_observe () =
                 request ~meth:"POST" ~body:events_json port "/observe")
           in
           Unix.sleepf delay_s;
-          let { Http.status; body; _ } =
-            request ~meth:"POST" port
-              ("/reload?model=" ^ Http.pct_encode other_path)
-          in
+          let { Http.status; body; _ } = request ~meth:"POST" port "/reload" in
           let { Http.status = observe_status; body = observe_body; _ } =
             Domain.join observer
           in
@@ -1114,8 +1133,6 @@ let run_plan port plan =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with _ -> ())
     (fun () ->
-      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 3.0
-       with Unix.Unix_error _ -> ());
       let n = String.length plan.payload in
       let rec send off =
         if off < n then
@@ -1181,6 +1198,41 @@ let test_chaos_clients () =
       Alcotest.(check int) "alive after chaos" 200 status;
       Alcotest.(check string) "still correct after chaos" (expected ^ "\n") body)
 
+(* the request deadline is exact: a client that sends a request line,
+   then one header byte every 0.9 s, is answered 408 one deadline after
+   it began, not once a read that was already waiting at the deadline
+   ends on its own *)
+let test_trickled_headers_deadline () =
+  let _, model, _ = Lazy.force fixture in
+  with_server ~config:{ small_config with Server.request_timeout_s = 1.0 } model
+    (fun _ port ->
+      let t0 = Unix.gettimeofday () in
+      let fd = connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          Http.write_all fd "GET /healthz HTTP/1.1\r\n";
+          let header = "Host: t\r\n\r\n" in
+          (* one byte each time 0.9 s pass with no answer *)
+          let rec trickle i =
+            match Unix.select [ fd ] [] [] 0.9 with
+            | [], _, _ when i < String.length header ->
+                (try Http.write_all fd (String.make 1 header.[i])
+                 with Unix.Unix_error _ -> ());
+                trickle (i + 1)
+            | _ -> ()
+          in
+          trickle 0;
+          let status =
+            match Http.read_response (Http.reader_of_fd fd) with
+            | Ok r -> r.Http.status
+            | Error e -> Alcotest.failf "trickled request: %s" (error_name e)
+          in
+          let took = Unix.gettimeofday () -. t0 in
+          Alcotest.(check int) "trickled request times out" 408 status;
+          if took > 1.4 then
+            Alcotest.failf "408 came %.2f s after connecting (deadline 1 s, bound 1.4 s)" took))
+
 (* --- health, request ids, debug endpoints, access log --- *)
 
 module Health = Hoiho_obs.Health
@@ -1236,11 +1288,13 @@ let test_healthz_transitions () =
   let config =
     {
       small_config with
-      Server.objectives =
-        Some
-          [ { Health.metric = "latency_p99_ms"; max_value = 50.0; fail_ratio = 3.0 } ];
-      health_bucket_ms = 100.0;
-      health_nbuckets = 10;
+      Server.slo =
+        {
+          Hoiho_net.Slo.objectives =
+            [ { Health.metric = "latency_p99_ms"; max_value = 50.0; fail_ratio = 3.0 } ];
+          bucket_ms = 100.0;
+          nbuckets = 10;
+        };
     }
   in
   with_server ~config model (fun t port ->
@@ -1445,6 +1499,8 @@ let suites =
         Helpers.tc "reload during an observe relearn is kept"
           test_reload_during_observe;
         Helpers.tc "chaos clients" test_chaos_clients;
+        Helpers.tc "trickled headers get 408 at the deadline"
+          test_trickled_headers_deadline;
         Helpers.tc "metrics content type" test_metrics_content_type;
         Helpers.tc "request ids echoed and generated" test_request_id;
         Helpers.tc "healthz transitions ok->degraded->failing->ok"

@@ -427,9 +427,9 @@ let prop_geolocate_never_raises h =
 let prop_exec_never_raises h =
   List.for_all
     (fun re ->
-      let filtered = Engine.exec re h in
+      let memoized = Engine.exec re h in
       let caps_in_bounds =
-        match filtered with
+        match memoized with
         | None -> true
         | Some caps ->
             Array.length caps = Engine.group_count re
@@ -438,7 +438,7 @@ let prop_exec_never_raises h =
                    | None -> true | Some s -> String.length s <= String.length h)
                  caps
       in
-      caps_in_bounds && filtered = Engine.exec_unfiltered re h)
+      caps_in_bounds && memoized = Engine.exec_memo_free re h)
     (Lazy.force adversarial_regexes)
 
 let suites =

@@ -45,6 +45,8 @@ let test_parse_errors () =
       {|^\w+\.example\.net$|}; {|\s|}; {|\b|}; {|[\w]|}; {|\1|};
       (* only characters repeat *)
       "^*"; "$+"; "()?";
+      (* alternation is not in the dialect *)
+      {|^ae\d\.(core1|core2)\.example\.com$|}; {|^(xe\d|ge\d\d)\.example$|};
       (* one quantifier past the per-pattern limit *)
       "^" ^ String.concat "" (List.init (Parse.max_reps + 1) (fun _ -> "a*")) ^ "$";
     ];
@@ -205,100 +207,48 @@ let test_source_roundtrip () =
   Alcotest.(check bool) "same behavior" true
     (Engine.exec t "abc12" = Engine.exec t2 "abc12")
 
-(* --- prefilter --- *)
+(* --- the failure memo --- *)
 
-module Prefilter = Hoiho_rx.Prefilter
-
-let pf re = Engine.prefilter (Engine.compile_exn re)
-
-let test_prefilter_analysis () =
-  let check name re (anchored, required, offset) =
-    let p = pf re in
-    Alcotest.(check (triple bool string (option int)))
-      name (anchored, required, offset)
-      (p.Prefilter.anchored, p.Prefilter.required, p.Prefilter.offset)
-  in
-  check "anchored literal" {|^abc$|} (true, "abc", Some 0);
-  check "unanchored literal" {|abc|} (false, "abc", Some 0);
-  check "longest run wins"
-    {|^.+\.([a-z]{3})\d+\.([a-z]{2})\.[a-z]{3}\.zayo\.com$|}
-    (true, ".zayo.com", None);
-  check "fixed rep unrolled" {|^a{3}b$|} (true, "aaab", Some 0);
-  check "offset after fixed-width atoms" {|^[a-z]{2}-ix$|} (true, "-ix", Some 2);
-  check "length tie prefers leftmost" {|^ab[cd]ef$|} (true, "ab", Some 0);
-  check "no required literal" {|^([a-z]{3})\d+$|} (true, "", None)
-
-let test_prefilter_shapes () =
-  (* the alternation shapes of the wider dialect are refused at parse *)
-  refused [ {|^ae\d\.(core1|core2)\.example\.com$|}; {|^(xe\d|ge\d\d)\.example$|} ] ();
-  (* extras: a mandatory run that is neither [required] nor the tail *)
-  let p = pf {|^ae\d\.core\d\.example\.com$|} in
-  Alcotest.(check bool) "second run kept as an extra" true
-    (List.mem ".core" p.Prefilter.extras);
-  (* needs_digit: set by a mandatory digit-only atom, not an optional one *)
-  Alcotest.(check bool) "mandatory digit flagged" true
-    (pf {|^[a-z]+\d{2}\.example$|}).Prefilter.needs_digit;
-  Alcotest.(check bool) "optional digit not flagged" false
-    (pf {|^[a-z]+\d*$|}).Prefilter.needs_digit;
-  Alcotest.(check bool) "digit in a group flagged" true
-    (pf {|^(xe\d)\.example$|}).Prefilter.needs_digit;
-  (* tail: a $-terminated pattern pins its last literal at a fixed
-     distance from the subject end *)
-  Alcotest.(check (option (pair string int)))
-    "tail at end"
-    (Some (".zayo.com", 0))
-    (pf {|^.+\.zayo\.com$|}).Prefilter.tail;
-  Alcotest.(check (option (pair string int)))
-    "tail before fixed-width atoms"
-    (Some ("-ge", 2))
-    (pf {|^.+-ge[a-z]{2}$|}).Prefilter.tail;
-  (* no $ means no tail pin *)
-  Alcotest.(check (option (pair string int)))
-    "unanchored end has no tail" None
-    (pf {|^.+\.zayo\.com|}).Prefilter.tail
-
-let test_prefilter_find () =
-  Alcotest.(check int) "found" 2 (Prefilter.find ~needle:"cd" "abcdcd" 0);
-  Alcotest.(check int) "from start offset" 4 (Prefilter.find ~needle:"cd" "abcdcd" 3);
-  Alcotest.(check int) "missing" (-1) (Prefilter.find ~needle:"xy" "abcd" 0);
-  Alcotest.(check int) "at end" 2 (Prefilter.find ~needle:"cd" "abcd" 0);
-  Alcotest.(check bool) "contains" true
-    (Prefilter.contains ~needle:"zayo" "a.zayo.com");
-  Alcotest.(check bool) "matches_at hit" true
-    (Prefilter.matches_at ~needle:"zayo" "a.zayo.com" 2);
-  Alcotest.(check bool) "matches_at miss" false
-    (Prefilter.matches_at ~needle:"zayo" "a.zayo.com" 3);
-  Alcotest.(check bool) "matches_at overrun" false
-    (Prefilter.matches_at ~needle:"zayo" "a.zay" 2)
-
-(* the prefiltered search must be indistinguishable from the exhaustive
+(* the memoized search must be indistinguishable from the memo-free
    one: same match decision, same match position, same captures *)
-let prop_prefilter_equiv (ast, input) =
+let prop_memo_equiv (ast, input) =
   let t = Engine.compile ast in
   let a = Engine.exec t input in
-  let b = Engine.exec_unfiltered t input in
+  let b = Engine.exec_memo_free t input in
   if a = b then true
   else
-    QCheck.Test.fail_reportf "prefiltered and unfiltered disagree: %s on %S"
+    QCheck.Test.fail_reportf "memoized and memo-free disagree: %s on %S"
       (Ast.to_string ast) input
 
-let arb_pf =
+let arb_equiv =
   QCheck.make
     ~print:(fun (ast, s) -> Printf.sprintf "%s on %S" (Ast.to_string ast) s)
     QCheck.Gen.(pair Test_props.gen_ast Test_props.gen_input)
 
-(* embed each pattern's own required literal in the input so the
-   occurrence-seeded scan path is exercised, not just the early bail *)
-let arb_pf_seeded =
+(* the pattern's longest run of literal characters, which every match
+   contains; groups are transparent, since none repeats or alternates *)
+let longest_literal ast =
+  let rec flat nodes = List.concat_map (function Ast.Grp g -> flat g | n -> [ n ]) nodes in
+  let longer a b = if String.length b > String.length a then b else a in
+  let best, run =
+    List.fold_left
+      (fun (best, run) -> function
+        | Ast.Lit c -> (best, run ^ String.make 1 c)
+        | _ -> (longer best run, ""))
+      ("", "") (flat ast)
+  in
+  longer best run
+
+(* embed each pattern's longest literal in the input, so that matching
+   inputs are common, not just early failures *)
+let arb_seeded =
   QCheck.make
     ~print:(fun (ast, (s1, s2)) ->
-      Printf.sprintf "%s on %S ^ required ^ %S" (Ast.to_string ast) s1 s2)
+      Printf.sprintf "%s on %S ^ literal ^ %S" (Ast.to_string ast) s1 s2)
     QCheck.Gen.(pair Test_props.gen_ast (pair Test_props.gen_input Test_props.gen_input))
 
-let prop_prefilter_equiv_seeded (ast, (s1, s2)) =
-  let t = Engine.compile ast in
-  let input = s1 ^ (Engine.prefilter t).Prefilter.required ^ s2 in
-  prop_prefilter_equiv (ast, input)
+let prop_memo_equiv_seeded (ast, (s1, s2)) =
+  prop_memo_equiv (ast, s1 ^ longest_literal ast ^ s2)
 
 (* capture agreement, group by group — not just the match decision —
    over patterns heavy in possessive repetitions and nested groups (the
@@ -312,19 +262,19 @@ let show_caps = function
 
 let prop_capture_equiv (ast, (s1, s2)) =
   let t = Engine.compile ast in
-  let input = s1 ^ (Engine.prefilter t).Prefilter.required ^ s2 in
+  let input = s1 ^ longest_literal ast ^ s2 in
   let a = Engine.exec t input in
-  let b = Engine.exec_unfiltered t input in
+  let b = Engine.exec_memo_free t input in
   if a = b then true
   else
     QCheck.Test.fail_reportf
-      "captures disagree: %s on %S\n  prefiltered: %s\n  unfiltered:  %s"
+      "captures disagree: %s on %S\n  memoized:  %s\n  memo-free: %s"
       (Ast.to_string ast) input (show_caps a) (show_caps b)
 
 let arb_caps =
   QCheck.make
     ~print:(fun (ast, (s1, s2)) ->
-      Printf.sprintf "%s on %S ^ required ^ %S" (Ast.to_string ast) s1 s2)
+      Printf.sprintf "%s on %S ^ literal ^ %S" (Ast.to_string ast) s1 s2)
     QCheck.Gen.(
       pair Test_props.gen_ast_caps (pair Test_props.gen_input Test_props.gen_input))
 
@@ -422,15 +372,12 @@ let suites =
       ] );
     ( "rx.paper",
       [ tc "figure 7 regexes" test_paper_regexes; tc "figure 2 negative" test_paper_negative ] );
-    ( "rx.prefilter",
+    ( "rx.memo",
       [
-        tc "literal analysis" test_prefilter_analysis;
-        tc "plan shapes" test_prefilter_shapes;
-        tc "substring scan" test_prefilter_find;
-        Test_props.q ~count:1200 "prefiltered exec = unfiltered exec" arb_pf
-          prop_prefilter_equiv;
-        Test_props.q ~count:600 "equivalence with embedded literal" arb_pf_seeded
-          prop_prefilter_equiv_seeded;
+        Test_props.q ~count:1200 "memoized exec = memo-free exec" arb_equiv
+          prop_memo_equiv;
+        Test_props.q ~count:600 "equivalence with embedded literal" arb_seeded
+          prop_memo_equiv_seeded;
         Test_props.q ~count:1000 "captures agree (possessive + nested groups)"
           arb_caps prop_capture_equiv;
       ] );
