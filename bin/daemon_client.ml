@@ -98,7 +98,7 @@ let request pid port target =
           fail_daemon pid "GET %s on port %d: %s" target port
             (match e with
             | Http.Closed -> "closed before a complete response"
-            | Http.Timeout -> "no complete response in time"
+            | Http.Idle | Http.Timeout -> "no complete response in time"
             | Http.Bad_request m -> "malformed response: " ^ m
             | Http.Too_large m -> "response over the bounds: " ^ m))
 

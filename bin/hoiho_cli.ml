@@ -720,7 +720,7 @@ let health_cmd =
     in
     match probe_healthz url with
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINPROGRESS), _, _)
-    | Error Http.Timeout ->
+    | Error (Http.Idle | Http.Timeout) ->
         fail "did not answer within the %g s timeout" probe_timeout_s
     | exception e -> fail "unreachable: %s" (Printexc.to_string e)
     | Error Http.Closed -> fail "closed the connection before a complete answer"

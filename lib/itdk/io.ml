@@ -313,8 +313,9 @@ let read_source src =
     else match field src with
     | "itdk" -> label := rest src
     | "vp" ->
-        (* the range the 6-byte RTT layout packs; the VP table of a
-           learn is as long as the largest id *)
+        (* the ids the RTT layouts pack with a tick count (4 bytes a
+           sample below 256, 6 up to 65535); the VP table of a learn
+           is as long as the largest id *)
         let id = int_field src "VP id" in
         if id land 0xffff <> id then malformed "VP id %d outside 0..65535" id;
         if Hashtbl.mem vp_ids id then malformed "duplicate VP id %d" id;

@@ -21,8 +21,8 @@ val read : in_channel -> Dataset.t
     Raises [Failure "Itdk.Io.read: line N: ..."] on malformed input: an
     unknown or misplaced record, a missing or extra field, a number that
     does not parse, a coordinate out of range, a [vp] record whose id is
-    outside 0..65535 (the range {!Rtts} packs in 6 bytes) or an earlier
-    [vp] record already has (["duplicate VP id ID"]), a sample's VP id
+    outside 0..65535 (the ids {!Rtts} packs with a tick count, in 4
+    bytes a sample below 256) or an earlier [vp] record already has (["duplicate VP id ID"]), a sample's VP id
     beyond 32 bits, or a router id an earlier router already has
     (["duplicate router id ID"]); a duplicate is named at the second
     one's line. Only [vp] records consult the VP id table. Router ids

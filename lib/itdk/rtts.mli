@@ -1,26 +1,31 @@
 (** A router's RTT samples from one measurement channel: (vp id, min RTT
     ms) pairs in observation order, packed into one immutable string in
     native byte order (the packed form never leaves the process; files
-    carry text). There are two layouts:
+    carry text). There are three layouts, by bytes per sample:
 
-    - 6 bytes per sample: the VP id as a uint16, then the RTT as an
-      int32 count [k] of 10{^-4} ms ticks, read back as
-      [float k /. 1e4]. The corpus text keeps four decimals, so every
-      sample a reader loads fits here.
-    - 12 bytes per sample after one tag byte: the VP id as an int32,
-      then the RTT's float64 bits. A value takes this layout, for all
-      its samples, when one of them does not fit the first: unrounded
-      generator output, a negative, [-0.0], non-finite or five-decimal
-      RTT, a VP id outside [0, 65535].
+    - 4 bytes: one 32-bit word holding the VP id in its low 8 bits and,
+      in its high 24, a count [k] of 10{^-4} ms ticks, read back as
+      [float k /. 1e4]. The corpus text keeps four decimals, and the
+      paper's hundred-odd VPs and RTTs below 1677.7216 ms fit here.
+    - 6 bytes after one tag byte: the VP id as a uint16, then the tick
+      count as an int32.
+    - 12 bytes after one tag byte: the VP id as an int32, then the
+      RTT's float64 bits. Values that hold unrounded generator output,
+      a negative, [-0.0], non-finite or five-decimal RTT, or a VP id
+      outside [0, 65535] take this one.
 
-    A value uses the 6-byte layout exactly when every one of its
-    samples has [0 <= vp < 65536] and an RTT bit-identical to
-    [float k /. 1e4] for some [0 <= k < 2{^31}] (the empty value
-    included). The layout depends only on the samples, never on how
-    they arrived, and every sample reads back bit for bit. So two
-    values are structurally equal exactly when they hold the same
-    samples bit for bit, and [=] and [compare] on routers keep
-    working.
+    A sample fits the 4-byte layout when [0 <= vp < 256] and its RTT is
+    bit-identical to [float k /. 1e4] for some [0 <= k < 2{^24}]; it
+    fits the 6-byte one when [0 <= vp < 65536] and such a [k] is below
+    [2{^31}]; every sample fits the 12-byte one. A value takes the
+    narrowest layout that every one of its samples fits, the empty
+    value the 4-byte one. The layout depends only on the samples, never
+    on how they arrived, and every sample reads back bit for bit. So
+    two values are structurally equal exactly when they hold the same
+    samples bit for bit, and [=] and [compare] on routers keep working.
+    A 4-byte value has no tag, so its length is a multiple of 4; the
+    tag byte of the other two holds their width, so their lengths are
+    odd, and the layout is read in constant time.
 
     A [(int * float) list] would cost 64 bytes per sample (cons cell,
     tuple, boxed float) and three heap blocks the major GC marks on
@@ -63,12 +68,14 @@ val first_below : t -> slack:float -> Float.Array.t -> int
 (** [first_below t ~slack bound] is the index of the first sample [i]
     whose VP id falls outside [bound] or whose RTT plus [slack] is below
     [bound.(vp t i)]; [-1] when there is none. A [nan] bound is never
-    met, so it marks an id the caller must look at. The loop allocates
+    met, so it marks an id the caller must look at. A call allocates
     nothing, which is why RTT-consistency testing goes through it. *)
 
 type builder
 (** Accumulates samples; reusable after {!clear}, so one builder serves
-    every router a reader builds. *)
+    every router a reader builds. It starts in the 4-byte layout; a
+    sample that does not fit the layout so far re-encodes the samples
+    before it in the narrowest layout that it fits. *)
 
 val builder : unit -> builder
 
@@ -77,11 +84,11 @@ val add : builder -> int -> float -> unit
 
 val add_ticks : builder -> int -> int -> unit
 (** [add_ticks b vp k] builds what [add b vp (float k /. 1e4)] builds,
-    for any [k]. While the samples so far fit the 6-byte layout and
-    [0 <= vp < 65536] and [0 <= k < 2{^31}], it stores [k] as it is,
-    with no float, division or exactness test: the reader hands it
-    every RTT written with at most four decimals. Raises
-    [Invalid_argument] as {!add} does. *)
+    for any [k]. While the samples so far fit the 4- or 6-byte layout
+    and this one fits it too, it stores [k] as it is, with no float,
+    division or exactness test: the reader hands it every RTT written
+    with at most four decimals. Raises [Invalid_argument] as {!add}
+    does. *)
 
 val contents : builder -> t
 (** An exact-size copy of the samples added since the last {!clear}. *)

@@ -18,6 +18,7 @@ type request = {
 
 type error =
   | Closed
+  | Idle
   | Timeout
   | Bad_request of string
   | Too_large of string
@@ -86,6 +87,11 @@ let rec refill r ~deadline =
             raise (Read_error Timeout)
         | exception Unix.Unix_error (_, _, _) -> raise (Read_error Closed))
   end
+
+(* waits for a message's first byte: a deadline that passes before it
+   is [Idle], one that passes later [Timeout] *)
+let await r ~deadline =
+  try refill r ~deadline with Read_error Timeout -> raise (Read_error Idle)
 
 let next_byte r ~deadline =
   refill r ~deadline;
@@ -242,15 +248,17 @@ let read_body r ~deadline ~limits headers =
 let read_request ?(limits = default_limits) r =
   let deadline = deadline limits in
   match
-    (* the line between keep-alive requests: a clean close here is
-       [Closed], not an error worth logging *)
-    let line = read_line r ~deadline ~max_line:limits.max_line in
+    (* the line between keep-alive requests: a clean close before it
+       is [Closed] and a silence to the deadline [Idle], neither an
+       error worth logging *)
+    let first_line () =
+      await r ~deadline;
+      read_line r ~deadline ~max_line:limits.max_line
+    in
     (* tolerate one empty line before the request line (stray CRLF
        after a previous body, as curl and some proxies emit) *)
-    let line =
-      if line = "" then read_line r ~deadline ~max_line:limits.max_line
-      else line
-    in
+    let line = first_line () in
+    let line = if line = "" then first_line () else line in
     if has_ctl line then bad "control byte in request line";
     let meth, target, version =
       match split_request_line line with
@@ -291,6 +299,7 @@ let read_response r =
   let limits = default_limits in
   let deadline = deadline limits in
   match
+    await r ~deadline;
     let line = read_line r ~deadline ~max_line:limits.max_line in
     if has_ctl line then bad "control byte in status line";
     let n = String.length line in

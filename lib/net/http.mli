@@ -37,7 +37,11 @@ type request = {
 
 type error =
   | Closed  (** peer closed before a complete message was read *)
-  | Timeout  (** read timed out or the per-message deadline passed *)
+  | Idle
+      (** the per-message deadline passed before the message's first
+          byte: a keep-alive client with nothing more to send, or a
+          server that never answered *)
+  | Timeout  (** the per-message deadline passed after the first byte *)
   | Bad_request of string  (** malformed message (a request → 400) *)
   | Too_large of string  (** a limit was exceeded (a request → 413) *)
 
@@ -59,18 +63,21 @@ val reader_of_fd : Unix.file_descr -> reader
 (** Buffered reader over a socket. Under a finite deadline, each
     blocking read first sets the socket's [SO_RCVTIMEO] to the time the
     message has left (at least 1 ms), so no read outlives the deadline;
-    [Unix.EAGAIN]/[EWOULDBLOCK]/[ETIMEDOUT] surface as {!Timeout}. The
-    caller sets no receive timeout of its own. *)
+    [Unix.EAGAIN]/[EWOULDBLOCK]/[ETIMEDOUT] surface as {!Idle} before
+    a message's first byte and as {!Timeout} after it. The caller sets
+    no receive timeout of its own. *)
 
 val reader_of_string : string -> reader
 (** In-memory reader for tests. *)
 
 val read_request : ?limits:limits -> reader -> (request, error) result
 (** Read and parse one request. Never raises: socket errors map to
-    {!Closed} or {!Timeout}, malformed input to {!Bad_request} /
-    {!Too_large}. A second call on the same reader reads the next
-    pipelined/keep-alive request. Returns [Error Closed] at a clean
-    end-of-stream between requests. *)
+    {!Closed}, {!Idle} or {!Timeout}, malformed input to
+    {!Bad_request} / {!Too_large}. A second call on the same reader
+    reads the next pipelined/keep-alive request. Returns
+    [Error Closed] at a clean end-of-stream between requests, and
+    [Error Idle] when the deadline passes before the request's first
+    byte (one empty line before the request line is not part of it). *)
 
 val read_response : reader -> (response, error) result
 (** Read and parse one response: an [HTTP/1.0] or [HTTP/1.1] status
@@ -79,7 +86,8 @@ val read_response : reader -> (response, error) result
     and the same whole-message deadline as {!read_request}. A response
     without [Content-Length], or with [Transfer-Encoding], is
     {!Bad_request}; a length over [max_body] is {!Too_large} before any
-    body byte is read. Bytes past the body stay in the reader for the
+    body byte is read, and a deadline that passes before the first
+    byte is {!Idle}. Bytes past the body stay in the reader for the
     next call (keep-alive). Never raises. *)
 
 val keep_alive : request -> bool

@@ -572,11 +572,13 @@ let handle_connection t fd =
     if not (Atomic.get t.stop_flag) then begin
       let t0 = Obs.now_ms () in
       match Http.read_request ~limits reader with
-      | Error Http.Closed -> ()
+      (* a keep-alive connection that closes, or stays silent to the
+         deadline, between requests ends without a response: no
+         request failed, so nothing is recorded *)
+      | Error (Http.Closed | Http.Idle) -> ()
       | Error Http.Timeout ->
-          (* distinguishable from an idle keep-alive close only in
-             that we already read part of a request; answering 408 on
-             a dead drip-feed is best-effort either way *)
+          (* part of a request arrived; answering 408 on a dead
+             drip-feed is best-effort *)
           Obs.incr c_timeouts;
           let ctx = make_ctx ~rid:(fresh_rid t) ~endpoint:"-" in
           (try respond ctx fd ~status:408 "request timeout\n" with _ -> ());

@@ -5,9 +5,13 @@
     Threading model: [jobs] accept domains share one listening socket;
     each accepted connection is served to completion (keep-alive) on
     its accept domain with a per-request read deadline, so a
-    slow-loris client costs at most one domain for one deadline. So
-    does an idle keep-alive client: it holds its domain until the
-    deadline, and [jobs] of them leave none to accept a new client,
+    slow-loris client costs at most one domain for one deadline: a
+    request cut off by the deadline mid-way is answered 408 and
+    counts as a failed request. A keep-alive connection whose client
+    sends no byte of a next request before the deadline is closed with no
+    response, no health-window record and no access-log line, since
+    no request failed. Until then, an idle keep-alive client holds
+    its domain, and [jobs] of them leave none to accept a new client,
     which then waits about one deadline for its first answer (4.8–5.2 s
     behind one idle client at [jobs = 1], tiny model, 2-vCPU host).
     ROADMAP's readiness-loop item lifts this limit. A
@@ -93,7 +97,9 @@ type config = {
   port : int;  (** 0 picks an ephemeral port, see {!port} *)
   jobs : int;  (** accept domains; also the apply parallelism *)
   max_pending : int;  (** admission bound; beyond it requests get 503 *)
-  request_timeout_s : float;  (** per-request read deadline *)
+  request_timeout_s : float;
+      (** per-request read deadline, and how long a keep-alive
+          connection may wait for its next request *)
   model_path : string option;
       (** the snapshot [POST /reload] and {!request_reload} re-read *)
   slo : Slo.t;

@@ -356,10 +356,10 @@ let check_wire_noop event =
   Alcotest.(check (list string)) "nothing dirty" [] dirty;
   Alcotest.(check bool) "input returned" true (ds' == loaded)
 
-(* A loaded router's RTTs are in the reader's 6-byte layout; the same
-   samples decoded from an event stream must build the same value, or
-   the no-op test ([old <> r]) would see a change and dirty its
-   suffixes. *)
+(* A loaded router's RTTs come from the reader's tick path, in the 4-
+   or 6-byte layout; the same samples decoded from an event stream must
+   build the same value, or the no-op test ([old <> r]) would see a
+   change and dirty its suffixes. *)
 let test_loaded_rtts_over_the_wire () =
   check_wire_noop (fun (r : Router.t) ->
       Delta.Set_rtts

@@ -199,23 +199,72 @@ let test_io_duplicate_ids () =
   Alcotest.(check (list int)) "distinct ids in any order load" [ 5; 3; 4; -1 ]
     (ids "router 5\nrouter 3\nrouter 4\nrouter -1\n")
 
-(* The packed layout, pinned: a router read with k samples of at most
-   four decimals reaches no more than k words plus a constant, so its
-   samples take 6 bytes each (12 would be 1.5k words; the boxed pairs
-   the packing replaced took 8 per sample). *)
+(* The packed layouts, pinned: a router read with k samples of at most
+   four decimals, from VPs below 256 and under 1677.7216 ms, reaches no
+   more than k/2 words plus a constant, so its samples take 4 bytes
+   each (6 would be 3k/4 words, 12 would be 1.5k; the boxed pairs the
+   packing replaced took 8 per sample). One more sample past either
+   limit of that layout moves all of them to 6 bytes. *)
 let test_io_packed_layout () =
   let k = 1000 in
-  let buf = Buffer.create (k * 16) in
-  Buffer.add_string buf "router 7\n";
-  for i = 0 to k - 1 do
-    Printf.bprintf buf "ping %d %.4f\n" (i mod 100) (float_of_int i /. 7.0)
-  done;
-  let ds = Io.of_string (Buffer.contents buf) in
-  let r = ds.Dataset.routers.(0) in
-  Alcotest.(check int) "samples" k (Rtts.length r.Router.ping_rtts);
-  let words = Obj.reachable_words (Obj.repr r) in
-  if words > k + 32 then
-    Alcotest.failf "router with %d samples reaches %d words (> k + 32)" k words
+  let words extra =
+    let buf = Buffer.create (k * 16) in
+    Buffer.add_string buf "router 7\n";
+    for i = 0 to k - 1 do
+      Printf.bprintf buf "ping %d %.4f\n" (i mod 100) (float_of_int i /. 7.0)
+    done;
+    Buffer.add_string buf extra;
+    let r = (Io.of_string (Buffer.contents buf)).Dataset.routers.(0) in
+    Alcotest.(check int) "samples"
+      (if extra = "" then k else k + 1)
+      (Rtts.length r.Router.ping_rtts);
+    Obj.reachable_words (Obj.repr r)
+  in
+  let narrow = words "" in
+  if narrow > (k / 2) + 32 then
+    Alcotest.failf "router with %d samples reaches %d words (> k/2 + 32)" k narrow;
+  List.iter
+    (fun extra ->
+      let w = words extra in
+      if w <= (k / 2) + 32 || w > (3 * k / 4) + 32 then
+        Alcotest.failf "with %S the router reaches %d words (want k/2 + 32 < w <= 3k/4 + 32)"
+          extra w)
+    [ "ping 256 1.0000\n"; "ping 1 1677.7216\n" ]
+
+(* The reader against the wire at each layout's limits: routers hold
+   samples on both sides of every limit, before and after the narrow
+   ones, so the builder widens at its first sample and mid-value, once
+   or twice. Each loaded value equals [Rtts.of_list] of the same
+   samples, so the reader's tick path picks the layout the rule does,
+   and the corpus writes back byte for byte. *)
+let test_io_layout_limits () =
+  let narrow = [ (0, "0.0000"); (17, "12.3456"); (255, "1677.7215") ] in
+  let past =
+    [ (256, "1.0000"); (1, "1677.7216"); (65535, "214748.3647"); (65536, "2.5000");
+      (2, "214748.3648"); (3, "-0.0001"); (4, "-0.0000"); (-1, "1.0000") ]
+  in
+  let rows =
+    (narrow :: List.concat_map (fun p -> [ narrow @ [ p ]; p :: narrow ]) past)
+    @ [ ((256, "1.0000") :: narrow) @ [ (2, "214748.3648") ] ]
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "itdk limits\n";
+  List.iteri
+    (fun id row ->
+      Printf.bprintf buf "router %d\n" id;
+      List.iter (fun (vp, ms) -> Printf.bprintf buf "ping %d %s\n" vp ms) row;
+      List.iter (fun (vp, ms) -> Printf.bprintf buf "trace %d %s\n" vp ms) (List.rev row))
+    rows;
+  let text = Buffer.contents buf in
+  let ds = Io.of_string text in
+  List.iteri
+    (fun id row ->
+      let r = ds.Dataset.routers.(id) in
+      let want l = Rtts.of_list (List.map (fun (vp, ms) -> (vp, float_of_string ms)) l) in
+      if r.Router.ping_rtts <> want row || r.Router.trace_rtts <> want (List.rev row) then
+        Alcotest.failf "router %d loads other values than of_list builds" id)
+    rows;
+  Alcotest.(check string) "writes back byte for byte" text (Io.to_string ds)
 
 let test_io_file_roundtrip () =
   let ds = make_ds () in
@@ -369,40 +418,45 @@ let qcheck_numbers =
          prop_int_spelling);
   ]
 
-(* --- both Rtts layouts against a list reference ---
+(* --- the three Rtts layouts against a list reference ---
 
-   A value packs 6 bytes per sample when every sample is a tick count
-   with a 16-bit VP id, 12 after a tag byte otherwise. In either layout
-   every sample must read back bit for bit, equal values must mean
-   bitwise-equal samples, and each reader must agree with its list
-   counterpart. *)
+   A value packs 4 bytes per sample when every sample is a tick count
+   below 2^24 with an 8-bit VP id, 6 after a tag byte when every one is
+   a tick count below 2^31 with a 16-bit VP id, and 12 after a tag byte
+   otherwise. In every layout each sample must read back bit for bit,
+   equal values must mean bitwise-equal samples, and each reader must
+   agree with its list counterpart. *)
 
 let bits = Int64.bits_of_float
 let same_sample (v, x) (w, y) = v = w && Int64.equal (bits x) (bits y)
 let same_samples a b = List.length a = List.length b && List.for_all2 same_sample a b
 
-(* the layout rule, read off the corpus text: an RTT is a tick count
-   when its four-decimal spelling reads back as it, bit for bit, and
-   the count is below 2^31 *)
-let compact_rule l =
-  List.for_all
-    (fun (vp, ms) ->
-      vp >= 0 && vp < 65536 && Float.is_finite ms && (not (Float.sign_bit ms))
-      && ms < 214748.3648
-      && Int64.equal (bits (float_of_string (Printf.sprintf "%.4f" ms))) (bits ms))
-    l
+(* the bytes per sample the layout rule gives, read off the corpus
+   text: an RTT is a tick count when its four-decimal spelling reads
+   back as it, bit for bit *)
+let layout_rule l =
+  let ticks (vp, ms) bound =
+    vp >= 0 && Float.is_finite ms && (not (Float.sign_bit ms)) && ms < bound
+    && Int64.equal (bits (float_of_string (Printf.sprintf "%.4f" ms))) (bits ms)
+  in
+  if List.for_all (fun ((vp, _) as s) -> vp < 256 && ticks s 1677.7216) l then 4
+  else if List.for_all (fun ((vp, _) as s) -> vp < 65536 && ticks s 214748.3648) l then 6
+  else 12
 
 (* the words a packed value of [n] >= 1 samples reaches: a string of
-   6n bytes, or of 12n + 1 *)
-let packed_words n ~compact = ((if compact then 6 * n else (12 * n) + 1) / 8) + 2
+   4n bytes, or of 6n + 1 or 12n + 1 *)
+let packed_words n ~width = ((if width = 4 then 4 * n else (width * n) + 1) / 8) + 2
+
+(* tick counts and VP ids on both sides of each layout's limits *)
+let tick_limits = [ 0; 0xff_ffff; 0x100_0000; 0x7fff_ffff ]
+let vp_limits = [ 0; 255; 256; 65535; 65536 ]
 
 let gen_tick_ms =
   QCheck.Gen.(
     map
       (fun k -> float_of_int k /. 1e4)
       (frequency
-         [ (4, int_range 0 3_000_000); (2, int_range 0 0x7fff_ffff);
-           (1, oneofl [ 0; 0x7fff_ffff ]) ]))
+         [ (4, int_range 0 3_000_000); (2, int_range 0 0x7fff_ffff); (2, oneofl tick_limits) ]))
 
 let gen_any_ms =
   QCheck.Gen.(
@@ -417,25 +471,47 @@ let gen_any_ms =
               Float.succ 1.5 ] );
       ])
 
-let gen_compact_vp = QCheck.Gen.(frequency [ (6, int_range 0 300); (1, oneofl [ 0; 65535 ]) ])
+let gen_narrow_ms =
+  QCheck.Gen.(
+    map
+      (fun k -> float_of_int k /. 1e4)
+      (frequency [ (4, int_range 0 3_000_000); (1, oneofl [ 0; 0xff_ffff ]) ]))
+
+let gen_narrow_vp = QCheck.Gen.(frequency [ (6, int_range 0 255); (1, oneofl [ 0; 255 ]) ])
+let gen_vp16 = QCheck.Gen.(frequency [ (6, int_range 0 300); (2, oneofl [ 0; 255; 256; 65535 ]) ])
 
 let gen_vp =
   QCheck.Gen.(
     frequency
       [
         (6, int_range 0 300);
-        ( 1,
-          oneofl
-            [ 0; 65535; 65536; -1; Int32.to_int Int32.max_int; Int32.to_int Int32.min_int ] );
+        (2, oneofl vp_limits);
+        (1, oneofl [ -1; Int32.to_int Int32.max_int; Int32.to_int Int32.min_int ]);
       ])
 
-let gen_compact_samples = QCheck.Gen.(list_size (int_range 1 12) (pair gen_compact_vp gen_tick_ms))
+let gen_narrow_samples = QCheck.Gen.(list_size (int_range 1 12) (pair gen_narrow_vp gen_narrow_ms))
 
-(* half the lists fit the 6-byte layout by construction; the others mix
-   every kind of sample *)
+(* a list of the narrow layout's samples with one more from [gen] at
+   any position, so that the builder widens mid-value as often as at
+   its first sample *)
+let gen_one_wider gen =
+  QCheck.Gen.(
+    let* l = gen_narrow_samples in
+    let* s = gen in
+    let* i = int_bound (List.length l) in
+    return (List.filteri (fun j _ -> j < i) l @ (s :: List.filteri (fun j _ -> j >= i) l)))
+
+(* lists that fit each layout by construction, lists one sample past
+   the narrow one, and lists that mix every kind of sample *)
 let gen_samples =
   QCheck.Gen.(
-    oneof [ gen_compact_samples; list_size (int_range 0 12) (pair gen_vp gen_any_ms) ])
+    frequency
+      [
+        (2, gen_narrow_samples);
+        (2, list_size (int_range 1 12) (pair gen_vp16 gen_tick_ms));
+        (2, gen_one_wider (pair gen_vp gen_any_ms));
+        (3, list_size (int_range 0 12) (pair gen_vp gen_any_ms));
+      ])
 
 (* a list equal to [a] or one step from it: a sample with another VP
    id, sign, last bit or ulp, one sample fewer or more *)
@@ -472,8 +548,9 @@ let gen_items =
                (fun vp k -> Ticks (vp, k))
                gen_vp
                (frequency
-                  [ (3, int_range 0 0x7fff_ffff);
-                    (1, oneofl [ 0; 0x7fff_ffff; 0x8000_0000; -1; -5; 1 lsl 40 ]) ]) );
+                  [ (3, int_range 0 0x7fff_ffff); (2, int_range 0 3_000_000);
+                    (2, oneofl tick_limits);
+                    (1, oneofl [ 0x8000_0000; -1; -5; 1 lsl 40 ]) ]) );
            (1, map (fun (vp, ms) -> Ms (vp, ms)) (pair gen_vp gen_any_ms));
          ]))
 
@@ -481,7 +558,7 @@ type layout_case = {
   samples : (int * float) list;
   variant : (int * float) list;
   items : item list;
-  compact : (int * float) list;
+  narrow : (int * float) list;
   nb : int;
   holes : int;
   slack : float;
@@ -493,19 +570,19 @@ let gen_layout_case =
     let* samples = gen_samples in
     let* variant = gen_variant samples in
     let* items = gen_items in
-    let* compact = gen_compact_samples in
+    let* narrow = gen_narrow_samples in
     let* nb = frequency [ (4, oneofl [ 0; 1; 150; 301 ]); (1, return 65536) ] in
     let* holes = int_range 0 7 in
     let* slack = oneofl [ 0.0; 0.5; 1.0; -1.0 ] in
     let* exact = bool in
-    return { samples; variant; items; compact; nb; holes; slack; exact })
+    return { samples; variant; items; narrow; nb; holes; slack; exact })
 
 let print_samples l =
   String.concat "; " (List.map (fun (v, x) -> Printf.sprintf "(%d, %h)" v x) l)
 
 let print_layout_case c =
-  Printf.sprintf "samples [%s]\nvariant [%s]\ncompact [%s]\nnb %d, holes %d, slack %g, exact %b"
-    (print_samples c.samples) (print_samples c.variant) (print_samples c.compact) c.nb c.holes
+  Printf.sprintf "samples [%s]\nvariant [%s]\nnarrow [%s]\nnb %d, holes %d, slack %g, exact %b"
+    (print_samples c.samples) (print_samples c.variant) (print_samples c.narrow) c.nb c.holes
     c.slack c.exact
 
 (* bounds in [0, 300) with a nan hole every eighth id, offset by
@@ -549,9 +626,8 @@ let prop_layouts c =
   let n = List.length l in
   let words t = Obj.reachable_words (Obj.repr t) in
   (same_samples (Rtts.to_list t) l || fail "to_list (of_list l) <> l")
-  && (n = 0 || words t = packed_words n ~compact:(compact_rule l)
-     || fail "%d samples reach %d words; the rule says %s" n (words t)
-          (if compact_rule l then "6 bytes each" else "12 bytes each"))
+  && (n = 0 || words t = packed_words n ~width:(layout_rule l)
+     || fail "%d samples reach %d words; the rule says %d bytes each" n (words t) (layout_rule l))
   && Rtts.length t = n
   && (let u = Rtts.of_list c.variant in
       let same = same_samples l c.variant in
@@ -592,14 +668,14 @@ let prop_layouts c =
       (Rtts.contents b = Rtts.contents b' || fail "add_ticks builds another value than add")
       && begin
            (* the builder, cleared while it holds a 12-byte value,
-              packs 6-byte samples again *)
+              packs 4-byte samples again *)
            Rtts.add b 0 (-0.0);
            Rtts.clear b;
-           List.iter (fun (vp, ms) -> Rtts.add b vp ms) c.compact;
+           List.iter (fun (vp, ms) -> Rtts.add b vp ms) c.narrow;
            let v = Rtts.contents b in
-           (v = Rtts.of_list c.compact
-           && words v = packed_words (List.length c.compact) ~compact:true)
-           || fail "a cleared builder does not pack 6-byte samples"
+           (v = Rtts.of_list c.narrow
+           && words v = packed_words (List.length c.narrow) ~width:4)
+           || fail "a cleared builder does not pack 4-byte samples"
          end)
 
 let qcheck_layouts =
@@ -630,6 +706,7 @@ let suites =
         tc "errors name the line" test_io_errors_name_the_line;
         tc "duplicate router ids are refused" test_io_duplicate_ids;
         tc "packed layout" test_io_packed_layout;
+        tc "layout limits over the wire" test_io_layout_limits;
         tc "line ends" test_io_line_ends;
         tc "file roundtrip" test_io_file_roundtrip;
         tc "failed load closes its file" test_io_load_closes_on_failure;

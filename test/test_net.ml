@@ -84,6 +84,7 @@ let connect port =
 
 let error_name = function
   | Http.Closed -> "closed"
+  | Http.Idle -> "idle"
   | Http.Timeout -> "timeout"
   | Http.Bad_request m -> "bad request: " ^ m
   | Http.Too_large m -> "too large: " ^ m
@@ -1245,6 +1246,39 @@ let contains haystack needle =
   in
   go 0
 
+(* an idle keep-alive connection is not a failed request: a client
+   that sends one GET and then nothing reads end-of-file at the
+   deadline, with no 408, and the health windows hold only its GET *)
+let test_idle_keep_alive_close () =
+  let _, model, _ = Lazy.force fixture in
+  let h, _ = List.hd (corpus_lines ()) in
+  with_server ~config:{ small_config with Server.request_timeout_s = 1.0 } model
+    (fun _ port ->
+      let fd = connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          let { Http.status; _ } =
+            exchange fd (Http.reader_of_fd fd) ("/geolocate?h=" ^ Http.pct_encode h)
+          in
+          Alcotest.(check int) "keep-alive GET" 200 status;
+          (* blocks while the client stays idle, until the daemon acts *)
+          Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+          let buf = Bytes.create 256 in
+          let n = Unix.read fd buf 0 (Bytes.length buf) in
+          Alcotest.(check string) "closed with no response" "" (Bytes.sub_string buf 0 n));
+      let body = (request port "/debug/slo").Http.body in
+      let error_rate =
+        match Option.bind (Result.to_option (Json.parse body)) (Json.member "measurements") with
+        | Some m -> (
+            match Json.member "error_rate" m with
+            | Some (Json.Float x) -> x
+            | Some (Json.Int n) -> float_of_int n
+            | _ -> Alcotest.failf "/debug/slo has no error_rate: %s" body)
+        | None -> Alcotest.failf "/debug/slo has no measurements: %s" body
+      in
+      Alcotest.(check (float 0.0)) "error_rate" 0.0 error_rate)
+
 (* satellite: the OpenMetrics exposition advertises its version *)
 let test_metrics_content_type () =
   let _, model, _ = Lazy.force fixture in
@@ -1501,6 +1535,8 @@ let suites =
         Helpers.tc "chaos clients" test_chaos_clients;
         Helpers.tc "trickled headers get 408 at the deadline"
           test_trickled_headers_deadline;
+        Helpers.tc "an idle keep-alive connection closes unrecorded"
+          test_idle_keep_alive_close;
         Helpers.tc "metrics content type" test_metrics_content_type;
         Helpers.tc "request ids echoed and generated" test_request_id;
         Helpers.tc "healthz transitions ok->degraded->failing->ok"
