@@ -118,7 +118,7 @@ let prepare ?(jobs = 1) consist db ?learned cands samples_arr =
      or eight. chunk:1 makes each candidate its own stealable job: a
      fat suffix's evaluation tail is then drained by whichever lanes
      fall idle, instead of serializing on the lane that happened to
-     dequeue its chunk. *)
+     claim its chunk. *)
   Hoiho_obs.Pool.parallel_map (Hoiho_obs.Pool.get jobs) ~chunk:1 eval cands
 
 let eval_nc consist db ?learned cands samples =

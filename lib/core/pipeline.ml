@@ -190,13 +190,14 @@ let run_groups consist db ?(learn_geohints = true) ?jobs groups =
     Obs.time h_suffix (fun () ->
         run_suffix consist db ~learn_geohints ~jobs ~suffix routers)
   in
-  (* LPT submission order: the fattest groups go onto the queue first
-     so one huge suffix can't land last and serialize the tail of the
-     run; chunk:1 makes every group its own stealable job, and each
-     group's internal stages fan out over the same pool, so idle lanes
-     help with a fat group instead of waiting behind it. Results land
-     back in their original slots — output order, and everything
-     downstream, is unchanged. *)
+  (* LPT order: the fattest groups are claimed first so one huge
+     suffix can't land last and serialize the tail of the run; chunk:1
+     makes every group its own claimable job. Each group's stages fan
+     out again over the same pool: a lane waiting on one of them runs
+     only that group's work, never another group (pool.mli), and an
+     idle lane helps with a fat group instead of waiting behind it.
+     Results land back in their original slots — output order, and
+     everything downstream, is unchanged. *)
   let arr = Array.of_list groups in
   let n = Array.length arr in
   let order = Array.init n (fun i -> i) in

@@ -20,9 +20,29 @@
     size, and callers never branch on it.
 
     Worker domains are spawned on the first fan-out that queues work
-    and live for the process. A caller waiting on its fan-out helps
-    drain the shared queue, so a job may itself fan out on the same
-    pool without deadlock. *)
+    and live for the process. An idle worker claims the next chunk of
+    the newest fan-out that has one unclaimed, so it helps finish work
+    already started (such as the stages of a group being learned)
+    before it starts more.
+
+    {b The helping rule.} A caller waiting on its fan-out runs only
+    work that fan-out is waiting for: first its own unclaimed chunks,
+    then chunks of fan-outs opened inside them, at any depth, on
+    whichever domain the opening chunk runs. With none of that left it
+    sleeps until its last chunk finishes or such a fan-out opens, and
+    its time asleep is recorded in [pool.wait_sleep_ms]. So each chunk
+    nested on one domain's stack sits deeper in the code's fan-out
+    nesting than the one below it: a domain holds at most one chunk
+    per nesting level, and a waiting caller never starts an unrelated
+    item, whose data would stay live until the caller's own wait
+    ended.
+
+    {b No deadlock.} A job may fan out on the pool it runs on. Every
+    claimed chunk runs on the domain that claimed it and finishes, by
+    induction on nesting depth: a chunk whose items open no fan-out
+    finishes; a chunk that opens one waits on it, and each of its
+    chunks is either unclaimed, so its own waiter may run it, or
+    claimed, and so finishes by the induction hypothesis. *)
 
 type t
 

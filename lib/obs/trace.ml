@@ -126,9 +126,10 @@ let capture () =
     { outer = innermost st; sink = st.ctx.sink }
 
 (* run [f] with [ctx] installed and the domain's own live spans masked:
-   a helping submitter runs other batches' jobs from inside its own
-   live spans, and those jobs must nest under the span they were
-   SUBMITTED from, into the collector they were submitted under *)
+   a waiting caller runs jobs of fan-outs opened on other domains from
+   inside its own live spans, and those jobs must nest under the span
+   they were SUBMITTED from, into the collector they were submitted
+   under *)
 let install ctx f =
   let st = Domain.DLS.get state_key in
   let saved_stack = st.stack and saved_ctx = st.ctx in

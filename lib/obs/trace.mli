@@ -88,9 +88,10 @@ val with_ctx : ctx -> (unit -> 'a) -> 'a
     spans [f] opens with [parent:Stack] and an empty local stack nest
     under the captured span and go to the captured collector. The
     executing domain's own live spans and collector are masked for the
-    duration, so a helping submitter's current work never becomes the
-    accidental parent (or collector) of another batch's job. Used by
-    {!Pool} around every job. *)
+    duration, so a waiting caller's current work never becomes the
+    accidental parent (or collector) of a job it helps run, such as
+    one of a fan-out opened on another domain. Used by {!Pool} around
+    every job. *)
 
 val sampled : string -> bool
 (** Deterministic 1-in-64 subject sampling for very hot call sites

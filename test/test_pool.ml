@@ -72,7 +72,7 @@ let test_jobs1_fallback () =
 
 let test_nested_map () =
   (* a task submitting to the pool it runs on must not deadlock: the
-     submitter helps drain the queue while it waits *)
+     waiting caller runs its own unclaimed chunks *)
   let pool = Pool.get 3 in
   let out =
     Pool.parallel_map pool
@@ -207,6 +207,110 @@ let test_one_chunk_runs_inline () =
     (Pool.parallel_map pool (fun x -> x * 2) [ 4 ]);
   Alcotest.(check int) "nothing queued" before (submitted ())
 
+let test_waiter_starts_no_unrelated_work () =
+  (* a caller waiting on its inner fan-out must not start another outer
+     item: pool jobs then nest on one domain no deeper than the code's
+     two fan-out levels, however many outer items are queued. Every
+     item raises a domain-local depth counter while it runs. *)
+  let pool = Pool.get 4 in
+  let depth = Domain.DLS.new_key (fun () -> ref 0) in
+  let deepest = Atomic.make 0 in
+  let rec raise_to d =
+    let m = Atomic.get deepest in
+    if d > m && not (Atomic.compare_and_set deepest m d) then raise_to d
+  in
+  let item body =
+    let d = Domain.DLS.get depth in
+    incr d;
+    raise_to !d;
+    Fun.protect ~finally:(fun () -> decr d) body
+  in
+  Pool.parallel_for pool ~chunk:1 200 (fun _ ->
+      item (fun () -> Pool.parallel_for pool ~chunk:1 4 (fun _ -> item ignore)));
+  let deepest = Atomic.get deepest in
+  Alcotest.(check bool)
+    (Printf.sprintf "deepest nesting on one domain %d <= 2" deepest)
+    true (deepest <= 2)
+
+let test_waiter_helps_nested () =
+  (* item 1 opens a fan-out whose items each wait until two domains
+     have entered it. If the worker took item 1, only the caller
+     waiting on the outer fan-out is left to enter, and it must: that
+     fan-out was opened inside a chunk it waits for. Item 0 returns
+     once item 1 has started, so the domain running item 0 cannot take
+     item 1 too. *)
+  let pool = Pool.get 2 in
+  let started = Atomic.make false in
+  let entered = Atomic.make [] in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec enter me =
+    let l = Atomic.get entered in
+    if not (List.mem me l || Atomic.compare_and_set entered l (me :: l)) then enter me
+  in
+  Pool.parallel_for pool ~chunk:1 2 (fun i ->
+      if i = 0 then
+        while (not (Atomic.get started)) && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done
+      else begin
+        Atomic.set started true;
+        Pool.parallel_for pool ~chunk:1 8 (fun _ ->
+            enter (Domain.self () :> int);
+            while List.length (Atomic.get entered) < 2 && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done)
+      end);
+  Alcotest.(check int) "domains that entered the nested fan-out" 2
+    (List.length (Atomic.get entered))
+
+(* a random tree of fan-outs: each level at most 40 items, a random
+   [chunk], items that open a fan-out below or raise *)
+type tree = { chunk : int option; items : (bool * tree option) list }
+
+let gen_tree =
+  let open QCheck.Gen in
+  let rec node depth =
+    let item =
+      pair (map (fun k -> k = 0) (int_bound 19))
+        (if depth >= 3 then return None
+         else frequency [ (4, return None); (1, map Option.some (node (depth + 1))) ])
+    in
+    map2 (fun chunk items -> { chunk; items }) (opt (int_range 1 12)) (list_size (int_bound 40) item)
+  in
+  node 1
+
+let rec show_tree { chunk; items } =
+  Printf.sprintf "{chunk=%s [%s]}" (chunk_name chunk)
+    (String.concat "; "
+       (List.map
+          (fun (raises, below) ->
+            (if raises then "!" else ".") ^ Option.fold ~none:"" ~some:show_tree below)
+          items))
+
+(* every item's path and what its subtree returned; an item raises
+   after its subtree ran, so failures below propagate up *)
+let rec run_tree pool path { chunk; items } =
+  Pool.parallel_map pool ?chunk
+    (fun (i, (raises, below)) ->
+      let here = Printf.sprintf "%s/%d" path i in
+      let sub = Option.fold ~none:[] ~some:(run_tree pool here) below in
+      if raises then failwith here;
+      here ^ "[" ^ String.concat "," sub ^ "]")
+    (List.mapi (fun i it -> (i, it)) items)
+
+let prop_random_nesting tree =
+  let outcome jobs =
+    match run_tree (Pool.get jobs) "" tree with v -> Ok v | exception Failure m -> Error m
+  in
+  let seq = outcome 1 in
+  List.for_all (fun jobs -> outcome jobs = seq) [ 2; 4 ]
+
+let qcheck_random_nesting =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"random fan-out trees at jobs 2 and 4 equal jobs 1"
+       (QCheck.make ~print:show_tree gen_tree)
+       prop_random_nesting)
+
 let suites =
   [
     ( "util.pool",
@@ -227,5 +331,8 @@ let suites =
         tc "every index runs when others raise" test_every_index_runs_on_failure;
         tc "lowest failing index is re-raised" test_lowest_failure_wins;
         tc "one chunk runs inline on the caller" test_one_chunk_runs_inline;
+        tc "a waiter starts no unrelated work" test_waiter_starts_no_unrelated_work;
+        tc "a waiter helps what it waits for" test_waiter_helps_nested;
+        qcheck_random_nesting;
       ] );
   ]
